@@ -4,15 +4,19 @@ module Sync_algo = Ss_sync.Sync_algo
 module Sync_runner = Ss_sync.Sync_runner
 module St = Trans_state
 
+let is_root params config p = Predicates.is_root params (Config.view config p)
+
 let roots params config =
-  List.filter
-    (fun p -> Predicates.is_root params (Config.view config p))
-    (Ss_prelude.Util.range (Config.n config))
+  let acc = ref [] in
+  for p = Config.n config - 1 downto 0 do
+    if is_root params config p then acc := p :: !acc
+  done;
+  !acc
 
 let has_root params config =
-  List.exists
-    (fun p -> Predicates.is_root params (Config.view config p))
-    (Ss_prelude.Util.range (Config.n config))
+  let n = Config.n config in
+  let rec go p = p < n && (is_root params config p || go (p + 1)) in
+  go 0
 
 let heights config = Array.map St.height config.Config.states
 

@@ -59,12 +59,14 @@ let validate_selection config enabled selected =
   List.iter (fun p -> Hashtbl.replace members p ()) enabled;
   validate_with config ~is_enabled:(Hashtbl.mem members) selected
 
-(* Execute a validated selection.  [rule_of p] is the enabled rule the
-   selection was validated against; all moves read the pre-step
-   configuration: compute every new state before writing any.  Actions
-   get fresh views (Config.view), never the scheduler's reusable
-   buffers, so a returned state may safely retain view data. *)
-let apply config ~rule_of selected =
+(* Execute a validated selection into [states].  [rule_of p] is the
+   enabled rule the selection was validated against; all moves read
+   the pre-step configuration: compute every new state ([List.map]
+   forces the whole list) before writing any, so [states] may be
+   [config]'s own array.  Actions get fresh views (Config.view), never
+   the scheduler's reusable buffers, so a returned state may safely
+   retain view data. *)
+let apply_into config states ~rule_of selected =
   let moves =
     List.map
       (fun p ->
@@ -75,9 +77,14 @@ let apply config ~rule_of selected =
         | None -> assert false (* validated by the caller *))
       selected
   in
-  let states = Array.copy config.Config.states in
   List.iter (fun (p, _, s) -> states.(p) <- s) moves;
-  (Config.with_states config states, List.map (fun (p, r, _) -> (p, r)) moves)
+  List.map (fun (p, r, _) -> (p, r)) moves
+
+(* Copying variant: the configuration reached, as a fresh one. *)
+let apply config ~rule_of selected =
+  let states = Array.copy config.Config.states in
+  let moved = apply_into config states ~rule_of selected in
+  (Config.with_states config states, moved)
 
 let step algo config selected =
   let enabled = Config.enabled_nodes algo config in
@@ -163,68 +170,25 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
               (String.concat "," (List.map string_of_int naive))))
   in
   let emit = bus ?observer ?sinks (if self_check then [ check_sink ] else []) in
-  (* When nothing on the bus can retain configurations (no observer,
-     no sinks, no self-check), step in place on a private copy of the
-     states instead of copying the whole array per step — the O(n)
-     per-step copy is what made 10^6-node runs quadratic.  The input
-     configuration is never mutated either way. *)
-  let observed =
-    Option.is_some observer
-    || (match sinks with Some (_ :: _) -> true | _ -> false)
-    || self_check
-  in
-  let config =
-    if observed then config
-    else Config.with_states config (Array.copy config.Config.states)
-  in
-  let apply_step config selected =
-    if observed then apply config ~rule_of:(Sched.enabled_rule sched) selected
-    else begin
-      (* All moves read the pre-step configuration: compute every new
-         state before writing any.  [List.map] forces the whole list
-         before the write loop. *)
-      let moves =
-        List.map
-          (fun p ->
-            match Sched.enabled_rule sched p with
-            | Some rule ->
-                let view = Config.view config p in
-                (p, rule.Algorithm.rule_name, rule.Algorithm.action view)
-            | None -> assert false (* validated above *))
-          selected
-      in
-      let states = config.Config.states in
-      List.iter (fun (p, _, s) -> states.(p) <- s) moves;
-      (config, List.map (fun (p, r, _) -> (p, r)) moves)
-    end
-  in
-  let rec loop config steps moves tracker =
+  (* Step in place on a private copy of the states: the input
+     configuration is never mutated, and no step pays an O(n) copy.
+     Sinks borrow the live configuration for the duration of each call
+     (see the interface). *)
+  let config = Config.with_states config (Array.copy config.Config.states) in
+  let states = config.Config.states in
+  let rec loop steps moves tracker =
     (* Scheduled transient corruption, injected before the termination
        check so a fault landing on a quiescent configuration re-starts
        stabilization.  The scheduler is re-synced exactly as for a
        moved node; the next step's bus event (and self-check) sees the
        corrupted configuration. *)
-    let config =
-      match chaos with
-      | Some ch when Ss_chaos.Fault_plan.corruption_due ch.plan ~event:steps ->
-          let crng = Ss_chaos.Fault_plan.rng ch.plan in
-          let v = Ss_prelude.Rng.int crng (Config.n config) in
-          let st = ch.mutate crng v config in
-          let config =
-            if observed then begin
-              let states = Array.copy config.Config.states in
-              states.(v) <- st;
-              Config.with_states config states
-            end
-            else begin
-              config.Config.states.(v) <- st;
-              config
-            end
-          in
-          Sched.update sched config ~moved:[ v ];
-          config
-      | _ -> config
-    in
+    (match chaos with
+    | Some ch when Ss_chaos.Fault_plan.corruption_due ch.plan ~event:steps ->
+        let crng = Ss_chaos.Fault_plan.rng ch.plan in
+        let v = Ss_prelude.Rng.int crng (Config.n config) in
+        states.(v) <- ch.mutate crng v config;
+        Sched.update sched config ~moved:[ v ]
+    | _ -> ());
     if Sched.no_enabled sched then (config, steps, moves, Budget.Completed)
     else if moves >= max_moves then
       (config, steps, moves, Budget.Tripped Budget.Moves)
@@ -236,19 +200,21 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
       let selected = daemon.Daemon.select ~step:steps ~enabled in
       validate_with config ~is_enabled:(Sched.is_enabled sched) selected;
       let selected = cap_selection ~budget:(max_moves - moves) selected in
-      let config', moved = apply_step config selected in
+      let moved =
+        apply_into config states ~rule_of:(Sched.enabled_rule sched) selected
+      in
       List.iter note_move moved;
       let moved_nodes = List.map fst moved in
-      Sched.update sched config' ~moved:moved_nodes;
+      Sched.update sched config ~moved:moved_nodes;
       Rounds.note_step_set tracker ~moved:moved_nodes
         ~enabled_after:(Sched.enabled_set sched);
-      emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config';
-      loop config' (steps + 1) (moves + List.length moved) tracker
+      emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config;
+      loop (steps + 1) (moves + List.length moved) tracker
     end
   in
   let tracker = Rounds.create_set ~enabled:(Sched.enabled_set sched) in
   emit ~step:0 ~rounds:0 ~moved:[] config;
-  finish algo tracker (loop config 0 0 tracker)
+  finish algo tracker (loop 0 0 tracker)
 
 let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
     config =

@@ -39,6 +39,14 @@ type ('s, 'i) observer =
     the (node, rule label) pairs that moved and the configuration
     reached.
 
+    {b Borrowing rule}: the configuration is the engine's live one,
+    lent for the duration of the call.  {!run} steps in place, so the
+    same configuration value is passed to every call and its state
+    array changes after the sink returns.  A sink that keeps
+    configurations must snapshot them (copy [config.states], as
+    {!Trace.with_configs} does); reading states, inputs and the graph
+    during the call is always safe.
+
     {b Sink purity contract} (DESIGN.md §9): a sink must not mutate
     the configuration, the algorithm, or the daemon it observes — it
     may only read them and accumulate into its own state.  All sinks
@@ -87,13 +95,12 @@ val run :
     byte-identical to the sequential engine for every job count; only
     the wall clock changes (DESIGN.md §12).
 
-    When nothing observes intermediate configurations (no [observer],
-    no [sinks], no [self_check]), the engine steps {e in place} on a
-    private copy of the state array instead of copying it every step.
-    The input configuration is never mutated; [stats.final] is a fresh
-    configuration either way.  Observed runs keep the historical
-    copy-per-step behavior, so sinks may legally retain every
-    configuration they see ({!Trace}).
+    The engine steps {e in place} on a private copy of the state
+    array, observed or not: a step costs time proportional to the
+    nodes it moves and their neighborhoods, never an O(n) copy.  The
+    input configuration is never mutated; [stats.final] is the private
+    configuration, fresh to the caller.  Sinks borrow it (see
+    {!observer}).
 
     Budgets: the unified [budget] record and the historical
     [max_steps]/[max_moves] arguments compose — the tightest provided

@@ -98,16 +98,27 @@ let inter t ~src =
   Array.fill tw shared (Array.length tw - shared) 0;
   t.count <- !count
 
+(* Index of the single set bit of [b], in constant time: a binary
+   search over halves of 32/16/8/4/2/1 bits, six tests whatever the
+   bit (shifting one bit at a time costs up to 62 steps per member).
+   [lsr] is a logical shift, so the sign bit of a 63-bit word —
+   [min_int], bit 62 — is found like any other. *)
+let bit_index b =
+  let i = ref 0 and b = ref b in
+  if !b land 0xFFFF_FFFF = 0 then begin i := 32; b := !b lsr 32 end;
+  if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
+  if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
+  if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
+  if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
+  if !b land 0x1 = 0 then !i + 1 else !i
+
 let iter f t =
   let tw = t.words in
   for w = 0 to Array.length tw - 1 do
     let bits = ref tw.(w) in
     let base = w * word_bits in
     while !bits <> 0 do
-      let lsb = !bits land - !bits in
-      (* log2 of a single set bit: count its trailing zeros. *)
-      let rec tz i b = if b land 1 = 1 then i else tz (i + 1) (b lsr 1) in
-      f (base + tz 0 lsb);
+      f (base + bit_index (!bits land - !bits));
       bits := !bits land (!bits - 1)
     done
   done

@@ -12,11 +12,15 @@ let make () =
   in
   (observer, fun () -> List.rev !acc)
 
+(* The engine lends its live configuration only for the duration of
+   the call: keep a snapshot of the state array (a shallow copy: the
+   state values themselves are shared). *)
 let with_configs () =
   let acc = ref [] in
   let observer ~step ~rounds ~moved config =
+    let snapshot = Config.with_states config (Array.copy config.Config.states) in
     acc :=
-      ({ ev_step = step; ev_rounds = rounds; ev_moved = moved }, config) :: !acc
+      ({ ev_step = step; ev_rounds = rounds; ev_moved = moved }, snapshot) :: !acc
   in
   (observer, fun () -> List.rev !acc)
 

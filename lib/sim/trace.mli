@@ -20,9 +20,12 @@ val make : unit -> ('s, 'i) Engine.observer * (unit -> event list)
 val with_configs :
   unit ->
   ('s, 'i) Engine.observer * (unit -> (event * ('s, 'i) Config.t) list)
-(** Like {!make} but each record also captures the configuration the
-    step reached; the initial configuration is included as a
-    pseudo-event with [ev_step = 0] and no moves. *)
+(** Like {!make} but each record also captures a snapshot of the
+    configuration the step reached; the initial configuration is
+    included as a pseudo-event with [ev_step = 0] and no moves.  The
+    engine only lends its live configuration to a sink (see
+    {!Engine.observer}), so this recorder copies the state array on
+    every event: O(n) per step, for small executions and tests. *)
 
 val moves_of : event list -> int
 (** Total number of moves across the events. *)

@@ -13,6 +13,9 @@ module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
 module Sched = Ss_sim.Sched
+module Trace = Ss_sim.Trace
+module Fault_plan = Ss_chaos.Fault_plan
+module Stabilization = Ss_verify.Stabilization
 module Rng = Ss_prelude.Rng
 module Transformer = Ss_core.Transformer
 module Rollback = Ss_rollback.Rollback
@@ -242,6 +245,210 @@ let test_sched_locality () =
       (Sched.enabled sched)
   done
 
+(* ------------------------------------------------------------------ *)
+(* One stepping path: observed ≡ unobserved ≡ naive                     *)
+(* ------------------------------------------------------------------ *)
+
+(* [Engine.run] steps in place whether or not anything observes it;
+   sinks only borrow its live configuration.  Three runs of one
+   execution — observed (a counting sink plus the snapshotting
+   [Trace.with_configs] recorder), unobserved, and the copying naive
+   twin — agree on every counter and on the final states, the
+   recorder's snapshots equal the naive twin's step for step, and the
+   caller's input array comes back physically untouched. *)
+
+let input_untouched ~msg before (config : _ Config.t) =
+  check (msg ^ ": input states physically unmodified") true
+    (Array.length before = Config.n config
+    && Array.for_all2 ( == ) before config.Config.states)
+
+let counting_sink () =
+  let events = ref 0 in
+  ((fun ~step:_ ~rounds:_ ~moved:_ _config -> incr events), events)
+
+let check_single_path ~msg eq algo mk start =
+  let before = Array.copy start.Config.states in
+  let count, events = counting_sink () in
+  let recorder, records = Trace.with_configs () in
+  let observed = Engine.run ~sinks:[ count; recorder ] algo (mk ()) start in
+  let unobserved = Engine.run algo (mk ()) start in
+  let naive_recorder, naive_records = Trace.with_configs () in
+  let naive = Engine.run_naive ~observer:naive_recorder algo (mk ()) start in
+  input_untouched ~msg before start;
+  assert_equiv ~msg:(msg ^ " observed/unobserved") eq observed unobserved;
+  assert_equiv ~msg:(msg ^ " observed/naive") eq observed naive;
+  check_int (msg ^ ": the sink saw every event") (observed.Engine.steps + 1)
+    !events;
+  let recs = records () and naive_recs = naive_records () in
+  check_int (msg ^ ": snapshot count") (List.length naive_recs)
+    (List.length recs);
+  List.iter2
+    (fun (e, c) (ne, nc) ->
+      check (msg ^ ": same event") true (e = ne);
+      check
+        (Printf.sprintf "%s: snapshot of step %d" msg e.Trace.ev_step)
+        true (Config.equal eq c nc))
+    recs naive_recs
+
+let single_path_daemons seed =
+  [
+    ("central-random", fun () -> Daemon.central_random (Rng.create seed));
+    ( "distributed-random",
+      fun () -> Daemon.distributed_random (Rng.create seed) ~p:0.5 );
+    ("synchronous", fun () -> Daemon.synchronous);
+  ]
+
+let test_single_path () =
+  List.iter
+    (fun seed ->
+      let leader_params, leader_start = transformer_start seed in
+      let rng = Rng.create (60 + seed) in
+      let g = Builders.random_connected rng ~n:12 ~extra_edges:5 in
+      let flood_params = Transformer.params Min_flood.algo in
+      let flood_start =
+        Transformer.corrupt rng ~max_height:8 flood_params
+          (Transformer.clean_config flood_params g ~inputs:(fun _ ->
+               Rng.int rng 100))
+      in
+      List.iter
+        (fun (dname, mk) ->
+          check_single_path
+            ~msg:(Printf.sprintf "leader/%s/seed%d" dname seed)
+            (Ss_core.Trans_state.equal Leader.algo.Ss_sync.Sync_algo.equal)
+            (Transformer.algorithm leader_params)
+            mk leader_start;
+          check_single_path
+            ~msg:(Printf.sprintf "minflood/%s/seed%d" dname seed)
+            (Ss_core.Trans_state.equal Min_flood.algo.Ss_sync.Sync_algo.equal)
+            (Transformer.algorithm flood_params)
+            mk flood_start)
+        (single_path_daemons seed))
+    seeds
+
+(* Mid-run corruption writes into the same private array the steps do.
+   Observed and unobserved chaos runs agree; every corruption fires;
+   each recorded snapshot differs from its predecessor at least at the
+   nodes that moved, and beyond them only at corruption victims. *)
+let test_single_path_chaos () =
+  let params, start = transformer_start 9 in
+  let eq = Ss_core.Trans_state.equal Leader.algo.Ss_sync.Sync_algo.equal in
+  let algo = Transformer.algorithm params in
+  let corrupt_at = [ 2; 5; 9 ] in
+  let chaos () =
+    {
+      Engine.plan = Fault_plan.v ~corrupt_at ~seed:4 ();
+      mutate =
+        (fun crng v config ->
+          Transformer.corrupt_state crng ~max_height:8 params
+            (Config.input config v) config.Config.states.(v));
+    }
+  in
+  let before = Array.copy start.Config.states in
+  let daemon () = Daemon.central_random (Rng.create 21) in
+  let ch_obs = chaos () and ch_bare = chaos () in
+  let count, events = counting_sink () in
+  let recorder, records = Trace.with_configs () in
+  let observed =
+    Engine.run ~chaos:ch_obs ~sinks:[ count; recorder ] algo (daemon ()) start
+  in
+  let unobserved = Engine.run ~chaos:ch_bare algo (daemon ()) start in
+  input_untouched ~msg:"chaos" before start;
+  assert_equiv ~msg:"chaos observed/unobserved" eq observed unobserved;
+  check "chaos run terminated" true observed.Engine.terminated;
+  check_int "every corruption fired (observed)" 0
+    (Fault_plan.pending_corruptions ch_obs.Engine.plan);
+  check_int "every corruption fired (unobserved)" 0
+    (Fault_plan.pending_corruptions ch_bare.Engine.plan);
+  check_int "the sink saw every event" (observed.Engine.steps + 1) !events;
+  let recs = records () in
+  check_int "one snapshot per event" (observed.Engine.steps + 1)
+    (List.length recs);
+  check "last snapshot is the final configuration" true
+    (Config.equal eq (snd (List.nth recs observed.Engine.steps))
+       observed.Engine.final);
+  let extra = ref 0 in
+  ignore
+    (List.fold_left
+       (fun (prev : _ Config.t) ((e : Trace.event), (c : _ Config.t)) ->
+         let moved = List.map fst e.Trace.ev_moved in
+         Array.iteri
+           (fun p st ->
+             let changed = st != prev.Config.states.(p) in
+             if List.mem p moved then
+               check
+                 (Printf.sprintf "step %d: moved node %d changed" e.Trace.ev_step p)
+                 true changed
+             else if changed then incr extra)
+           c.Config.states;
+         c)
+       (snd (List.hd recs)) (List.tl recs));
+  check "changes beyond movers come only from corruption" true
+    (!extra <= List.length corrupt_at)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated by [f ()]: minor allocations plus direct major
+   ones (promotions are counted once, on the minor side). *)
+let allocated f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  ( r,
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
+(* Observing a run must not change its per-step cost class.  A ring of
+   512 under a central daemon makes one move per step, so an O(n)
+   state copy per observed step (513 words) would dwarf the engine's
+   own few hundred words per step; the guard allows 1.5×. *)
+let test_observed_allocation () =
+  let n = 512 in
+  let rng = Rng.create 7 in
+  let g = Builders.cycle n in
+  let inputs = Leader.random_ids (Rng.split rng) g in
+  let sc = { Stabilization.params = Transformer.params Leader.algo; graph = g; inputs } in
+  let t = (Stabilization.history sc).Ss_sync.Sync_runner.t in
+  let start = Stabilization.corrupted_start (Rng.split rng) ~max_height:(t + 6) sc in
+  let daemon_seed = Rng.int rng (1 lsl 30) in
+  let daemon () = Daemon.central_random (Rng.create daemon_seed) in
+  let per_step (steps, words) = words /. float_of_int (max 1 steps) in
+  let bare =
+    allocated (fun () ->
+        let r =
+          Stabilization.run ~track_recovery:false sc ~daemon:(daemon ()) ~start
+        in
+        r.Stabilization.steps)
+  in
+  let tracked =
+    allocated (fun () ->
+        let r = Stabilization.run sc ~daemon:(daemon ()) ~start in
+        check "recovery was tracked" true (r.Stabilization.recovery_moves >= 0);
+        r.Stabilization.steps)
+  in
+  let count, _ = counting_sink () in
+  let algo = Transformer.algorithm sc.Stabilization.params in
+  let engine_bare =
+    allocated (fun () -> (Engine.run algo (daemon ()) start).Engine.steps)
+  in
+  let engine_sink =
+    allocated (fun () ->
+        (Engine.run ~sinks:[ count ] algo (daemon ()) start).Engine.steps)
+  in
+  check_int "same execution" (fst bare) (fst tracked);
+  check "one move per step" true (fst bare > 10 * n);
+  let guard name observed unobserved =
+    let ratio = per_step observed /. per_step unobserved in
+    check
+      (Printf.sprintf "%s: %.0f vs %.0f words/step (%.2fx < 1.5x)" name
+         (per_step observed) (per_step unobserved) ratio)
+      true (ratio < 1.5)
+  in
+  guard "recovery tracking" tracked bare;
+  guard "counting sink" engine_sink engine_bare
+
 let () =
   Alcotest.run "engine_equiv"
     [
@@ -262,5 +469,14 @@ let () =
             `Quick test_self_check_section5_algorithms;
           Alcotest.test_case "sched dirty-set locality" `Quick
             test_sched_locality;
+        ] );
+      ( "single-path",
+        [
+          Alcotest.test_case "observed = unobserved = naive" `Quick
+            test_single_path;
+          Alcotest.test_case "chaos corruption in place" `Quick
+            test_single_path_chaos;
+          Alcotest.test_case "observed allocation per step" `Quick
+            test_observed_allocation;
         ] );
     ]
