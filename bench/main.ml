@@ -248,6 +248,31 @@ let proof_rows () =
         [ ("incremental", true); ("reference", false) ])
     [ 8; 64; 512 ]
 
+(* A central selection is tens of nanoseconds to a few microseconds,
+   so these rows time a plain loop too: ns per [central_random] pick
+   from a live enabled set holding every other node (half enabled).
+   The pick walks the bitset's words, so the row grows with n / 63. *)
+let daemon_select_rows () =
+  List.map
+    (fun (n, iters) ->
+      let enabled = Sim.Nodeset.create ~capacity:n () in
+      for p = 0 to (n / 2) - 1 do
+        Sim.Nodeset.add enabled (2 * p)
+      done;
+      let d = Sim.Daemon.central_random (Rng.create 3) in
+      let select () = ignore (d.Sim.Daemon.select ~step:0 ~enabled) in
+      select ();
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to iters do
+        select ()
+      done;
+      let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int iters in
+      [
+        Table.S (Printf.sprintf "daemon-select/central-random/n%d" n);
+        Table.I (int_of_float (Float.round ns));
+      ])
+    [ (512, 1_000_000); (65536, 100_000) ]
+
 (* Deep-ladder clean simulation: min-flood on a path with distinct
    inputs, so the minimum walks the whole path and T = Θ(n) — every
    node's list grows to height ~n.  This is the regime where the old
@@ -751,6 +776,7 @@ let micro_benchmarks () =
   let msgnet, engine = List.partition is_msgnet estimates in
   let engine_table = bench_table "engine micro-benchmarks" engine in
   let msgnet_table = bench_table "msgnet micro-benchmarks" msgnet in
+  List.iter (Table.add engine_table) (daemon_select_rows ());
   List.iter (Table.add engine_table) (parallel_sweep ());
   List.iter (Table.add engine_table) (memory_rows ());
   List.iter (Table.add msgnet_table) msgnet_scale;

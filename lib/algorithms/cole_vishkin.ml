@@ -6,9 +6,17 @@ module Util = Ss_prelude.Util
 type state = { color : int; round : int }
 type input = { id : int; width : int; schedule : int }
 
-let reduction_iters w =
+let reduction_iters_loop w =
   let rec go w acc = if w <= 3 then acc else go (Util.ceil_log2 w + 1) (acc + 1) in
   go (max w 1) 0 + 1
+
+(* [step] asks for the count on every call, so the widths an id can
+   have (0..62) are tabulated once; the loop answers any other. *)
+let reduction_table = Array.init 63 reduction_iters_loop
+
+let reduction_iters w =
+  if w >= 0 && w < Array.length reduction_table then reduction_table.(w)
+  else reduction_iters_loop w
 
 let schedule_length w = reduction_iters w + 3
 

@@ -25,7 +25,8 @@ type input = { id : int; width : int; schedule : int  (** [T]. *) }
 val reduction_iters : int -> int
 (** [reduction_iters w] is the number of reduction rounds performed
     for initial width [w]: iterations of [w ← ⌈log₂ w⌉ + 1] needed to
-    reach width 3, plus one (the final reduction lands in [{0..5}]). *)
+    reach width 3, plus one (the final reduction lands in [{0..5}]).
+    A table lookup for widths [0..62], computed once. *)
 
 val schedule_length : int -> int
 (** [reduction_iters w + 3] — the synchronous execution time [T]. *)

@@ -2,6 +2,7 @@ module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
+module Nodeset = Ss_sim.Nodeset
 
 type state = int
 type input = { index : int; n : int; k : int }
@@ -50,7 +51,7 @@ let run_to_legitimacy ?(max_steps = 1_000_000) daemon config =
     else begin
       let enabled = Config.enabled_nodes algo config in
       let selected =
-        daemon.Daemon.select ~step:steps ~enabled:(Array.of_list enabled)
+        daemon.Daemon.select ~step:steps ~enabled:(Nodeset.of_list enabled)
       in
       let config', moved = Engine.step algo config selected in
       go config' (steps + 1) (moves + List.length moved)
@@ -65,7 +66,7 @@ let closure_holds ?(steps = 200) daemon config =
        &&
        let enabled = Config.enabled_nodes algo config in
        let selected =
-         daemon.Daemon.select ~step:i ~enabled:(Array.of_list enabled)
+         daemon.Daemon.select ~step:i ~enabled:(Nodeset.of_list enabled)
        in
        let config', _ = Engine.step algo config selected in
        go config' (i + 1)

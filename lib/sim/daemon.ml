@@ -2,26 +2,29 @@ module Rng = Ss_prelude.Rng
 
 type t = {
   daemon_name : string;
-  select : step:int -> enabled:int array -> int list;
+  select : step:int -> enabled:Nodeset.t -> int list;
 }
 
 let of_fun daemon_name select = { daemon_name; select }
 
 let synchronous =
-  of_fun "synchronous" (fun ~step:_ ~enabled -> Array.to_list enabled)
+  of_fun "synchronous" (fun ~step:_ ~enabled -> Nodeset.elements enabled)
 
-(* [Rng.pick] on the array consumes exactly the single draw the
-   historical [Rng.pick_list] did, so seeds keep their streams. *)
+(* One uniform draw of an index into the members in increasing order:
+   the draw [Rng.pick] makes on the sorted enabled array, so seeds keep
+   their streams. *)
+let pick rng enabled = Nodeset.nth enabled (Rng.int rng (Nodeset.count enabled))
+
 let central_random rng =
-  of_fun "central-random" (fun ~step:_ ~enabled -> [ Rng.pick rng enabled ])
+  of_fun "central-random" (fun ~step:_ ~enabled -> [ pick rng enabled ])
 
 let central_min =
   of_fun "central-min" (fun ~step:_ ~enabled ->
-      if Array.length enabled = 0 then [] else [ enabled.(0) ])
+      if Nodeset.is_empty enabled then [] else [ Nodeset.min_elt enabled ])
 
 let central_max =
   of_fun "central-max" (fun ~step:_ ~enabled ->
-      match Array.length enabled with 0 -> [] | n -> [ enabled.(n - 1) ])
+      if Nodeset.is_empty enabled then [] else [ Nodeset.max_elt enabled ])
 
 (* Same draw sequence as [Rng.nonempty_subset] on the list: one
    [chance] per enabled node in increasing order, then one uniform
@@ -31,24 +34,17 @@ let distributed_random rng ~p =
     (Printf.sprintf "distributed-random(p=%.2f)" p)
     (fun ~step:_ ~enabled ->
       let acc = ref [] in
-      for i = 0 to Array.length enabled - 1 do
-        if Rng.chance rng p then acc := enabled.(i) :: !acc
-      done;
-      match !acc with [] -> [ Rng.pick rng enabled ] | l -> List.rev l)
+      Nodeset.iter (fun q -> if Rng.chance rng p then acc := q :: !acc) enabled;
+      match !acc with [] -> [ pick rng enabled ] | l -> List.rev l)
 
 let round_robin () =
   let cursor = ref (-1) in
   of_fun "round-robin" (fun ~step:_ ~enabled ->
-      (* First enabled node strictly after the cursor: binary search in
-         the sorted enabled array (the historical version filtered the
-         whole list). *)
-      let n = Array.length enabled in
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if enabled.(mid) > !cursor then hi := mid else lo := mid + 1
-      done;
-      let chosen = if !lo < n then enabled.(!lo) else enabled.(0) in
+      let chosen =
+        match Nodeset.succ enabled !cursor with
+        | p -> p
+        | exception Not_found -> Nodeset.min_elt enabled
+      in
       cursor := chosen;
       [ chosen ])
 

@@ -13,18 +13,22 @@
 
 type t = {
   daemon_name : string;
-  select : step:int -> enabled:int array -> int list;
+  select : step:int -> enabled:Nodeset.t -> int list;
       (** Must return a nonempty subset of [enabled] (which the engine
-          guarantees to be nonempty and sorted).  The array is the
-          engine's reusable cache: read it during the call, do not
-          mutate or retain it. *)
+          guarantees to be nonempty).  The set is the scheduler's live
+          enabled set ({!Sched.enabled_set}): read it during the call,
+          do not mutate or retain it: no members array is built for a
+          step.  Built-in daemons visit members in increasing order,
+          so a schedule depends only on the set and the daemon's own
+          state. *)
 }
 
 val synchronous : t
 (** Selects every enabled node — steps coincide with rounds. *)
 
 val central_random : Ss_prelude.Rng.t -> t
-(** Selects exactly one enabled node, uniformly. *)
+(** Selects exactly one enabled node, uniformly: one [Rng.int] draw
+    of an index into the members in increasing order. *)
 
 val central_min : t
 (** Selects the lowest-id enabled node — a deterministic unfair
@@ -48,5 +52,5 @@ val scripted : ?fallback:t -> int list list -> t
     validates that every scripted node is enabled when activated and
     raises {!Engine.Invalid_selection} otherwise. *)
 
-val of_fun : string -> (step:int -> enabled:int array -> int list) -> t
+val of_fun : string -> (step:int -> enabled:Nodeset.t -> int list) -> t
 (** Build a custom daemon. *)

@@ -83,18 +83,28 @@ let validate_selection validate enabled selected =
    the scheduler's reusable buffers, so a returned state may safely
    retain view data. *)
 let apply_into config states ~rule_of selected =
-  let moves =
-    List.map
-      (fun p ->
-        match rule_of p with
-        | Some rule ->
-            let view = Config.view config p in
-            (p, rule.Algorithm.rule_name, rule.Algorithm.action view)
-        | None -> assert false (* validated by the caller *))
-      selected
+  let rule p =
+    match rule_of p with
+    | Some rule -> rule
+    | None -> assert false (* validated by the caller *)
   in
-  List.iter (fun (p, _, s) -> states.(p) <- s) moves;
-  List.map (fun (p, r, _) -> (p, r)) moves
+  match selected with
+  | [ p ] ->
+      (* One mover (every central-daemon step): nothing else reads the
+         pre-step state, so write it straight away. *)
+      let r = rule p in
+      states.(p) <- r.Algorithm.action (Config.view config p);
+      [ (p, r.Algorithm.rule_name) ]
+  | _ ->
+      let moves =
+        List.map
+          (fun p ->
+            let r = rule p in
+            (p, r.Algorithm.rule_name, r.Algorithm.action (Config.view config p)))
+          selected
+      in
+      List.iter (fun (p, _, s) -> states.(p) <- s) moves;
+      List.map (fun (p, r, _) -> (p, r)) moves
 
 (* Copying variant: the configuration reached, as a fresh one. *)
 let apply config ~rule_of selected =
@@ -138,16 +148,27 @@ let limits ?budget ?max_steps ?max_moves ?now () =
     Budget.deadline_check ?now b )
 
 (* Shared per-run accounting: per-node and per-rule move counters and
-   the final stats record. *)
-let make_counters n =
+   the final stats record.  A move's rule is found by scanning the
+   algorithm's handful of labels ([String.equal] returns at once on
+   the physically shared label) rather than hashing the label on every
+   move; a repeated label counts at its first slot. *)
+let make_counters algo n =
   let moves_per_node = Array.make n 0 in
-  let rule_counts = Hashtbl.create 8 in
+  let names = Array.of_list (Algorithm.rule_names algo) in
+  let per_rule = Array.make (Array.length names) 0 in
+  let slot r =
+    let rec go i =
+      if i >= Array.length names || String.equal names.(i) r then i
+      else go (i + 1)
+    in
+    go 0
+  in
   let note_move (p, r) =
     moves_per_node.(p) <- moves_per_node.(p) + 1;
-    Hashtbl.replace rule_counts r
-      (1 + Option.value ~default:0 (Hashtbl.find_opt rule_counts r))
+    let i = slot r in
+    if i < Array.length names then per_rule.(i) <- per_rule.(i) + 1
   in
-  let finish algo tracker (final, steps, moves, outcome) =
+  let finish tracker (final, steps, moves, outcome) =
     {
       final;
       steps;
@@ -157,9 +178,7 @@ let make_counters n =
       outcome;
       moves_per_node;
       moves_per_rule =
-        List.map
-          (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt rule_counts r)))
-          (Algorithm.rule_names algo);
+        Array.to_list (Array.map (fun r -> (r, per_rule.(slot r))) names);
     }
   in
   (note_move, finish)
@@ -169,7 +188,7 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   let max_steps, max_moves, deadline =
     limits ?budget ?max_steps ?max_moves ?now ()
   in
-  let note_move, finish = make_counters (Config.n config) in
+  let note_move, finish = make_counters algo (Config.n config) in
   let sched = Sched.create ~parallel:sharded algo config in
   let validate = validator (Config.n config) in
   (* Divergence checking is just another sink on the bus: it reads the
@@ -213,17 +232,18 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
       (config, steps, moves, Budget.Tripped Budget.Steps)
     else if deadline () then (config, steps, moves, Budget.Tripped Budget.Deadline)
     else begin
-      let enabled = Sched.enabled_arr sched in
-      let selected = daemon.Daemon.select ~step:steps ~enabled in
+      let selected =
+        daemon.Daemon.select ~step:steps ~enabled:(Sched.enabled_set sched)
+      in
       validate ~is_enabled:(Sched.is_enabled sched) selected;
       let selected = cap_selection ~budget:(max_moves - moves) selected in
       let moved =
         apply_into config states ~rule_of:(Sched.enabled_rule sched) selected
       in
       List.iter note_move moved;
-      let moved_nodes = List.map fst moved in
-      Sched.update sched config ~moved:moved_nodes;
-      Rounds.note_step_set tracker ~moved:moved_nodes
+      (* The movers are exactly the (capped) selection, in order. *)
+      Sched.update sched config ~moved:selected;
+      Rounds.note_step_set tracker ~moved:selected
         ~enabled_after:(Sched.enabled_set sched);
       emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config;
       loop (steps + 1) (moves + List.length moved) tracker
@@ -231,14 +251,14 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   in
   let tracker = Rounds.create_set ~enabled:(Sched.enabled_set sched) in
   emit ~step:0 ~rounds:0 ~moved:[] config;
-  finish algo tracker (loop 0 0 tracker)
+  finish tracker (loop 0 0 tracker)
 
 let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
     config =
   let max_steps, max_moves, deadline =
     limits ?budget ?max_steps ?max_moves ?now ()
   in
-  let note_move, finish = make_counters (Config.n config) in
+  let note_move, finish = make_counters algo (Config.n config) in
   let emit = bus ?observer ?sinks [] in
   let validate = validator (Config.n config) in
   let rec loop config steps moves tracker =
@@ -251,7 +271,7 @@ let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
     else if deadline () then (config, steps, moves, Budget.Tripped Budget.Deadline)
     else begin
       let selected =
-        daemon.Daemon.select ~step:steps ~enabled:(Array.of_list enabled)
+        daemon.Daemon.select ~step:steps ~enabled:(Nodeset.of_list enabled)
       in
       validate_selection validate enabled selected;
       let selected = cap_selection ~budget:(max_moves - moves) selected in
@@ -269,7 +289,7 @@ let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
   in
   let tracker = Rounds.create ~enabled:(Config.enabled_nodes algo config) in
   emit ~step:0 ~rounds:0 ~moved:[] config;
-  finish algo tracker (loop config 0 0 tracker)
+  finish tracker (loop config 0 0 tracker)
 
 let run_synchronous ?budget ?max_steps ?max_moves algo config =
   run ?budget ?max_steps ?max_moves algo Daemon.synchronous config

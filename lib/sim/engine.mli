@@ -134,7 +134,8 @@ val run :
     The engine is {e incremental}: it maintains the enabled set with
     a dirty-set scheduler ({!Sched}) that re-evaluates guards only
     for nodes whose closed neighborhood changed, instead of scanning
-    all [n] nodes twice per step.  Observable behavior is identical
+    all [n] nodes twice per step, and the daemon selects straight from
+    that set ({!Sched.enabled_set}).  Observable behavior is identical
     to {!run_naive} (same steps, moves, rounds, configurations) for
     any algorithm whose guards are pure functions of the view — see
     DESIGN.md §7.  [self_check] (default [false]) appends a

@@ -79,9 +79,15 @@ let assign t ~src =
   Array.blit src.words 0 t.words 0 n;
   t.count <- src.count
 
-let popcount w =
-  let rec go acc w = if w = 0 then acc else go (acc + 1) (w land (w - 1)) in
-  go 0 w
+(* Number of set bits of a word, in constant time (SWAR): pairwise,
+   then nibble, then byte sums, and one multiply gathers the byte sums
+   into the top byte.  The 64-bit masks wrap to their low 63 bits, and
+   the top byte keeps 7 bits — enough for a count of at most 63. *)
+let[@inline] popcount w =
+  let w = w - ((w lsr 1) land 0x5555_5555_5555_5555) in
+  let w = (w land 0x3333_3333_3333_3333) + ((w lsr 2) land 0x3333_3333_3333_3333) in
+  let w = (w + (w lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  (w * 0x0101_0101_0101_0101) lsr 56
 
 (* [t := t ∩ src], recomputing the count from the surviving words.
    Words beyond [src]'s capacity are cleared ([src] has no member
@@ -98,19 +104,11 @@ let inter t ~src =
   Array.fill tw shared (Array.length tw - shared) 0;
   t.count <- !count
 
-(* Index of the single set bit of [b], in constant time: a binary
-   search over halves of 32/16/8/4/2/1 bits, six tests whatever the
-   bit (shifting one bit at a time costs up to 62 steps per member).
-   [lsr] is a logical shift, so the sign bit of a 63-bit word —
-   [min_int], bit 62 — is found like any other. *)
-let bit_index b =
-  let i = ref 0 and b = ref b in
-  if !b land 0xFFFF_FFFF = 0 then begin i := 32; b := !b lsr 32 end;
-  if !b land 0xFFFF = 0 then begin i := !i + 16; b := !b lsr 16 end;
-  if !b land 0xFF = 0 then begin i := !i + 8; b := !b lsr 8 end;
-  if !b land 0xF = 0 then begin i := !i + 4; b := !b lsr 4 end;
-  if !b land 0x3 = 0 then begin i := !i + 2; b := !b lsr 2 end;
-  if !b land 0x1 = 0 then !i + 1 else !i
+(* Index of the single set bit of [b]: the number of bits below it,
+   branch-free.  [lsr] in [popcount] is a logical shift, so the sign
+   bit of a 63-bit word — [min_int], bit 62 — is found like any
+   other ([min_int - 1 = max_int], 62 bits). *)
+let[@inline] bit_index b = popcount (b - 1)
 
 let iter f t =
   let tw = t.words in
@@ -123,22 +121,82 @@ let iter f t =
     done
   done
 
-(* Fill [out.(0 ..)] with the members in increasing order; returns how
-   many were written.  [out] must have at least [count t] cells — the
-   scheduler's reusable sorted-array cache refills in place. *)
-let fill t out =
-  let k = ref 0 in
-  iter
-    (fun p ->
-      out.(!k) <- p;
-      incr k)
-    t;
-  !k
+(* Index of the highest set bit of a nonzero word: smear it into
+   every lower bit, then count. *)
+let top_index w =
+  let w = w lor (w lsr 1) in
+  let w = w lor (w lsr 2) in
+  let w = w lor (w lsr 4) in
+  let w = w lor (w lsr 8) in
+  let w = w lor (w lsr 16) in
+  let w = w lor (w lsr 32) in
+  popcount w - 1
 
+(* Skip whole words by their popcount, then clear the [k] lowest
+   members of the word that holds the answer (at most 62 turns). *)
+let nth t k =
+  if k < 0 || k >= t.count then invalid_arg "Nodeset.nth: index out of range";
+  let tw = t.words in
+  let w = ref 0 and k = ref k in
+  let c = ref (popcount tw.(0)) in
+  while !k >= !c do
+    k := !k - !c;
+    incr w;
+    c := popcount tw.(!w)
+  done;
+  let bits = ref tw.(!w) in
+  for _ = 1 to !k do
+    bits := !bits land (!bits - 1)
+  done;
+  (!w * word_bits) + bit_index (!bits land - !bits)
+
+let min_elt t =
+  let tw = t.words in
+  let rec go w =
+    if w >= Array.length tw then raise Not_found
+    else if tw.(w) <> 0 then (w * word_bits) + bit_index (tw.(w) land - tw.(w))
+    else go (w + 1)
+  in
+  go 0
+
+let max_elt t =
+  let tw = t.words in
+  let rec go w =
+    if w < 0 then raise Not_found
+    else if tw.(w) <> 0 then (w * word_bits) + top_index tw.(w)
+    else go (w - 1)
+  in
+  go (Array.length tw - 1)
+
+(* Least member above [p]: the rest of [p + 1]'s word, masked below
+   it, then whole words. *)
+let succ t p =
+  let tw = t.words in
+  let rec go w bits =
+    if bits <> 0 then (w * word_bits) + bit_index (bits land - bits)
+    else if w + 1 >= Array.length tw then raise Not_found
+    else go (w + 1) tw.(w + 1)
+  in
+  if p >= (Array.length tw * word_bits) - 1 then raise Not_found
+  else
+    let q = max 0 (p + 1) in
+    go (q / word_bits) (tw.(q / word_bits) land (-1 lsl (q mod word_bits)))
+
+(* Built from the top down, so the list comes out in increasing order
+   without a reversal. *)
 let elements t =
   let acc = ref [] in
-  iter (fun p -> acc := p :: !acc) t;
-  List.rev !acc
+  let tw = t.words in
+  for w = Array.length tw - 1 downto 0 do
+    let bits = ref tw.(w) in
+    let base = w * word_bits in
+    while !bits <> 0 do
+      let i = top_index !bits in
+      acc := (base + i) :: !acc;
+      bits := !bits lxor (1 lsl i)
+    done
+  done;
+  !acc
 
 let of_list l =
   let t = create () in

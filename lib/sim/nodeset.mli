@@ -1,7 +1,8 @@
 (** Dense mutable bitset of node identifiers with cardinality.
 
-    Shared between the round tracker and the incremental scheduler so
-    enabled sets flow between them without conversions.  Membership
+    Shared between the incremental scheduler, the daemons that select
+    from its enabled set and the round tracker, so enabled sets flow
+    between them without conversions.  Membership
     updates are O(1) and allocation-free (the historical
     [Set.Make (Int)] allocated a tree path per operation); iteration
     is in increasing node order, matching {!Config.enabled_nodes}.
@@ -45,15 +46,30 @@ val inter : t -> src:t -> unit
 val iter : (int -> unit) -> t -> unit
 (** Members in increasing order. *)
 
-val fill : t -> int array -> int
-(** [fill t out] writes the members into [out.(0 ..)] in increasing
-    order and returns their number.  [out] must have at least
-    [count t] cells — the scheduler's reusable sorted-array cache
-    refills in place with this. *)
+val nth : t -> int -> int
+(** [nth t k] is the [k]-th smallest member, counting from 0: the
+    element at index [k] of {!elements}.  A word-by-word walk with a
+    constant-time popcount per word, so [O(capacity / word_bits)]
+    without allocating.
+    @raise Invalid_argument unless [0 <= k < count t]. *)
+
+val min_elt : t -> int
+(** Smallest member.  @raise Not_found on the empty set. *)
+
+val max_elt : t -> int
+(** Largest member.  @raise Not_found on the empty set. *)
+
+val succ : t -> int -> int
+(** [succ t p] is the smallest member strictly greater than [p] (any
+    [p], negative included).
+    @raise Not_found when no member is greater than [p]. *)
+
+val popcount : int -> int
+(** Number of set bits of a word (all [word_bits] of them, the sign
+    bit included), in constant time. *)
 
 val elements : t -> int list
-(** Members in increasing order (allocates; prefer {!iter}/{!fill} on
-    hot paths). *)
+(** Members in increasing order (allocates; prefer {!iter} on hot paths). *)
 
 val of_list : int list -> t
 

@@ -21,7 +21,6 @@ type ('s, 'i) shard = {
          per shard, allocated on first touch. *)
   mutable s_evals : int;
   mutable s_delta : int;  (* enabled-count change, pending harvest *)
-  mutable s_changed : bool;
 }
 
 type ('s, 'i) t = {
@@ -32,11 +31,6 @@ type ('s, 'i) t = {
       (* Highest-priority enabled rule of each node, [None] when the
          node is disabled.  This is the scheduler's ground truth. *)
   enabled : Nodeset.t;
-  mutable elems : int array;
-  mutable elems_valid : bool;
-      (* Reusable sorted members cache: refilled in place from the
-         bitset when invalid, so steady-state queries allocate
-         nothing (the historical cache memoized an [int list]). *)
   stamp : int array;
   mutable epoch : int;
       (* Visit stamps: a node whose stamp equals the current epoch has
@@ -69,15 +63,9 @@ let refresh t sh states p =
   let now = eval t sh states p in
   (match (t.rules.(p), now) with
   | None, Some _ ->
-      if Nodeset.unsafe_add t.enabled p then begin
-        sh.s_delta <- sh.s_delta + 1;
-        sh.s_changed <- true
-      end
+      if Nodeset.unsafe_add t.enabled p then sh.s_delta <- sh.s_delta + 1
   | Some _, None ->
-      if Nodeset.unsafe_remove t.enabled p then begin
-        sh.s_delta <- sh.s_delta - 1;
-        sh.s_changed <- true
-      end
+      if Nodeset.unsafe_remove t.enabled p then sh.s_delta <- sh.s_delta - 1
   | None, None | Some _, Some _ -> ());
   t.rules.(p) <- now
 
@@ -89,10 +77,8 @@ let harvest t =
     (fun sh ->
       t.evals <- t.evals + sh.s_evals;
       if sh.s_delta <> 0 then Nodeset.bump t.enabled sh.s_delta;
-      if sh.s_changed then t.elems_valid <- false;
       sh.s_evals <- 0;
       sh.s_delta <- 0;
-      sh.s_changed <- false;
       sh.wlen <- 0)
     t.shards
 
@@ -127,7 +113,6 @@ let make_shards ~parallel ~n ~max_degree =
            scratch = Array.make (max_degree + 1) [||];
            s_evals = 0;
            s_delta = 0;
-           s_changed = false;
          })
        ranges)
 
@@ -142,8 +127,6 @@ let create ?(parallel = false) algo (config : ('s, 'i) Config.t) =
       inputs = config.Config.inputs;
       rules = Array.make n None;
       enabled = Nodeset.create ~capacity:(max 1 n) ();
-      elems = [||];
-      elems_valid = false;
       stamp = Array.make n (-1);
       epoch = 0;
       evals = 0;
@@ -201,16 +184,7 @@ let update t (config : ('s, 'i) Config.t) ~moved =
   else Array.iter process t.shards;
   harvest t
 
-let enabled_arr t =
-  if not t.elems_valid then begin
-    let c = Nodeset.count t.enabled in
-    if Array.length t.elems <> c then t.elems <- Array.make c 0;
-    ignore (Nodeset.fill t.enabled t.elems);
-    t.elems_valid <- true
-  end;
-  t.elems
-
-let enabled t = Array.to_list (enabled_arr t)
+let enabled t = Nodeset.elements t.enabled
 let enabled_set t = t.enabled
 let no_enabled t = Nodeset.is_empty t.enabled
 let is_enabled t p = Option.is_some t.rules.(p)

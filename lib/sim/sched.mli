@@ -9,9 +9,10 @@
     steps by re-evaluating guards for dirty nodes alone, instead of
     the [O(n·Δ)] full scan {!Config.enabled_nodes} performs.
 
-    The enabled set is a dense bitset ({!Nodeset}) plus a reusable
-    sorted-array members cache, so steady-state membership updates and
-    queries are allocation-free.  Guard evaluations share one
+    The enabled set is a dense bitset ({!Nodeset}), updated in place,
+    so steady-state membership updates are allocation-free; daemons
+    select straight from it ({!enabled_set}), so no step builds a
+    members array.  Guard evaluations share one
     neighbor-state buffer per distinct degree (per shard), refilled in
     place — guards must therefore be pure and must not retain the
     [neighbors] array of the view they are given beyond the call;
@@ -56,19 +57,14 @@ val update : ('s, 'i) t -> ('s, 'i) Config.t -> moved:int list -> unit
     @raise Invalid_argument if [config]'s graph is not the one
     [create] saw. *)
 
-val enabled_arr : ('s, 'i) t -> int array
-(** Currently enabled nodes in increasing order (same order as
-    {!Config.enabled_nodes}).  Returns the scheduler's reusable cache:
-    valid until the next {!update}, must not be mutated or retained
-    across steps.  Allocation-free while membership is unchanged. *)
-
 val enabled : ('s, 'i) t -> int list
-(** {!enabled_arr} as a fresh list (allocates; kept for differential
-    checks and debugging). *)
+(** Currently enabled nodes in increasing order (same order as
+    {!Config.enabled_nodes}), as a fresh list (allocates; kept for
+    differential checks and debugging). *)
 
 val enabled_set : ('s, 'i) t -> Nodeset.t
-(** The enabled set itself, for set-based consumers
-    ({!Rounds.note_step_set}).  Owned by the scheduler: read-only, and
+(** The enabled set itself, for set-based consumers ({!Daemon.select},
+    {!Rounds.note_step_set}).  Owned by the scheduler: read-only, and
     mutated in place by {!update}. *)
 
 val no_enabled : ('s, 'i) t -> bool

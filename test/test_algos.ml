@@ -235,6 +235,21 @@ let test_cv_schedule_length () =
   check "schedule grows like log*" true
     (Cv.schedule_length (1 lsl 16) <= Cv.schedule_length (1 lsl 16) + 1)
 
+(* [reduction_iters] answers from a table over widths 0..62; every
+   entry must equal the iteration it tabulates, and widths outside the
+   table still iterate. *)
+let test_cv_reduction_table () =
+  let iterate w =
+    let rec go w acc =
+      if w <= 3 then acc else go (Util.ceil_log2 w + 1) (acc + 1)
+    in
+    go (max w 1) 0 + 1
+  in
+  for w = -2 to 70 do
+    check_int (Printf.sprintf "reduction iters (%d)" w) (iterate w)
+      (Cv.reduction_iters w)
+  done
+
 let test_cv_small_ring () =
   let n = 6 in
   let g = Builders.cycle n in
@@ -374,6 +389,7 @@ let () =
       ( "cole-vishkin",
         [
           Alcotest.test_case "schedule length" `Quick test_cv_schedule_length;
+          Alcotest.test_case "reduction table" `Quick test_cv_reduction_table;
           Alcotest.test_case "small ring" `Quick test_cv_small_ring;
           Alcotest.test_case "properness invariant" `Quick
             test_cv_properness_invariant;

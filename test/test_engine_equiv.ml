@@ -131,6 +131,44 @@ let test_transformer () =
         (daemon_factories seed))
     seeds
 
+(* The daemons the experiments draw (the stabilization portfolio, each
+   rebuilt from the same seed for both engines) plus [central_max]:
+   identical executions, and per-rule counts listed in the algorithm's
+   priority order that equal a tally of the moves the observer bus
+   carried. *)
+let test_portfolio_pins () =
+  List.iter
+    (fun seed ->
+      let params, start = transformer_start seed in
+      let algo = Transformer.algorithm params in
+      let eq = Ss_core.Trans_state.equal Leader.algo.Ss_sync.Sync_algo.equal in
+      let daemons () =
+        ("central-max", Daemon.central_max)
+        :: Stabilization.daemon_portfolio (Rng.create seed)
+      in
+      List.iter2
+        (fun (dname, d) (_, d') ->
+          let msg = Printf.sprintf "portfolio/%s/seed%d" dname seed in
+          let tally = Hashtbl.create 4 in
+          let observer ~step:_ ~rounds:_ ~moved _ =
+            List.iter
+              (fun (_, r) ->
+                Hashtbl.replace tally r
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt tally r)))
+              moved
+          in
+          let incr = Engine.run ~max_steps:200_000 ~observer algo d start in
+          let naive = Engine.run_naive ~max_steps:200_000 algo d' start in
+          assert_equiv ~msg eq incr naive;
+          Alcotest.(check (list (pair string int)))
+            (msg ^ ": per-rule counts in priority order")
+            (List.map
+               (fun r -> (r, Option.value ~default:0 (Hashtbl.find_opt tally r)))
+               (Algorithm.rule_names algo))
+            incr.Engine.moves_per_rule)
+        (daemons ()) (daemons ()))
+    seeds
+
 (* The rollback Γ_k adversary drives a scripted central daemon through
    an exponential-move schedule: a good stress of the dirty set under
    single-node steps on a non-trivial state type. *)
@@ -460,6 +498,8 @@ let () =
             test_transformer;
           Alcotest.test_case "rollback gamma schedule" `Quick
             test_rollback_gamma;
+          Alcotest.test_case "portfolio daemons and central-max" `Quick
+            test_portfolio_pins;
         ] );
       ( "self-check",
         [

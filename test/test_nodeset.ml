@@ -1,7 +1,8 @@
-(* Property tests for the dense node bitset: iteration, fill and
-   elements against a sorted-unique reference list, and the maintained
-   cardinality across every mutating operation (including the raw
-   sharded flips repaired by [bump]).  Ids are drawn with extra weight
+(* Property tests for the dense node bitset: iteration, elements and
+   the order queries ([nth], [succ], [min_elt], [max_elt]) against a
+   sorted-unique reference list, the word popcount against a bit-by-bit
+   count, and the maintained cardinality across every mutating
+   operation (including the raw sharded flips repaired by [bump]).  Ids are drawn with extra weight
    on word boundaries so the top bit of a word — bit 62, the sign bit
    of a 63-bit OCaml int — is always exercised. *)
 
@@ -30,14 +31,14 @@ let reference ids = List.sort_uniq compare ids
 let contents s =
   let via_iter = ref [] in
   Nodeset.iter (fun p -> via_iter := p :: !via_iter) s;
-  let out = Array.make (Nodeset.count s) (-1) in
-  let k = Nodeset.fill s out in
-  (List.rev !via_iter, Array.to_list (Array.sub out 0 k), Nodeset.elements s)
+  ( List.rev !via_iter,
+    List.init (Nodeset.count s) (Nodeset.nth s),
+    Nodeset.elements s )
 
 (* Every observation of [s] agrees with the reference member list. *)
 let agrees s expected =
-  let via_iter, via_fill, via_elements = contents s in
-  via_iter = expected && via_fill = expected && via_elements = expected
+  let via_iter, via_nth, via_elements = contents s in
+  via_iter = expected && via_nth = expected && via_elements = expected
   && Nodeset.count s = List.length expected
   && Nodeset.is_empty s = (expected = [])
   && List.for_all
@@ -45,7 +46,7 @@ let agrees s expected =
        (List.init (capacity + w) Fun.id)
 
 let prop_iteration =
-  QCheck.Test.make ~count:500 ~name:"iter/fill/elements ≡ sorted-unique reference"
+  QCheck.Test.make ~count:500 ~name:"iter/nth/elements ≡ sorted-unique reference"
     arb_ids (fun ids ->
       let expected = reference ids in
       agrees (Nodeset.of_list ids) expected
@@ -53,6 +54,60 @@ let prop_iteration =
       let s = Nodeset.create ~capacity () in
       List.iter (Nodeset.add s) ids;
       agrees s expected)
+
+let raises_not_found f =
+  match f () with _ -> false | exception Not_found -> true
+
+(* [nth] out of range, [min_elt]/[max_elt] on the empty set, and
+   [succ] past the last member (probed from -1 to beyond the capacity,
+   and at both ends of the int range) all agree with the reference
+   list. *)
+let prop_order =
+  QCheck.Test.make ~count:500
+    ~name:"nth/succ/min_elt/max_elt ≡ sorted-list reference" arb_ids
+    (fun ids ->
+      let expected = reference ids in
+      let s = Nodeset.of_list ids in
+      let k = List.length expected in
+      List.init k (Nodeset.nth s) = expected
+      && List.for_all
+           (fun i ->
+             match Nodeset.nth s i with
+             | _ -> false
+             | exception Invalid_argument _ -> true)
+           [ -1; k ]
+      && (match expected with
+         | [] ->
+             raises_not_found (fun () -> Nodeset.min_elt s)
+             && raises_not_found (fun () -> Nodeset.max_elt s)
+         | lo :: _ ->
+             Nodeset.min_elt s = lo
+             && Nodeset.max_elt s = List.nth expected (k - 1))
+      && List.for_all
+           (fun p ->
+             match List.find_opt (fun q -> q > p) expected with
+             | Some q -> Nodeset.succ s p = q
+             | None -> raises_not_found (fun () -> Nodeset.succ s p))
+           (max_int :: min_int :: List.init (capacity + w + 2) (fun i -> i - 1)))
+
+(* The bit-by-bit count the constant-time popcount replaces. *)
+let popcount_ref x =
+  let rec go acc x = if x = 0 then acc else go (acc + 1) (x land (x - 1)) in
+  go 0 x
+
+let prop_popcount =
+  let words =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun a b -> a lxor (b lsl 31)) (int_bound max_int) (int_bound max_int));
+          (1, oneofl [ 0; -1; min_int; max_int; 1; min_int lor 1 ]);
+          (1, map (fun i -> 1 lsl i) (int_range 0 (w - 1)));
+        ])
+  in
+  QCheck.Test.make ~count:2000 ~name:"popcount ≡ bit-by-bit count"
+    (QCheck.make ~print:string_of_int words)
+    (fun x -> Nodeset.popcount x = popcount_ref x)
 
 (* One step of the operation model: [a] and [b] are the sets under
    test, [ra]/[rb] their sorted-unique reference lists. *)
@@ -180,9 +235,11 @@ let test_sign_bit () =
   check "bit 62 member" true (Nodeset.mem s (w - 1));
   Alcotest.check ints "bit 62 of two words" [ w - 1; (2 * w) - 1 ]
     (Nodeset.elements s);
-  let out = Array.make 2 0 in
-  Alcotest.(check int) "fill count" 2 (Nodeset.fill s out);
-  Alcotest.(check (array int)) "fill order" [| w - 1; (2 * w) - 1 |] out;
+  Alcotest.(check (list int)) "nth order" [ w - 1; (2 * w) - 1 ]
+    [ Nodeset.nth s 0; Nodeset.nth s 1 ];
+  Alcotest.(check int) "max_elt" ((2 * w) - 1) (Nodeset.max_elt s);
+  Alcotest.(check int) "succ across words" ((2 * w) - 1) (Nodeset.succ s (w - 1));
+  Alcotest.(check int) "popcount of the sign bit" 1 (Nodeset.popcount min_int);
   Nodeset.remove s (w - 1);
   Alcotest.check ints "after removing bit 62" [ (2 * w) - 1 ] (Nodeset.elements s)
 
@@ -202,5 +259,7 @@ let () =
           Alcotest.test_case "sign bit" `Quick test_sign_bit;
           Alcotest.test_case "negative id rejected" `Quick test_negative_rejected;
         ] );
-      ("qcheck", List.map QCheck_alcotest.to_alcotest [ prop_iteration; prop_count ]);
+      ( "qcheck",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_iteration; prop_count; prop_order; prop_popcount ] );
     ]

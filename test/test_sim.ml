@@ -8,6 +8,7 @@ module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
 module Rounds = Ss_sim.Rounds
+module Nodeset = Ss_sim.Nodeset
 module Trace = Ss_sim.Trace
 module Fault = Ss_sim.Fault
 module Rng = Ss_prelude.Rng
@@ -241,35 +242,131 @@ let test_observer_sequence () =
 (* Daemons                                                              *)
 (* ------------------------------------------------------------------ *)
 
+let set = Nodeset.of_list
+
 let test_central_min_max () =
   Alcotest.(check (list int)) "min" [ 2 ]
-    (Daemon.central_min.Daemon.select ~step:0 ~enabled:[| 2; 5; 9 |]);
+    (Daemon.central_min.Daemon.select ~step:0 ~enabled:(set [ 2; 5; 9 ]));
   Alcotest.(check (list int)) "max" [ 9 ]
-    (Daemon.central_max.Daemon.select ~step:0 ~enabled:[| 2; 5; 9 |])
+    (Daemon.central_max.Daemon.select ~step:0 ~enabled:(set [ 2; 5; 9 ]))
 
 let test_distributed_random_nonempty () =
   let rng = Rng.create 5 in
   let d = Daemon.distributed_random rng ~p:0.05 in
   for _ = 1 to 100 do
-    let s = d.Daemon.select ~step:0 ~enabled:[| 1; 2; 3 |] in
+    let s = d.Daemon.select ~step:0 ~enabled:(set [ 1; 2; 3 ]) in
     check "nonempty" true (s <> []);
     check "subset" true (List.for_all (fun x -> List.mem x [ 1; 2; 3 ]) s)
   done
 
 let test_round_robin_cycles () =
   let d = Daemon.round_robin () in
-  let sel enabled = List.hd (d.Daemon.select ~step:0 ~enabled) in
-  check_int "first" 1 (sel [| 1; 3; 5 |]);
-  check_int "next" 3 (sel [| 1; 3; 5 |]);
-  check_int "next" 5 (sel [| 1; 3; 5 |]);
-  check_int "wraps" 1 (sel [| 1; 3; 5 |])
+  let sel enabled = List.hd (d.Daemon.select ~step:0 ~enabled:(set enabled)) in
+  check_int "first" 1 (sel [ 1; 3; 5 ]);
+  check_int "next" 3 (sel [ 1; 3; 5 ]);
+  check_int "next" 5 (sel [ 1; 3; 5 ]);
+  check_int "wraps" 1 (sel [ 1; 3; 5 ])
 
 let test_round_robin_instances_independent () =
   let d1 = Daemon.round_robin () and d2 = Daemon.round_robin () in
-  let s1 = d1.Daemon.select ~step:0 ~enabled:[| 1; 2 |] in
-  let s1' = d1.Daemon.select ~step:0 ~enabled:[| 1; 2 |] in
-  let s2 = d2.Daemon.select ~step:0 ~enabled:[| 1; 2 |] in
+  let s1 = d1.Daemon.select ~step:0 ~enabled:(set [ 1; 2 ]) in
+  let s1' = d1.Daemon.select ~step:0 ~enabled:(set [ 1; 2 ]) in
+  let s2 = d2.Daemon.select ~step:0 ~enabled:(set [ 1; 2 ]) in
   check "fresh cursor per instance" true (s1 = s2 && s1 <> s1')
+
+(* The historical array-based selections, kept only as the oracle of
+   the set-based daemons: the sorted enabled array in, the selection
+   out, drawing from the generator exactly as the library once did. *)
+module Oracle = struct
+  let synchronous ~step:_ ~enabled = Array.to_list enabled
+  let central_random rng ~step:_ ~enabled = [ Rng.pick rng enabled ]
+  let central_min ~step:_ ~enabled = [ enabled.(0) ]
+  let central_max ~step:_ ~enabled = [ enabled.(Array.length enabled - 1) ]
+
+  let distributed_random rng ~p ~step:_ ~enabled =
+    let acc = ref [] in
+    for i = 0 to Array.length enabled - 1 do
+      if Rng.chance rng p then acc := enabled.(i) :: !acc
+    done;
+    match !acc with [] -> [ Rng.pick rng enabled ] | l -> List.rev l
+
+  let round_robin () =
+    let cursor = ref (-1) in
+    fun ~step:_ ~enabled ->
+      let n = Array.length enabled in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if enabled.(mid) > !cursor then hi := mid else lo := mid + 1
+      done;
+      let chosen = if !lo < n then enabled.(!lo) else enabled.(0) in
+      cursor := chosen;
+      [ chosen ]
+
+  let scripted ~fallback moves =
+    let remaining = ref moves in
+    fun ~step ~enabled ->
+      match !remaining with
+      | [] -> fallback ~step ~enabled
+      | sel :: rest ->
+          remaining := rest;
+          sel
+end
+
+(* Each built-in daemon next to its oracle, both built fresh from the
+   same seed.  [p = 0] makes every distributed sample empty, so the
+   fallback pick runs on every call. *)
+let daemon_twins seed =
+  let rng () = Rng.create seed in
+  let script = [ [ 7 ]; [ 62; 63 ] ] in
+  [
+    ("synchronous", (fun () -> Daemon.synchronous), fun () -> Oracle.synchronous);
+    ( "central-random",
+      (fun () -> Daemon.central_random (rng ())),
+      fun () -> Oracle.central_random (rng ()) );
+    ("central-min", (fun () -> Daemon.central_min), fun () -> Oracle.central_min);
+    ("central-max", (fun () -> Daemon.central_max), fun () -> Oracle.central_max);
+    ("round-robin", Daemon.round_robin, Oracle.round_robin);
+    ( "scripted",
+      (fun () ->
+        Daemon.scripted ~fallback:(Daemon.central_random (rng ())) script),
+      fun () ->
+        Oracle.scripted ~fallback:(Oracle.central_random (rng ())) script );
+  ]
+  @ List.map
+      (fun p ->
+        ( Printf.sprintf "distributed-random p=%.2f" p,
+          (fun () -> Daemon.distributed_random (rng ()) ~p),
+          fun () -> Oracle.distributed_random (rng ()) ~p ))
+      [ 0.0; 0.05; 0.5; 1.0 ]
+
+let test_daemon_differential =
+  let id =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ 0; 62; 63; 125; 126; 199 ]); (3, int_range 0 199) ])
+  in
+  let sets = QCheck.Gen.(list_size (int_range 1 40) (list_size (int_range 1 12) id)) in
+  QCheck.Test.make ~count:300 ~name:"daemons select as their array oracles"
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list (list int)))
+       QCheck.Gen.(pair small_int sets))
+    (fun (seed, sets) ->
+      List.for_all
+        (fun (name, daemon, oracle) ->
+          let d = daemon () and o = oracle () in
+          List.for_all
+            (fun ids ->
+              let via_set = d.Daemon.select ~step:0 ~enabled:(set ids) in
+              let via_array =
+                o ~step:0 ~enabled:(Array.of_list (List.sort_uniq compare ids))
+              in
+              via_set = via_array
+              || QCheck.Test.fail_reportf "%s: set %s, array %s" name
+                   (String.concat "," (List.map string_of_int via_set))
+                   (String.concat "," (List.map string_of_int via_array)))
+            sets)
+        (daemon_twins seed))
 
 let test_scripted_daemon () =
   let c = path_config [| 0; 0; 0; 9 |] in
@@ -578,5 +675,7 @@ let () =
           Alcotest.test_case "priority order" `Quick test_priority_order;
           Alcotest.test_case "map input" `Quick test_map_input;
         ] );
-      ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "qcheck",
+        List.map QCheck_alcotest.to_alcotest
+          (qcheck_tests @ [ test_daemon_differential ]) );
     ]
