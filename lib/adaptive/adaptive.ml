@@ -113,21 +113,11 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   let sinks = Option.value sinks ~default:[] in
   let sinks =
     if not self_check then sinks
-    else begin
-      let reference = algorithm_uncached p in
-      let check ~step:_ ~rounds:_ ~moved:_ config =
-        let cached = Config.enabled_nodes algo config in
-        let uncached = Config.enabled_nodes reference config in
-        if cached <> uncached then
-          raise
-            (Engine.Divergence
-               (Printf.sprintf
-                  "cached enabled set {%s} disagrees with uncached {%s}"
-                  (String.concat "," (List.map string_of_int cached))
-                  (String.concat "," (List.map string_of_int uncached))))
-      in
-      check :: sinks
-    end
+    else
+      Engine.divergence_sink
+        ~checked:("cached", Config.enabled_nodes algo)
+        ~reference:("uncached", Config.enabled_nodes (algorithm_uncached p))
+      :: sinks
   in
   Engine.run ?budget ?max_steps ?max_moves ?now ?chaos ~self_check ~sharded
     ?observer ~sinks algo daemon config

@@ -112,9 +112,6 @@ let delta_of_move rule_name new_state =
   else if rule_name = Transformer.rc then D_rc
   else D_ru (St.top new_state)
 
-let canonical_bytes = Proof.canonical_bytes
-let codec_bytes = Proof.codec_bytes
-
 (* A delta's wire size is derivable from the delta alone: D_ru carries
    the new top cell, whose size is the sync algorithm's state_bits. *)
 let delta_bits params = function
@@ -128,22 +125,127 @@ let kind_of_message = function
   | Request -> K_request
   | Full_copy _ -> K_full_copy
 
-(* Ring-record tags.  Every indexed channel is a {!Ringbuf} of int
-   records: [tag_boxed] records park their payload (a message variant
-   the codec cannot flatten) in a lazily created per-channel side
-   queue whose order mirrors the tagged records' order in the ring. *)
-let tag_request = 0
+(* The int records {!Channel.rings} stores, tagged by their first
+   word: 0 Request, 1 Proof (the 64-bit hash as two 32-bit words, then
+   the nonce), 2 D_rr, 3 D_rc, 4 D_rp, 5 D_ru with the codec-packed
+   payload cell.  Full states, and D_ru without a codec, stay boxed. *)
+let wire codec =
+  let encode w = function
+    | Request ->
+        w.(0) <- 0;
+        1
+    | Proof (h, pn) ->
+        w.(0) <- 1;
+        w.(1) <- Int64.to_int (Int64.logand h 0xFFFF_FFFFL);
+        w.(2) <- Int64.to_int (Int64.shift_right_logical h 32);
+        w.(3) <- Int64.to_int pn;
+        4
+    | Update_delta D_rr ->
+        w.(0) <- 2;
+        1
+    | Update_delta D_rc ->
+        w.(0) <- 3;
+        1
+    | Update_delta (D_rp i) ->
+        w.(0) <- 4;
+        w.(1) <- i;
+        2
+    | Update_delta (D_ru s) -> (
+        match codec with
+        | Some c ->
+            w.(0) <- 5;
+            c.Cellpack.pack w 1 s;
+            1 + c.Cellpack.words
+        | None -> 0)
+    | Update_full _ | Full_copy _ -> 0
+  in
+  let decode w =
+    match (w.(0), codec) with
+    | 0, _ -> Request
+    | 1, _ ->
+        let h =
+          Int64.logor (Int64.of_int w.(1))
+            (Int64.shift_left (Int64.of_int w.(2)) 32)
+        in
+        Proof (h, Int64.of_int w.(3))
+    | 2, _ -> Update_delta D_rr
+    | 3, _ -> Update_delta D_rc
+    | 4, _ -> Update_delta (D_rp w.(1))
+    | _, Some c -> Update_delta (D_ru (c.Cellpack.unpack w 1))
+    | _, None -> assert false (* D_ru is only packed with a codec *)
+  in
+  let cwords = match codec with Some c -> c.Cellpack.words | None -> 0 in
+  { Channel.words = max 4 (1 + cwords); encode; decode }
 
-let tag_proof = 1
-let tag_rr = 2
-let tag_rc = 3
-let tag_rp = 4
-let tag_ru = 5
-let tag_boxed = 6
+(* Drained-channel node pickers.  [pick ()] is a uniformly random node
+   enabled on its mirrors, or -1; [note v maybe] reports that v's own
+   state or mirrors were written ([maybe]: v may be enabled) or that
+   its guards were just found all disabled ([not maybe]). *)
+type picker = { pick : unit -> int; note : int -> bool -> unit }
 
-let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
-    ?max_events ?(proof = Energy.default_proof_cost) ?heartbeat_every ?now
-    ?chaos ~rng ?(corrupt_mirrors = true) ?(sinks = []) params config =
+(* Enabled-candidate set: the nodes whose own state or some mirror
+   changed since their guards were last found disabled — a superset of
+   the enabled nodes, kept dense so a pick costs O(1) amortized instead
+   of scanning all n guards per event (the engine's dirty-set
+   discipline, §7).  Rejection sampling: each draw is uniform over the
+   remaining candidates, and a disabled draw is removed for good (it
+   re-enters on its next write), so the accepted node is uniform over
+   the enabled set and the scan cost is amortized against writes. *)
+let candidates ~n ~rng ~enabled =
+  let set = Chanset.create n in
+  for v = 0 to n - 1 do
+    Chanset.add set v
+  done;
+  let rec pick () =
+    if Chanset.is_empty set then -1
+    else begin
+      let v = Chanset.pick set rng in
+      if enabled v then v
+      else begin
+        Chanset.remove set v;
+        pick ()
+      end
+    end
+  in
+  let note v maybe = if maybe then Chanset.add set v else Chanset.remove set v in
+  { pick; note }
+
+(* Reference pick: the full O(n) guard scan the original code paid on
+   every drained-channel event. *)
+let guard_scan ~n ~rng ~enabled =
+  let scratch = Array.make (max 1 n) 0 in
+  let pick () =
+    let k = ref 0 in
+    for v = 0 to n - 1 do
+      if enabled v then begin
+        scratch.(!k) <- v;
+        incr k
+      end
+    done;
+    if !k = 0 then -1 else scratch.(Rng.int rng !k)
+  in
+  { pick; note = (fun _ _ -> ()) }
+
+(* Receiver-side port of link [id], which doubles as the index of the
+   reply link: precomputed from Graph.port_table (links are numbered
+   in (node, port) order), or re-derived per delivery with the
+   O(degree) Graph.port_of scan the original code paid. *)
+let port_table g ~src:_ ~dst:_ =
+  let ports = Array.concat (Array.to_list (Graph.port_table g)) in
+  fun id -> ports.(id)
+
+let port_scan g ~src ~dst id = Graph.port_of g dst.(id) src.(id)
+
+(* The event loop.  [run] and [run_naive] differ only in the layers
+   they pass: the link storage and pick ([channels]), the
+   drained-channel node pick ([picker]) and the receiver-port lookup
+   ([port]).  Mirrors, proofs and waves are the same for both. *)
+let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
+    ?budget ?max_events ?(proof = Energy.default_proof_cost) ?heartbeat_every
+    ?now ?chaos ~rng ?(corrupt_mirrors = true) ?(sinks = []) params config =
+  (match heartbeat_every with
+  | Some h when h < 1 -> invalid_arg "Msgnet.run: heartbeat_every must be >= 1"
+  | _ -> ());
   let g = config.Config.graph in
   let n = Config.n config in
   let sync = params.Transformer.sync in
@@ -173,71 +275,25 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   in
 
   (* Directed FIFO channels, indexed densely: channel [chan_of.(u).(i)]
-     carries u's messages to its port-i neighbor.  [chan_dst_port] is
-     the receiver-side port (precomputed via Graph.port_table — no
-     per-delivery [port_of] scan), which doubles as the index of the
-     reply channel: the receiver answers u on [chan_of.(v).(port)]. *)
+     carries u's messages to its port-i neighbor.  The receiver answers
+     u on [chan_of.(v).(port cid)]. *)
   let nchan = 2 * Graph.m g in
-  let chan_dst = Array.make (max 1 nchan) 0 in
-  let chan_src = Array.make (max 1 nchan) 0 in
-  let chan_dst_port = Array.make (max 1 nchan) 0 in
+  let chan_dst = Array.make nchan 0 in
+  let chan_src = Array.make nchan 0 in
   let chan_of =
-    let ports = Graph.port_table g in
     let next = ref 0 in
     Array.init n (fun u ->
-        Array.mapi
-          (fun i v ->
+        Array.map
+          (fun v ->
             let id = !next in
             incr next;
             chan_src.(id) <- u;
             chan_dst.(id) <- v;
-            chan_dst_port.(id) <- ports.(u).(i);
             id)
           (Graph.neighbors g u))
   in
-  (* Indexed channel storage: one flat int ring per directed link, plus
-     a lazily allocated boxed side queue for the message variants that
-     cannot be int-packed (full states, and D_ru without a codec). *)
-  let rings =
-    if indexed then Array.init (max 1 nchan) (fun _ -> Ringbuf.create ())
-    else [||]
-  in
-  let side : 's message Queue.t option array =
-    if indexed then Array.make (max 1 nchan) None else [||]
-  in
-  let side_q cid =
-    match side.(cid) with
-    | Some q -> q
-    | None ->
-        let q = Queue.create () in
-        side.(cid) <- Some q;
-        q
-  in
-  (* The naive reference path keeps the historical per-channel boxed
-     queues and the original (u, v)-keyed hash table, so its selection
-     and storage reproduce what every event paid before the indexed
-     scheduler existed. *)
-  let chan_q =
-    if indexed then [||]
-    else Array.init (max 1 nchan) (fun _ -> Queue.create ())
-  in
-  let naive_channels = Hashtbl.create (if indexed then 1 else 4 * Graph.m g) in
-  if not indexed then
-    Array.iteri
-      (fun u row ->
-        let nbrs = Graph.neighbors g u in
-        Array.iteri
-          (fun i cid -> Hashtbl.replace naive_channels (u, nbrs.(i)) cid)
-          row)
-      chan_of;
-  let chan_queue cid =
-    chan_q.(Hashtbl.find naive_channels (chan_src.(cid), chan_dst.(cid)))
-  in
-
-  (* The non-empty-channel set, maintained on every send/deliver so the
-     indexed path picks a random pending link in O(1) instead of
-     rescanning all 2m channels per event. *)
-  let active = Chanset.create nchan in
+  let port = port g ~src:chan_src ~dst:chan_dst in
+  let chans = channels (wire codec) ~src:chan_src ~dst:chan_dst in
 
   (* Mirror layout.  Under the engine's --layout policy: [`Packed]
      requires a codec and a finite bound (each of the 2m mirrors lives
@@ -349,76 +405,6 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   in
   let account_drain bits = queued_bits := !queued_bits - bits in
 
-  (* Indexed wire codec: flatten a message into [rscratch] and push it
-     on the channel's ring.  Proofs split their 64-bit hash into two
-     32-bit words plus the nonce; deltas carry the rule tag and, with
-     a codec, the int-packed payload cell.  Anything else parks the
-     variant in the side queue behind a [tag_boxed] record. *)
-  let rscratch =
-    let cwords = match codec with Some c -> c.Cellpack.words | None -> 0 in
-    Array.make (max 4 (1 + cwords)) 0
-  in
-  let encode_push cid msg =
-    let r = rings.(cid) in
-    match msg with
-    | Request ->
-        rscratch.(0) <- tag_request;
-        Ringbuf.push r rscratch 1
-    | Proof (h, pn) ->
-        rscratch.(0) <- tag_proof;
-        rscratch.(1) <- Int64.to_int (Int64.logand h 0xFFFF_FFFFL);
-        rscratch.(2) <- Int64.to_int (Int64.shift_right_logical h 32);
-        rscratch.(3) <- Int64.to_int pn;
-        Ringbuf.push r rscratch 4
-    | Update_delta D_rr ->
-        rscratch.(0) <- tag_rr;
-        Ringbuf.push r rscratch 1
-    | Update_delta D_rc ->
-        rscratch.(0) <- tag_rc;
-        Ringbuf.push r rscratch 1
-    | Update_delta (D_rp i) ->
-        rscratch.(0) <- tag_rp;
-        rscratch.(1) <- i;
-        Ringbuf.push r rscratch 2
-    | Update_delta (D_ru s) as boxed -> (
-        match codec with
-        | Some c ->
-            rscratch.(0) <- tag_ru;
-            c.Cellpack.pack rscratch 1 s;
-            Ringbuf.push r rscratch (1 + c.Cellpack.words)
-        | None ->
-            rscratch.(0) <- tag_boxed;
-            Ringbuf.push r rscratch 1;
-            Queue.push boxed (side_q cid))
-    | (Update_full _ | Full_copy _) as boxed ->
-        rscratch.(0) <- tag_boxed;
-        Ringbuf.push r rscratch 1;
-        Queue.push boxed (side_q cid)
-  in
-  (* [rscratch] holds the head record; [popped] tells the side queue
-     whether to consume or only peek its aligned boxed payload. *)
-  let decode_scratch cid ~popped =
-    match rscratch.(0) with
-    | 0 -> Request
-    | 1 ->
-        let h =
-          Int64.logor
-            (Int64.of_int rscratch.(1))
-            (Int64.shift_left (Int64.of_int rscratch.(2)) 32)
-        in
-        Proof (h, Int64.of_int rscratch.(3))
-    | 2 -> Update_delta D_rr
-    | 3 -> Update_delta D_rc
-    | 4 -> Update_delta (D_rp rscratch.(1))
-    | 5 -> (
-        match codec with
-        | Some c -> Update_delta (D_ru (c.Cellpack.unpack rscratch 1))
-        | None -> assert false (* tag_ru is only pushed with a codec *))
-    | _ ->
-        let q = side_q cid in
-        if popped then Queue.pop q else Queue.peek q
-  in
-
   let send cid msg bits =
     account_send bits;
     if observing then
@@ -430,50 +416,8 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
              kind = kind_of_message msg;
              bits;
            });
-    if indexed then begin
-      if Ringbuf.is_empty rings.(cid) then Chanset.add active cid;
-      encode_push cid msg
-    end
-    else Queue.push msg (chan_queue cid)
+    Channel.push chans cid msg
   in
-  let pop_head cid =
-    if indexed then begin
-      ignore (Ringbuf.pop rings.(cid) rscratch);
-      let msg = decode_scratch cid ~popped:true in
-      if Ringbuf.is_empty rings.(cid) then Chanset.remove active cid;
-      msg
-    end
-    else Queue.pop (chan_queue cid)
-  in
-  let peek_head cid =
-    if indexed then begin
-      ignore (Ringbuf.peek rings.(cid) rscratch);
-      decode_scratch cid ~popped:false
-    end
-    else Queue.peek (chan_queue cid)
-  in
-  let chan_pending cid =
-    if indexed then Ringbuf.records rings.(cid)
-    else Queue.length (chan_queue cid)
-  in
-
-  (* Reference (naive) selection: exactly what every event paid before
-     the indexed scheduler — a Hashtbl.fold over all 2m channels
-     rebuilding the pending-link list, then a random pick from it. *)
-  let pick_channel () =
-    if indexed then
-      if Chanset.is_empty active then -1 else Chanset.pick active rng
-    else
-      match
-        Hashtbl.fold
-          (fun _ cid acc ->
-            if Queue.is_empty chan_q.(cid) then acc else cid :: acc)
-          naive_channels []
-      with
-      | [] -> -1
-      | pending -> Rng.pick_list rng pending
-  in
-
   let c = fresh_counters () in
 
   let broadcast_move v new_state rule_name =
@@ -492,26 +436,16 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
       nbrs
   in
 
-  (* Enabled-candidate set (indexed path): the nodes whose own state or
-     some mirror changed since their guards were last found disabled —
-     a superset of the enabled nodes, kept dense so the drained-channel
-     scheduler picks in O(1) amortized instead of scanning all n
-     guards per event (the engine's dirty-set discipline, §7).  Nodes
-     start as candidates; [act] settles a node's membership (kept only
-     when its safety budget ran out while rules might still fire), and
-     a rejected pick is removed for good until its next write. *)
-  let candidates = Chanset.create (if indexed then n else 0) in
-  if indexed then
-    for v = 0 to n - 1 do
-      Chanset.add candidates v
-    done;
-
   let view_of v =
     {
       Algorithm.input = Config.input config v;
       self = states.(v);
       neighbors = mirrors.(v);
     }
+  in
+
+  let picker =
+    picker ~n ~rng ~enabled:(fun v -> Algorithm.is_enabled algo (view_of v))
   in
 
   (* Local step: act on own state + mirrors until no rule is enabled
@@ -532,9 +466,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
     done;
     (* [!continue] here means the safety budget ran out first: the node
        may still be enabled, so it must stay pickable. *)
-    if indexed then
-      if !continue then Chanset.add candidates v
-      else Chanset.remove candidates v
+    picker.note v !continue
   in
 
   (* Wave nonce.  Proofs carry the nonce of the wave that hashed them;
@@ -565,12 +497,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
     if observing then
       emit
         (Delivered { src = chan_src.(cid); dst = v; kind = kind_of_message msg });
-    (* The naive path re-derives the receiver-side port with the O(deg)
-       scan the original code paid per delivery. *)
-    let port =
-      if indexed then chan_dst_port.(cid)
-      else Graph.port_of g v chan_src.(cid)
-    in
+    let port = port cid in
     match msg with
     | Update_full s ->
         set_mirror v port (install v port s);
@@ -601,7 +528,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
   in
 
   let deliver cid =
-    let msg = pop_head cid in
+    let msg = Channel.pop chans cid in
     account_drain (message_bits msg);
     process cid msg
   in
@@ -613,7 +540,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
      when the queue holds a single message, where it degenerates to a
      plain delivery). *)
   let chaos_drop cid =
-    let msg = pop_head cid in
+    let msg = Channel.pop chans cid in
     account_drain (message_bits msg);
     c.dropped <- c.dropped + 1;
     chaos_hit ();
@@ -627,7 +554,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
            })
   in
   let chaos_duplicate cid =
-    let msg = peek_head cid in
+    let msg = Channel.peek chans cid in
     c.duplicated <- c.duplicated + 1;
     chaos_hit ();
     if observing then
@@ -641,61 +568,12 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
     process cid msg
   in
   let chaos_reorder cid =
-    if chan_pending cid < 2 then deliver cid
+    if not (Channel.rotate chans cid) then deliver cid
     else begin
-      if indexed then begin
-        (* Rotate the raw record; a boxed payload rotates with it so
-           the side queue stays aligned with its ring markers. *)
-        let len = Ringbuf.pop rings.(cid) rscratch in
-        Ringbuf.push rings.(cid) rscratch len;
-        if rscratch.(0) = tag_boxed then begin
-          let q = side_q cid in
-          Queue.push (Queue.pop q) q
-        end
-      end
-      else begin
-        let q = chan_queue cid in
-        Queue.push (Queue.pop q) q
-      end;
       c.reordered <- c.reordered + 1;
       chaos_hit ();
       if observing then
         emit (Reordered { src = chan_src.(cid); dst = chan_dst.(cid) })
-    end
-  in
-
-  (* Reference (naive) enabled pick: the full O(n) guard scan the
-     original code paid on every drained-channel event. *)
-  let node_scratch = Array.make (max 1 n) 0 in
-  let pick_enabled_on_mirrors () =
-    if indexed then begin
-      (* Rejection sampling over the candidate superset: each draw is
-         uniform over the remaining candidates, and a disabled draw is
-         removed for good (it re-enters on its next state or mirror
-         write via [act]), so the accepted node is uniform over the
-         enabled set and the scan cost is amortized against writes. *)
-      let rec go () =
-        if Chanset.is_empty candidates then -1
-        else begin
-          let v = Chanset.pick candidates rng in
-          if Algorithm.is_enabled algo (view_of v) then v
-          else begin
-            Chanset.remove candidates v;
-            go ()
-          end
-        end
-      in
-      go ()
-    end
-    else begin
-      let k = ref 0 in
-      for v = 0 to n - 1 do
-        if Algorithm.is_enabled algo (view_of v) then begin
-          node_scratch.(!k) <- v;
-          incr k
-        end
-      done;
-      if !k = 0 then -1 else node_scratch.(Rng.int rng !k)
     end
   in
 
@@ -732,14 +610,14 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
          mid-run, exactly as §3's arbitrary-configuration premise
          allows.  The stamp-keyed proof memo misses on the fresh
          construction by itself; the victim's guards must be
-         re-examined, so it re-enters the candidate set. *)
+         re-examined, so the picker is told it may be enabled. *)
       (match chaos with
       | Some ch when Ss_chaos.Fault_plan.corruption_due ch.plan ~event:events
         ->
           let crng = Ss_chaos.Fault_plan.rng ch.plan in
           let victim = Rng.int crng n in
           states.(victim) <- ch.mutate crng victim states.(victim);
-          if indexed then Chanset.add candidates victim;
+          picker.note victim true;
           c.corruptions <- c.corruptions + 1;
           chaos_hit ();
           if observing then emit (Corrupted { node = victim })
@@ -755,7 +633,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
         && events mod heartbeat_every = 0
         && !last_wave_event < events - 1
       then proof_wave ~at:events;
-      match pick_channel () with
+      match Channel.pick chans rng with
       | cid when cid >= 0 ->
           (match chaos with
           | None -> deliver cid
@@ -767,7 +645,7 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
               | Ss_chaos.Fault_plan.Reorder -> chaos_reorder cid));
           loop (events + 1)
       | _ -> (
-          match pick_enabled_on_mirrors () with
+          match picker.pick () with
           | v when v >= 0 ->
               act v;
               loop (events + 1)
@@ -836,13 +714,15 @@ let run_impl ~indexed ?codec ?(layout = `Auto) ?(encoding = Delta) ?budget
 
 let run ?codec ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every
     ?now ?chaos ~rng ?corrupt_mirrors ?sinks params config =
-  run_impl ~indexed:true ?codec ?layout ?encoding ?budget ?max_events ?proof
-    ?heartbeat_every ?now ?chaos ~rng ?corrupt_mirrors ?sinks params config
+  drive ~channels:Channel.rings ~picker:candidates ~port:port_table ?codec
+    ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every ?now ?chaos
+    ~rng ?corrupt_mirrors ?sinks params config
 
 let run_naive ?encoding ?budget ?max_events ?proof ?heartbeat_every ?now ~rng
     ?corrupt_mirrors ?sinks params config =
-  run_impl ~indexed:false ?encoding ?budget ?max_events ?proof ?heartbeat_every
-    ?now ~rng ?corrupt_mirrors ?sinks params config
+  drive ~channels:Channel.queues ~picker:guard_scan ~port:port_scan ?encoding
+    ?budget ?max_events ?proof ?heartbeat_every ?now ~rng ?corrupt_mirrors
+    ?sinks params config
 
 let report ?(label = "msgnet-run") ?seed ?wall_s ?timebase (s : stats) =
   Run_report.v ?seed ?wall_s ?timebase ~outcome:s.outcome label

@@ -147,26 +147,6 @@ val total_bits : stats -> int
 (** All traffic: updates + proofs + requests
     ([Energy.request_message_bits] each) + full copies. *)
 
-val canonical_bytes : 's Ss_core.Trans_state.t -> string
-(** Canonical wire/proof pre-image of a state: a [Marshal] dump
-    ([No_sharing]) of its logical snapshot [(status, init, cells)]
-    ({!Proof.canonical_bytes}).  Logically equal states encode to
-    identical bytes regardless of the operation sequence that built
-    them — backing-buffer capacity, version stamps and physical sharing
-    never reach the wire.  This is the pre-image the reference proof
-    layer hashes ({!Proof.reference}: {!run} without a codec, and
-    {!run_naive}). *)
-
-val codec_bytes : 's Ss_core.Cellpack.codec -> 's Ss_core.Trans_state.t -> string
-(** The codec word image of a state as bytes ({!Proof.codec_bytes}):
-    status byte, then init and each cell as the codec's fixed-width
-    little-endian words.  Because the per-cell word image is injective
-    (unpack inverts pack) and the byte length fixes the height, two
-    states map to equal bytes iff their snapshots are equal.  [run
-    ~codec] never builds it: its proofs fold the same words straight
-    into a resumable digest ({!Proof.incremental}).  Kept as the
-    readable form of that word stream for tests. *)
-
 val run :
   ?codec:'s Ss_core.Cellpack.codec ->
   ?layout:layout ->
@@ -234,14 +214,21 @@ val run :
     [O(Δ)] word mixes, with no buffer, string or [Marshal].  [layout]
     (default [`Auto]) selects the mirror backing per {!type-layout}.
 
-    Each event costs O(1) amortized in the number of channels: pending
-    links come from the maintained {!Chanset}, pending messages live
-    int-packed in per-link {!Ringbuf} rings (boxed variants in a
-    FIFO-aligned side queue), and the drained-channel guard scan is
-    replaced by a dirty-candidate set — nodes whose state or mirrors
-    changed since their guards last evaluated disabled — picked by
-    rejection sampling, which preserves the uniform choice over
-    enabled nodes.  Differentially tested against {!run_naive}. *)
+    [run] and {!run_naive} are two compositions of one event loop
+    (DESIGN.md §8, §15); they differ only in three layers.  [run]
+    stores links in {!Channel.rings}: int-packed per-link {!Ringbuf}
+    records, boxed variants in a FIFO-aligned side queue, and pending
+    links picked from a maintained {!Chanset}.  It replaces the
+    drained-channel guard scan by a dirty-candidate set — nodes whose
+    state or mirrors changed since their guards last evaluated
+    disabled — picked by rejection sampling, which preserves the
+    uniform choice over enabled nodes; and it reads receiver ports
+    from a table precomputed with {!Ss_graph.Graph.port_table}.  Each
+    event therefore costs O(1) amortized in the number of channels.
+    Differentially tested against {!run_naive}.
+
+    @raise Invalid_argument when [heartbeat_every < 1], before the run
+    starts. *)
 
 val run_naive :
   ?encoding:encoding ->
@@ -256,20 +243,23 @@ val run_naive :
   ('s, 'i) Ss_core.Predicates.params ->
   ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
   ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t * stats
-(** Reference event loop: identical protocol, but with the historical
-    per-event costs and representations — every event rebuilds the
-    pending-link list with a [Hashtbl.fold] over all [2m] channels,
-    every send and delivery resolves its boxed [Queue.t] through a
-    tuple-keyed hash lookup, every delivery re-derives the
-    receiver-side port with an O(degree) [Graph.port_of] scan, every
-    drained-channel event scans all [n] guards, mirrors stay boxed,
-    and proofs hash [Marshal] pre-images ({!Proof.reference}).
-    The random link choice consumes the rng
-    differently from {!run}, so the two produce different (equally
-    valid) interleavings; both must reach the same terminal states.
-    Kept for differential testing and benchmarking.  Deliberately takes
-    no [chaos]: the naive loop is the fault-free reference twin that
-    chaos runs are differentially checked against. *)
+(** Reference event loop: {!run}'s event loop composed with the
+    historical per-event costs and representations.  {!Channel.queues}
+    stores each link in a boxed [Queue.t] resolved through a
+    tuple-keyed [Hashtbl] on every send and delivery, and rebuilds the
+    pending-link list with a [Hashtbl.fold] over all [2m] links on
+    every event; every delivery re-derives the receiver-side port with
+    an O(degree) [Graph.port_of] scan; every drained-channel event
+    scans all [n] guards.  Without a codec, mirrors stay boxed and
+    proofs hash [Marshal] pre-images ({!Proof.reference}).  The random
+    link choice consumes the rng differently from {!run}, so the two
+    produce different (equally valid) interleavings; both must reach
+    the same terminal states.  Kept for differential testing and
+    benchmarking.  Deliberately takes no [codec], [layout] or [chaos]:
+    the naive loop is the fault-free reference twin that chaos runs
+    are differentially checked against.
+
+    @raise Invalid_argument when [heartbeat_every < 1]. *)
 
 val report :
   ?label:string ->

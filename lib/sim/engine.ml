@@ -32,6 +32,17 @@ let tee = function
       fun ~step ~rounds ~moved config ->
         List.iter (fun o -> o ~step ~rounds ~moved config) os
 
+let divergence_sink ~checked:(what, actual) ~reference:(against, expected)
+    ~step:_ ~rounds:_ ~moved:_ config =
+  let a = actual config in
+  let e = expected config in
+  if a <> e then
+    let show l = String.concat "," (List.map string_of_int l) in
+    raise
+      (Divergence
+         (Printf.sprintf "%s enabled set {%s} disagrees with %s {%s}" what
+            (show a) against (show e)))
+
 (* One bus for the optional single observer, the sink list, and any
    internal sinks (self-check): everyone sees the same events in the
    same order. *)
@@ -194,16 +205,10 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   (* Divergence checking is just another sink on the bus: it reads the
      configuration each event reaches and compares the incrementally
      maintained enabled set against a full naive scan. *)
-  let check_sink ~step:_ ~rounds:_ ~moved:_ config =
-    let incr = Sched.enabled sched in
-    let naive = Config.enabled_nodes algo config in
-    if incr <> naive then
-      raise
-        (Divergence
-           (Printf.sprintf
-              "incremental enabled set {%s} disagrees with full scan {%s}"
-              (String.concat "," (List.map string_of_int incr))
-              (String.concat "," (List.map string_of_int naive))))
+  let check_sink =
+    divergence_sink
+      ~checked:("incremental", fun _ -> Sched.enabled sched)
+      ~reference:("full scan", Config.enabled_nodes algo)
   in
   let emit = bus ?observer ?sinks (if self_check then [ check_sink ] else []) in
   (* Step in place on a private copy of the states: the input

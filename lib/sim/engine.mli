@@ -57,6 +57,17 @@ type ('s, 'i) observer =
 val tee : ('s, 'i) observer list -> ('s, 'i) observer
 (** Fan one event stream out to several sinks, in list order. *)
 
+val divergence_sink :
+  checked:string * (('s, 'i) Config.t -> int list) ->
+  reference:string * (('s, 'i) Config.t -> int list) ->
+  ('s, 'i) observer
+(** [divergence_sink ~checked:(what, actual) ~reference:(against,
+    expected)] is the differential sink behind every [self_check]: on
+    each event it computes [actual config], then [expected config], and
+    raises {!Divergence}
+    ["<what> enabled set {i,j,..} disagrees with <against> {k,..}"]
+    when the two enabled-node lists differ. *)
+
 type ('s, 'i) chaos = {
   plan : Ss_chaos.Fault_plan.t;
       (** Only the plan's corruption schedule applies to the engine

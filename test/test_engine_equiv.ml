@@ -487,6 +487,61 @@ let test_observed_allocation () =
   guard "recovery tracking" tracked bare;
   guard "counting sink" engine_sink engine_bare
 
+(* The divergence sink fires.  A guard that reads hidden mutable state
+   breaks the purity the dirty-set scheduler relies on: once node 0
+   moves, node 3 (outside 0's closed neighborhood on a 6-cycle) becomes
+   enabled without being re-evaluated, and the self-check sink must
+   report exactly that. *)
+let test_divergence_sink_fires () =
+  let armed = ref false in
+  let algo =
+    {
+      Algorithm.algo_name = "impure";
+      equal = Int.equal;
+      pp_state = Format.pp_print_int;
+      rules =
+        [
+          {
+            Algorithm.rule_name = "set";
+            guard =
+              (fun v ->
+                v.Algorithm.self = 0
+                && (v.Algorithm.input = 0 || (v.Algorithm.input = 3 && !armed)));
+            action =
+              (fun _ ->
+                armed := true;
+                1);
+          };
+        ];
+    }
+  in
+  let config =
+    Config.make (Builders.cycle 6) ~inputs:(fun p -> p) ~states:(fun _ -> 0)
+  in
+  let raised f =
+    match f () with
+    | exception Engine.Divergence msg -> msg
+    | _ -> "no divergence"
+  in
+  Alcotest.(check string)
+    "self-check reports the stale enabled set"
+    "incremental enabled set {} disagrees with full scan {3}"
+    (raised (fun () ->
+         Engine.run ~self_check:true algo Daemon.synchronous config));
+  armed := false;
+  Alcotest.(check string)
+    "sink message names both sides"
+    "cached enabled set {0} disagrees with uncached {}"
+    (raised (fun () ->
+         Engine.run
+           ~sinks:
+             [
+               Engine.divergence_sink
+                 ~checked:("cached", Config.enabled_nodes algo)
+                 ~reference:("uncached", fun _ -> []);
+             ]
+           algo Daemon.synchronous config))
+
 let () =
   Alcotest.run "engine_equiv"
     [
@@ -509,6 +564,8 @@ let () =
             `Quick test_self_check_section5_algorithms;
           Alcotest.test_case "sched dirty-set locality" `Quick
             test_sched_locality;
+          Alcotest.test_case "divergence sink fires" `Quick
+            test_divergence_sink_fires;
         ] );
       ( "single-path",
         [

@@ -10,9 +10,11 @@ module Core = Ss_core
 module Transformer = Ss_core.Transformer
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
+module Proof = Ss_msgnet.Proof
 module Leader = Ss_algos.Leader_election
 module Min_flood = Ss_algos.Min_flood
 module Rng = Ss_prelude.Rng
+module Budget = Ss_report.Budget
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -57,17 +59,18 @@ let test_wire_canonicalization () =
     (St.stamp direct <> St.stamp grown);
   Alcotest.(check string)
     "identical wire encodings"
-    (M.canonical_bytes direct) (M.canonical_bytes grown);
+    (Proof.canonical_bytes direct) (Proof.canonical_bytes grown);
   check "identical proof hashes" true
-    (Energy.state_proof ~nonce:7L (M.canonical_bytes direct)
-    = Energy.state_proof ~nonce:7L (M.canonical_bytes grown));
+    (Energy.state_proof ~nonce:7L (Proof.canonical_bytes direct)
+    = Energy.state_proof ~nonce:7L (Proof.canonical_bytes grown));
   check_int "identical measured bits"
     (Energy.full_state_bits Min_flood.algo direct)
     (Energy.full_state_bits Min_flood.algo grown);
   (* And a branch that shares the buffer with [direct] but differs
      logically must encode differently. *)
   check "different states, different bytes" true
-    (M.canonical_bytes (St.truncate direct 2) <> M.canonical_bytes direct)
+    (Proof.canonical_bytes (St.truncate direct 2)
+    <> Proof.canonical_bytes direct)
 
 let test_clean_start_full_encoding () =
   let g = Builders.cycle 6 in
@@ -351,6 +354,39 @@ let test_empty_graph () =
   let _, nstats = M.run_naive ~rng:(Rng.create 1) params config in
   check "naive n = 0 quiescent" true nstats.M.quiescent
 
+let test_heartbeat_validation () =
+  (* A period below one event used to reach [events mod 0] at the first
+     event; both loops now reject it before they start, so neither the
+     clock nor a sink is ever touched. *)
+  let params = Transformer.params Min_flood.algo in
+  let reads = ref 0 and events = ref 0 in
+  let now () = incr reads; 0. in
+  let budget = Budget.v ~deadline_s:10. () in
+  let rejected run =
+    match run () with
+    | exception Invalid_argument _ -> true
+    | _ -> false
+  in
+  List.iter
+    (fun (name, g) ->
+      let config = Transformer.clean_config params g ~inputs:(fun p -> p) in
+      let sinks = [ (fun _ -> incr events) ] in
+      List.iter
+        (fun h ->
+          let m = Printf.sprintf "%s, heartbeat_every = %d" name h in
+          check (m ^ ": run rejects") true
+            (rejected (fun () ->
+                 M.run ~heartbeat_every:h ~budget ~now ~sinks
+                   ~rng:(Rng.create 1) params config));
+          check (m ^ ": run_naive rejects") true
+            (rejected (fun () ->
+                 M.run_naive ~heartbeat_every:h ~budget ~now ~sinks
+                   ~rng:(Rng.create 1) params config)))
+        [ 0; -1 ])
+    [ ("empty", Graph.of_adjacency [||]); ("ring", Builders.cycle 4) ];
+  check_int "clock never read" 0 !reads;
+  check_int "no sink event" 0 !events
+
 let test_singleton_and_edgeless () =
   let params = Transformer.params Min_flood.algo in
   List.iter
@@ -425,9 +461,10 @@ let codec_qcheck_tests =
           apply_ops ~cap (St.make ~init ~status:St.C ~cells:[||]) ops
         in
         let a = build ops_a and b = build ops_b in
-        let ca = M.codec_bytes Cv.codec a and cb = M.codec_bytes Cv.codec b in
+        let ca = Proof.codec_bytes Cv.codec a
+        and cb = Proof.codec_bytes Cv.codec b in
         let agree_with_marshal =
-          ca = cb = (M.canonical_bytes a = M.canonical_bytes b)
+          ca = cb = (Proof.canonical_bytes a = Proof.canonical_bytes b)
         in
         let agree_with_equality = ca = cb = St.equal cv_equal a b in
         (* An arena-backed replica of the same history encodes to the
@@ -442,7 +479,7 @@ let codec_qcheck_tests =
             ops_a
         in
         agree_with_marshal && agree_with_equality
-        && M.codec_bytes Cv.codec packed = ca);
+        && Proof.codec_bytes Cv.codec packed = ca);
   ]
 
 let test_codec_run_differential_cv () =
@@ -554,8 +591,6 @@ let test_packed_layout_validation () =
 (* Proof layer: incremental digests (DESIGN.md §15)                     *)
 (* ------------------------------------------------------------------ *)
 
-module Proof = Ss_msgnet.Proof
-
 (* A digest no memo can have shaped: a fresh layer's first proof. *)
 let fresh_digest st = Proof.digest (Proof.incremental Cv.codec ~slots:1) 0 st
 
@@ -633,7 +668,7 @@ let proof_qcheck_tests =
         in
         let a = build 0 ops_a and b = build 1 ops_b in
         let same = Proof.digest layer 0 a = Proof.digest layer 1 b in
-        same = (M.canonical_bytes a = M.canonical_bytes b)
+        same = (Proof.canonical_bytes a = Proof.canonical_bytes b)
         && same = St.equal cv_equal a b
         && same = (Proof.digest reference 0 a = Proof.digest reference 1 b));
   ]
@@ -709,6 +744,317 @@ let test_proof_allocation () =
     (Printf.sprintf "%.0f words per delivery < 200" per_delivery)
     true (per_delivery < 200.)
 
+(* ------------------------------------------------------------------ *)
+(* Golden pins: full stats plus sink event counts                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each pin fixes one run's every counter and the number of sink events
+   of each kind.  Any change to the delivery schedule, the rng draw
+   order, the wave protocol or the wire accounting moves a pin, so a
+   refactor of the event loop that keeps them all is behaviour-neutral
+   on these instances. *)
+
+let kind_name = function
+  | M.K_update -> "update"
+  | M.K_proof -> "proof"
+  | M.K_request -> "request"
+  | M.K_full_copy -> "full_copy"
+
+let counting_sink () =
+  let counts = Hashtbl.create 16 in
+  let bump key =
+    Hashtbl.replace counts key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+  in
+  let sink = function
+    | M.Sent { kind; _ } -> bump ("sent/" ^ kind_name kind)
+    | M.Delivered { kind; _ } -> bump ("delivered/" ^ kind_name kind)
+    | M.Wave _ -> bump "wave"
+    | M.Dropped { kind; _ } -> bump ("dropped/" ^ kind_name kind)
+    | M.Duplicated { kind; _ } -> bump ("duplicated/" ^ kind_name kind)
+    | M.Reordered _ -> bump "reordered"
+    | M.Corrupted _ -> bump "corrupted"
+  in
+  let counts () =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
+  in
+  (sink, counts)
+
+let stats_rows (s : M.stats) =
+  [
+    ("deliveries", s.M.deliveries);
+    ("rule_executions", s.M.rule_executions);
+    ("update_messages", s.M.update_messages);
+    ("update_bits", s.M.update_bits);
+    ("proof_messages", s.M.proof_messages);
+    ("proof_bits", s.M.proof_bits);
+    ("stale_proof_messages", s.M.stale_proof_messages);
+    ("request_messages", s.M.request_messages);
+    ("full_copy_messages", s.M.full_copy_messages);
+    ("full_copy_bits", s.M.full_copy_bits);
+    ("proof_waves", s.M.proof_waves);
+    ("dropped_messages", s.M.dropped_messages);
+    ("reordered_messages", s.M.reordered_messages);
+    ("duplicated_messages", s.M.duplicated_messages);
+    ("corruption_events", s.M.corruption_events);
+    ("peak_queued_bits", s.M.peak_queued_bits);
+    ("mirror_bytes", s.M.mirror_bytes);
+    ("quiescent", Bool.to_int s.M.quiescent);
+  ]
+
+let stats_testable =
+  Alcotest.testable
+    (fun ppf s ->
+      List.iter (fun (k, v) -> Fmt.pf ppf "%s=%d@ " k v) (stats_rows s);
+      Fmt.string ppf (Budget.outcome_to_string s.M.outcome))
+    ( = )
+
+(* A packed Cole-Vishkin ring: codec, finite bound, packed mirrors. *)
+let pin_cv () =
+  let rng = Rng.create 29 in
+  let n = 16 and width = 6 in
+  let g = Builders.cycle n in
+  let inputs = Cv.inputs ~ids:(Cv.random_ring_ids rng ~n ~width) ~width g in
+  let b = Cv.schedule_length width in
+  let params =
+    Transformer.params ~mode:Ss_core.Predicates.Greedy
+      ~bound:(Ss_core.Predicates.Finite b) Cv.algo
+  in
+  let start =
+    Transformer.corrupt rng ~max_height:b params
+      (Transformer.clean_config params g ~inputs)
+  in
+  (params, start)
+
+(* Leader election on a ring under B = ∞: boxed mirrors, boxed D_ru. *)
+let pin_leader n =
+  let rng = Rng.create 31 in
+  let g = Builders.cycle n in
+  let inputs = Leader.random_ids rng g in
+  let params = Transformer.params Leader.algo in
+  let hist = Sync_runner.run Leader.algo g ~inputs in
+  let max_height = hist.Sync_runner.t + 4 in
+  let start =
+    Transformer.corrupt rng ~max_height params
+      (Transformer.clean_config params g ~inputs)
+  in
+  (params, inputs, max_height, start)
+
+let golden_runs () =
+  let pinned f =
+    let sink, counts = counting_sink () in
+    let _, stats = f [ sink ] in
+    (stats, counts ())
+  in
+  let cv_params, cv_start = pin_cv () in
+  let lp, _, _, lstart = pin_leader 16 in
+  let cp, cinputs, cmax, cstart = pin_leader 32 in
+  let chaos =
+    {
+      M.plan = Ss_chaos.Scenario.msgnet_plan Ss_chaos.Scenario.standard ~seed:6;
+      mutate =
+        (fun crng v st ->
+          Transformer.corrupt_state crng ~max_height:cmax cp (cinputs v) st);
+    }
+  in
+  [
+    ( "run ~codec, cv ring",
+      pinned (fun sinks ->
+          M.run ~codec:Cv.codec ~sinks ~rng:(Rng.create 5) cv_params cv_start) );
+    ( "run, leader ring",
+      pinned (fun sinks -> M.run ~sinks ~rng:(Rng.create 6) lp lstart) );
+    ( "run ~chaos, leader ring",
+      pinned (fun sinks -> M.run ~chaos ~sinks ~rng:(Rng.create 7) cp cstart) );
+    ( "run_naive, cv ring",
+      pinned (fun sinks ->
+          M.run_naive ~sinks ~rng:(Rng.create 5) cv_params cv_start) );
+    ( "run_naive, leader ring",
+      pinned (fun sinks -> M.run_naive ~sinks ~rng:(Rng.create 6) lp lstart) );
+  ]
+
+let golden_pins =
+  [
+    ( "run ~codec, cv ring",
+      {
+        M.deliveries = 530;
+        rule_executions = 227;
+        update_messages = 454;
+        update_bits = 2142;
+        proof_messages = 64;
+        proof_bits = 8192;
+        stale_proof_messages = 0;
+        request_messages = 6;
+        full_copy_messages = 6;
+        full_copy_bits = 46;
+        proof_waves = 2;
+        dropped_messages = 0;
+        reordered_messages = 0;
+        duplicated_messages = 0;
+        corruption_events = 0;
+        peak_queued_bits = 4145;
+        mirror_bytes = 5696;
+        quiescent = true;
+        outcome = Budget.Completed;
+      },
+      [
+        ("delivered/full_copy", 6);
+        ("delivered/proof", 64);
+        ("delivered/request", 6);
+        ("delivered/update", 454);
+        ("sent/full_copy", 6);
+        ("sent/proof", 64);
+        ("sent/request", 6);
+        ("sent/update", 454);
+        ("wave", 2);
+      ] );
+    ( "run, leader ring",
+      {
+        M.deliveries = 452;
+        rule_executions = 169;
+        update_messages = 338;
+        update_bits = 2640;
+        proof_messages = 96;
+        proof_bits = 12288;
+        stale_proof_messages = 25;
+        request_messages = 9;
+        full_copy_messages = 9;
+        full_copy_bits = 130;
+        proof_waves = 3;
+        dropped_messages = 0;
+        reordered_messages = 0;
+        duplicated_messages = 0;
+        corruption_events = 0;
+        peak_queued_bits = 7296;
+        mirror_bytes = 5120;
+        quiescent = true;
+        outcome = Budget.Completed;
+      },
+      [
+        ("delivered/full_copy", 9);
+        ("delivered/proof", 96);
+        ("delivered/request", 9);
+        ("delivered/update", 338);
+        ("sent/full_copy", 9);
+        ("sent/proof", 96);
+        ("sent/request", 9);
+        ("sent/update", 338);
+        ("wave", 3);
+      ] );
+    ( "run ~chaos, leader ring",
+      {
+        M.deliveries = 2920;
+        rule_executions = 1120;
+        update_messages = 2240;
+        update_bits = 19724;
+        proof_messages = 640;
+        proof_bits = 81920;
+        stale_proof_messages = 2;
+        request_messages = 20;
+        full_copy_messages = 20;
+        full_copy_bits = 819;
+        proof_waves = 10;
+        dropped_messages = 4;
+        reordered_messages = 2;
+        duplicated_messages = 4;
+        corruption_events = 2;
+        peak_queued_bits = 8450;
+        mirror_bytes = 16896;
+        quiescent = true;
+        outcome = Budget.Completed;
+      },
+      [
+        ("corrupted", 2);
+        ("delivered/full_copy", 20);
+        ("delivered/proof", 641);
+        ("delivered/request", 20);
+        ("delivered/update", 2239);
+        ("dropped/update", 4);
+        ("duplicated/proof", 1);
+        ("duplicated/update", 3);
+        ("reordered", 2);
+        ("sent/full_copy", 20);
+        ("sent/proof", 640);
+        ("sent/request", 20);
+        ("sent/update", 2240);
+        ("wave", 10);
+      ] );
+    ( "run_naive, cv ring",
+      {
+        M.deliveries = 568;
+        rule_executions = 232;
+        update_messages = 464;
+        update_bits = 2170;
+        proof_messages = 96;
+        proof_bits = 12288;
+        stale_proof_messages = 14;
+        request_messages = 4;
+        full_copy_messages = 4;
+        full_copy_bits = 18;
+        proof_waves = 3;
+        dropped_messages = 0;
+        reordered_messages = 0;
+        duplicated_messages = 0;
+        corruption_events = 0;
+        peak_queued_bits = 5888;
+        mirror_bytes = 4608;
+        quiescent = true;
+        outcome = Budget.Completed;
+      },
+      [
+        ("delivered/full_copy", 4);
+        ("delivered/proof", 96);
+        ("delivered/request", 4);
+        ("delivered/update", 464);
+        ("sent/full_copy", 4);
+        ("sent/proof", 96);
+        ("sent/request", 4);
+        ("sent/update", 464);
+        ("wave", 3);
+      ] );
+    ( "run_naive, leader ring",
+      {
+        M.deliveries = 438;
+        rule_executions = 162;
+        update_messages = 324;
+        update_bits = 2506;
+        proof_messages = 96;
+        proof_bits = 12288;
+        stale_proof_messages = 10;
+        request_messages = 9;
+        full_copy_messages = 9;
+        full_copy_bits = 143;
+        proof_waves = 3;
+        dropped_messages = 0;
+        reordered_messages = 0;
+        duplicated_messages = 0;
+        corruption_events = 0;
+        peak_queued_bits = 5376;
+        mirror_bytes = 5120;
+        quiescent = true;
+        outcome = Budget.Completed;
+      },
+      [
+        ("delivered/full_copy", 9);
+        ("delivered/proof", 96);
+        ("delivered/request", 9);
+        ("delivered/update", 324);
+        ("sent/full_copy", 9);
+        ("sent/proof", 96);
+        ("sent/request", 9);
+        ("sent/update", 324);
+        ("wave", 3);
+      ] );
+  ]
+
+let test_golden () =
+  List.iter2
+    (fun (name, stats, counts) (name', (stats', counts')) ->
+      Alcotest.(check string) "same instance" name name';
+      Alcotest.check stats_testable (name ^ ": stats") stats stats';
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": sink events") counts counts')
+    golden_pins (golden_runs ())
+
 let qcheck_tests =
   let open QCheck in
   [
@@ -763,6 +1109,8 @@ let () =
       ( "edge-cases",
         [
           Alcotest.test_case "empty graph" `Quick test_empty_graph;
+          Alcotest.test_case "heartbeat period validated" `Quick
+            test_heartbeat_validation;
           Alcotest.test_case "singleton and edgeless" `Quick
             test_singleton_and_edgeless;
         ] );
@@ -784,4 +1132,5 @@ let () =
               test_proof_allocation;
           ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ("golden", [ Alcotest.test_case "stats and sink events" `Quick test_golden ]);
     ]

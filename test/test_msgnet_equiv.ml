@@ -20,7 +20,11 @@
       rng, but the terminal states are unique.
 
    3. Chanset, the O(1) non-empty-channel set behind the indexed
-      scheduler, is exercised against a reference set model. *)
+      scheduler, is exercised against a reference set model.
+
+   4. Channel.rings, the flat link storage of Msgnet.run, is checked
+      against Channel.queues, the boxed reference of Msgnet.run_naive,
+      and a list model on random operation sequences. *)
 
 module Graph = Ss_graph.Graph
 module Builders = Ss_graph.Builders
@@ -35,6 +39,7 @@ module Transformer = Ss_core.Transformer
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
 module Chanset = Ss_msgnet.Chanset
+module Channel = Ss_msgnet.Channel
 module Leader = Ss_algos.Leader_election
 module Bfs = Ss_algos.Bfs_tree
 module Cv = Ss_algos.Cole_vishkin
@@ -200,6 +205,107 @@ let test_chanset_pick_covers_members () =
     "all members picked" [ 0; 4; 5; 7 ]
     (List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) seen []))
 
+(* ------------------------------------------------------------------ *)
+(* Channel.rings vs Channel.queues                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Messages of three shapes: two flat records of different lengths and
+   one with no flat form, which [Channel.rings] keeps boxed in its side
+   queue behind an empty ring record. *)
+type msg = Short of int | Long of int * int | Boxed of string
+
+let test_wire =
+  {
+    Channel.words = 3;
+    encode =
+      (fun w -> function
+        | Short k ->
+            w.(0) <- 1;
+            w.(1) <- k;
+            2
+        | Long (a, b) ->
+            w.(0) <- 2;
+            w.(1) <- a;
+            w.(2) <- b;
+            3
+        | Boxed _ -> 0);
+    decode =
+      (fun w -> if w.(0) = 1 then Short w.(1) else Long (w.(1), w.(2)));
+  }
+
+let msg_of k =
+  match k mod 3 with
+  | 0 -> Boxed (string_of_int k)
+  | 1 -> Short k
+  | _ -> Long (k, -k)
+
+(* Four links between three nodes.  Each op is (code, link, payload):
+   push (two codes, so links fill up), pop, peek, rotate, pick.  Both
+   implementations and a list-per-link model run the same sequence;
+   heads must agree with the model on every pop and peek, rotations
+   must agree on whether they moved anything, and a pick must name a
+   non-empty link (or -1 exactly when all are empty).  Every
+   implementation is drained in the end, so a boxed payload that fell
+   out of step with its ring marker shows up as a wrong head. *)
+let channel_differential ops =
+  let src = [| 0; 0; 1; 2 |] and dst = [| 1; 2; 0; 1 |] in
+  let nlinks = Array.length src in
+  let rings = Channel.rings test_wire ~src ~dst in
+  let queues = Channel.queues test_wire ~src ~dst in
+  let model = Array.make nlinks [] in
+  let ring_rng = Rng.create 5 and queue_rng = Rng.create 6 in
+  let ok = ref true in
+  let expect b = if not b then ok := false in
+  let valid_pick id =
+    if Array.for_all (( = ) []) model then id = -1
+    else id >= 0 && id < nlinks && model.(id) <> []
+  in
+  List.iter
+    (fun (code, link, k) ->
+      match (code, model.(link)) with
+      | (0 | 1), _ ->
+          let m = msg_of k in
+          Channel.push rings link m;
+          Channel.push queues link m;
+          model.(link) <- model.(link) @ [ m ]
+      | 2, head :: rest ->
+          expect (Channel.pop rings link = head);
+          expect (Channel.pop queues link = head);
+          model.(link) <- rest
+      | 3, head :: _ ->
+          expect (Channel.peek rings link = head);
+          expect (Channel.peek queues link = head)
+      | 4, q ->
+          let moved = List.length q >= 2 in
+          expect (Channel.rotate rings link = moved);
+          expect (Channel.rotate queues link = moved);
+          if moved then model.(link) <- List.tl q @ [ List.hd q ]
+      | 5, _ ->
+          expect (valid_pick (Channel.pick rings ring_rng));
+          expect (valid_pick (Channel.pick queues queue_rng))
+      | _ -> ())
+    ops;
+  Array.iteri
+    (fun link q ->
+      List.iter
+        (fun m ->
+          expect (Channel.pop rings link = m);
+          expect (Channel.pop queues link = m))
+        q)
+    model;
+  expect (Channel.pick rings ring_rng = -1);
+  expect (Channel.pick queues queue_rng = -1);
+  !ok
+
+let channel_qcheck_tests =
+  let open QCheck in
+  [
+    Test.make ~count:500 ~name:"rings agree with queues and the model"
+      (list_of_size (Gen.int_range 0 120)
+         (triple (int_bound 5) (int_bound 3) small_nat))
+      channel_differential;
+  ]
+
 let () =
   Alcotest.run "msgnet-equiv"
     [
@@ -215,4 +321,5 @@ let () =
           Alcotest.test_case "pick covers members" `Quick
             test_chanset_pick_covers_members;
         ] );
+      ("channel", List.map QCheck_alcotest.to_alcotest channel_qcheck_tests);
     ]
