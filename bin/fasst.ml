@@ -24,16 +24,54 @@ module Catalog = Ss_expt.Catalog
 
 let parse_topology = Catalog.parse_topology
 
-let parse_daemon rng spec =
-  match String.split_on_char ':' spec with
-  | [ "sync" ] -> Sim.Daemon.synchronous
-  | [ "async"; p ] -> Sim.Daemon.distributed_random rng ~p:(float_of_string p)
-  | [ "async" ] -> Sim.Daemon.distributed_random rng ~p:0.5
-  | [ "central" ] -> Sim.Daemon.central_random rng
-  | [ "central-min" ] -> Sim.Daemon.central_min
-  | [ "central-max" ] -> Sim.Daemon.central_max
-  | [ "round-robin" ] -> Sim.Daemon.round_robin ()
-  | _ -> failwith ("unknown daemon: " ^ spec)
+(* Option values are checked by cmdliner converters, so a malformed
+   value is a usage error naming its option instead of an exception
+   escaping a subcommand. *)
+type daemon_spec =
+  | Sync
+  | Async of float
+  | Central
+  | Central_min
+  | Central_max
+  | Round_robin
+
+let daemon_conv =
+  let parse spec =
+    match String.split_on_char ':' spec with
+    | [ "sync" ] -> Ok Sync
+    | [ "async" ] -> Ok (Async 0.5)
+    | [ "async"; p ] -> (
+        match float_of_string_opt p with
+        | Some p when p >= 0. && p <= 1. -> Ok (Async p)
+        | _ -> Error (Printf.sprintf "invalid daemon %S: async:P needs P in [0, 1]" spec))
+    | [ "central" ] -> Ok Central
+    | [ "central-min" ] -> Ok Central_min
+    | [ "central-max" ] -> Ok Central_max
+    | [ "round-robin" ] -> Ok Round_robin
+    | _ -> Error (Printf.sprintf "unknown daemon %S" spec)
+  in
+  let print ppf = function
+    | Sync -> Format.pp_print_string ppf "sync"
+    | Async p -> Format.fprintf ppf "async:%g" p
+    | Central -> Format.pp_print_string ppf "central"
+    | Central_min -> Format.pp_print_string ppf "central-min"
+    | Central_max -> Format.pp_print_string ppf "central-max"
+    | Round_robin -> Format.pp_print_string ppf "round-robin"
+  in
+  Arg.conv' (parse, print)
+
+let parse_daemon rng = function
+  | Sync -> Sim.Daemon.synchronous
+  | Async p -> Sim.Daemon.distributed_random rng ~p
+  | Central -> Sim.Daemon.central_random rng
+  | Central_min -> Sim.Daemon.central_min
+  | Central_max -> Sim.Daemon.central_max
+  | Round_robin -> Sim.Daemon.round_robin ()
+
+let topology_conv =
+  Arg.conv'
+    ( (fun spec -> Result.map (fun () -> spec) (Catalog.check_topology spec)),
+      Format.pp_print_string )
 
 let topology_arg =
   let doc =
@@ -42,13 +80,13 @@ let topology_arg =
     ^ ".  torus and random4 stream their edges and scale to millions of \
        nodes.  See $(b,fasst list)."
   in
-  Arg.(value & opt string "ring:16" & info [ "t"; "topology" ] ~doc)
+  Arg.(value & opt topology_conv "ring:16" & info [ "t"; "topology" ] ~doc)
 
 let daemon_arg =
   let doc =
     "Daemon: sync, async[:p], central, central-min, central-max, round-robin."
   in
-  Arg.(value & opt string "async:0.5" & info [ "d"; "daemon" ] ~doc)
+  Arg.(value & opt daemon_conv (Async 0.5) & info [ "d"; "daemon" ] ~doc)
 
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc:"Random seed.")
@@ -64,13 +102,23 @@ let mode_arg =
     & opt (enum [ ("lazy", P.Lazy); ("greedy", P.Greedy) ]) P.Lazy
     & info [ "m"; "mode" ] ~doc:"Transformer mode: lazy or greedy.")
 
-let bound_arg =
-  let doc = "Bound B on the synchronous time (integer, or 'inf')." in
-  Arg.(value & opt string "inf" & info [ "b"; "bound" ] ~doc)
+let bound_conv =
+  let parse = function
+    | "inf" | "infinity" -> Ok P.Infinite
+    | s -> (
+        match int_of_string_opt s with
+        | Some b when b >= 1 -> Ok (P.Finite b)
+        | _ -> Error (Printf.sprintf "invalid bound %S: expected a positive integer or 'inf'" s))
+  in
+  let print ppf = function
+    | P.Infinite -> Format.pp_print_string ppf "inf"
+    | P.Finite b -> Format.pp_print_int ppf b
+  in
+  Arg.conv' (parse, print)
 
-let parse_bound = function
-  | "inf" | "infinity" -> P.Infinite
-  | s -> P.Finite (int_of_string s)
+let bound_arg =
+  let doc = "Bound B on the synchronous time (positive integer, or 'inf')." in
+  Arg.(value & opt bound_conv P.Infinite & info [ "b"; "bound" ] ~doc)
 
 let corrupt_arg =
   Arg.(
@@ -203,7 +251,6 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
     ~p ~layout ~deadline ~jobs =
   let rng = Rng.create seed in
   let graph = parse_topology rng topology in
-  let bound = parse_bound bound in
   let daemon = parse_daemon (Rng.split rng) daemon in
   let go (type s i) ?(codec : s Core.Cellpack.codec option)
       (sync : (s, i) Ss_sync.Sync_algo.t) (inputs : int -> i)

@@ -64,10 +64,11 @@ type verdict = Deliver | Drop | Duplicate | Reorder
 let consult t ~event =
   if event >= t.horizon then Deliver
   else
-    let hit ppm = Rng.int t.rng ppm_scale < ppm in
-    let drop = hit t.r.drop_ppm in
-    let dup = hit t.r.dup_ppm in
-    let reorder = hit t.r.reorder_ppm in
+    (* Spelled out rather than through a local [hit] closure: a
+       consult runs on every chaos event and allocates nothing. *)
+    let drop = Rng.int t.rng ppm_scale < t.r.drop_ppm in
+    let dup = Rng.int t.rng ppm_scale < t.r.dup_ppm in
+    let reorder = Rng.int t.rng ppm_scale < t.r.reorder_ppm in
     if drop then Drop
     else if dup then Duplicate
     else if reorder then Reorder

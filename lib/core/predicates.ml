@@ -21,10 +21,17 @@ let algo_hat params (v : ('s, 'i) view) i =
     (St.cell v.Algorithm.self i)
     (Array.map (fun nb -> St.cell nb i) v.Algorithm.neighbors)
 
+(* The guards below run on every event of both run loops, so they are
+   written as plain loops: no closure, no option, no fresh array
+   (DESIGN.md §10 has the allocation budget). *)
 let min_neighbor_height (v : ('s, 'i) view) =
-  Array.fold_left
-    (fun acc nb -> min acc (St.height nb))
-    max_int v.Algorithm.neighbors
+  let nbs = v.Algorithm.neighbors in
+  let m = ref max_int in
+  for k = 0 to Array.length nbs - 1 do
+    let h = St.height nbs.(k) in
+    if h < !m then m := h
+  done;
+  !m
 
 (* Cell i is checkable when all dependencies exist: i - 1 <= q.h for
    every neighbor q, i.e. i <= min_nb + 1 (beware overflow when the
@@ -32,18 +39,18 @@ let min_neighbor_height (v : ('s, 'i) view) =
 let top_checkable (v : ('s, 'i) view) : int =
   let h = St.height v.Algorithm.self in
   let min_nb = min_neighbor_height v in
-  if min_nb = max_int then h else min h (min_nb + 1)
+  if min_nb = max_int || h <= min_nb + 1 then h else min_nb + 1
 
-(* Scan cells [base+1 .. top] for an algorithm error, refilling one
-   scratch dependency array per cell instead of the fresh Array.map
-   that algo_hat would allocate ([step] computes from the array and
-   must not retain it).  Returns the index of the first bad cell, or
-   [top + 1] when the whole range verifies. *)
-let first_bad params (v : ('s, 'i) view) ~base ~top =
+(* Scan cells [base+1 .. top] for an algorithm error, refilling the
+   scratch dependency array [deps] (one slot per neighbor) per cell
+   instead of the fresh Array.map that algo_hat would allocate ([step]
+   computes from the array and must not retain it).  Returns the index
+   of the first bad cell, or [top + 1] when the whole range
+   verifies. *)
+let scan params (v : ('s, 'i) view) deps ~base ~top =
   let self = v.Algorithm.self in
   let nbs = v.Algorithm.neighbors in
   let deg = Array.length nbs in
-  let deps = Array.make deg (St.cell self 0) in
   let i = ref (base + 1) in
   let bad = ref false in
   while (not !bad) && !i <= top do
@@ -60,6 +67,10 @@ let first_bad params (v : ('s, 'i) view) ~base ~top =
     else incr i
   done;
   !i
+
+let first_bad params (v : ('s, 'i) view) ~base ~top =
+  let deg = Array.length v.Algorithm.neighbors in
+  scan params v (Array.make deg (St.cell v.Algorithm.self 0)) ~base ~top
 
 let algo_err params (v : ('s, 'i) view) =
   let top = top_checkable v in
@@ -91,9 +102,39 @@ type entry = {
   mutable result : bool;
 }
 
-type ('s, 'i) cache = (int, entry) Hashtbl.t
+(* Keys are lineage ids, minted sequentially: the identity hash spreads
+   them perfectly and skips the polymorphic hash and compare. *)
+module Tbl = Hashtbl.Make (struct
+  type t = int
 
-let make_cache () : ('s, 'i) cache = Hashtbl.create 64
+  let equal = Int.equal
+  let hash k = k land max_int
+end)
+
+type ('s, 'i) cache = {
+  tbl : entry Tbl.t;
+  mutable scratch : 's array array;
+      (* [scratch.(d)] is the dependency array {!scan} refills for a
+         node of degree [d], allocated on first use. *)
+}
+
+let make_cache () : ('s, 'i) cache = { tbl = Tbl.create 64; scratch = [||] }
+
+(* The dependency scratch for a node of degree [deg]; [fill] seeds a
+   newly allocated array. *)
+let scratch c deg (fill : 's) =
+  if deg >= Array.length c.scratch then begin
+    let grown = Array.make (deg + 1) [||] in
+    Array.blit c.scratch 0 grown 0 (Array.length c.scratch);
+    c.scratch <- grown
+  end;
+  let a = c.scratch.(deg) in
+  if Array.length a = deg then a
+  else begin
+    let a = Array.make deg fill in
+    c.scratch.(deg) <- a;
+    a
+  end
 
 (* Error broadcasts mint a fresh buffer per RR move; cap the table so
    a long recovery cannot accumulate unbounded stale watermarks. *)
@@ -108,7 +149,39 @@ let cache_capacity = 1 lsl 16
 let hits = Atomic.make 0
 let cache_hits () = Atomic.get hits
 
-let algo_err_cached (tbl : ('s, 'i) cache) params (v : ('s, 'i) view) =
+(* Stand-in for "no entry": its input token is private, so it never
+   matches a view, and it is never written. *)
+let no_entry =
+  {
+    input = Obj.repr (ref ());
+    self_stamp = -1;
+    nb_stamps = [||];
+    nb_reps = [||];
+    verified = 0;
+    top = -1;
+    result = false;
+  }
+
+let rec same_stamps stamps nbs k =
+  k >= Array.length nbs
+  || (stamps.(k) = St.stamp nbs.(k) && same_stamps stamps nbs (k + 1))
+
+let rec same_reps reps nbs k =
+  k >= Array.length nbs
+  || (reps.(k) = St.rep_id nbs.(k) && same_reps reps nbs (k + 1))
+
+let record_neighbors e nbs =
+  let deg = Array.length nbs in
+  if Array.length e.nb_stamps <> deg then begin
+    e.nb_stamps <- Array.make deg 0;
+    e.nb_reps <- Array.make deg 0
+  end;
+  for k = 0 to deg - 1 do
+    e.nb_stamps.(k) <- St.stamp nbs.(k);
+    e.nb_reps.(k) <- St.rep_id nbs.(k)
+  done
+
+let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
   let top = top_checkable v in
   if top < 1 then false
   else begin
@@ -117,108 +190,114 @@ let algo_err_cached (tbl : ('s, 'i) cache) params (v : ('s, 'i) view) =
     let deg = Array.length nbs in
     let input = Obj.repr v.Algorithm.input in
     let rep = St.rep_id self in
-    let fresh_hit e =
-      e.input == input
+    let e = match Tbl.find c.tbl rep with e -> e | exception Not_found -> no_entry in
+    let same_input = e.input == input in
+    if
+      same_input
       && e.self_stamp = St.stamp self
       && e.top = top
       && Array.length e.nb_stamps = deg
-      &&
-      let rec go k = k >= deg || (e.nb_stamps.(k) = St.stamp nbs.(k) && go (k + 1)) in
-      go 0
-    in
-    let prefix_valid e =
-      e.input == input
-      && Array.length e.nb_reps = deg
-      &&
-      let rec go k = k >= deg || (e.nb_reps.(k) = St.rep_id nbs.(k) && go (k + 1)) in
-      go 0
-    in
-    let found = Hashtbl.find_opt tbl rep in
-    match found with
-    | Some e when fresh_hit e ->
-        Atomic.incr hits;
-        e.result
-    | _ ->
-        let base =
-          match found with
-          | Some e when prefix_valid e -> min e.verified top
-          | _ -> 0
-        in
-        if base > 0 then Atomic.incr hits;
-        let i = first_bad params v ~base ~top in
-        let result = i <= top in
-        let verified = if result then i - 1 else top in
-        (match found with
-        | Some e ->
-            e.input <- input;
-            e.self_stamp <- St.stamp self;
-            if Array.length e.nb_stamps = deg then
-              for k = 0 to deg - 1 do
-                e.nb_stamps.(k) <- St.stamp nbs.(k);
-                e.nb_reps.(k) <- St.rep_id nbs.(k)
-              done
-            else begin
-              e.nb_stamps <- Array.init deg (fun k -> St.stamp nbs.(k));
-              e.nb_reps <- Array.init deg (fun k -> St.rep_id nbs.(k))
-            end;
-            e.verified <- verified;
-            e.top <- top;
-            e.result <- result
-        | None ->
-            if Hashtbl.length tbl >= cache_capacity then Hashtbl.reset tbl;
-            Hashtbl.replace tbl rep
-              {
-                input;
-                self_stamp = St.stamp self;
-                nb_stamps = Array.init deg (fun k -> St.stamp nbs.(k));
-                nb_reps = Array.init deg (fun k -> St.rep_id nbs.(k));
-                verified;
-                top;
-                result;
-              });
-        result
+      && same_stamps e.nb_stamps nbs 0
+    then begin
+      Atomic.incr hits;
+      e.result
+    end
+    else begin
+      let base =
+        if same_input && Array.length e.nb_reps = deg && same_reps e.nb_reps nbs 0
+        then if e.verified < top then e.verified else top
+        else 0
+      in
+      if base > 0 then Atomic.incr hits;
+      let i = scan params v (scratch c deg (St.cell self 0)) ~base ~top in
+      let result = i <= top in
+      let verified = if result then i - 1 else top in
+      let e =
+        if e != no_entry then e
+        else begin
+          if Tbl.length c.tbl >= cache_capacity then Tbl.reset c.tbl;
+          let e = { no_entry with input } in
+          Tbl.replace c.tbl rep e;
+          e
+        end
+      in
+      e.input <- input;
+      e.self_stamp <- St.stamp self;
+      record_neighbors e nbs;
+      e.verified <- verified;
+      e.top <- top;
+      e.result <- result;
+      result
+    end
   end
+
+let rec has_error_below nbs h k =
+  k < Array.length nbs
+  && ((St.in_error nbs.(k) && St.height nbs.(k) < h) || has_error_below nbs h (k + 1))
+
+let rec has_cliff nbs h k =
+  k < Array.length nbs && (St.height nbs.(k) >= h + 2 || has_cliff nbs h (k + 1))
 
 let dep_err _params (v : ('s, 'i) view) =
   let self = v.Algorithm.self in
   let h = St.height self in
   let nbs = v.Algorithm.neighbors in
   match St.status self with
-  | St.E -> not (Array.exists (fun q -> St.in_error q && St.height q < h) nbs)
-  | St.C -> Array.exists (fun q -> St.height q >= h + 2) nbs
+  | St.E -> not (has_error_below nbs h 0)
+  | St.C -> has_cliff nbs h 0
 
 let is_root params v = algo_err params v || dep_err params v
 
-let err_prop_index _params (v : ('s, 'i) view) =
+(* The smallest valid i is (min height of an error neighbor) + 1; it
+   must satisfy q.h < i < p.h.  Valid indices are >= 1, so 0 is the
+   "no RP rule enabled" sentinel the guard tests without an option. *)
+let err_prop_min _params (v : ('s, 'i) view) =
   let h = St.height v.Algorithm.self in
-  (* The smallest valid i is (min height of an error neighbor) + 1;
-     it must satisfy q.h < i < p.h. *)
+  let nbs = v.Algorithm.neighbors in
   let best = ref max_int in
-  Array.iter
-    (fun q -> if St.in_error q then best := min !best (St.height q))
-    v.Algorithm.neighbors;
-  if !best < max_int && !best + 1 < h then Some (!best + 1) else None
+  for k = 0 to Array.length nbs - 1 do
+    let q = nbs.(k) in
+    if St.in_error q && St.height q < !best then best := St.height q
+  done;
+  if !best < max_int && !best + 1 < h then !best + 1 else 0
+
+let err_prop_index params v =
+  match err_prop_min params v with 0 -> None | i -> Some i
+
+let rec clearable_nbs nbs h k =
+  k >= Array.length nbs
+  ||
+  let q = nbs.(k) in
+  let hq = St.height q in
+  abs (hq - h) <= 1
+  && (hq <= h || not (St.in_error q))
+  && clearable_nbs nbs h (k + 1)
 
 let can_clear_e _params (v : ('s, 'i) view) =
   let self = v.Algorithm.self in
-  let h = St.height self in
-  St.in_error self
-  && Array.for_all
-       (fun q ->
-         let hq = St.height q in
-         abs (hq - h) <= 1 && (hq <= h || not (St.in_error q)))
-       v.Algorithm.neighbors
+  St.in_error self && clearable_nbs v.Algorithm.neighbors (St.height self) 0
+
+let rec aligned_nbs nbs h k =
+  k >= Array.length nbs
+  ||
+  let hq = St.height nbs.(k) in
+  h <= hq && hq <= h + 1 && aligned_nbs nbs h (k + 1)
+
+let rec some_nb_above nbs h k =
+  k < Array.length nbs && (St.height nbs.(k) > h || some_nb_above nbs h (k + 1))
 
 let updatable params (v : ('s, 'i) view) =
   let self = v.Algorithm.self in
   let h = St.height self in
+  let nbs = v.Algorithm.neighbors in
   (not (St.in_error self))
   && below_bound params.bound h
-  && Array.for_all
-       (fun q ->
-         let hq = St.height q in
-         h <= hq && hq <= h + 1)
-       v.Algorithm.neighbors
-  && (params.mode = Greedy
-     || (not (params.sync.Sync_algo.equal (St.top self) (algo_hat params v h)))
-     || Array.exists (fun q -> St.height q > h) v.Algorithm.neighbors)
+  && aligned_nbs nbs h 0
+  &&
+  match params.mode with
+  | Greedy -> true
+  | Lazy ->
+      (* The cheap height test first: [algo_hat] runs [step] and
+         allocates its dependency array. *)
+      some_nb_above nbs h 0
+      || not (params.sync.Sync_algo.equal (St.top self) (algo_hat params v h))

@@ -98,6 +98,11 @@ val err_prop_index : ('s, 'i) params -> ('s, 'i) view -> int option
 (** The smallest [i] with [errProp(p, i) = ∃q, q.s = E ∧ q.h < i < p.h]
     (the highest-priority enabled [RP(i)] rule), if any. *)
 
+val err_prop_min : ('s, 'i) params -> ('s, 'i) view -> int
+(** {!err_prop_index} without the option: the same [i], or [0] (never
+    a valid index) when no [RP(i)] rule is enabled.  The [RP] guard
+    tests it so that a guard evaluation allocates nothing. *)
+
 val can_clear_e : ('s, 'i) params -> ('s, 'i) view -> bool
 (** [canClearE(p)]: in error, all neighbor heights within one of the
     node's, and no higher neighbor still in error — the node may leave

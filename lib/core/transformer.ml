@@ -40,7 +40,7 @@ let rule_rr ~algo_err p =
 let rule_rp p =
   {
     Algorithm.rule_name = rp;
-    guard = (fun v -> P.err_prop_index p v <> None);
+    guard = (fun v -> P.err_prop_min p v > 0);
     action =
       (fun v ->
         match P.err_prop_index p v with

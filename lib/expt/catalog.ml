@@ -301,16 +301,37 @@ let topologies =
 
 let topology_syntax () = List.map (fun (_, syntax, _) -> syntax) topologies
 
-let parse_topology rng spec =
+(* [Ok (build, tail)] when [spec] names a known family and its tail
+   has the family's shape: one integer ([ring:N]) or two joined by 'x'
+   ([torus:RxC]), as the family's syntax string shows. *)
+let split_topology spec =
+  let unknown () =
+    Error
+      (Printf.sprintf "unknown topology: %s (families: %s)" spec
+         (String.concat ", " (List.map (fun (name, _, _) -> name) topologies)))
+  in
   match String.index_opt spec ':' with
-  | None -> failwith ("unknown topology: " ^ spec)
+  | None -> unknown ()
   | Some i -> (
       let family = String.sub spec 0 i in
       let tail = String.sub spec (i + 1) (String.length spec - i - 1) in
       match List.find_opt (fun (name, _, _) -> name = family) topologies with
-      | Some (_, _, build) -> build rng tail
-      | None ->
-          failwith
-            (Printf.sprintf "unknown topology: %s (families: %s)" spec
-               (String.concat ", "
-                  (List.map (fun (name, _, _) -> name) topologies))))
+      | None -> unknown ()
+      | Some (_, syntax, build) ->
+          let is_int s = int_of_string_opt s <> None in
+          let well_formed =
+            if String.contains syntax 'x' then
+              match String.split_on_char 'x' tail with
+              | [ a; b ] -> is_int a && is_int b
+              | _ -> false
+            else is_int tail
+          in
+          if well_formed then Ok (build, tail)
+          else Error (Printf.sprintf "malformed topology %s: expected %s" spec syntax))
+
+let check_topology spec = Result.map ignore (split_topology spec)
+
+let parse_topology rng spec =
+  match split_topology spec with
+  | Ok (build, tail) -> build rng tail
+  | Error e -> failwith e

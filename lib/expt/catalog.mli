@@ -66,7 +66,14 @@ val topology_syntax : unit -> string list
 (** One [family:ARGS] usage string per graph family, for help texts
     and [fasst list]. *)
 
+val check_topology : string -> (unit, string) result
+(** [Ok ()] when a CLI topology spec names a known family and its
+    arguments are integers of the family's shape ([ring:N],
+    [torus:RxC]); [Error] with a message otherwise.  Builds nothing
+    and draws nothing: a builder may still reject out-of-range sizes. *)
+
 val parse_topology : Ss_prelude.Rng.t -> string -> Ss_graph.Graph.t
 (** Parse a CLI topology spec ([ring:16], [torus:4x6], [gk:3], …).
     The rng feeds the random families.
-    @raise Failure on an unknown family or malformed dimensions. *)
+    @raise Failure on an unknown family or malformed dimensions
+    (the {!check_topology} message). *)

@@ -420,20 +420,25 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   in
   let c = fresh_counters () in
 
+  (* One message and one wire size per move, shared by every outgoing
+     channel: messages are immutable, and the size depends only on the
+     message. *)
   let broadcast_move v new_state rule_name =
-    let nbrs = Graph.neighbors g v in
-    Array.iteri
-      (fun i _u ->
-        c.update_messages <- c.update_messages + 1;
-        let msg =
-          match encoding with
-          | Full_state -> Update_full new_state
-          | Delta -> Update_delta (delta_of_move rule_name new_state)
-        in
-        let bits = message_bits msg in
-        c.update_bits <- c.update_bits + bits;
-        send chan_of.(v).(i) msg bits)
-      nbrs
+    let out = chan_of.(v) in
+    let deg = Array.length out in
+    if deg > 0 then begin
+      let msg =
+        match encoding with
+        | Full_state -> Update_full new_state
+        | Delta -> Update_delta (delta_of_move rule_name new_state)
+      in
+      let bits = message_bits msg in
+      c.update_messages <- c.update_messages + deg;
+      c.update_bits <- c.update_bits + (deg * bits);
+      for i = 0 to deg - 1 do
+        send out.(i) msg bits
+      done
+    end
   in
 
   let view_of v =
@@ -456,10 +461,13 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
     let continue = ref true in
     while !continue && !budget > 0 do
       decr budget;
-      match Algorithm.enabled_rule algo (view_of v) with
+      (* The guard and the action read one view: nothing writes v's
+         state or mirrors in between. *)
+      let view = view_of v in
+      match Algorithm.enabled_rule algo view with
       | None -> continue := false
       | Some rule ->
-          let new_state = rule.Algorithm.action (view_of v) in
+          let new_state = rule.Algorithm.action view in
           states.(v) <- new_state;
           c.rule_executions <- c.rule_executions + 1;
           broadcast_move v new_state rule.Algorithm.rule_name

@@ -1,16 +1,26 @@
-let ceil_log2 n =
-  if n < 1 then invalid_arg "Util.ceil_log2";
-  let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
-  go 0 1
-
+(* Plain loops over unescaping refs: no closure, no allocation, and no
+   doubling probe that could overflow past 2^61. *)
 let bit_width n =
   if n < 0 then invalid_arg "Util.bit_width";
-  let rec go k p = if n < p then k else go (k + 1) (p * 2) in
-  go 1 2
+  let k = ref 1 and m = ref (n lsr 1) in
+  while !m > 0 do
+    incr k;
+    m := !m lsr 1
+  done;
+  !k
+
+(* The least k with 2^k >= n is the bit width of n - 1 (for n >= 2). *)
+let ceil_log2 n =
+  if n < 1 then invalid_arg "Util.ceil_log2";
+  if n = 1 then 0 else bit_width (n - 1)
 
 let log_star n =
-  let rec go k m = if m <= 1 then k else go (k + 1) (ceil_log2 m) in
-  go 0 n
+  let k = ref 0 and m = ref n in
+  while !m > 1 do
+    incr k;
+    m := ceil_log2 !m
+  done;
+  !k
 
 let sum = List.fold_left ( + ) 0
 

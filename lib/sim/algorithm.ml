@@ -13,8 +13,18 @@ type ('s, 'i) t = {
   pp_state : Format.formatter -> 's -> unit;
 }
 
-let enabled_rule algo view = List.find_opt (fun r -> r.guard view) algo.rules
-let is_enabled algo view = List.exists (fun r -> r.guard view) algo.rules
+(* Direct recursion over the rule list: a guard sweep runs on every
+   event, and List.find_opt/exists would allocate a closure per call. *)
+let rec first_enabled view = function
+  | [] -> None
+  | r :: rest -> if r.guard view then Some r else first_enabled view rest
+
+let rec any_enabled view = function
+  | [] -> false
+  | r :: rest -> r.guard view || any_enabled view rest
+
+let enabled_rule algo view = first_enabled view algo.rules
+let is_enabled algo view = any_enabled view algo.rules
 let rule_names algo = List.map (fun r -> r.rule_name) algo.rules
 
 let map_input f algo =

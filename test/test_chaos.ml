@@ -114,6 +114,29 @@ let test_plan_horizon () =
       (Fault_plan.consult plan ~event = Fault_plan.Deliver)
   done
 
+(* Allocation tripwire: a consult runs on every chaos event, so its
+   three draws and its verdict must allocate nothing. *)
+let test_plan_allocation () =
+  let plan =
+    Fault_plan.v
+      ~rates:(Fault_plan.rates ~drop_ppm:100_000 ~reorder_ppm:50_000 ~dup_ppm:20_000 ())
+      ~seed:5 ()
+  in
+  let drops = ref 0 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let consults () =
+    for event = 0 to 9_999 do
+      if Fault_plan.consult plan ~event = Fault_plan.Drop then incr drops
+    done
+  in
+  Alcotest.(check (float 0.))
+    "consult: 0 words" (words ignore) (words consults);
+  check "the plan fired" true (!drops > 0)
+
 let test_plan_corruption_schedule () =
   (* The schedule is deduplicated and sorted; each due index fires
      exactly once, at the first event at or past it. *)
@@ -378,6 +401,7 @@ let () =
           Alcotest.test_case "null consult" `Quick test_plan_null_consult;
           Alcotest.test_case "replay" `Quick test_plan_replay;
           Alcotest.test_case "horizon" `Quick test_plan_horizon;
+          Alcotest.test_case "allocation" `Quick test_plan_allocation;
           Alcotest.test_case "corruption schedule" `Quick
             test_plan_corruption_schedule;
         ] );

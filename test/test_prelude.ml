@@ -86,7 +86,93 @@ let test_pinned_streams () =
   let g = Rng.create 2024 in
   List.iter
     (fun expected -> check_int "create 2024 stream" expected (Rng.int g 97))
-    [ 12; 89; 71; 64 ]
+    [ 12; 89; 71; 64 ];
+  let check_i64 = Alcotest.(check int64) in
+  let g = Rng.create 7 in
+  List.iter
+    (fun expected -> check_i64 "bits64 stream" expected (Rng.bits64 g))
+    [ -8774268681488515761L; 5573481420429128725L; -1088427420777695408L ];
+  let g = Rng.create 7 in
+  let s = Rng.split g in
+  check_i64 "split child" (-8329645779151318480L) (Rng.bits64 s);
+  check_i64 "split advances the parent once" 5573481420429128725L (Rng.bits64 g);
+  let s = Rng.split_at ~seed:42 ~index:3 in
+  check_i64 "split_at first" (-9101881393870088490L) (Rng.bits64 s);
+  check_i64 "split_at second" 835767281430137343L (Rng.bits64 s);
+  let g = Rng.create 9 in
+  ignore (Rng.bits64 g);
+  let c = Rng.copy g in
+  check_i64 "copy continues" 9098563821330842174L (Rng.bits64 c);
+  check_i64 "original continues" 9098563821330842174L (Rng.bits64 g);
+  let draws g f n = List.init n (fun _ -> f g) in
+  Alcotest.(check (list bool))
+    "bool stream"
+    [ true; true; true; true; false; false; false; true ]
+    (draws (Rng.create 11) Rng.bool 8);
+  Alcotest.(check (list (float 0.)))
+    "float stream"
+    [ 0x1.7720f82d73776p-1; 0x1.6ed1214cc7397p-1; 0x1.b12c838896966p-2 ]
+    (draws (Rng.create 12) (fun g -> Rng.float g 1.0) 3);
+  Alcotest.(check (list bool))
+    "chance stream"
+    [ false; false; false; false; false; false; true; false ]
+    (draws (Rng.create 13) (fun g -> Rng.chance g 0.3) 8);
+  Alcotest.(check (list int))
+    "int_in stream" [ 0; 3; -4; -3; -4; 0 ]
+    (draws (Rng.create 14) (fun g -> Rng.int_in g (-5) 5) 6);
+  let a = Array.init 8 Fun.id in
+  Rng.shuffle (Rng.create 15) a;
+  Alcotest.(check (array int)) "shuffle" [| 6; 4; 7; 2; 3; 1; 5; 0 |] a;
+  (* Bounds past 2^61 exercise the rejection test near the top of the
+     63-bit draw range. *)
+  let g = Rng.create 16 in
+  Alcotest.(check (list int))
+    "int max_int stream"
+    [ 3645404501289447747; 3666696503559829847; 3571222584647428336 ]
+    (draws g (fun g -> Rng.int g max_int) 3);
+  Alcotest.(check (list int))
+    "int 2^61+12345 stream"
+    [ 360151682654433995; 1649047870767490993; 1107540886123373426 ]
+    (draws g (fun g -> Rng.int g ((1 lsl 61) + 12345)) 3)
+
+(* Minor words allocated by [f ()], less the cost of measuring an
+   empty thunk, so a zero-allocation [f] reads exactly 0. *)
+let minor_words f =
+  let cost g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  cost f -. cost ignore
+
+(* Allocation tripwire: the generator's state is unboxed, so a bounded
+   draw allocates nothing and [bits64] allocates only its boxed
+   result (a 3-word custom block). *)
+let test_rng_allocation () =
+  let g = Rng.create 3 in
+  let draws = 10_000 in
+  let acc = ref 0 in
+  let ints () =
+    for _ = 1 to draws do
+      acc := !acc + Rng.int g 1_000_003 + Rng.int g max_int
+    done
+  in
+  Alcotest.(check (float 0.)) "Rng.int: 0 words" 0. (minor_words ints);
+  let small () =
+    for _ = 1 to draws do
+      if Rng.bool g && Rng.chance g 0.5 then incr acc;
+      acc := !acc + Rng.int_in g (-9) 9
+    done
+  in
+  Alcotest.(check (float 0.)) "bool/chance/int_in: 0 words" 0. (minor_words small);
+  let bits () =
+    for _ = 1 to draws do
+      if Rng.bits64 g = 0L then incr acc
+    done
+  in
+  Alcotest.(check (float 0.))
+    "Rng.bits64: only the boxed result" (float_of_int (3 * draws))
+    (minor_words bits)
 
 let test_split_per () =
   (* split_per pairs each element with a split drawn in list order —
@@ -209,19 +295,24 @@ let test_nonempty_subset () =
 let test_ceil_log2 () =
   List.iter
     (fun (n, expect) -> check_int (Printf.sprintf "ceil_log2 %d" n) expect (Util.ceil_log2 n))
-    [ (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (8, 3); (9, 4); (1024, 10); (1025, 11) ];
+    [ (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (8, 3); (9, 4); (1024, 10); (1025, 11);
+      (1 lsl 61, 61); ((1 lsl 61) + 1, 62); (max_int, 62) ];
   Alcotest.check_raises "n=0 rejected" (Invalid_argument "Util.ceil_log2")
     (fun () -> ignore (Util.ceil_log2 0))
 
 let test_bit_width () =
   List.iter
     (fun (n, expect) -> check_int (Printf.sprintf "bit_width %d" n) expect (Util.bit_width n))
-    [ (0, 1); (1, 1); (2, 2); (3, 2); (4, 3); (7, 3); (8, 4); (255, 8); (256, 9) ]
+    [ (0, 1); (1, 1); (2, 2); (3, 2); (4, 3); (7, 3); (8, 4); (255, 8); (256, 9);
+      ((1 lsl 61) - 1, 61); (1 lsl 61, 62); ((1 lsl 61) + 1, 62); (max_int, 62) ];
+  Alcotest.check_raises "n<0 rejected" (Invalid_argument "Util.bit_width")
+    (fun () -> ignore (Util.bit_width (-1)))
 
 let test_log_star () =
   List.iter
     (fun (n, expect) -> check_int (Printf.sprintf "log* %d" n) expect (Util.log_star n))
-    [ (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (16, 3); (17, 4); (65536, 4); (65537, 5) ]
+    [ (0, 0); (1, 0); (2, 1); (3, 2); (4, 2); (5, 3); (16, 3); (17, 4); (65536, 4);
+      (65537, 5); (1 lsl 61, 5); ((1 lsl 61) + 1, 5); (max_int, 5) ]
 
 let test_list_helpers () =
   check_int "sum" 10 (Util.sum [ 1; 2; 3; 4 ]);
@@ -343,6 +434,7 @@ let () =
             test_split_at_decorrelated;
           Alcotest.test_case "pinned streams" `Quick test_pinned_streams;
           Alcotest.test_case "split_per" `Quick test_split_per;
+          Alcotest.test_case "allocation" `Quick test_rng_allocation;
           Alcotest.test_case "int bounds" `Quick test_int_bounds;
           Alcotest.test_case "int_in" `Quick test_int_in;
           Alcotest.test_case "int covers range" `Quick test_int_covers_range;

@@ -342,6 +342,38 @@ let test_quiescent_view_disabled () =
   let v = view ~input:5 (st 5 [ 5 ]) [ st 9 [ 9 ] ] in
   check "no rule enabled" true (rule_of v = "none")
 
+(* Allocation tripwire for the guard sweep both run loops pay on every
+   event.  Once a node's verification watermark is cached, a full
+   [enabled_rule] evaluation of the four rules allocates at most its
+   [Some] result and, for a lazy RU check, the dependency array of one
+   [algo_hat].  This instance measures ~2 words per evaluation, against
+   ~17 when the guards went through closures, options and a fresh
+   dependency array per scan. *)
+let test_cached_guard_allocation () =
+  let n = 64 in
+  let g = Builders.cycle n in
+  let params = lazy_params in
+  let algo = Transformer.algorithm params in
+  let clean = Transformer.clean_config params g ~inputs:(fun p -> (p * 37) mod n) in
+  let config = Transformer.corrupt (Rng.create 4) ~max_height:12 params clean in
+  let views = Array.init n (Config.view config) in
+  let enabled = ref 0 in
+  let sweep () =
+    Array.iter
+      (fun v -> if Option.is_some (Algorithm.enabled_rule algo v) then incr enabled)
+      views
+  in
+  sweep ();
+  check "some rule enabled" true (!enabled > 0);
+  let rounds = 50 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    sweep ()
+  done;
+  let per_eval = (Gc.minor_words () -. w0) /. float_of_int (rounds * n) in
+  check (Printf.sprintf "%.1f words per cached evaluation <= 4" per_eval) true
+    (per_eval <= 4.)
+
 (* ------------------------------------------------------------------ *)
 (* Params and corruption                                                *)
 (* ------------------------------------------------------------------ *)
@@ -760,6 +792,8 @@ let () =
             test_orphaned_error_node_is_root;
           Alcotest.test_case "RU action" `Quick test_ru_action_extends;
           Alcotest.test_case "quiescence" `Quick test_quiescent_view_disabled;
+          Alcotest.test_case "cached guard allocation" `Quick
+            test_cached_guard_allocation;
         ] );
       ( "params / faults",
         [
