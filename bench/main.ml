@@ -119,12 +119,12 @@ let recovery_start ~n =
 
 let bench_full_recovery ~n () =
   let params, start = recovery_start ~n in
-  fun () -> ignore (Core.Transformer.run params Sim.Daemon.synchronous start)
+  fun () -> ignore (Core.Registry.Trans.run params Sim.Daemon.synchronous start)
 
 let bench_full_recovery_naive ~n () =
   let params, start = recovery_start ~n in
   fun () ->
-    ignore (Core.Transformer.run_naive params Sim.Daemon.synchronous start)
+    ignore (Core.Registry.Trans.run_naive params Sim.Daemon.synchronous start)
 
 (* Packed vs boxed full recovery under a finite bound.  A packed slab
    holds a single live timeline (the engine mutates it in place), so a
@@ -147,7 +147,7 @@ let bench_recovery_layout ~packed ~n () =
       else Core.Transformer.clean_config params g ~inputs
     in
     let start = Core.Transformer.corrupt rng ~max_height:16 params clean in
-    ignore (Core.Transformer.run params Sim.Daemon.synchronous start)
+    ignore (Core.Registry.Trans.run params Sim.Daemon.synchronous start)
 
 (* Message-network end-to-end recovery: corrupted Cole-Vishkin ring
    coloring (§5.3's ring instance — its finite bound keeps per-event
@@ -290,7 +290,7 @@ let deep_ladder_start ~n =
 let bench_deep_ladder ~cached ~n () =
   let params, start = deep_ladder_start ~n in
   if cached then fun () ->
-    ignore (Core.Transformer.run params Sim.Daemon.synchronous start)
+    ignore (Core.Registry.Trans.run params Sim.Daemon.synchronous start)
   else fun () ->
     ignore
       (Sim.Engine.run

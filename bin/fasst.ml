@@ -120,10 +120,23 @@ let bound_arg =
   let doc = "Bound B on the synchronous time (positive integer, or 'inf')." in
   Arg.(value & opt bound_conv P.Infinite & info [ "b"; "bound" ] ~doc)
 
+let probability_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0. && p <= 1. -> Ok p
+    | _ ->
+        Error
+          (Printf.sprintf "invalid probability %S: expected a number in [0, 1]" s)
+  in
+  Arg.conv' (parse, Format.pp_print_float)
+
 let corrupt_arg =
   Arg.(
-    value & opt float 1.0
-    & info [ "p"; "corruption" ] ~doc:"Per-node fault probability.")
+    value & opt probability_conv 1.0
+    & info [ "p"; "corruption" ] ~doc:"Per-node fault probability, in [0, 1].")
+
+(* A name from a catalog list: anything else is a usage error. *)
+let name_conv names = Arg.enum (List.map (fun n -> (n, n)) names)
 
 let layout_arg =
   let doc =
@@ -265,7 +278,7 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
         Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
       in
       let outcome =
-        Core.Registry.measure entry ?budget ~corrupt:(`All p)
+        Core.Registry.measure entry ?budget ~p
           ~rng:(Rng.split rng) ~daemon
           ~max_height:(min (P.bound_to_int bound) 1_000_000)
           ~spec params graph ~inputs
@@ -329,7 +342,7 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
 let run_cmd =
   let algo =
     Arg.(
-      value & opt string "leader"
+      value & opt (name_conv (Catalog.algo_names ())) "leader"
       & info [ "a"; "algorithm" ]
           ~doc:
             ("Algorithm: "
@@ -338,7 +351,7 @@ let run_cmd =
   in
   let transformer =
     Arg.(
-      value & opt string "trans"
+      value & opt (name_conv (Catalog.transformer_names ())) "trans"
       & info [ "T"; "transformer" ]
           ~doc:
             ("Transformer: "
@@ -676,7 +689,7 @@ let trace_run json topology daemon seed out =
     Stabilization.corrupted_start (Rng.split rng) ~max_height:(t + 4) sc
   in
   let observer, events = Ss_sim.Trace.make () in
-  let stats = Core.Registry.Trans.run ~observer params daemon start in
+  let stats = Core.Registry.Trans.run ~sinks:[ observer ] params daemon start in
   let payload =
     if json then Json.to_string (Ss_sim.Trace.to_json (events ())) ^ "\n"
     else Ss_sim.Trace.to_csv (events ())

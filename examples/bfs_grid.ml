@@ -11,7 +11,7 @@
 
 module G = Ss_graph
 module Sim = Ss_sim
-module Core = Ss_core
+module Trans = Ss_core.Registry.Trans
 module Bfs = Ss_algos.Bfs_tree
 
 let rows = 5
@@ -22,19 +22,19 @@ let () =
   let rng = Ss_prelude.Rng.create 7 in
   let graph = G.Builders.grid ~rows ~cols in
   let inputs = Bfs.inputs graph ~root in
-  let params = Core.Transformer.params Bfs.algo in
+  let params = Trans.params Bfs.algo in
 
   let start =
-    Core.Transformer.corrupt rng ~max_height:15 params
-      (Core.Transformer.clean_config params graph ~inputs)
+    Trans.corrupt rng ~max_height:15 params
+      (Trans.clean_config params graph ~inputs)
   in
   (* central-min is deterministic and unfair: it starves high-id nodes
      whenever it can — the transformer does not care. *)
-  let stats = Core.Transformer.run params Sim.Daemon.central_min start in
+  let stats = Trans.run params Sim.Daemon.central_min start in
   Printf.printf "%dx%d grid, root %d: converged in %d moves / %d rounds\n\n"
     rows cols root stats.Sim.Engine.moves stats.Sim.Engine.rounds;
 
-  let final = Core.Transformer.outputs stats.Sim.Engine.final in
+  let final = Trans.outputs stats.Sim.Engine.final in
   let dist = G.Properties.bfs_distances graph root in
 
   (* Parent direction arrows, row by row. *)

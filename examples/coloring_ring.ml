@@ -12,7 +12,7 @@
 
 module G = Ss_graph
 module Sim = Ss_sim
-module Core = Ss_core
+module Trans = Ss_core.Registry.Trans
 module Cv = Ss_algos.Cole_vishkin
 module P = Ss_core.Predicates
 
@@ -32,13 +32,13 @@ let () =
     n width t;
 
   (* Greedy mode with B = T: simulate exactly T rounds, eagerly. *)
-  let params = Core.Transformer.params ~mode:P.Greedy ~bound:(P.Finite t) Cv.algo in
+  let params = Trans.params ~mode:P.Greedy ~bound:(P.Finite t) Cv.algo in
   let start =
-    Core.Transformer.corrupt rng ~max_height:t params
-      (Core.Transformer.clean_config params graph ~inputs)
+    Trans.corrupt rng ~max_height:t params
+      (Trans.clean_config params graph ~inputs)
   in
   let stats =
-    Core.Transformer.run params (Sim.Daemon.distributed_random rng ~p:0.6) start
+    Trans.run params (Sim.Daemon.distributed_random rng ~p:0.6) start
   in
   Printf.printf
     "converged in %d rounds (ring diameter is %d — note rounds << D) and %d \
@@ -47,7 +47,7 @@ let () =
     (G.Properties.diameter graph)
     stats.Sim.Engine.moves;
 
-  let final = Core.Transformer.outputs stats.Sim.Engine.final in
+  let final = Trans.outputs stats.Sim.Engine.final in
   print_string "colors: ";
   Array.iter (fun s -> print_string (string_of_int s.Cv.color)) final;
   print_newline ();

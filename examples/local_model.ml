@@ -20,7 +20,7 @@
 
 module G = Ss_graph
 module Sim = Ss_sim
-module Core = Ss_core
+module Trans = Ss_core.Registry.Trans
 module Lv = Ss_algos.Local_views
 module Util = Ss_prelude.Util
 
@@ -37,23 +37,23 @@ let () =
       ~pp:Format.pp_print_int
   in
   let inputs p = { Lv.self_input = ids p; radius } in
-  let params = Core.Transformer.params views in
+  let params = Trans.params views in
 
   Printf.printf "3x5 grid, radius-%d view collection (T = %d rounds)\n" radius
     radius;
 
   (* Corrupt every node's collected views, then self-stabilize. *)
   let start =
-    Core.Transformer.corrupt rng ~max_height:(radius + 3) params
-      (Core.Transformer.clean_config params graph ~inputs)
+    Trans.corrupt rng ~max_height:(radius + 3) params
+      (Trans.clean_config params graph ~inputs)
   in
   let stats =
-    Core.Transformer.run params (Sim.Daemon.distributed_random rng ~p:0.5) start
+    Trans.run params (Sim.Daemon.distributed_random rng ~p:0.5) start
   in
   Printf.printf "converged in %d moves / %d rounds\n\n" stats.Sim.Engine.moves
     stats.Sim.Engine.rounds;
 
-  let final = Core.Transformer.outputs stats.Sim.Engine.final in
+  let final = Trans.outputs stats.Sim.Engine.final in
   Printf.printf "%-6s %-6s %-12s %-12s %-10s\n" "node" "id" "min-in-ball"
     "ball-walks" "local-min?";
   G.Graph.iter_nodes graph (fun p ->

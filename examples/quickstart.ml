@@ -12,6 +12,7 @@
 module G = Ss_graph
 module Sim = Ss_sim
 module Core = Ss_core
+module Trans = Ss_core.Registry.Trans
 module Leader = Ss_algos.Leader_election
 
 let () =
@@ -25,12 +26,12 @@ let () =
   print_newline ();
 
   (* 2. The transformer: lazy mode, no bound needed (B = +inf). *)
-  let params = Core.Transformer.params Leader.algo in
+  let params = Trans.params Leader.algo in
 
   (* 3. Transient faults: every node's simulation state is scrambled. *)
   let start =
-    Core.Transformer.corrupt rng ~max_height:12 params
-      (Core.Transformer.clean_config params graph ~inputs)
+    Trans.corrupt rng ~max_height:12 params
+      (Trans.clean_config params graph ~inputs)
   in
   Printf.printf "faults injected: heights %s, %d node(s) in error status\n"
     (String.concat ","
@@ -40,7 +41,7 @@ let () =
 
   (* 4. A fully asynchronous adversary: random nonempty subsets. *)
   let daemon = Sim.Daemon.distributed_random rng ~p:0.4 in
-  let stats = Core.Transformer.run params daemon start in
+  let stats = Trans.run params daemon start in
 
   (* 5. The verdict. *)
   Printf.printf "converged in %d moves / %d rounds (%d steps)\n"
@@ -48,7 +49,7 @@ let () =
   List.iter
     (fun (rule, count) -> Printf.printf "  rule %s fired %d times\n" rule count)
     stats.Sim.Engine.moves_per_rule;
-  let outputs = Core.Transformer.outputs stats.Sim.Engine.final in
+  let outputs = Trans.outputs stats.Sim.Engine.final in
   let elected = outputs.(0) in
   Printf.printf "every node designates leader %d: %b\n" elected
     (Leader.spec_holds graph ~inputs ~final:outputs);

@@ -14,6 +14,7 @@
 module G = Ss_graph
 module Sim = Ss_sim
 module Core = Ss_core
+module Trans = Ss_core.Registry.Trans
 module Lbfs = Ss_algos.Leader_bfs
 module Leader = Ss_algos.Leader_election
 module Energy = Ss_energy.Energy
@@ -29,24 +30,26 @@ let () =
     (G.Graph.m graph)
     (G.Properties.diameter graph);
 
-  let params = Core.Transformer.params ~bound:(P.Finite 24) Lbfs.algo in
+  let params = Trans.params ~bound:(P.Finite 24) Lbfs.algo in
   let history = Ss_sync.Sync_runner.run Lbfs.algo graph ~inputs in
   Printf.printf "synchronous leader+BFS terminates in T = %d rounds\n\n"
     history.Ss_sync.Sync_runner.t;
 
-  let config = ref (Core.Transformer.clean_config params graph ~inputs) in
+  let config = ref (Trans.clean_config params graph ~inputs) in
   for burst = 1 to 3 do
     (* Fault burst: 60% of the sensors are hit. *)
-    config := Core.Transformer.corrupt rng ~p:0.6 ~max_height:20 params !config;
+    config := Trans.corrupt rng ~p:0.6 ~max_height:20 params !config;
     Printf.printf "burst %d: %d sensors in error status, max cliff %d\n" burst
       (Core.Checker.error_count !config)
       (Core.Checker.max_cliff !config);
 
     let daemon = Sim.Daemon.distributed_random rng ~p:0.35 in
-    let stats, cost = Energy.measure params daemon !config in
+    let meter, cost = Energy.sink params graph in
+    let stats = Trans.run ~sinks:[ meter ] params daemon !config in
+    let cost = cost stats in
     config := stats.Sim.Engine.final;
 
-    let outputs = Core.Transformer.outputs !config in
+    let outputs = Trans.outputs !config in
     let ok = Lbfs.spec_holds graph ~inputs ~final:outputs in
     Printf.printf
       "  re-converged: %d moves, %d rounds; coordinator %d, tree valid: %b\n"

@@ -1,6 +1,5 @@
 module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
-module Engine = Ss_sim.Engine
 module Sync_algo = Ss_sync.Sync_algo
 module Sync_runner = Ss_sync.Sync_runner
 module Util = Ss_prelude.Util
@@ -94,9 +93,7 @@ let algorithm_uncached p =
    the packed backend and the fault model are shared. *)
 let clean_config = T.clean_config
 let packed_config = T.packed_config
-let corrupt_state = T.corrupt_state
 let corrupt = T.corrupt
-let outputs = T.outputs
 
 let converged_config p hist g ~inputs =
   let b = bound_of p in
@@ -107,31 +104,11 @@ let converged_config p hist g ~inputs =
           (Array.init b (fun i ->
                Sync_runner.state_at hist ~round:(i + 1) ~node)))
 
-let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
-    ?(sharded = false) ?observer ?sinks p daemon config =
-  let algo = algorithm p in
-  let sinks = Option.value sinks ~default:[] in
-  let sinks =
-    if not self_check then sinks
-    else
-      Engine.divergence_sink
-        ~checked:("cached", Config.enabled_nodes algo)
-        ~reference:("uncached", Config.enabled_nodes (algorithm_uncached p))
-      :: sinks
-  in
-  Engine.run ?budget ?max_steps ?max_moves ?now ?chaos ~self_check ~sharded
-    ?observer ~sinks algo daemon config
-
-let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks p daemon
-    config =
-  Engine.run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks
-    (algorithm_uncached p) daemon config
-
 (* ------------------------------------------------------------------ *)
 (* Registry entry                                                       *)
 (* ------------------------------------------------------------------ *)
 
-module Entry = struct
+module Hooks = struct
   let name = "adaptive"
 
   let doc =
@@ -149,8 +126,8 @@ module Entry = struct
   let algorithm = algorithm
   let reference_algorithm = algorithm_uncached
   let clean_config = clean_config
-  let corrupt_state = corrupt_state
-  let outputs = outputs
+  let corrupt_state = T.corrupt_state
+  let outputs = T.outputs
   let space_bits = Checker.space_bits
 
   (* Delta encoding in the §6 style: a move announces its rule label
@@ -176,6 +153,11 @@ module Entry = struct
     else if not (Checker.simulates_history p hist config) then
       Error "terminal lists do not match the synchronous history"
     else Ok ()
+end
+
+module Entry = struct
+  include Hooks
+  include Ss_core.Registry.Make (Hooks)
 end
 
 let transformer : Ss_core.Registry.entry = (module Entry)

@@ -73,15 +73,6 @@ val packed_config :
 (** Packed-arena twin of {!clean_config}
     ({!Ss_core.Transformer.packed_config}). *)
 
-val corrupt_state :
-  Ss_prelude.Rng.t ->
-  max_height:int ->
-  ('s, 'i) Ss_core.Predicates.params ->
-  'i ->
-  's Ss_core.Trans_state.t ->
-  's Ss_core.Trans_state.t
-(** The §3 fault model, unchanged. *)
-
 val corrupt :
   Ss_prelude.Rng.t ->
   ?p:float ->
@@ -89,10 +80,7 @@ val corrupt :
   ('s, 'i) Ss_core.Predicates.params ->
   ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
   ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t
-
-val outputs :
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t -> 's array
-(** Each node's newest cell. *)
+(** {!Ss_core.Transformer.corrupt}: the §3 fault model, unchanged. *)
 
 val converged_config :
   ('s, 'i) Ss_core.Predicates.params ->
@@ -106,43 +94,19 @@ val converged_config :
     adaptivity experiments, which corrupt [k] of its nodes and measure
     the recovery. *)
 
-val run :
-  ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
-  ?now:(unit -> float) ->
-  ?chaos:('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.chaos ->
-  ?self_check:bool ->
-  ?sharded:bool ->
-  ?observer:('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.observer ->
-  ?sinks:('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.observer list ->
-  ('s, 'i) Ss_core.Predicates.params ->
-  Ss_sim.Daemon.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.stats
-(** Dirty-set engine run, mirroring {!Ss_core.Transformer.run}
-    ([self_check] re-derives enabled sets with the uncached
-    predicates). *)
+module Entry : sig
+  include
+    Ss_core.Registry.TRANSFORMER
+      with type 's state = 's Ss_core.Trans_state.t
 
-val run_naive :
-  ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
-  ?now:(unit -> float) ->
-  ?observer:('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.observer ->
-  ?sinks:('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.observer list ->
-  ('s, 'i) Ss_core.Predicates.params ->
-  Ss_sim.Daemon.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.stats
-(** Full-rescan reference engine over the uncached algorithm. *)
-
-module Entry :
-  Ss_core.Registry.TRANSFORMER with type 's state = 's Ss_core.Trans_state.t
-(** The adaptive transformer behind the registry interface: finite
-    bounds only; delta-style [move_bits] (new cell for [RX], new
-    height for [RS], label only for [CO]); terminal legitimacy = all
-    heights [B] + correct simulation contents. *)
+  include Ss_core.Registry.RUN with type 's state := 's state
+end
+(** The adaptive transformer behind the registry interface, with its
+    {!Ss_core.Registry.RUN} layer ([run], the [run_naive] reference
+    twin over {!algorithm_uncached}, [measure]): finite bounds only;
+    delta-style [move_bits] (new cell for [RX], new height for [RS],
+    label only for [CO]); terminal legitimacy = all heights [B] +
+    correct simulation contents. *)
 
 val transformer : Ss_core.Registry.entry
 (** {!Entry} as a registry entry; entered into the table by

@@ -66,10 +66,119 @@ let find_exn n =
            (String.concat ", " (List.map fst !table)))
 
 (* ------------------------------------------------------------------ *)
+(* Generic runs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type 's summary = {
+  moves : int;
+  steps : int;
+  rounds : int;
+  terminated : bool;
+  legitimate : bool;
+  space_bits : int;
+  moves_per_rule : (string * int) list;
+  outputs : 's array;
+}
+
+module type RUN = sig
+  type 's state
+
+  val run :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?max_moves:int ->
+    ?now:(unit -> float) ->
+    ?chaos:('s state, 'i) Engine.chaos ->
+    ?self_check:bool ->
+    ?sharded:bool ->
+    ?sinks:('s state, 'i) Engine.observer list ->
+    ('s, 'i) P.params ->
+    Ss_sim.Daemon.t ->
+    ('s state, 'i) Config.t ->
+    ('s state, 'i) Engine.stats
+
+  val run_naive :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?max_moves:int ->
+    ?now:(unit -> float) ->
+    ?sinks:('s state, 'i) Engine.observer list ->
+    ('s, 'i) P.params ->
+    Ss_sim.Daemon.t ->
+    ('s state, 'i) Config.t ->
+    ('s state, 'i) Engine.stats
+
+  val measure :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?sharded:bool ->
+    ?sinks:('s state, 'i) Engine.observer list ->
+    ?hist:('s, 'i) Sync_runner.history ->
+    ('s, 'i) P.params ->
+    daemon:Ss_sim.Daemon.t ->
+    start:('s state, 'i) Config.t ->
+    's summary
+end
+
+module Make (T : TRANSFORMER) = struct
+  let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
+      ?(sharded = false) ?(sinks = []) p daemon config =
+    let algo = T.algorithm p in
+    let sinks =
+      if not self_check then sinks
+      else
+        (* The production predicates (caches included) are validated the
+           way the dirty-set scheduler is: a sink re-derives the enabled
+           set with the reference twin and compares. *)
+        sinks
+        @ [
+            Engine.divergence_sink
+              ~checked:("cached", Config.enabled_nodes algo)
+              ~reference:
+                ("uncached", Config.enabled_nodes (T.reference_algorithm p));
+          ]
+    in
+    Engine.run ?budget ?max_steps ?max_moves ?now ?chaos ~self_check ~sharded
+      ~sinks algo daemon config
+
+  let run_naive ?budget ?max_steps ?max_moves ?now ?sinks p daemon config =
+    Engine.run_naive ?budget ?max_steps ?max_moves ?now ?sinks
+      (T.reference_algorithm p) daemon config
+
+  let measure ?budget ?max_steps ?sharded ?sinks ?hist p ~daemon ~start =
+    let stats = run ?budget ?max_steps ?sharded ?sinks p daemon start in
+    (* Under a finite bound only rounds 0..B of the ground truth are
+       ever consulted (heights never exceed B), so the history can be
+       cut there — O(B·n) memory instead of O(T·n) at n = 10^6. *)
+    let hist =
+      match hist with
+      | Some h -> h
+      | None ->
+          let stop_after =
+            match p.P.bound with P.Finite b -> Some b | P.Infinite -> None
+          in
+          Sync_runner.run ?stop_after p.P.sync start.Config.graph
+            ~inputs:(Config.input start)
+    in
+    let final = stats.Engine.final in
+    {
+      moves = stats.Engine.moves;
+      steps = stats.Engine.steps;
+      rounds = stats.Engine.rounds;
+      terminated = stats.Engine.terminated;
+      legitimate =
+        stats.Engine.terminated && T.legitimate_terminal p hist final = Ok ();
+      space_bits = T.space_bits p final;
+      moves_per_rule = stats.Engine.moves_per_rule;
+      outputs = T.outputs final;
+    }
+end
+
+(* ------------------------------------------------------------------ *)
 (* The §3 transformer                                                   *)
 (* ------------------------------------------------------------------ *)
 
-module Trans = struct
+module Trans_hooks = struct
   include Transformer
 
   let name = "trans"
@@ -84,9 +193,9 @@ module Trans = struct
   let reference_algorithm = algorithm_uncached
   let space_bits = Checker.space_bits
 
-  (* §6's delta encoding — kept in lock-step with Ss_energy.delta_bits
-     (which owns the analytical model; this hook feeds the
-     transformer-comparison grid). *)
+  (* §6's delta encoding: the only definition of a §3 move's wire
+     cost — the transformer grid and Ss_energy's cost model both read
+     it. *)
   let move_bits p ~rule st =
     let label = 2 in
     if rule = ru then
@@ -99,11 +208,16 @@ module Trans = struct
   let legitimate_terminal = Checker.legitimate_terminal
 end
 
+module Trans = struct
+  include Trans_hooks
+  include Make (Trans_hooks)
+end
+
 let trans : entry = (module Trans)
 let () = register trans
 
 (* ------------------------------------------------------------------ *)
-(* Generic measured runs                                                *)
+(* First-class measured runs                                            *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = {
@@ -119,43 +233,21 @@ type outcome = {
   moves_per_rule : (string * int) list;
 }
 
-let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000)
-    ?(corrupt = `All 1.0) ?hist ~rng ~daemon ~max_height
-    ~(spec : s array -> bool) (params : (s, i) P.params) graph ~inputs =
+let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000) ?p
+    ?hist ~rng ~daemon ~max_height ~(spec : s array -> bool)
+    (params : (s, i) P.params) graph ~inputs =
   let module T = (val entry) in
+  let module R = Make (T) in
   (match T.supports params with
   | Ok () -> ()
   | Error e -> invalid_arg (Printf.sprintf "Registry.measure: %s: %s" T.name e));
-  let clean = T.clean_config params graph ~inputs in
-  let corrupt_one node st =
-    T.corrupt_state rng ~max_height params (Config.input clean node) st
-  in
   let start =
-    match corrupt with
-    | `None -> clean
-    | `All p ->
-        if not (p >= 0.0 && p <= 1.0) then
-          invalid_arg
-            (Printf.sprintf "Registry.measure: p = %g not in [0, 1]" p);
-        Config.with_states clean
-          (Array.mapi
-             (fun node st ->
-               if Rng.chance rng p then corrupt_one node st else st)
-             clean.Config.states)
-    | `Nodes nodes ->
-        let nodes = List.sort_uniq compare nodes in
-        List.iter
-          (fun v ->
-            if v < 0 || v >= Config.n clean then
-              invalid_arg
-                (Printf.sprintf "Registry.measure: node %d out of range" v))
-          nodes;
-        let states = Array.copy clean.Config.states in
-        List.iter (fun v -> states.(v) <- corrupt_one v states.(v)) nodes;
-        Config.with_states clean states
+    Ss_sim.Fault.corrupt rng ?p
+      (fun rng input st -> T.corrupt_state rng ~max_height params input st)
+      (T.clean_config params graph ~inputs)
   in
   let energy = ref 0 in
-  let sink ~step:_ ~rounds:_ ~moved after =
+  let energy_sink ~step:_ ~rounds:_ ~moved after =
     List.iter
       (fun (v, rule) ->
         energy :=
@@ -164,34 +256,19 @@ let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000)
             * T.move_bits params ~rule (Config.state after v))
       moved
   in
-  let stats =
-    Engine.run ?budget ~max_steps ~sinks:[ sink ] (T.algorithm params) daemon
-      start
-  in
-  let hist =
-    match hist with
-    | Some h -> h
-    | None ->
-        let stop_after =
-          match params.P.bound with
-          | P.Finite b -> Some b
-          | P.Infinite -> None
-        in
-        Sync_runner.run ?stop_after params.P.sync graph ~inputs
-  in
-  let legitimate =
-    stats.Engine.terminated
-    && T.legitimate_terminal params hist stats.Engine.final = Ok ()
+  let r =
+    R.measure ?budget ~max_steps ~sinks:[ energy_sink ] ?hist params ~daemon
+      ~start
   in
   {
     transformer = T.name;
-    moves = stats.Engine.moves;
-    steps = stats.Engine.steps;
-    rounds = stats.Engine.rounds;
-    terminated = stats.Engine.terminated;
-    legitimate;
-    spec_ok = spec (T.outputs stats.Engine.final);
-    space_bits = T.space_bits params stats.Engine.final;
+    moves = r.moves;
+    steps = r.steps;
+    rounds = r.rounds;
+    terminated = r.terminated;
+    legitimate = r.legitimate;
+    spec_ok = spec r.outputs;
+    space_bits = r.space_bits;
     energy_bits = !energy;
-    moves_per_rule = stats.Engine.moves_per_rule;
+    moves_per_rule = r.moves_per_rule;
   }

@@ -111,53 +111,113 @@ val doc : entry -> string
 val supports : entry -> ('s, 'i) Predicates.params -> (unit, string) result
 
 (* ------------------------------------------------------------------ *)
+(* Generic runs                                                         *)
+(* ------------------------------------------------------------------ *)
+
+type 's summary = {
+  moves : int;
+  steps : int;
+  rounds : int;
+  terminated : bool;
+  legitimate : bool;
+      (** Terminated, and {!TRANSFORMER.legitimate_terminal} accepts
+          the terminal configuration. *)
+  space_bits : int;
+      (** {!TRANSFORMER.space_bits} of the final configuration. *)
+  moves_per_rule : (string * int) list;
+  outputs : 's array;  (** {!TRANSFORMER.outputs} of the final configuration. *)
+}
+(** What a measured run reports, for any transformer. *)
+
+(** The run layer every transformer shares (DESIGN.md §14).  Observers
+    — energy meters, recovery tracking, traces — ride on [sinks]; the
+    run itself takes no other hook. *)
+module type RUN = sig
+  type 's state
+
+  val run :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?max_moves:int ->
+    ?now:(unit -> float) ->
+    ?chaos:('s state, 'i) Ss_sim.Engine.chaos ->
+    ?self_check:bool ->
+    ?sharded:bool ->
+    ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
+    ('s, 'i) Predicates.params ->
+    Ss_sim.Daemon.t ->
+    ('s state, 'i) Ss_sim.Config.t ->
+    ('s state, 'i) Ss_sim.Engine.stats
+  (** {!Ss_sim.Engine.run} over {!TRANSFORMER.algorithm}; every budget,
+      chaos and sink option passes through.  [self_check] cross-checks
+      the dirty-set scheduler against a full scan {e and} the
+      production predicates against {!TRANSFORMER.reference_algorithm}
+      (a sink appended after [sinks]), raising
+      {!Ss_sim.Engine.Divergence} on any mismatch.  [sharded] (default
+      [false]) enables the sharded scheduler; per-domain caches keep
+      the execution byte-identical to the sequential run. *)
+
+  val run_naive :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?max_moves:int ->
+    ?now:(unit -> float) ->
+    ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
+    ('s, 'i) Predicates.params ->
+    Ss_sim.Daemon.t ->
+    ('s state, 'i) Ss_sim.Config.t ->
+    ('s state, 'i) Ss_sim.Engine.stats
+  (** {!Ss_sim.Engine.run_naive}, the full-rescan reference engine,
+      over {!TRANSFORMER.reference_algorithm} — the differential
+      twin of {!run}. *)
+
+  val measure :
+    ?budget:Ss_report.Budget.t ->
+    ?max_steps:int ->
+    ?sharded:bool ->
+    ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
+    ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
+    ('s, 'i) Predicates.params ->
+    daemon:Ss_sim.Daemon.t ->
+    start:('s state, 'i) Ss_sim.Config.t ->
+    's summary
+  (** One measured run: {!run} from [start] with [sinks] attached,
+      then the terminal configuration checked against the synchronous
+      ground truth [hist] — computed after the run from [start]'s graph
+      and inputs when not supplied, and cut at [B] rounds under a
+      finite bound (terminal heights never exceed [B]). *)
+end
+
+module Make (T : TRANSFORMER) : RUN with type 's state := 's T.state
+(** The run layer of one transformer. *)
+
+(* ------------------------------------------------------------------ *)
 (* The §3 transformer as a registry entry                               *)
 (* ------------------------------------------------------------------ *)
 
 (** The paper's transformer behind the {!TRANSFORMER} interface — the
-    whole {!Transformer} API (params, rules, packed configs, [run]
-    wrappers) plus the registry hooks.  Call sites alias this module
-    instead of {!Transformer}: the registry is the only consumption
-    path for the §3 system outside [lib/core]. *)
+    whole {!Transformer} API (params, rules, packed configs), the
+    registry hooks and the {!RUN} layer.  Its hooks: [name] is
+    ["trans"]; [supports] always accepts (the §3 system takes any
+    mode/bound combination {!Transformer.params} admits);
+    [reference_algorithm] is {!Transformer.algorithm_uncached};
+    [space_bits] and [legitimate_terminal] are {!Checker}'s; [move_bits]
+    is §6's delta encoding — 2 label bits, plus the new cell for [RU] or
+    the new height for [RP] ([log₂(B+1)] bits, 32 under an infinite
+    bound).  Call sites alias this module instead of {!Transformer}:
+    the registry is the only consumption path for the §3 system outside
+    [lib/core]. *)
 module Trans : sig
   include module type of Transformer
-
-  val name : string
-  (** ["trans"]. *)
-
-  val doc : string
-
-  type 's state = 's Trans_state.t
-
-  val supports : ('s, 'i) Predicates.params -> (unit, string) result
-  (** Always [Ok] — the §3 system takes any mode/bound combination
-      {!Transformer.params} admits. *)
-
-  val reference_algorithm :
-    ('s, 'i) Predicates.params -> ('s Trans_state.t, 'i) Ss_sim.Algorithm.t
-  (** {!Transformer.algorithm_uncached}. *)
-
-  val space_bits :
-    ('s, 'i) Predicates.params -> ('s Trans_state.t, 'i) Ss_sim.Config.t -> int
-  (** {!Checker.space_bits}. *)
-
-  val move_bits : ('s, 'i) Predicates.params -> rule:string -> 's Trans_state.t -> int
-  (** §6's delta encoding: 2 label bits, plus the new cell for [RU] or
-      the new height for [RP]. *)
-
-  val legitimate_terminal :
-    ('s, 'i) Predicates.params ->
-    ('s, 'i) Ss_sync.Sync_runner.history ->
-    ('s Trans_state.t, 'i) Ss_sim.Config.t ->
-    (unit, string) result
-  (** {!Checker.legitimate_terminal}. *)
+  include TRANSFORMER with type 's state = 's Trans_state.t
+  include RUN with type 's state := 's state
 end
 
 val trans : entry
 (** {!Trans}, pre-registered by this module. *)
 
 (* ------------------------------------------------------------------ *)
-(* Generic measured runs                                                *)
+(* First-class measured runs                                            *)
 (* ------------------------------------------------------------------ *)
 
 type outcome = {
@@ -179,7 +239,7 @@ val measure :
   entry ->
   ?budget:Ss_report.Budget.t ->
   ?max_steps:int ->
-  ?corrupt:[ `None | `All of float | `Nodes of int list ] ->
+  ?p:float ->
   ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
   rng:Ss_prelude.Rng.t ->
   daemon:Ss_sim.Daemon.t ->
@@ -190,14 +250,11 @@ val measure :
   inputs:(int -> 'i) ->
   outcome
 (** One measured run of any registered transformer, entirely behind
-    the interface: build the clean configuration, corrupt it
-    ([`All p] hits each node with probability [p] — the default with
-    [p = 1] — [`Nodes] corrupts exactly the given nodes, [`None]
-    starts clean), run the engine with a move-bits energy sink, and
-    check the terminal configuration against the synchronous ground
-    truth ([hist]; computed here when not supplied, cut at [B] under a
-    finite bound) and the caller's output [spec].
-    [max_steps] defaults to [2_000_000].
+    the interface: build the clean configuration, hit each node with
+    probability [p] (default 1) through {!Ss_sim.Fault.corrupt} and
+    the entry's [corrupt_state], then {!RUN.measure} it with a
+    move-bits energy sink, and check the outputs against the caller's
+    [spec].  [max_steps] defaults to [2_000_000].
     @raise Invalid_argument when the transformer does not support the
-    parameters ({!supports}), on a corruption probability outside
-    [[0, 1]], or on out-of-range corruption nodes. *)
+    parameters ({!supports}) or on a corruption probability outside
+    [[0, 1]]. *)

@@ -1,6 +1,5 @@
 module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
-module Engine = Ss_sim.Engine
 module Sync_algo = Ss_sync.Sync_algo
 module Rng = Ss_prelude.Rng
 module St = Trans_state
@@ -152,43 +151,9 @@ let corrupt_state rng ~max_height params input (st : 's St.t) =
       end
   | _ -> flip_status ()
 
-let corrupt rng ?(p = 1.0) ~max_height params config =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Transformer.corrupt: p = %g not in [0, 1]" p);
-  let states =
-    Array.mapi
-      (fun node st ->
-        if Rng.chance rng p then
-          corrupt_state rng ~max_height params (Config.input config node) st
-        else st)
-      config.Config.states
-  in
-  Config.with_states config states
-
-let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
-    ?(sharded = false) ?observer ?sinks p daemon config =
-  (* Sharded runs use the cached predicates too: {!algorithm} keys its
-     watermark cache through Domain.DLS, so every pool domain works on
-     a private instance (DESIGN.md §12/§14). *)
-  let algo = algorithm p in
-  let sinks = Option.value sinks ~default:[] in
-  let sinks =
-    if not self_check then sinks
-    else
-      (* Cached predicates are validated the same way the dirty-set
-         scheduler is: a sink re-derives the enabled set with the
-         uncached reference predicates and compares. *)
-      Engine.divergence_sink
-        ~checked:("cached", Config.enabled_nodes algo)
-        ~reference:("uncached", Config.enabled_nodes (algorithm_uncached p))
-      :: sinks
-  in
-  Engine.run ?budget ?max_steps ?max_moves ?now ?chaos ~self_check ~sharded
-    ?observer ~sinks algo daemon config
-
-let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks p daemon
-    config =
-  Engine.run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks
-    (algorithm_uncached p) daemon config
+let corrupt rng ?p ~max_height params config =
+  Ss_sim.Fault.corrupt rng ?p
+    (fun rng input st -> corrupt_state rng ~max_height params input st)
+    config
 
 let outputs config = Array.map St.top config.Config.states

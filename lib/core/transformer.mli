@@ -59,13 +59,14 @@ val algorithm :
     guard re-verifies only the cells that changed since the node's
     previous evaluation (O(Δ·deg) instead of O(h·deg)).  The cache
     never changes results — see {!Predicates.algo_err_cached} — and
-    [run ~self_check:true] cross-validates it on every step. *)
+    [Registry.Trans.run ~self_check:true] cross-validates it on every
+    step. *)
 
 val algorithm_uncached :
   ('s, 'i) params -> ('s Trans_state.t, 'i) Ss_sim.Algorithm.t
 (** Same algorithm with the reference full-prefix [algoErr] — the
-    differential-testing and benchmarking baseline ({!run_naive} uses
-    it). *)
+    differential-testing and benchmarking baseline
+    ([Registry.Trans.run_naive] uses it). *)
 
 val clean_config :
   ('s, 'i) params ->
@@ -86,9 +87,10 @@ val packed_config :
     million-node layout: O(n·B·words) flat words, no per-cell boxing.
     Requires a finite bound (it is the slab capacity); heights can
     never exceed it, so the arena never overflows.  The configuration
-    behaves identically to a boxed one under {!run}, {!corrupt} and
-    the checkers; only {!run_naive} twins must stay boxed (packed
-    slots hold a single live timeline — see {!Trans_state}).
+    behaves identically to a boxed one under [Registry.Trans.run],
+    {!corrupt} and the checkers; only [run_naive] twins must stay
+    boxed (packed slots hold a single live timeline — see
+    {!Trans_state}).
     @raise Invalid_argument when [params.bound] is [Infinite]. *)
 
 val corrupt :
@@ -107,7 +109,8 @@ val corrupt :
     an empty zero-capacity list) fall back to a status flip, so a hit
     node always actually changes.  Heights never exceed
     [min(max_height, B)] and the read-only [init] field is
-    preserved.
+    preserved.  This is {!Ss_sim.Fault.corrupt} with {!corrupt_state}
+    as the mutator.
     @raise Invalid_argument if [p] is outside [[0, 1]] (including
     NaN). *)
 
@@ -121,50 +124,6 @@ val corrupt_state :
 (** Single-state corruption, as applied per node by {!corrupt}.  Also
     used to corrupt the neighbor {e mirrors} of the message-passing
     emulation. *)
-
-val run :
-  ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
-  ?now:(unit -> float) ->
-  ?chaos:('s Trans_state.t, 'i) Ss_sim.Engine.chaos ->
-  ?self_check:bool ->
-  ?sharded:bool ->
-  ?observer:('s Trans_state.t, 'i) Ss_sim.Engine.observer ->
-  ?sinks:('s Trans_state.t, 'i) Ss_sim.Engine.observer list ->
-  ('s, 'i) params ->
-  Ss_sim.Daemon.t ->
-  ('s Trans_state.t, 'i) Ss_sim.Config.t ->
-  ('s Trans_state.t, 'i) Ss_sim.Engine.stats
-(** Convenience wrapper over {!Ss_sim.Engine.run} (the incremental
-    dirty-set engine; [self_check] cross-validates it against a full
-    scan every step, {e and} cross-validates the cached predicates of
-    {!algorithm} against the uncached reference of
-    {!algorithm_uncached}, raising {!Ss_sim.Engine.Divergence} on any
-    mismatch).  All the engine's budget and sink-bus options pass
-    through unchanged.
-
-    [sharded] (default [false]) enables the engine's sharded
-    scheduler.  The cached predicates are used either way:
-    {!algorithm} keys its watermark cache through [Domain.DLS], so
-    each pool domain lazily creates a private instance instead of
-    racing on a shared table.  Execution stays byte-identical to the
-    sequential run — the cache never changes results. *)
-
-val run_naive :
-  ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
-  ?now:(unit -> float) ->
-  ?observer:('s Trans_state.t, 'i) Ss_sim.Engine.observer ->
-  ?sinks:('s Trans_state.t, 'i) Ss_sim.Engine.observer list ->
-  ('s, 'i) params ->
-  Ss_sim.Daemon.t ->
-  ('s Trans_state.t, 'i) Ss_sim.Config.t ->
-  ('s Trans_state.t, 'i) Ss_sim.Engine.stats
-(** Convenience wrapper over {!Ss_sim.Engine.run_naive}, the
-    full-rescan reference engine (differential testing and
-    benchmarking). *)
 
 val outputs : ('s Trans_state.t, 'i) Ss_sim.Config.t -> 's array
 (** The simulated algorithm's outputs: each node's newest cell

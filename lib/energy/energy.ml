@@ -35,16 +35,7 @@ let full_state_bits sync st =
   1 (* status *) + bits (St.init st)
   + St.fold_cells (fun acc c -> acc + bits c) 0 st
 
-let delta_bits params st rule =
-  let sync = params.Transformer.sync in
-  let label = 2 in
-  if rule = Transformer.ru then label + sync.Sync_algo.state_bits (St.top st)
-  else if rule = Transformer.rp then label + height_bits params.Transformer.bound
-  else label (* RR and RC carry no payload *)
-
-let measure ?(proof = default_proof_cost) ?(heartbeat_period = 16) ?max_steps
-    params daemon config =
-  let g = config.Config.graph in
+let sink ?(proof = default_proof_cost) ?(heartbeat_period = 16) params g =
   let messages = ref 0 in
   let bits_full = ref 0 in
   let bits_delta = ref 0 in
@@ -53,7 +44,7 @@ let measure ?(proof = default_proof_cost) ?(heartbeat_period = 16) ?max_steps
   let sum_degrees =
     Graph.fold_nodes g ~init:0 ~f:(fun acc p -> acc + Graph.degree g p)
   in
-  let observer ~step:_ ~rounds ~moved after =
+  let observe ~step:_ ~rounds ~moved after =
     List.iter
       (fun (p, rule) ->
         let deg = Graph.degree g p in
@@ -61,7 +52,8 @@ let measure ?(proof = default_proof_cost) ?(heartbeat_period = 16) ?max_steps
         messages := !messages + deg;
         bits_full :=
           !bits_full + (deg * full_state_bits params.Transformer.sync st);
-        bits_delta := !bits_delta + (deg * delta_bits params st rule))
+        bits_delta :=
+          !bits_delta + (deg * Transformer.move_bits params ~rule st))
       moved;
     (* Periodic proofs: every [heartbeat_period] completed rounds each
        node sends one proof on each incident channel. *)
@@ -70,8 +62,7 @@ let measure ?(proof = default_proof_cost) ?(heartbeat_period = 16) ?max_steps
       heartbeat_messages := !heartbeat_messages + sum_degrees
     done
   in
-  let stats = Transformer.run ?max_steps ~observer params daemon config in
-  let cost =
+  let cost (stats : _ Engine.stats) =
     {
       moves = stats.Engine.moves;
       messages = !messages;
@@ -83,4 +74,4 @@ let measure ?(proof = default_proof_cost) ?(heartbeat_period = 16) ?max_steps
       terminated = stats.Engine.terminated;
     }
   in
-  (stats, cost)
+  (observe, cost)

@@ -40,7 +40,7 @@ val height_bits : Ss_core.Predicates.bound -> int
 
 type proof_cost = { proof_bits : int; nonce_bits : int }
 (** Wire cost of one proof message: hash bits plus wave-nonce bits.
-    The single source of truth shared by {!measure} (the analytical
+    The single source of truth shared by {!sink} (the analytical
     §6 cost model) and [Ss_msgnet.Msgnet.run] (the executable
     message-network realization), so the two entry points can never
     drift apart on what a proof costs. *)
@@ -70,19 +70,15 @@ val full_state_bits :
 (** Bits of a whole transformed state: 1 status bit plus the sizes of
     [init] and every cell. *)
 
-val delta_bits :
-  ('s, 'i) Ss_core.Predicates.params -> 's Ss_core.Trans_state.t -> string -> int
-(** Bits of §6's delta encoding for a move that produced the given
-    state under the given rule label: 2 label bits, plus the new
-    height for [RP] or the new cell for [RU]. *)
-
-val measure :
+val sink :
   ?proof:proof_cost ->
   ?heartbeat_period:int ->
-  ?max_steps:int ->
   ('s, 'i) Ss_core.Predicates.params ->
-  Ss_sim.Daemon.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
-  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.stats * cost
-(** Run the transformer and account message costs (defaults:
+  Ss_graph.Graph.t ->
+  ('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.observer
+  * (('s Ss_core.Trans_state.t, 'i) Ss_sim.Engine.stats -> cost)
+(** [sink params g] is a message-cost meter for a transformer run on
+    [g]: attach the observer to [Ss_core.Registry.Trans.run ~sinks],
+    then apply the second component to the run's stats.  Delta bits
+    come from [Ss_core.Registry.Trans.move_bits] (defaults:
     [proof = default_proof_cost], [heartbeat_period = 16] rounds). *)

@@ -251,59 +251,58 @@ let validate_topology a g =
 (* Topologies                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The single source of the CLI topology syntax: each family parses its
-   own SPEC tail.  Kept as data so [fasst list] renders it. *)
+(* The single source of the CLI topology syntax and of each family's
+   smallest accepted size: a family takes one integer ([ring:N]) or two
+   joined by 'x' ([torus:RxC]), each at least its minimum.  The
+   builders keep their own checks as the library guard; these minima
+   let the CLI reject a too-small size as a usage error instead.  Kept
+   as data so [fasst list] renders the syntax. *)
+type family =
+  | N of { min : int; build : Rng.t -> int -> G.Graph.t }
+  | AxB of { min : int * int; build : Rng.t -> int -> int -> G.Graph.t }
+
 let topologies =
-  let dims spec s k =
-    match String.split_on_char 'x' s with
-    | [ a; b ] -> k (int_of_string a) (int_of_string b)
-    | _ -> failwith (spec ^ " expects " ^ spec ^ ":AxB")
-  in
+  let n min build = N { min; build = (fun _ a -> build a) } in
+  let axb min build = AxB { min; build = (fun _ a b -> build a b) } in
   [
-    ("path", "path:N", fun _ s -> G.Builders.path (int_of_string s));
-    ("ring", "ring:N", fun _ s -> G.Builders.cycle (int_of_string s));
-    ("cycle", "cycle:N", fun _ s -> G.Builders.cycle (int_of_string s));
-    ("star", "star:N", fun _ s -> G.Builders.star (int_of_string s));
-    ("tree", "tree:N", fun _ s -> G.Builders.binary_tree (int_of_string s));
-    ("complete", "complete:N", fun _ s -> G.Builders.complete (int_of_string s));
-    ( "hypercube",
-      "hypercube:D",
-      fun _ s -> G.Builders.hypercube (int_of_string s) );
+    ("path", "path:N", n 1 G.Builders.path);
+    ("ring", "ring:N", n 3 G.Builders.cycle);
+    ("cycle", "cycle:N", n 3 G.Builders.cycle);
+    ("star", "star:N", n 2 G.Builders.star);
+    ("tree", "tree:N", n 1 G.Builders.binary_tree);
+    ("complete", "complete:N", n 1 G.Builders.complete);
+    ("hypercube", "hypercube:D", n 0 G.Builders.hypercube);
     ( "grid",
       "grid:RxC",
-      fun _ s -> dims "grid" s (fun rows cols -> G.Builders.grid ~rows ~cols) );
+      axb (1, 1) (fun rows cols -> G.Builders.grid ~rows ~cols) );
     ( "torus",
       "torus:RxC",
-      fun _ s -> dims "torus" s (fun rows cols -> G.Builders.torus ~rows ~cols)
-    );
+      axb (3, 3) (fun rows cols -> G.Builders.torus ~rows ~cols) );
     ( "random",
       "random:N",
-      fun rng s ->
-        let n = int_of_string s in
-        G.Builders.random_connected rng ~n ~extra_edges:(n / 2) );
-    ("random4", "random4:N", fun rng s -> G.Builders.random4 rng (int_of_string s));
+      N
+        {
+          min = 1;
+          build =
+            (fun rng n ->
+              G.Builders.random_connected rng ~n ~extra_edges:(n / 2));
+        } );
+    ("random4", "random4:N", N { min = 8; build = G.Builders.random4 });
     ( "lollipop",
       "lollipop:CxT",
-      fun _ s ->
-        dims "lollipop" s (fun clique tail -> G.Builders.lollipop ~clique ~tail)
-    );
-    ("wheel", "wheel:N", fun _ s -> G.Builders.wheel (int_of_string s));
-    ( "bipartite",
-      "bipartite:AxB",
-      fun _ s -> dims "bipartite" s G.Builders.complete_bipartite );
+      axb (1, 0) (fun clique tail -> G.Builders.lollipop ~clique ~tail) );
+    ("wheel", "wheel:N", n 4 G.Builders.wheel);
+    ("bipartite", "bipartite:AxB", axb (1, 1) G.Builders.complete_bipartite);
     ( "caterpillar",
       "caterpillar:SxL",
-      fun _ s ->
-        dims "caterpillar" s (fun spine legs ->
-            G.Builders.caterpillar ~spine ~legs) );
-    ("gk", "gk:K", fun _ s -> G.Gk.make (int_of_string s));
+      axb (1, 0) (fun spine legs -> G.Builders.caterpillar ~spine ~legs) );
+    ("gk", "gk:K", n 1 G.Gk.make);
   ]
 
 let topology_syntax () = List.map (fun (_, syntax, _) -> syntax) topologies
 
-(* [Ok (build, tail)] when [spec] names a known family and its tail
-   has the family's shape: one integer ([ring:N]) or two joined by 'x'
-   ([torus:RxC]), as the family's syntax string shows. *)
+(* [Ok build] when [spec] names a known family and its tail has the
+   family's shape with every size at least the family's minimum. *)
 let split_topology spec =
   let unknown () =
     Error
@@ -317,21 +316,33 @@ let split_topology spec =
       let tail = String.sub spec (i + 1) (String.length spec - i - 1) in
       match List.find_opt (fun (name, _, _) -> name = family) topologies with
       | None -> unknown ()
-      | Some (_, syntax, build) ->
-          let is_int s = int_of_string_opt s <> None in
-          let well_formed =
-            if String.contains syntax 'x' then
-              match String.split_on_char 'x' tail with
-              | [ a; b ] -> is_int a && is_int b
-              | _ -> false
-            else is_int tail
+      | Some (_, syntax, shape) -> (
+          let malformed () =
+            Error
+              (Printf.sprintf "malformed topology %s: expected %s" spec syntax)
           in
-          if well_formed then Ok (build, tail)
-          else Error (Printf.sprintf "malformed topology %s: expected %s" spec syntax))
+          let too_small smallest =
+            Error
+              (Printf.sprintf "topology %s is too small: the smallest is %s:%s"
+                 spec family smallest)
+          in
+          match shape with
+          | N { min; build } -> (
+              match int_of_string_opt tail with
+              | None -> malformed ()
+              | Some a when a < min -> too_small (string_of_int min)
+              | Some a -> Ok (fun rng -> build rng a))
+          | AxB { min = ma, mb; build } -> (
+              let dims = String.split_on_char 'x' tail in
+              match List.map int_of_string_opt dims with
+              | [ Some a; Some b ] when a >= ma && b >= mb ->
+                  Ok (fun rng -> build rng a b)
+              | [ Some _; Some _ ] -> too_small (Printf.sprintf "%dx%d" ma mb)
+              | _ -> malformed ())))
 
 let check_topology spec = Result.map ignore (split_topology spec)
 
 let parse_topology rng spec =
   match split_topology spec with
-  | Ok (build, tail) -> build rng tail
+  | Ok build -> build rng
   | Error e -> failwith e

@@ -67,13 +67,15 @@ val topology_syntax : unit -> string list
     and [fasst list]. *)
 
 val check_topology : string -> (unit, string) result
-(** [Ok ()] when a CLI topology spec names a known family and its
+(** [Ok ()] when a CLI topology spec names a known family, its
     arguments are integers of the family's shape ([ring:N],
-    [torus:RxC]); [Error] with a message otherwise.  Builds nothing
-    and draws nothing: a builder may still reject out-of-range sizes. *)
+    [torus:RxC]), and each is at least the family's minimum (the
+    smallest size its builder accepts: [ring:3], [torus:3x3],
+    [random4:8], ...); [Error] with a message otherwise.  Builds
+    nothing and draws nothing. *)
 
 val parse_topology : Ss_prelude.Rng.t -> string -> Ss_graph.Graph.t
 (** Parse a CLI topology spec ([ring:16], [torus:4x6], [gk:3], …).
     The rng feeds the random families.
-    @raise Failure on an unknown family or malformed dimensions
-    (the {!check_topology} message). *)
+    @raise Failure on an unknown family, malformed dimensions or a
+    size below the family's minimum (the {!check_topology} message). *)

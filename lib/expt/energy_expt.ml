@@ -56,7 +56,10 @@ let rows ?(seeds = [ 1; 2 ]) rng =
              (Transformer.clean_config params g ~inputs)
          in
          let daemon = Daemon.distributed_random (Rng.split rng') ~p:0.5 in
-         let _stats, cost = Energy.measure params daemon start in
+         let sink, cost = Energy.sink params g in
+         let cost =
+           cost (Transformer.run ~sinks:[ sink ] params daemon start)
+         in
          let ratio =
            float_of_int cost.Energy.bits_full_state
            /. float_of_int (max 1 cost.Energy.bits_delta)

@@ -37,7 +37,7 @@ let absorb ~spec agg (r : _ Stabilization.report) =
     all_spec = agg.all_spec && spec r.Stabilization.outputs;
   }
 
-let worst_case ?track_recovery ?max_steps ?(corruption_p = 1.0)
+let worst_case ?max_steps ?(corruption_p = 1.0)
     ?(spec = fun _ -> true) ~seeds ~max_height sc =
   (* Fan the (seed × daemon) replicas out over the shared domain pool.
      All parent-stream consumption — portfolio construction and the
@@ -62,10 +62,7 @@ let worst_case ?track_recovery ?max_steps ?(corruption_p = 1.0)
         let start =
           Stabilization.corrupted_start rng ~p:corruption_p ~max_height sc
         in
-        Stabilization.run ?track_recovery ?max_steps sc ~daemon ~start)
+        Stabilization.run ?max_steps sc ~daemon ~start)
       replicas
   in
   List.fold_left (absorb ~spec) empty reports
-
-let clean_run ?max_steps sc ~daemon =
-  Stabilization.run ?max_steps sc ~daemon ~start:(Stabilization.clean_start sc)

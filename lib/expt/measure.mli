@@ -20,7 +20,6 @@ type agg = {
 }
 
 val worst_case :
-  ?track_recovery:bool ->
   ?max_steps:int ->
   ?corruption_p:float ->
   ?spec:('s array -> bool) ->
@@ -32,10 +31,3 @@ val worst_case :
     probability [corruption_p], default 1) and run under every
     portfolio daemon; aggregate the maxima.  [spec] (default: always
     true) is checked on each run's final outputs. *)
-
-val clean_run :
-  ?max_steps:int ->
-  ('s, 'i) Ss_verify.Stabilization.scenario ->
-  daemon:Ss_sim.Daemon.t ->
-  's Ss_verify.Stabilization.report
-(** Single run from the controlled initial configuration. *)

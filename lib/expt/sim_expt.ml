@@ -107,7 +107,7 @@ let engine_leg (type s i) ~scenario ~seed ~(params : (s, i) Transformer.params)
   let stats =
     Transformer.run ~self_check:true
       ~budget:(Budget.v ~deadline_s:virtual_deadline_s ())
-      ~now:(Clock.now_fn clk) ~chaos ~observer params daemon_rng start
+      ~now:(Clock.now_fn clk) ~chaos ~sinks:[ observer ] params daemon_rng start
   in
   let fired = scheduled - Ss_chaos.Fault_plan.pending_corruptions plan in
   let ok =

@@ -63,26 +63,6 @@ let config_of_cells g ~inputs ~init ~cells ~bound =
   Config.make g ~inputs ~states:(fun p ->
       { init = init p; cells = Array.init bound (fun idx -> cells p (idx + 1)) })
 
-let corrupt rng ?(p = 1.0) sync config =
-  let states =
-    Array.mapi
-      (fun node st ->
-        if Rng.chance rng p then
-          {
-            st with
-            cells =
-              Array.map
-                (fun c ->
-                  if Rng.bool rng then
-                    sync.Sync_algo.random_state rng (Config.input config node)
-                  else c)
-                st.cells;
-          }
-        else st)
-      config.Config.states
-  in
-  Config.with_states config states
-
 let simulates_history sync history config =
   let eq = sync.Sync_algo.equal in
   let ok p =
@@ -128,9 +108,9 @@ module Entry = struct
   let clean_config p g ~inputs =
     clean_config p.P.sync ~bound:(bound_of p) g ~inputs
 
-  (* The fault model mirrors {!corrupt}: scramble each cell with
-     probability 1/2 (lengths are fixed, [init] is read-only), always
-     changing at least one cell so a hit node is actually hit. *)
+  (* The fault model: scramble each cell with probability 1/2 (lengths
+     are fixed, [init] is read-only), always redrawing one more cell so
+     a hit node is actually hit. *)
   let corrupt_state rng ~max_height:_ (p : ('s, 'i) P.params) input st =
     let b = height st in
     let cells =

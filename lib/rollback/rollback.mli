@@ -51,15 +51,6 @@ val config_of_cells :
 (** Arbitrary (possibly corrupted) configuration: [cells p i] gives
     [L(i)] of node [p] for [1 <= i <= bound]. *)
 
-val corrupt :
-  Ss_prelude.Rng.t ->
-  ?p:float ->
-  ('s, 'i) Ss_sync.Sync_algo.t ->
-  ('s state, 'i) Ss_sim.Config.t ->
-  ('s state, 'i) Ss_sim.Config.t
-(** Scramble cell contents of each node with probability [p]
-    (default 1); [init] is preserved and lengths are untouched. *)
-
 val simulates_history :
   ('s, 'i) Ss_sync.Sync_algo.t ->
   ('s, 'i) Ss_sync.Sync_runner.history ->
@@ -71,7 +62,9 @@ val simulates_history :
 module Entry : Ss_core.Registry.TRANSFORMER with type 's state = 's state
 (** The compiler behind the {!Ss_core.Registry.TRANSFORMER} interface:
     finite bounds only, whole-list [move_bits] (no delta encoding
-    exists for [FIX]), corruption scrambling cell contents. *)
+    exists for [FIX]), corruption scrambling cell contents (a hit
+    node always has at least one cell redrawn; apply it to a whole
+    configuration with {!Ss_sim.Fault.corrupt}). *)
 
 val transformer : Ss_core.Registry.entry
 (** {!Entry} as a registry entry; entered into the table by

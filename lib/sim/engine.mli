@@ -140,7 +140,8 @@ val run :
 
     Observability: [observer] and every element of [sinks] are placed
     on one bus ({!tee}) — [observer] first, then [sinks] in order —
-    and all receive every event.
+    and all receive every event.  Use [sinks]: [observer] remains only
+    because the recovery benchmark ([bench/suite]) passes it.
 
     The engine is {e incremental}: it maintains the enabled set with
     a dirty-set scheduler ({!Sched}) that re-evaluates guards only

@@ -1,16 +1,14 @@
 module Rng = Ss_prelude.Rng
 
-type 's mutator = Rng.t -> 's -> 's
-
-let check_p p =
-  if not (p >= 0.0 && p <= 1.0) then
-    invalid_arg (Printf.sprintf "Fault.corrupt: p = %g not in [0, 1]" p)
+type ('s, 'i) mutator = Rng.t -> 'i -> 's -> 's
 
 let corrupt rng ?(p = 1.0) mutator config =
-  check_p p;
+  if not (p >= 0.0 && p <= 1.0) then
+    invalid_arg (Printf.sprintf "Fault.corrupt: p = %g not in [0, 1]" p);
   let states =
-    Array.map
-      (fun s -> if Rng.chance rng p then mutator rng s else s)
+    Array.mapi
+      (fun v s ->
+        if Rng.chance rng p then mutator rng (Config.input config v) s else s)
       config.Config.states
   in
   Config.with_states config states
@@ -30,5 +28,7 @@ let corrupt_nodes rng mutator nodes config =
      later draw — a replay-determinism hazard for scenarios built from
      node lists. *)
   let nodes = List.sort_uniq compare nodes in
-  List.iter (fun v -> states.(v) <- mutator rng states.(v)) nodes;
+  List.iter
+    (fun v -> states.(v) <- mutator rng (Config.input config v) states.(v))
+    nodes;
   Config.with_states config states

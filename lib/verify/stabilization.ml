@@ -1,8 +1,8 @@
 module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
-module Engine = Ss_sim.Engine
 module Sync_runner = Ss_sync.Sync_runner
-module Transformer = Ss_core.Registry.Trans
+module Registry = Ss_core.Registry
+module Transformer = Registry.Trans
 module Checker = Ss_core.Checker
 module Rng = Ss_prelude.Rng
 
@@ -43,58 +43,48 @@ let corrupted_start rng ?p ?codec ~max_height sc =
    totals only unless the caller insists. *)
 let track_recovery_threshold = 65_536
 
-let run ?track_recovery ?budget ?max_steps ?(sharded = false) sc ~daemon ~start
-    =
+(* The recovery sink: the phase ends at the first configuration
+   without a root.  Roots cannot be created (paper §4), so once none
+   remains the recovery phase is over for good.  No sink at all when
+   tracking is off, so an untracked run is the bare engine loop. *)
+let recovery_sink ?track_recovery params start =
   let track_recovery =
     match track_recovery with
     | Some b -> b
     | None -> Config.n start < track_recovery_threshold
   in
-  (* Recovery phase end: the first configuration without a root.  Roots
-     cannot be created (paper §4), so once none remains the recovery
-     phase is over for good. *)
   let recovery_moves = ref (-1) in
   let recovery_rounds = ref (-1) in
   let moves_so_far = ref 0 in
-  let observer ~step:_ ~rounds ~moved config =
+  let sink ~step:_ ~rounds ~moved config =
     moves_so_far := !moves_so_far + List.length moved;
-    if track_recovery && !recovery_moves < 0
-       && not (Checker.has_root sc.params config)
-    then begin
+    if !recovery_moves < 0 && not (Checker.has_root params config) then begin
       recovery_moves := !moves_so_far;
       recovery_rounds := rounds
     end
   in
-  let observer =
-    if track_recovery then Some observer else None
+  ( (if track_recovery then [ sink ] else []),
+    fun () -> (!recovery_moves, !recovery_rounds) )
+
+let run ?track_recovery ?budget ?max_steps ?(sharded = false) sc ~daemon ~start
+    =
+  let sinks, recovery = recovery_sink ?track_recovery sc.params start in
+  let r =
+    Transformer.measure ?budget ?max_steps ~sharded ~sinks sc.params ~daemon
+      ~start
   in
-  let stats =
-    Transformer.run ?budget ?max_steps ~sharded ?observer sc.params daemon
-      start
-  in
-  (* Under a finite bound only rounds 0..B of the ground truth are
-     ever consulted (heights never exceed B), so the history can be
-     cut there — O(B·n) memory instead of O(T·n) at n = 10^6. *)
-  let hist =
-    match sc.params.Transformer.bound with
-    | Ss_core.Predicates.Finite b -> history ~rounds:b sc
-    | Ss_core.Predicates.Infinite -> history sc
-  in
-  let legitimate =
-    stats.Engine.terminated
-    && Checker.legitimate_terminal sc.params hist stats.Engine.final = Ok ()
-  in
+  let recovery_moves, recovery_rounds = recovery () in
   {
-    moves = stats.Engine.moves;
-    steps = stats.Engine.steps;
-    rounds = stats.Engine.rounds;
-    terminated = stats.Engine.terminated;
-    recovery_moves = !recovery_moves;
-    recovery_rounds = !recovery_rounds;
-    space_bits = Checker.space_bits sc.params stats.Engine.final;
-    moves_per_rule = stats.Engine.moves_per_rule;
-    legitimate;
-    outputs = Transformer.outputs stats.Engine.final;
+    moves = r.Registry.moves;
+    steps = r.Registry.steps;
+    rounds = r.Registry.rounds;
+    terminated = r.Registry.terminated;
+    recovery_moves;
+    recovery_rounds;
+    space_bits = r.Registry.space_bits;
+    moves_per_rule = r.Registry.moves_per_rule;
+    legitimate = r.Registry.legitimate;
+    outputs = r.Registry.outputs;
   }
 
 let daemon_portfolio rng =

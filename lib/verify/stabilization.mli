@@ -69,13 +69,15 @@ val run :
   daemon:Ss_sim.Daemon.t ->
   start:('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
   's report
-(** Execute and measure.  [track_recovery] checks for remaining roots
-    after every step; its default is [true] below 65536 nodes and
-    [false] above (the per-step O(n·deg) root scan would dominate a
-    big run).  [budget] and [sharded] pass through to
-    {!Ss_core.Transformer.run}.  Under a finite bound [B] the
-    legitimacy check uses a ground-truth history cut at [B] rounds —
-    exactly what terminal lists (heights ≤ B) can reference. *)
+(** Execute and measure: {!Ss_core.Registry.RUN.measure} on
+    [Registry.Trans] with a recovery sink attached.  [track_recovery]
+    checks for remaining roots after every step; its default is [true]
+    below 65536 nodes and [false] above (the per-step O(n·deg) root
+    scan would dominate a big run), and an untracked run attaches no
+    sink at all.  [budget] and [sharded] pass through to the run.
+    Under a finite bound [B] the legitimacy check uses a ground-truth
+    history cut at [B] rounds — exactly what terminal lists
+    (heights ≤ B) can reference. *)
 
 val daemon_portfolio :
   Ss_prelude.Rng.t -> (string * Ss_sim.Daemon.t) list

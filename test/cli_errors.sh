@@ -31,4 +31,19 @@ expect_usage_error -t run -t nope:3
 expect_usage_error -t run -t torus:3
 expect_usage_error -t trace -t grid:2
 expect_usage_error -t dot -t ring:
+expect_usage_error -t run -t ring:2
+expect_usage_error -t run -t path:0
+expect_usage_error -t run -t grid:0x3
+expect_usage_error -t run -t torus:1x1
+expect_usage_error -t run -t random4:1
+expect_usage_error -t run -t gk:0
+expect_usage_error -t trace -t ring:2
+expect_usage_error -t trace -t torus:1x1
+expect_usage_error -t dot -t random4:1
+expect_usage_error -t dot -t gk:0
+expect_usage_error -p run -p 1.5
+expect_usage_error -p run -p nan
+expect_usage_error -p run -p=-0.1
+expect_usage_error -a run -a nosuch
+expect_usage_error -T run -T nosuch
 exit $status

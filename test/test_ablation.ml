@@ -7,7 +7,7 @@ module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Ablation = Ss_core.Ablation
 module Checker = Ss_core.Checker
 module St = Ss_core.Trans_state

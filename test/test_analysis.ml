@@ -9,7 +9,7 @@ module Trace = Ss_sim.Trace
 module Min_flood = Ss_algos.Min_flood
 module Leader = Ss_algos.Leader_election
 module St = Ss_core.Trans_state
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Analysis = Ss_core.Analysis
 module Checker = Ss_core.Checker
 module Rng = Ss_prelude.Rng
@@ -91,7 +91,7 @@ let run_with_records seed =
   in
   let observer, records = Trace.with_configs () in
   let daemon = Daemon.distributed_random (Rng.split rng) ~p:0.4 in
-  let stats = Transformer.run ~observer lp daemon start in
+  let stats = Transformer.run ~sinks:[ observer ] lp daemon start in
   (lp, Config.n start, records (), stats)
 
 let test_segments_bounded_by_n () =
@@ -142,7 +142,7 @@ let test_segment_of_clean_run () =
   let lp = Transformer.params Leader.algo in
   let observer, records = Trace.with_configs () in
   let _ =
-    Transformer.run ~observer lp Daemon.synchronous
+    Transformer.run ~sinks:[ observer ] lp Daemon.synchronous
       (Transformer.clean_config lp g ~inputs:(fun p -> p))
   in
   let seg = Analysis.segment lp (records ()) in

@@ -31,7 +31,7 @@ module Config = Ss_sim.Config
 module Fault = Ss_sim.Fault
 module P = Ss_core.Predicates
 module St = Ss_core.Trans_state
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module Sync_runner = Ss_sync.Sync_runner
 module M = Ss_msgnet.Msgnet
@@ -192,7 +192,7 @@ let leader_fixture n =
 
 let test_fault_p_validation () =
   let _, _, _, config = leader_fixture 6 in
-  let mutator _rng st = st in
+  let mutator _rng _input st = st in
   List.iter
     (fun p ->
       check
@@ -206,7 +206,16 @@ let test_fault_p_validation () =
         (raises_invalid (fun () ->
              Transformer.corrupt (Rng.create 1) ~p ~max_height:4
                (Transformer.params Leader.algo)
-               config)))
+               config));
+      check
+        (Printf.sprintf "rollback p = %f rejected" p)
+        true
+        (raises_invalid (fun () ->
+             Ss_core.Registry.measure Ss_rollback.Rollback.transformer ~p
+               ~rng:(Rng.create 1) ~daemon:Ss_sim.Daemon.synchronous
+               ~max_height:4 ~spec:(fun _ -> true)
+               (Transformer.params ~bound:(P.Finite 4) Leader.algo)
+               (Builders.cycle 6) ~inputs:(fun v -> v))))
     [ -0.1; 1.5; Float.nan ];
   (* The boundaries are legal. *)
   ignore (Fault.corrupt (Rng.create 1) ~p:0.0 mutator config);
@@ -214,7 +223,7 @@ let test_fault_p_validation () =
 
 let test_corrupt_nodes_validation () =
   let _, _, _, config = leader_fixture 6 in
-  let mutator rng st = ignore (Rng.int rng 2); st in
+  let mutator rng _input st = ignore (Rng.int rng 2); st in
   check "negative id rejected" true
     (raises_invalid (fun () ->
          Fault.corrupt_nodes (Rng.create 1) mutator [ 0; -1 ] config));
@@ -225,7 +234,7 @@ let test_corrupt_nodes_validation () =
      same rng seed, same resulting configuration, because dedup happens
      before any draw. *)
   let hit = Hashtbl.create 8 in
-  let counting rng st =
+  let counting rng _input st =
     ignore (Rng.int rng 2);
     Hashtbl.replace hit (Hashtbl.length hit) ();
     st

@@ -24,7 +24,7 @@ module Bfs = Ss_algos.Bfs_tree
 module Cv = Ss_algos.Cole_vishkin
 module St = Ss_core.Trans_state
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module Rng = Ss_prelude.Rng
 module Util = Ss_prelude.Util
@@ -50,7 +50,7 @@ let random_daemon rng =
   | 4 -> Daemon.central_min
   | _ -> Daemon.round_robin ()
 
-let run_setting ?observer ~params ~g ~inputs seed =
+let run_setting ?sinks ~params ~g ~inputs seed =
   let rng = Rng.create (seed * 7919) in
   let hist = Sync_runner.run params.Transformer.sync g ~inputs in
   let t = hist.Sync_runner.t in
@@ -60,7 +60,7 @@ let run_setting ?observer ~params ~g ~inputs seed =
   in
   let daemon = random_daemon rng in
   let stats =
-    Transformer.run ?observer ~max_steps:3_000_000 params daemon start
+    Transformer.run ?sinks ~max_steps:3_000_000 params daemon start
   in
   (hist, stats)
 
@@ -189,7 +189,7 @@ let roots_never_created seed =
   let inputs = Leader.random_ids (Rng.split rng) g in
   let params = Transformer.params Leader.algo in
   let observer, records = Trace.with_configs () in
-  let _hist, stats = run_setting ~observer ~params ~g ~inputs seed in
+  let _hist, stats = run_setting ~sinks:[ observer ] ~params ~g ~inputs seed in
   let configs = List.map snd (records ()) in
   let root_sets = List.map (fun c -> Checker.roots params c) configs in
   let rec shrinking = function
@@ -208,7 +208,7 @@ let recovery_is_permanent seed =
   let inputs = Leader.random_ids (Rng.split rng) g in
   let params = Transformer.params Leader.algo in
   let observer, records = Trace.with_configs () in
-  let _hist, stats = run_setting ~observer ~params ~g ~inputs seed in
+  let _hist, stats = run_setting ~sinks:[ observer ] ~params ~g ~inputs seed in
   let flags =
     List.map (fun (_, c) -> Checker.has_root params c) (records ())
   in
@@ -229,7 +229,7 @@ let single_rule_per_move seed =
   let inputs = Leader.random_ids (Rng.split rng) g in
   let params = Transformer.params Leader.algo in
   let observer, events = Trace.make () in
-  let _hist, stats = run_setting ~observer ~params ~g ~inputs seed in
+  let _hist, stats = run_setting ~sinks:[ observer ] ~params ~g ~inputs seed in
   let valid_rules = [ Transformer.rr; Transformer.rp; Transformer.rc; Transformer.ru ] in
   stats.Engine.terminated
   && List.for_all

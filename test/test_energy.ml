@@ -5,7 +5,7 @@ module Graph = Ss_graph.Graph
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Energy = Ss_energy.Energy
 module Min_flood = Ss_algos.Min_flood
 module Leader = Ss_algos.Leader_election
@@ -13,6 +13,14 @@ module Rng = Ss_prelude.Rng
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+(* One metered run: the energy sink on the transformer's run. *)
+let measure ?proof ?heartbeat_period params daemon config =
+  let sink, cost =
+    Energy.sink ?proof ?heartbeat_period params config.Ss_sim.Config.graph
+  in
+  let stats = Transformer.run ~sinks:[ sink ] params daemon config in
+  (stats, cost stats)
 
 let test_height_bits () =
   check_int "finite bound" 4 (Energy.height_bits (P.Finite 10));
@@ -38,7 +46,7 @@ let ring_setup () =
 let test_messages_are_degree_weighted_moves () =
   let g, inputs, params = ring_setup () in
   let stats, cost =
-    Energy.measure params Daemon.synchronous
+    measure params Daemon.synchronous
       (Transformer.clean_config params g ~inputs)
   in
   check "terminated" true cost.Energy.terminated;
@@ -49,7 +57,7 @@ let test_messages_are_degree_weighted_moves () =
 let test_delta_cheaper_than_full_state () =
   let g, inputs, params = ring_setup () in
   let _stats, cost =
-    Energy.measure params Daemon.synchronous
+    measure params Daemon.synchronous
       (Transformer.clean_config params g ~inputs)
   in
   check "delta <= full" true
@@ -63,7 +71,7 @@ let test_full_state_grows_with_height () =
      messages * (cost of a one-cell state), while delta stays linear. *)
   let g, inputs, params = ring_setup () in
   let _stats, cost =
-    Energy.measure params Daemon.synchronous
+    measure params Daemon.synchronous
       (Transformer.clean_config params g ~inputs)
   in
   (* Delta messages on RU carry 2 + S bits with S <= 5 here; full-state
@@ -78,7 +86,7 @@ let test_heartbeats_accounting () =
   let g, inputs, params = ring_setup () in
   let sum_deg = 2 * Graph.n g in
   let _stats, cost =
-    Energy.measure ~heartbeat_period:1
+    measure ~heartbeat_period:1
       ~proof:{ Energy.proof_bits = 64; nonce_bits = 64 }
       params Daemon.synchronous
       (Transformer.clean_config params g ~inputs)
@@ -95,7 +103,7 @@ let test_heartbeat_period_scales () =
   let g, inputs, params = ring_setup () in
   let run period =
     let _stats, cost =
-      Energy.measure ~heartbeat_period:period params Daemon.synchronous
+      measure ~heartbeat_period:period params Daemon.synchronous
         (Transformer.clean_config params g ~inputs)
     in
     cost.Energy.heartbeat_messages
@@ -108,9 +116,9 @@ let test_corrupted_run_costs_more_than_clean () =
   let inputs = Leader.random_ids rng g in
   let params = Transformer.params ~bound:(P.Finite 10) Leader.algo in
   let clean = Transformer.clean_config params g ~inputs in
-  let _s1, clean_cost = Energy.measure params Daemon.synchronous clean in
+  let _s1, clean_cost = measure params Daemon.synchronous clean in
   let corrupted = Transformer.corrupt rng ~max_height:10 params clean in
-  let _s2, bad_cost = Energy.measure params Daemon.synchronous corrupted in
+  let _s2, bad_cost = measure params Daemon.synchronous corrupted in
   check "recovery costs messages" true
     (bad_cost.Energy.messages >= clean_cost.Energy.messages)
 
@@ -126,7 +134,7 @@ let test_rule_payloads () =
     Transformer.corrupt rng ~max_height:12 params
       (Transformer.clean_config params g ~inputs)
   in
-  let stats, cost = Energy.measure params Daemon.synchronous corrupted in
+  let stats, cost = measure params Daemon.synchronous corrupted in
   (* Lower bound: every message carries at least the 2 label bits.
      Upper bound: 2 + max(S_bound, height_bits) per message with
      S_bound = 17 bits (ids < 16n = 128 here). *)

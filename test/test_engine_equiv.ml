@@ -17,7 +17,7 @@ module Trace = Ss_sim.Trace
 module Fault_plan = Ss_chaos.Fault_plan
 module Stabilization = Ss_verify.Stabilization
 module Rng = Ss_prelude.Rng
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Rollback = Ss_rollback.Rollback
 module Blowup = Ss_rollback.Blowup
 module Leader = Ss_algos.Leader_election
@@ -157,7 +157,7 @@ let test_portfolio_pins () =
                   (1 + Option.value ~default:0 (Hashtbl.find_opt tally r)))
               moved
           in
-          let incr = Engine.run ~max_steps:200_000 ~observer algo d start in
+          let incr = Engine.run ~max_steps:200_000 ~sinks:[ observer ] algo d start in
           let naive = Engine.run_naive ~max_steps:200_000 algo d' start in
           assert_equiv ~msg eq incr naive;
           Alcotest.(check (list (pair string int)))
@@ -311,7 +311,7 @@ let check_single_path ~msg eq algo mk start =
   let observed = Engine.run ~sinks:[ count; recorder ] algo (mk ()) start in
   let unobserved = Engine.run algo (mk ()) start in
   let naive_recorder, naive_records = Trace.with_configs () in
-  let naive = Engine.run_naive ~observer:naive_recorder algo (mk ()) start in
+  let naive = Engine.run_naive ~sinks:[ naive_recorder ] algo (mk ()) start in
   input_untouched ~msg before start;
   assert_equiv ~msg:(msg ^ " observed/unobserved") eq observed unobserved;
   assert_equiv ~msg:(msg ^ " observed/naive") eq observed naive;

@@ -5,7 +5,7 @@
 module Builders = Ss_graph.Builders
 module Daemon = Ss_sim.Daemon
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
 module Workloads = Ss_expt.Workloads
 module Measure = Ss_expt.Measure
@@ -130,7 +130,10 @@ let test_worst_case_spec_detects_violation () =
 
 let test_clean_run () =
   let sc = scenario () in
-  let r = Measure.clean_run sc ~daemon:Daemon.synchronous in
+  let r =
+    Stabilization.run sc ~daemon:Daemon.synchronous
+      ~start:(Stabilization.clean_start sc)
+  in
   check "legitimate" true r.Stabilization.legitimate
 
 (* ------------------------------------------------------------------ *)

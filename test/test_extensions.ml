@@ -13,7 +13,7 @@ module Leader = Ss_algos.Leader_election
 module Bfs = Ss_algos.Bfs_tree
 module Anonymity = Ss_verify.Anonymity
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine

@@ -7,7 +7,7 @@ module Builders = Ss_graph.Builders
 module Graph = Ss_graph.Graph
 module Sync_runner = Ss_sync.Sync_runner
 module Core = Ss_core
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
 module Proof = Ss_msgnet.Proof

@@ -35,7 +35,7 @@ module Sync_algo = Ss_sync.Sync_algo
 module Sync_runner = Ss_sync.Sync_runner
 module St = Ss_core.Trans_state
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
 module Chanset = Ss_msgnet.Chanset

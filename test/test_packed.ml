@@ -15,7 +15,7 @@ module Rng = Ss_prelude.Rng
 module St = Ss_core.Trans_state
 module Cellpack = Ss_core.Cellpack
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
 module Leader = Ss_algos.Leader_election
 module Min_flood = Ss_algos.Min_flood

@@ -356,12 +356,12 @@ let leader_workload seed =
   let g = G.Builders.cycle 12 in
   let rng = Rng.create seed in
   let inputs = Leader.random_ids rng g in
-  let params = Core.Transformer.params Leader.algo in
+  let params = Core.Registry.Trans.params Leader.algo in
   let start =
-    Core.Transformer.corrupt rng ~max_height:8 params
-      (Core.Transformer.clean_config params g ~inputs)
+    Core.Registry.Trans.corrupt rng ~max_height:8 params
+      (Core.Registry.Trans.clean_config params g ~inputs)
   in
-  (params, Core.Transformer.algorithm params, start)
+  (params, Core.Registry.Trans.algorithm params, start)
 
 let qcheck_budget_no_overshoot =
   let open QCheck in

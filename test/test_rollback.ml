@@ -17,6 +17,16 @@ module Rng = Ss_prelude.Rng
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
+(* The shared corruption loop with the compiler's own fault model. *)
+let corrupt rng sync ~bound config =
+  let params =
+    Ss_core.Registry.Trans.params ~bound:(Ss_core.Predicates.Finite bound) sync
+  in
+  Ss_sim.Fault.corrupt rng
+    (fun rng input st ->
+      Rollback.Entry.corrupt_state rng ~max_height:bound params input st)
+    config
+
 (* ------------------------------------------------------------------ *)
 (* Rollback compiler basics                                             *)
 (* ------------------------------------------------------------------ *)
@@ -65,7 +75,7 @@ let test_rollback_is_self_stabilizing () =
     let bound = n + 2 in
     let algo = Rollback.algorithm Leader.algo ~bound in
     let start =
-      Rollback.corrupt (Rng.split rng) Leader.algo
+      corrupt (Rng.split rng) Leader.algo ~bound
         (Rollback.clean_config Leader.algo ~bound g ~inputs)
     in
     let daemon =
@@ -86,7 +96,7 @@ let test_corrupt_preserves_shape () =
   let bound = 4 in
   let clean = Rollback.clean_config Min_flood.algo ~bound g ~inputs:(fun p -> p) in
   let rng = Rng.create 3 in
-  let c = Rollback.corrupt rng Min_flood.algo clean in
+  let c = corrupt rng Min_flood.algo ~bound clean in
   Graph.iter_nodes g (fun p ->
       let st = Config.state c p in
       check_int "init preserved" p st.Rollback.init;

@@ -234,7 +234,7 @@ let test_observer_sequence () =
   let observer ~step ~rounds:_ ~moved _cfg =
     calls := (step, List.length moved) :: !calls
   in
-  let _ = Engine.run ~observer max_algo Daemon.synchronous c in
+  let _ = Engine.run ~sinks:[ observer ] max_algo Daemon.synchronous c in
   Alcotest.(check (list (pair int int)))
     "initial call then one step" [ (0, 0); (1, 1) ] (List.rev !calls)
 
@@ -437,7 +437,7 @@ let test_sync_rounds_equal_steps () =
 let test_trace_events () =
   let c = path_config [| 0; 0; 9 |] in
   let observer, events = Trace.make () in
-  let stats = Engine.run ~observer max_algo Daemon.synchronous c in
+  let stats = Engine.run ~sinks:[ observer ] max_algo Daemon.synchronous c in
   let evs = events () in
   check_int "one event per step" stats.Engine.steps (List.length evs);
   check_int "moves counted" stats.Engine.moves (Trace.moves_of evs);
@@ -449,7 +449,7 @@ let test_trace_events () =
 let test_trace_with_configs () =
   let c = path_config [| 0; 9 |] in
   let observer, records = Trace.with_configs () in
-  let stats = Engine.run ~observer max_algo Daemon.synchronous c in
+  let stats = Engine.run ~sinks:[ observer ] max_algo Daemon.synchronous c in
   let recs = records () in
   check_int "initial + steps" (stats.Engine.steps + 1) (List.length recs);
   let ev0, c0 = List.hd recs in
@@ -460,7 +460,7 @@ let test_trace_with_configs () =
 let test_trace_csv () =
   let c = path_config [| 0; 0; 9 |] in
   let observer, events = Trace.make () in
-  let _ = Engine.run ~observer max_algo Daemon.synchronous c in
+  let _ = Engine.run ~sinks:[ observer ] max_algo Daemon.synchronous c in
   let csv = Trace.to_csv (events ()) in
   let lines = String.split_on_char '\n' (String.trim csv) in
   Alcotest.(check string) "header" "step,rounds,node,rule" (List.hd lines);
@@ -476,7 +476,7 @@ let test_trace_replay () =
   let c = Config.make g ~inputs:(fun _ -> ()) ~states:(fun p -> states.(p)) in
   let observer, events = Trace.make () in
   let original =
-    Engine.run ~observer max_algo (Daemon.distributed_random rng ~p:0.5) c
+    Engine.run ~sinks:[ observer ] max_algo (Daemon.distributed_random rng ~p:0.5) c
   in
   let schedule = Trace.to_schedule (events ()) in
   let replay = Engine.run max_algo (Daemon.scripted schedule) c in
@@ -514,21 +514,24 @@ let test_pp_event () =
 let test_fault_corrupt_all () =
   let rng = Rng.create 7 in
   let c = path_config [| 1; 1; 1 |] in
-  let c' = Fault.corrupt rng (fun _ s -> s + 1) c in
+  let c' = Fault.corrupt rng (fun _ () s -> s + 1) c in
   Alcotest.(check (array int)) "all mutated" [| 2; 2; 2 |] c'.Config.states;
   Alcotest.(check (array int)) "original intact" [| 1; 1; 1 |] c.Config.states
 
 let test_fault_corrupt_none () =
   let rng = Rng.create 7 in
   let c = path_config [| 1; 1; 1 |] in
-  let c' = Fault.corrupt rng ~p:0.0 (fun _ s -> s + 1) c in
+  let c' = Fault.corrupt rng ~p:0.0 (fun _ () s -> s + 1) c in
   Alcotest.(check (array int)) "none mutated" [| 1; 1; 1 |] c'.Config.states
 
 let test_fault_corrupt_nodes () =
   let rng = Rng.create 7 in
-  let c = path_config [| 1; 1; 1 |] in
-  let c' = Fault.corrupt_nodes rng (fun _ s -> s * 10) [ 0; 2 ] c in
-  Alcotest.(check (array int)) "exact nodes" [| 10; 1; 10 |] c'.Config.states
+  (* The mutator also receives the node's read-only input. *)
+  let c =
+    Config.make (Builders.path 3) ~inputs:(fun p -> 100 * p) ~states:(fun _ -> 1)
+  in
+  let c' = Fault.corrupt_nodes rng (fun _ input s -> (s * 10) + input) [ 0; 2 ] c in
+  Alcotest.(check (array int)) "exact nodes" [| 10; 1; 210 |] c'.Config.states
 
 (* ------------------------------------------------------------------ *)
 (* Algorithm helpers                                                    *)

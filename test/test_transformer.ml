@@ -12,7 +12,7 @@ module Sync_runner = Ss_sync.Sync_runner
 module Min_flood = Ss_algos.Min_flood
 module St = Ss_core.Trans_state
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Transformer
+module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module Rng = Ss_prelude.Rng
 

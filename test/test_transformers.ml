@@ -121,13 +121,13 @@ let adaptive_differential (type s i) ~msg ~seed ~bound
   List.iter
     (fun (dname, factory) ->
       let msg = Printf.sprintf "%s/%s/seed=%d" msg dname seed in
-      let fast = Adaptive.run params (factory ()) (start ()) in
-      let naive = Adaptive.run_naive params (factory ()) (start ()) in
+      let fast = Adaptive.Entry.run params (factory ()) (start ()) in
+      let naive = Adaptive.Entry.run_naive params (factory ()) (start ()) in
       assert_stats msg fast naive;
       check (msg ^ ": same final configuration") true
         (Config.equal eq fast.Engine.final naive.Engine.final);
       let packed =
-        Adaptive.run ~self_check:true params (factory ()) (start ~codec ())
+        Adaptive.Entry.run ~self_check:true params (factory ()) (start ~codec ())
       in
       assert_stats (msg ^ "/packed") packed naive;
       check (msg ^ ": packed same final") true
@@ -211,7 +211,7 @@ let test_fault_locality () =
       (fun k ->
         let config = Adaptive.converged_config params hist graph ~inputs in
         List.iter (flip_mid_cell config) (victims k);
-        let stats = Adaptive.run params Daemon.synchronous config in
+        let stats = Adaptive.Entry.run params Daemon.synchronous config in
         check (Printf.sprintf "adaptive k=%d terminated" k) true
           stats.Engine.terminated;
         check (Printf.sprintf "adaptive k=%d legitimate" k) true
