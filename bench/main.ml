@@ -319,8 +319,8 @@ let bench_algo_err ~cached ~h () =
     !s
   in
   let self_b = Core.Trans_state.extend self_a input in
-  let va = { Sim.Algorithm.input; self = self_a; neighbors } in
-  let vb = { Sim.Algorithm.input; self = self_b; neighbors } in
+  let va = { Sim.Algorithm.input; self = self_a; neighbors; node = 0 } in
+  let vb = { va with self = self_b } in
   let eval =
     if cached then begin
       let cache = P.make_cache () in

@@ -11,7 +11,7 @@ let algo =
     Sync_algo.sync_name = "leader-election";
     equal = Int.equal;
     init = (fun id -> id);
-    step = (fun _id self neighbors -> Array.fold_left min self neighbors);
+    step = (fun _id self neighbors -> Util.fold_min self neighbors);
     random_state = (fun rng _ -> Rng.int rng 65536);
     state_bits = (fun s -> 1 + Util.bit_width (abs s));
     pp_state = Format.pp_print_int;

@@ -10,8 +10,7 @@ let algo =
     Sync_algo.sync_name = "min-flood";
     equal = Int.equal;
     init = (fun v -> v);
-    step =
-      (fun _input self neighbors -> Array.fold_left min self neighbors);
+    step = (fun _input self neighbors -> Util.fold_min self neighbors);
     random_state = (fun rng _ -> Ss_prelude.Rng.int_in rng (-1024) 1024);
     state_bits = (fun s -> 1 + Util.bit_width (abs s));
     pp_state = Format.pp_print_int;

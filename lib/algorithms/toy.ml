@@ -31,7 +31,7 @@ let max_flood =
     Sync_algo.sync_name = "max-flood";
     equal = Int.equal;
     init = (fun v -> v);
-    step = (fun _ self neighbors -> Array.fold_left max self neighbors);
+    step = (fun _ self neighbors -> Util.fold_max self neighbors);
     random_state = (fun rng _ -> Rng.int_in rng (-1024) 1024);
     state_bits = bits;
     pp_state = Format.pp_print_int;

@@ -93,7 +93,9 @@ let coloring_legitimate g ~max_colors ~color =
   proper && Graph.fold_nodes g ~init:true ~f:(fun acc p -> acc && in_range p)
 
 let legitimate_terminal params history config =
-  let algo = Transformer.algorithm params in
+  (* The reference predicates: the oracle must not read (or fill) the
+     watermark memo whose runs it judges. *)
+  let algo = Transformer.algorithm_uncached params in
   if not (Config.is_terminal algo config) then
     Error "configuration is not terminal"
   else if has_root params config then Error "terminal configuration has a root"

@@ -67,5 +67,6 @@ val legitimate_terminal :
   ('s Trans_state.t, 'i) Ss_sim.Config.t ->
   (unit, string) result
 (** Full terminal-configuration check (§4.1): no enabled node, no
-    root, all heights equal, correct simulation contents.  Returns a
-    diagnostic on failure. *)
+    root, all heights equal, correct simulation contents.  Terminality
+    is judged by {!Transformer.algorithm_uncached}, independent of the
+    watermark memo.  Returns a diagnostic on failure. *)

@@ -80,20 +80,22 @@ let algo_err params (v : ('s, 'i) view) =
 (* Memoized verification watermarks                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* One watermark per node, keyed by the identity of the node's backing
-   buffer ({!St.rep_id}): cells [1 .. verified] were checked against
-   dependencies that are still physically present as long as every
-   neighbor kept its buffer (write-once committed prefixes, see
-   trans_state.ml).  A guard re-evaluation therefore costs O(deg)
-   stamp comparisons plus one [step] per cell appended or repaired
-   since the previous evaluation — O(Δ·deg) instead of the naive
-   O(h·deg) full-prefix re-verification. *)
+(* One watermark per node, stored at the node's index ({!view}'s
+   [node] field): cells [1 .. verified] were checked against
+   dependencies that are still physically present as long as the node
+   and every neighbor kept their lineage (write-once committed
+   prefixes, see trans_state.ml).  A guard re-evaluation therefore
+   costs O(deg) stamp comparisons plus one [step] per cell appended or
+   repaired since the previous evaluation — O(Δ·deg) instead of the
+   naive O(h·deg) full-prefix re-verification.  The node index only
+   locates the entry; the tokens below decide whether it applies, so a
+   view whose index names another node's entry costs a miss, never a
+   wrong answer. *)
 type entry = {
   mutable input : Obj.t;
-      (* Physical token of the view's input: a buffer is the [self] of
-         exactly one node in practice, but a pathological config could
-         alias states across nodes — the token turns that into a cache
-         miss instead of a wrong answer. *)
+      (* Physical token of the view's input: one state aliased at two
+         nodes with different inputs verifies differently at each. *)
+  mutable self_rep : int;
   mutable self_stamp : int;
   mutable nb_stamps : int array;
   mutable nb_reps : int array;
@@ -102,23 +104,51 @@ type entry = {
   mutable result : bool;
 }
 
-(* Keys are lineage ids, minted sequentially: the identity hash spreads
-   them perfectly and skips the polymorphic hash and compare. *)
-module Tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash k = k land max_int
-end)
-
 type ('s, 'i) cache = {
-  tbl : entry Tbl.t;
+  mutable entries : entry array;
+      (* [entries.(p)] is node [p]'s watermark, {!no_entry} until its
+         first evaluation; grown on demand, overwritten in place. *)
   mutable scratch : 's array array;
       (* [scratch.(d)] is the dependency array {!scan} refills for a
          node of degree [d], allocated on first use. *)
 }
 
-let make_cache () : ('s, 'i) cache = { tbl = Tbl.create 64; scratch = [||] }
+(* An entry that matches no view: its input token is private. *)
+let private_token = Obj.repr (ref ())
+
+let blank () =
+  {
+    input = private_token;
+    self_rep = -1;
+    self_stamp = -1;
+    nb_stamps = [||];
+    nb_reps = [||];
+    verified = 0;
+    top = -1;
+    result = false;
+  }
+
+(* Stand-in for "no entry yet"; never written. *)
+let no_entry = blank ()
+
+let make_cache () : ('s, 'i) cache = { entries = [||]; scratch = [||] }
+
+(* Node [node]'s entry, created (and the table grown, at least
+   doubling) on its first evaluation. *)
+let entry_for c node =
+  let len = Array.length c.entries in
+  if node >= len then begin
+    let grown = Array.make (max (node + 1) (2 * len)) no_entry in
+    Array.blit c.entries 0 grown 0 len;
+    c.entries <- grown
+  end;
+  let e = c.entries.(node) in
+  if e != no_entry then e
+  else begin
+    let e = blank () in
+    c.entries.(node) <- e;
+    e
+  end
 
 (* The dependency scratch for a node of degree [deg]; [fill] seeds a
    newly allocated array. *)
@@ -136,10 +166,6 @@ let scratch c deg (fill : 's) =
     a
   end
 
-(* Error broadcasts mint a fresh buffer per RR move; cap the table so
-   a long recovery cannot accumulate unbounded stale watermarks. *)
-let cache_capacity = 1 lsl 16
-
 (* Global count of guard evaluations answered (fully or partially)
    from a watermark instead of a full-prefix rescan.  The caches
    themselves are per-domain (transformer.ml keys them through
@@ -148,19 +174,6 @@ let cache_capacity = 1 lsl 16
    runs actually exercise the cached predicates. *)
 let hits = Atomic.make 0
 let cache_hits () = Atomic.get hits
-
-(* Stand-in for "no entry": its input token is private, so it never
-   matches a view, and it is never written. *)
-let no_entry =
-  {
-    input = Obj.repr (ref ());
-    self_stamp = -1;
-    nb_stamps = [||];
-    nb_reps = [||];
-    verified = 0;
-    top = -1;
-    result = false;
-  }
 
 let rec same_stamps stamps nbs k =
   k >= Array.length nbs
@@ -190,10 +203,13 @@ let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
     let deg = Array.length nbs in
     let input = Obj.repr v.Algorithm.input in
     let rep = St.rep_id self in
-    let e = match Tbl.find c.tbl rep with e -> e | exception Not_found -> no_entry in
-    let same_input = e.input == input in
+    let node = v.Algorithm.node in
+    let e =
+      if node < Array.length c.entries then c.entries.(node) else no_entry
+    in
+    let same_lineage = e.input == input && e.self_rep = rep in
     if
-      same_input
+      same_lineage
       && e.self_stamp = St.stamp self
       && e.top = top
       && Array.length e.nb_stamps = deg
@@ -204,27 +220,19 @@ let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
     end
     else begin
       let base =
-        if same_input && Array.length e.nb_reps = deg && same_reps e.nb_reps nbs 0
+        if same_lineage && Array.length e.nb_reps = deg && same_reps e.nb_reps nbs 0
         then if e.verified < top then e.verified else top
         else 0
       in
       if base > 0 then Atomic.incr hits;
       let i = scan params v (scratch c deg (St.cell self 0)) ~base ~top in
       let result = i <= top in
-      let verified = if result then i - 1 else top in
-      let e =
-        if e != no_entry then e
-        else begin
-          if Tbl.length c.tbl >= cache_capacity then Tbl.reset c.tbl;
-          let e = { no_entry with input } in
-          Tbl.replace c.tbl rep e;
-          e
-        end
-      in
+      let e = if e != no_entry then e else entry_for c node in
       e.input <- input;
+      e.self_rep <- rep;
       e.self_stamp <- St.stamp self;
       record_neighbors e nbs;
-      e.verified <- verified;
+      e.verified <- (if result then i - 1 else top);
       e.top <- top;
       e.result <- result;
       result

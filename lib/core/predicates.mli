@@ -60,19 +60,26 @@ val algo_err : ('s, 'i) params -> ('s, 'i) view -> bool
 
 type ('s, 'i) cache
 (** Memoized verification watermarks for {!algo_err_cached}: per node
-    (keyed by the {!Trans_state.rep_id} of its backing buffer), the
+    (stored at the view's {!Ss_sim.Algorithm.view} [node] index), the
     deepest prefix of [L] already verified against the current
-    neighbor cells, together with the neighbor version stamps the
-    verification read.  Sound because committed buffer prefixes are
-    write-once: as long as each neighbor keeps its buffer, the cells
-    behind the watermark are physically unchanged, and every move that
-    could affect them (divergence, [RR] wipe, corruption) mints a
-    fresh buffer — a cache miss, never a stale hit. *)
+    neighbor cells, together with the tokens that verification read:
+    the input, the node's own lineage ({!Trans_state.rep_id}) and
+    {!Trans_state.stamp}, and each neighbor's lineage and stamp.  An
+    entry applies only when those tokens match, so the index is just a
+    key: a view carrying another node's index, or a second graph, costs
+    a miss and never a wrong answer.  Sound because committed buffer
+    prefixes are write-once: as long as the node and each neighbor
+    keep their lineage, the cells behind the watermark are physically
+    unchanged, and every move that could affect them (divergence, [RR]
+    wipe, corruption, a packed write below the frontier) mints a fresh
+    lineage — a miss, never a stale hit. *)
 
 val make_cache : unit -> ('s, 'i) cache
-(** A fresh, empty cache.  One cache serves one (algorithm, graph)
-    instantiation; sharing it across unrelated configs is safe (keys
-    are globally unique buffer ids) but wastes capacity. *)
+(** A fresh, empty cache.  Its table grows to the largest node index
+    it has seen (about 20 words per evaluated node of degree 4) and a
+    miss overwrites the node's entry in place.  One cache serves one
+    (algorithm, domain) pair; it may see several configurations and
+    graphs, which only cost misses. *)
 
 val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
 (** Same result as {!algo_err}, but O(deg) on a stamp-exact hit and

@@ -76,14 +76,14 @@ let algorithm_gen ~algo_err p =
   }
 
 (* One watermark cache per (algorithm instantiation × domain): the
-   cache is a plain Hashtbl, so sharded runs — whose guard sweeps
-   execute on the Ss_par pool's domains — get a lazily created
+   cache is a plain mutable array, so sharded runs — whose guard
+   sweeps execute on the Ss_par pool's domains — get a lazily created
    private instance through Domain.DLS instead of racing on one
    table.  The cache is a pure memo (it never changes results), so
-   per-domain instances cannot affect the execution; each DLS key
-   costs every domain one slot for the life of the process, which at
-   campaign scale (thousands of instantiations) is a few kilobytes
-   per domain. *)
+   per-domain instances cannot affect the execution.  DLS slots are
+   never freed: a domain keeps the cache of every instantiation it
+   evaluated for the life of the process (DESIGN.md §10 gives the
+   size). *)
 let algorithm p =
   let key = Domain.DLS.new_key P.make_cache in
   algorithm_gen ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v) p

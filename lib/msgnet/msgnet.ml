@@ -446,6 +446,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
       Algorithm.input = Config.input config v;
       self = states.(v);
       neighbors = mirrors.(v);
+      node = v;
     }
   in
 

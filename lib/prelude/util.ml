@@ -32,6 +32,22 @@ let min_of = function
   | [] -> invalid_arg "Util.min_of: empty list"
   | x :: rest -> List.fold_left min x rest
 
+let fold_min x a =
+  let m = ref x in
+  for k = 0 to Array.length a - 1 do
+    let y = Array.unsafe_get a k in
+    if y < !m then m := y
+  done;
+  !m
+
+let fold_max x a =
+  let m = ref x in
+  for k = 0 to Array.length a - 1 do
+    let y = Array.unsafe_get a k in
+    if y > !m then m := y
+  done;
+  !m
+
 let range n = List.init n (fun i -> i)
 
 let array_for_all2 f a b =

@@ -27,6 +27,14 @@ val min_of : int list -> int
 (** Minimum of a non-empty integer list.
     @raise Invalid_argument on the empty list. *)
 
+val fold_min : int -> int array -> int
+(** [fold_min x a] is [Array.fold_left min x a] as an int loop: no
+    polymorphic compare per element.  The kernel of the min-flooding
+    [step] functions, which run once per verified cell. *)
+
+val fold_max : int -> int array -> int
+(** [fold_max x a] is [Array.fold_left max x a] as an int loop. *)
+
 val range : int -> int list
 (** [range n] is [[0; 1; ...; n-1]]. *)
 

@@ -1,4 +1,4 @@
-type ('s, 'i) view = { input : 'i; self : 's; neighbors : 's array }
+type ('s, 'i) view = { input : 'i; self : 's; neighbors : 's array; node : int }
 
 type ('s, 'i) rule = {
   rule_name : string;

@@ -16,6 +16,11 @@ type ('s, 'i) view = {
   input : 'i;  (** The node's read-only input (ids, ports, flags…). *)
   self : 's;  (** The node's current state. *)
   neighbors : 's array;  (** Neighbor states, in port order. *)
+  node : int;
+      (** Index of the node the view belongs to.  A memo key only
+          (the transformer's verification watermarks are stored per
+          node): rules must not read it, since the weak model gives a
+          node no identity beyond its input. *)
 }
 
 type ('s, 'i) rule = {

@@ -20,6 +20,7 @@ let view c p =
     neighbors =
       Array.init (Graph.degree c.graph p) (fun i ->
           c.states.(Graph.nbr c.graph p i));
+    node = p;
   }
 
 let with_states c states = { c with states }

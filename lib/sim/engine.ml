@@ -45,10 +45,13 @@ let divergence_sink ~checked:(what, actual) ~reference:(against, expected)
 
 (* One bus for the optional single observer, the sink list, and any
    internal sinks (self-check): everyone sees the same events in the
-   same order. *)
+   same order.  Also says whether anyone listens, so an unobserved run
+   can skip building each step's [moved] list. *)
 let bus ?observer ?(sinks = []) internal =
-  let user = match observer with Some o -> o :: sinks | None -> sinks in
-  tee (user @ internal)
+  let all =
+    (match observer with Some o -> o :: sinks | None -> sinks) @ internal
+  in
+  (tee all, all <> [])
 
 (* Selection validation, one validator per run.  Duplicates are found
    against a run-owned stamp array — [marks.(p) = !tick] iff [p]
@@ -86,41 +89,29 @@ let validate_selection validate enabled selected =
   List.iter (fun p -> Hashtbl.replace members p ()) enabled;
   validate ~is_enabled:(Hashtbl.mem members) selected
 
-(* Execute a validated selection into [states].  [rule_of p] is the
-   enabled rule the selection was validated against; all moves read
-   the pre-step configuration: compute every new state ([List.map]
-   forces the whole list) before writing any, so [states] may be
-   [config]'s own array.  Actions get fresh views (Config.view), never
-   the scheduler's reusable buffers, so a returned state may safely
-   retain view data. *)
-let apply_into config states ~rule_of selected =
-  let rule p =
-    match rule_of p with
-    | Some rule -> rule
-    | None -> assert false (* validated by the caller *)
-  in
-  match selected with
-  | [ p ] ->
-      (* One mover (every central-daemon step): nothing else reads the
-         pre-step state, so write it straight away. *)
-      let r = rule p in
-      states.(p) <- r.Algorithm.action (Config.view config p);
-      [ (p, r.Algorithm.rule_name) ]
-  | _ ->
-      let moves =
-        List.map
-          (fun p ->
-            let r = rule p in
-            (p, r.Algorithm.rule_name, r.Algorithm.action (Config.view config p)))
-          selected
-      in
-      List.iter (fun (p, _, s) -> states.(p) <- s) moves;
-      List.map (fun (p, r, _) -> (p, r)) moves
+let rule_of_selected rule_of p =
+  match rule_of p with
+  | Some rule -> rule
+  | None -> assert false (* validated by the caller *)
 
-(* Copying variant: the configuration reached, as a fresh one. *)
+(* Execute a validated selection on a copy of the states: the path of
+   [step] and [run_naive], the reference twins ([run] steps in place,
+   below).  [rule_of p] is the enabled rule the selection was
+   validated against.  Every action reads the pre-step configuration:
+   views are built from [config], whose own array is never written.
+   Actions get fresh views (Config.view), never the scheduler's
+   reusable buffers, so a returned state may safely retain view
+   data. *)
 let apply config ~rule_of selected =
   let states = Array.copy config.Config.states in
-  let moved = apply_into config states ~rule_of selected in
+  let moved =
+    List.map
+      (fun p ->
+        let r = rule_of_selected rule_of p in
+        states.(p) <- r.Algorithm.action (Config.view config p);
+        (p, r.Algorithm.rule_name))
+      selected
+  in
   (Config.with_states config states, moved)
 
 let step algo config selected =
@@ -158,11 +149,12 @@ let limits ?budget ?max_steps ?max_moves ?now () =
     Budget.resolve ~default:max_int max_moves b.Budget.moves,
     Budget.deadline_check ?now b )
 
-(* Shared per-run accounting: per-node and per-rule move counters and
-   the final stats record.  A move's rule is found by scanning the
-   algorithm's handful of labels ([String.equal] returns at once on
-   the physically shared label) rather than hashing the label on every
-   move; a repeated label counts at its first slot. *)
+(* Shared per-run accounting: per-node and per-rule move counters
+   ([note p label] counts one move) and the final stats record.  A
+   move's rule is found by scanning the algorithm's handful of labels
+   ([String.equal] returns at once on the physically shared label)
+   rather than hashing the label on every move; a repeated label
+   counts at its first slot. *)
 let make_counters algo n =
   let moves_per_node = Array.make n 0 in
   let names = Array.of_list (Algorithm.rule_names algo) in
@@ -174,7 +166,7 @@ let make_counters algo n =
     in
     go 0
   in
-  let note_move (p, r) =
+  let note_move p r =
     moves_per_node.(p) <- moves_per_node.(p) + 1;
     let i = slot r in
     if i < Array.length names then per_rule.(i) <- per_rule.(i) + 1
@@ -194,6 +186,25 @@ let make_counters algo n =
   in
   (note_move, finish)
 
+(* A validated selection of several nodes, executed into [states] by
+   [run] without intermediate lists: every new state is computed into
+   the run-owned scratch [next] (position [i] for the selection's
+   [i]-th node) from the pre-step configuration, counted, and only then
+   written back.  Returns the number of moves. *)
+let rec compute_moves config ~rule_of ~note next i = function
+  | [] -> i
+  | p :: rest ->
+      let r = rule_of_selected rule_of p in
+      next.(i) <- r.Algorithm.action (Config.view config p);
+      note p r.Algorithm.rule_name;
+      compute_moves config ~rule_of ~note next (i + 1) rest
+
+let rec write_moves states next i = function
+  | [] -> ()
+  | p :: rest ->
+      states.(p) <- next.(i);
+      write_moves states next (i + 1) rest
+
 let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
     ?(sharded = false) ?observer ?sinks algo daemon config =
   let max_steps, max_moves, deadline =
@@ -201,6 +212,7 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   in
   let note_move, finish = make_counters algo (Config.n config) in
   let sched = Sched.create ~parallel:sharded algo config in
+  let rule_of = Sched.enabled_rule sched in
   let validate = validator (Config.n config) in
   (* Divergence checking is just another sink on the bus: it reads the
      configuration each event reaches and compares the incrementally
@@ -210,13 +222,40 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
       ~checked:("incremental", fun _ -> Sched.enabled sched)
       ~reference:("full scan", Config.enabled_nodes algo)
   in
-  let emit = bus ?observer ?sinks (if self_check then [ check_sink ] else []) in
+  let emit, observed =
+    bus ?observer ?sinks (if self_check then [ check_sink ] else [])
+  in
   (* Step in place on a private copy of the states: the input
      configuration is never mutated, and no step pays an O(n) copy.
      Sinks borrow the live configuration for the duration of each call
      (see the interface). *)
   let config = Config.with_states config (Array.copy config.Config.states) in
   let states = config.Config.states in
+  (* Scratch for multi-mover steps, allocated on the first one. *)
+  let next = ref [||] in
+  let execute selected =
+    match selected with
+    | [ p ] ->
+        (* One mover (every central-daemon step): nothing else reads
+           the pre-step state, so write it straight away. *)
+        let r = rule_of_selected rule_of p in
+        states.(p) <- r.Algorithm.action (Config.view config p);
+        note_move p r.Algorithm.rule_name;
+        (1, [ (p, r.Algorithm.rule_name) ])
+    | _ ->
+        if Array.length !next = 0 then
+          next := Array.make (Array.length states) states.(0);
+        let k = compute_moves config ~rule_of ~note:note_move !next 0 selected in
+        write_moves states !next 0 selected;
+        let moved =
+          if observed then
+            List.map
+              (fun p -> (p, (rule_of_selected rule_of p).Algorithm.rule_name))
+              selected
+          else []
+        in
+        (k, moved)
+  in
   let rec loop steps moves tracker =
     (* Scheduled transient corruption, injected before the termination
        check so a fault landing on a quiescent configuration re-starts
@@ -242,16 +281,13 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
       in
       validate ~is_enabled:(Sched.is_enabled sched) selected;
       let selected = cap_selection ~budget:(max_moves - moves) selected in
-      let moved =
-        apply_into config states ~rule_of:(Sched.enabled_rule sched) selected
-      in
-      List.iter note_move moved;
+      let k, moved = execute selected in
       (* The movers are exactly the (capped) selection, in order. *)
       Sched.update sched config ~moved:selected;
       Rounds.note_step_set tracker ~moved:selected
         ~enabled_after:(Sched.enabled_set sched);
       emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config;
-      loop (steps + 1) (moves + List.length moved) tracker
+      loop (steps + 1) (moves + k) tracker
     end
   in
   let tracker = Rounds.create_set ~enabled:(Sched.enabled_set sched) in
@@ -264,7 +300,7 @@ let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
     limits ?budget ?max_steps ?max_moves ?now ()
   in
   let note_move, finish = make_counters algo (Config.n config) in
-  let emit = bus ?observer ?sinks [] in
+  let emit, _ = bus ?observer ?sinks [] in
   let validate = validator (Config.n config) in
   let rec loop config steps moves tracker =
     let enabled = Config.enabled_nodes algo config in
@@ -285,7 +321,7 @@ let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
           ~rule_of:(fun p -> Algorithm.enabled_rule algo (Config.view config p))
           selected
       in
-      List.iter note_move moved;
+      List.iter (fun (p, r) -> note_move p r) moved;
       let enabled_after = Config.enabled_nodes algo config' in
       Rounds.note_step tracker ~moved:(List.map fst moved) ~enabled_after;
       emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config';

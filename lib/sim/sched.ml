@@ -57,7 +57,7 @@ let eval t sh states p =
   done;
   sh.s_evals <- sh.s_evals + 1;
   Algorithm.enabled_rule t.algo
-    { Algorithm.input = t.inputs.(p); self = states.(p); neighbors = buf }
+    { Algorithm.input = t.inputs.(p); self = states.(p); neighbors = buf; node = p }
 
 let refresh t sh states p =
   let now = eval t sh states p in

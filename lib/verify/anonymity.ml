@@ -59,8 +59,8 @@ let rules_port_invariant ~rng ~trials algo ~gen_input ~gen_state ~max_degree =
     let input = gen_input rng in
     let self = gen_state rng in
     let nbrs = random_neighbors rng gen_state max_degree in
-    let va = { Algorithm.input; self; neighbors = nbrs } in
-    let vb = { Algorithm.input; self; neighbors = shuffled rng nbrs } in
+    let va = { Algorithm.input; self; neighbors = nbrs; node = 0 } in
+    let vb = { va with neighbors = shuffled rng nbrs } in
     same (outcome va) (outcome vb) && go (t + 1)
   in
   go 0

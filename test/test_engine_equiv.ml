@@ -428,13 +428,16 @@ let test_single_path_chaos () =
 (* ------------------------------------------------------------------ *)
 
 (* Words allocated by [f ()]: minor allocations plus direct major
-   ones (promotions are counted once, on the minor side). *)
+   ones (promotions are counted once, on the minor side).  The minor
+   term reads [Gc.minor_words], which is exact; [Gc.quick_stat]'s
+   minor count advances only at minor collections (OCaml 5.1), a
+   granularity of a whole minor heap. *)
 let allocated f =
-  let s0 = Gc.quick_stat () in
+  let w0 = Gc.minor_words () and s0 = Gc.quick_stat () in
   let r = f () in
-  let s1 = Gc.quick_stat () in
+  let w1 = Gc.minor_words () and s1 = Gc.quick_stat () in
   ( r,
-    s1.Gc.minor_words -. s0.Gc.minor_words
+    w1 -. w0
     +. (s1.Gc.major_words -. s0.Gc.major_words)
     -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
 
@@ -486,6 +489,108 @@ let test_observed_allocation () =
   in
   guard "recovery tracking" tracked bare;
   guard "counting sink" engine_sink engine_bare
+
+(* ------------------------------------------------------------------ *)
+(* Multi-mover apply on a packed arena                                  *)
+(* ------------------------------------------------------------------ *)
+
+module St = Ss_core.Trans_state
+
+(* Leader election on a packed torus, B = 8, corrupted from [seed].  A
+   packed run writes its arena in place, so every run gets its own
+   start, rebuilt from the same seed. *)
+let packed_torus_start ~rows ~cols seed =
+  let rng = Rng.create seed in
+  let g = Builders.torus ~rows ~cols in
+  let inputs = Leader.random_ids rng g in
+  let params = Transformer.params ~bound:(Ss_core.Predicates.Finite 8) Leader.algo in
+  let start =
+    Transformer.corrupt rng ~max_height:8 params
+      (Transformer.packed_config params ~codec:Leader.codec g ~inputs)
+  in
+  (params, start)
+
+(* The same configuration with every state copied into a boxed buffer. *)
+let boxed_twin (config : _ Config.t) =
+  Config.map_states
+    (fun st -> St.make ~init:(St.init st) ~status:(St.status st) ~cells:(St.cells st))
+    config
+
+let moved_recorder () =
+  let steps = ref [] in
+  ( (fun ~step ~rounds:_ ~moved _config -> steps := (step, moved) :: !steps),
+    fun () -> List.rev !steps )
+
+(* The synchronous daemon moves almost every node per step, so [run]
+   takes its list-free multi-mover path.  Sharded (two shards at this
+   size, on two domains) or not, observed or not, the statistics
+   agree; the moved lists the bus carries agree with [run_naive] on
+   boxed twins, step by step. *)
+let test_packed_sync_apply () =
+  let rows = 128 and cols = 128 and seed = 5 in
+  let eq = St.equal Int.equal in
+  let saved = Ss_par.Par.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Ss_par.Par.set_jobs saved)
+    (fun () ->
+      Ss_par.Par.set_jobs 2;
+      let run ~sharded ~sink =
+        let params, start = packed_torus_start ~rows ~cols seed in
+        check "packed start" true
+          (St.backing_arena start.Config.states.(0) <> None);
+        let algo = Transformer.algorithm params in
+        let sinks, moved = moved_recorder () in
+        let stats =
+          Engine.run ~sharded ?sinks:(if sink then Some [ sinks ] else None)
+            algo Daemon.synchronous start
+        in
+        (stats, moved ())
+      in
+      let reference, ref_moved = run ~sharded:false ~sink:true in
+      check "multi-mover steps" true
+        (List.exists (fun (_, m) -> List.length m > 1) ref_moved);
+      check "terminated" true reference.Engine.terminated;
+      List.iter
+        (fun (sharded, sink) ->
+          let msg = Printf.sprintf "sharded=%b sink=%b" sharded sink in
+          let stats, moved = run ~sharded ~sink in
+          assert_equiv ~msg eq stats reference;
+          if sink then
+            check (msg ^ ": same moved lists") true (moved = ref_moved))
+        [ (false, false); (true, false); (true, true) ];
+      let params, start = packed_torus_start ~rows:12 ~cols:16 seed in
+      let twin = boxed_twin start in
+      let algo = Transformer.algorithm params in
+      let sinks, moved = moved_recorder () in
+      let stats = Engine.run ~sinks:[ sinks ] algo Daemon.synchronous start in
+      let naive_sinks, naive_moved = moved_recorder () in
+      let naive =
+        Engine.run_naive ~sinks:[ naive_sinks ]
+          (Transformer.algorithm_uncached params)
+          Daemon.synchronous twin
+      in
+      assert_equiv ~msg:"packed run vs boxed naive" eq stats naive;
+      check "moved lists equal the naive twin's, step by step" true
+        (moved () = naive_moved ()))
+
+(* Allocation tripwire for the synchronous step: leader election on a
+   packed 16x32 torus, B = 8, one run on a fresh algorithm instance
+   (its watermark memo is filled from cold).  This measures ~57 words
+   per move.  It took ~68 while every multi-mover step built three
+   lists (node/rule/state triples, then node/rule pairs); what remains
+   is mostly the fresh view and neighbour array of every guard
+   evaluation and action, and the action's new state.  The ceiling
+   sits just above the current level. *)
+let test_sync_allocation () =
+  let params, start = packed_torus_start ~rows:16 ~cols:32 3 in
+  let algo = Transformer.algorithm params in
+  let stats, words =
+    allocated (fun () -> Engine.run algo Daemon.synchronous start)
+  in
+  check "terminated" true stats.Engine.terminated;
+  check "multi-mover steps" true (stats.Engine.moves > 4 * stats.Engine.steps);
+  let per_move = words /. float_of_int stats.Engine.moves in
+  check (Printf.sprintf "%.1f words per move < 62" per_move) true (per_move < 62.)
 
 (* The divergence sink fires.  A guard that reads hidden mutable state
    breaks the purity the dirty-set scheduler relies on: once node 0
@@ -575,5 +680,9 @@ let () =
             test_single_path_chaos;
           Alcotest.test_case "observed allocation per step" `Quick
             test_observed_allocation;
+          Alcotest.test_case "packed synchronous apply" `Quick
+            test_packed_sync_apply;
+          Alcotest.test_case "synchronous allocation per move" `Quick
+            test_sync_allocation;
         ] );
     ]

@@ -26,7 +26,7 @@ let greedy_params b =
 (* A view of a min-flood transformer node: [input] is the node's own
    initial value. *)
 let view ?(input = 5) self neighbors =
-  { Algorithm.input; self; neighbors = Array.of_list neighbors }
+  { Algorithm.input; self; neighbors = Array.of_list neighbors; node = 0 }
 
 let st ?(status = St.C) init cells =
   St.make ~init ~status ~cells:(Array.of_list cells)
@@ -585,6 +585,7 @@ let random_view rng =
     Algorithm.input = Rng.int rng 30;
     self = random_trans_state rng;
     neighbors = Array.init deg (fun _ -> random_trans_state rng);
+    node = 0;
   }
 
 (* Model-based equivalence: Trans_state against a pure (status, init,
@@ -674,10 +675,107 @@ let qcheck_state_model =
       done;
       !ok)
 
+(* Differential for the watermark memo: one cached algorithm instance
+   (and one explicit cache) against the reference predicates, node by
+   node, while a random sequence of moves and faults rewrites boxed or
+   packed configurations.  The sequence covers what the memo's tokens
+   must catch: a state aliased at two nodes with different inputs, a
+   node's view under another input, RR wipes, packed overwrites below
+   the frontier, views whose node index lies past the table or names
+   another node's entry, and the same instance reused on a second,
+   larger graph.  Min-flood ignores its input and the clock reads it,
+   so the input token is exercised too. *)
+let qcheck_memo_differential =
+  QCheck.Test.make ~count:150
+    ~name:"cached predicates = uncached, node by node, boxed and packed"
+    QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      let cap = 6 in
+      let sync = if Rng.bool rng then Min_flood.algo else Ss_algos.Toy.clock in
+      let params =
+        Transformer.params
+          ~mode:(if Rng.bool rng then P.Lazy else P.Greedy)
+          ~bound:(P.Finite cap) sync
+      in
+      let packed = Rng.bool rng in
+      let cached = Transformer.algorithm params in
+      let reference = Transformer.algorithm_uncached params in
+      let cache = P.make_cache () in
+      let ok = ref true in
+      let rule_name algo v =
+        match Algorithm.enabled_rule algo v with
+        | Some r -> r.Algorithm.rule_name
+        | None -> "none"
+      in
+      let agree v =
+        if
+          rule_name cached v <> rule_name reference v
+          || P.algo_err_cached cache params v <> P.algo_err params v
+        then ok := false
+      in
+      let trial n =
+        let g = Builders.random_connected rng ~n ~extra_edges:(Rng.int rng 4) in
+        let inputs_arr = Array.init n (fun _ -> Rng.int rng 8) in
+        let inputs p = inputs_arr.(p) in
+        let clean =
+          if packed then
+            Transformer.packed_config params ~codec:Ss_core.Cellpack.int_codec g
+              ~inputs
+          else Transformer.clean_config params g ~inputs
+        in
+        let config = Transformer.corrupt rng ~max_height:cap params clean in
+        let states = config.Config.states in
+        for _ = 1 to 40 do
+          let p = Rng.int rng n in
+          (match Rng.int rng 6 with
+          | 0 | 1 -> (
+              (* A move of [p], if enabled. *)
+              match Algorithm.enabled_rule reference (Config.view config p) with
+              | Some r -> states.(p) <- r.Algorithm.action (Config.view config p)
+              | None -> ())
+          | 2 ->
+              states.(p) <-
+                Transformer.corrupt_state rng ~max_height:cap params (inputs p)
+                  states.(p)
+          | 3 -> states.(p) <- St.wipe states.(p)
+          | 4 ->
+              (* Rewrite below the frontier with the committed value or
+                 a fresh one (a new lineage when it differs). *)
+              let s = states.(p) in
+              let h = St.height s in
+              if h > 0 then begin
+                let i = Rng.int rng h in
+                let x = if Rng.bool rng then St.cell s (i + 1) else Rng.int rng 8 in
+                states.(p) <- St.extend (St.truncate s i) x
+              end
+          | _ ->
+              (* Alias another node's boxed state at [p] (its input
+                 differs in general).  Packed handles stay linear: one
+                 slot, one owner. *)
+              if not packed then states.(p) <- states.(Rng.int rng n));
+          for q = 0 to n - 1 do
+            agree (Config.view config q)
+          done;
+          (* A view under foreign indices (past the table's current
+             size, or another node's entry), then one under another
+             input, then the node's own view again. *)
+          let q = Rng.int rng n in
+          agree { (Config.view config q) with Algorithm.node = Rng.int rng (4 * n) };
+          agree { (Config.view config q) with Algorithm.input = Rng.int rng 8 };
+          agree (Config.view config q)
+        done
+      in
+      let n1 = 3 + Rng.int rng 6 in
+      trial n1;
+      trial (n1 + 1 + Rng.int rng 8);
+      !ok)
+
 let qcheck_tests =
   let open QCheck in
   [
     qcheck_state_model;
+    qcheck_memo_differential;
     Test.make ~count:500 ~name:"RC and RU guards are mutually exclusive"
       small_int
       (fun seed ->
