@@ -188,7 +188,8 @@ let msgnet_heartbeat ~regime g =
 (* Tight-regime recoveries deliver far more proof traffic than the
    default 2M-event cap (ring 256 needs ~2.1M deliveries alone); the
    one-shot rows at n = 10^5 need ~6M.  Headroom for both. *)
-let msgnet_event_allowance = 50_000_000
+let msgnet_budget ?deadline_s () =
+  Ss_report.Budget.v ~deliveries:50_000_000 ?deadline_s ()
 
 let bench_msgnet_recovery ~indexed ~regime ~n () =
   let g, params, _, start = msgnet_cv_start ~n ~width:10 in
@@ -198,11 +199,10 @@ let bench_msgnet_recovery ~indexed ~regime ~n () =
     let _, stats =
       if indexed then
         Ss_msgnet.Msgnet.run ~codec:Ss_algos.Cole_vishkin.codec
-          ~heartbeat_every ~max_events:msgnet_event_allowance ~rng params
-          start
+          ~heartbeat_every ~budget:(msgnet_budget ()) ~rng params start
       else
-        Ss_msgnet.Msgnet.run_naive ~heartbeat_every
-          ~max_events:msgnet_event_allowance ~rng params start
+        Ss_msgnet.Msgnet.run_naive ~heartbeat_every ~budget:(msgnet_budget ())
+          ~rng params start
     in
     assert stats.Ss_msgnet.Msgnet.quiescent
 
@@ -484,16 +484,14 @@ let msgnet_scale_rows () =
   let time_cv ~indexed ~regime ~name ~n ~width =
     let g, params, hist, start = msgnet_cv_start ~n ~width in
     let heartbeat_every = msgnet_heartbeat ~regime g in
-    let budget = Ss_report.Budget.v ~deadline_s () in
+    let budget = msgnet_budget ~deadline_s () in
     let t0 = Unix.gettimeofday () in
     let rng = Rng.create 23 in
     finish name params hist t0
       (if indexed then
-         M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every
-           ~max_events:msgnet_event_allowance ~budget ~rng params start
-       else
-         M.run_naive ~heartbeat_every ~max_events:msgnet_event_allowance
-           ~budget ~rng params start)
+         M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every ~budget
+           ~rng params start
+       else M.run_naive ~heartbeat_every ~budget ~rng params start)
   in
   let time_leader_torus ~name ~rows ~cols =
     let g = G.Builders.torus ~rows ~cols in
@@ -505,12 +503,12 @@ let msgnet_scale_rows () =
         (Core.Transformer.clean_config params g ~inputs)
     in
     let hist = Ss_sync.Sync_runner.run Ss_algos.Leader_election.algo g ~inputs in
-    let budget = Ss_report.Budget.v ~deadline_s () in
+    let budget = msgnet_budget ~deadline_s () in
     let t0 = Unix.gettimeofday () in
     let run_rng = Rng.create 23 in
     finish name params hist t0
-      (M.run ~codec:Ss_algos.Leader_election.codec
-         ~max_events:msgnet_event_allowance ~budget ~rng:run_rng params start)
+      (M.run ~codec:Ss_algos.Leader_election.codec ~budget ~rng:run_rng params
+         start)
   in
   let ns dt = Table.I (int_of_float (dt *. 1e9)) in
   let wire_memory tag (stats : M.stats) n =
@@ -579,11 +577,11 @@ let msgnet_bigrun () =
   let n = 100_000 in
   let g, params, hist, start = msgnet_cv_start ~n ~width:17 in
   let heartbeat_every = msgnet_heartbeat ~regime:`Adaptive g in
-  let budget = Ss_report.Budget.v ~deadline_s:240.0 () in
+  let budget = msgnet_budget ~deadline_s:240.0 () in
   let rng = Rng.create 23 in
   let final, stats =
-    M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every
-      ~max_events:msgnet_event_allowance ~budget ~rng params start
+    M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every ~budget ~rng
+      params start
   in
   let legitimate = Core.Checker.legitimate_terminal params hist final = Ok () in
   Printf.printf

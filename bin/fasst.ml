@@ -120,15 +120,19 @@ let bound_arg =
   let doc = "Bound B on the synchronous time (positive integer, or 'inf')." in
   Arg.(value & opt bound_conv P.Infinite & info [ "b"; "bound" ] ~doc)
 
-let probability_conv =
+(* A float that [ok] accepts; anything else (NaN included, since [ok]
+   compares) is a usage error naming the option. *)
+let float_conv ~what ~expected ok =
   let parse s =
     match float_of_string_opt s with
-    | Some p when p >= 0. && p <= 1. -> Ok p
-    | _ ->
-        Error
-          (Printf.sprintf "invalid probability %S: expected a number in [0, 1]" s)
+    | Some x when ok x -> Ok x
+    | _ -> Error (Printf.sprintf "invalid %s %S: expected %s" what s expected)
   in
   Arg.conv' (parse, Format.pp_print_float)
+
+let probability_conv =
+  float_conv ~what:"probability" ~expected:"a number in [0, 1]" (fun p ->
+      p >= 0. && p <= 1.)
 
 let corrupt_arg =
   Arg.(
@@ -151,10 +155,16 @@ let layout_arg =
         `Auto
     & info [ "layout" ] ~doc)
 
+(* NaN would never trip and a negative allowance would trip before the
+   first step. *)
 let deadline_arg =
+  let seconds =
+    float_conv ~what:"deadline" ~expected:"a finite number of seconds >= 0"
+      (fun d -> Float.is_finite d && d >= 0.)
+  in
   Arg.(
     value
-    & opt (some float) None
+    & opt (some seconds) None
     & info [ "deadline" ] ~docv:"SECONDS"
         ~doc:"Wall-clock budget for the run (monotonic clock).")
 
@@ -188,11 +198,7 @@ let jobs_arg =
 
 let json_report name ~seed ~spec (r : _ Stabilization.report) =
   let base =
-    Run_report.v ~seed
-      ~outcome:
-        (if r.Stabilization.terminated then Ss_report.Budget.Completed
-         else Ss_report.Budget.(Tripped Steps))
-      name
+    Run_report.v ~seed ~outcome:r.Stabilization.outcome name
       (Run_report.Engine
          {
            Run_report.steps = r.Stabilization.steps;
@@ -217,6 +223,8 @@ let json_report name ~seed ~spec (r : _ Stabilization.report) =
 let print_report name (r : _ Stabilization.report) =
   Printf.printf "algorithm      : %s\n" name;
   Printf.printf "terminated     : %b\n" r.Stabilization.terminated;
+  Printf.printf "outcome        : %s\n"
+    (Ss_report.Budget.outcome_to_string r.Stabilization.outcome);
   Printf.printf "moves          : %d\n" r.Stabilization.moves;
   Printf.printf "rounds         : %d\n" r.Stabilization.rounds;
   Printf.printf "steps          : %d\n" r.Stabilization.steps;
@@ -248,6 +256,7 @@ let run_outcome ~json name (o : Core.Registry.outcome) =
   let i k v = Table.add table [ Table.S k; Table.I v ] in
   s "transformer" o.Core.Registry.transformer;
   s "terminated" (string_of_bool o.Core.Registry.terminated);
+  s "outcome" (Ss_report.Budget.outcome_to_string o.Core.Registry.outcome);
   i "moves" o.Core.Registry.moves;
   i "rounds" o.Core.Registry.rounds;
   i "steps" o.Core.Registry.steps;
@@ -275,7 +284,9 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
          covers them uniformly. *)
       let entry = Catalog.find_transformer transformer in
       let budget =
-        Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
+        Option.map
+          (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
+          deadline
       in
       let outcome =
         Core.Registry.measure entry ?budget ~p

@@ -44,7 +44,8 @@ let inputs ~n ?k () =
 let privileged config = Config.enabled_nodes algo config
 let legitimate config = List.length (privileged config) = 1
 
-let run_to_legitimacy ?(max_steps = 1_000_000) daemon config =
+let run_to_legitimacy daemon config =
+  let max_steps = 1_000_000 in
   let rec go config steps moves =
     if legitimate config then Some (steps, moves, config)
     else if steps >= max_steps then None

@@ -38,12 +38,11 @@ val legitimate : (state, input) Ss_sim.Config.t -> bool
 (** Exactly one privilege. *)
 
 val run_to_legitimacy :
-  ?max_steps:int ->
   Ss_sim.Daemon.t ->
   (state, input) Ss_sim.Config.t ->
   (int * int * (state, input) Ss_sim.Config.t) option
 (** Drive the system until the first legitimate configuration; returns
-    [(steps, moves, config)] or [None] if the budget runs out.  (The
+    [(steps, moves, config)] or [None] after 1,000,000 steps.  (The
     algorithm never terminates, so {!Ss_sim.Engine.run} alone would
     not stop.) *)
 

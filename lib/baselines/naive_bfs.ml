@@ -39,7 +39,8 @@ let spec_holds g ~root ~final =
   let rec go p = p >= Graph.n g || (final.(p) = dist.(p) && go (p + 1)) in
   go 0
 
-let adversarial_run ?(max_steps = 10_000_000) config =
+let adversarial_run config =
+  let max_steps = 10_000_000 in
   let module Config = Ss_sim.Config in
   let module Engine = Ss_sim.Engine in
   let rec go config steps moves =

@@ -28,13 +28,11 @@ val inputs : Ss_graph.Graph.t -> root:int -> ?dmax:int -> unit -> int -> input
 val spec_holds : Ss_graph.Graph.t -> root:int -> final:state array -> bool
 (** Estimates equal exact hop distances. *)
 
-val adversarial_run :
-  ?max_steps:int ->
-  (state, input) Ss_sim.Config.t ->
-  int * bool
+val adversarial_run : (state, input) Ss_sim.Config.t -> int * bool
 (** A sequential adversary tailored to this algorithm: always activate
     the enabled node whose {e new} estimate would be smallest (ties by
     id), so underestimates crawl upward by minimal increments — the
-    §1.2 pathology.  Returns [(moves, terminated)].  On a rooted path
+    §1.2 pathology.  Returns [(moves, terminated)]; it gives up
+    (unterminated) after 10,000,000 steps.  On a rooted path
     from an all-zero start this forces [Θ(n²)] moves where the
     transformed BFS spends [O(n·T)]. *)

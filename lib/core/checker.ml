@@ -33,11 +33,9 @@ let max_cliff config =
     (Graph.edges config.Config.graph)
 
 let space_bits params config =
-  let bits = params.Transformer.sync.Sync_algo.state_bits in
+  let sync = params.Transformer.sync in
   Array.fold_left
-    (fun acc st ->
-      let cell_bits = St.fold_cells (fun b s -> b + bits s) 0 st in
-      max acc (1 + bits (St.init st) + cell_bits))
+    (fun acc st -> max acc (Transformer.full_state_bits sync st))
     0 config.Config.states
 
 let simulates_history params history config =

@@ -1,10 +1,8 @@
 module Config = Ss_sim.Config
 module Engine = Ss_sim.Engine
 module Graph = Ss_graph.Graph
-module Sync_algo = Ss_sync.Sync_algo
 module Sync_runner = Ss_sync.Sync_runner
 module Rng = Ss_prelude.Rng
-module Util = Ss_prelude.Util
 module P = Predicates
 
 module type TRANSFORMER = sig
@@ -74,6 +72,7 @@ type 's summary = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
   legitimate : bool;
   space_bits : int;
   moves_per_rule : (string * int) list;
@@ -85,8 +84,6 @@ module type RUN = sig
 
   val run :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
-    ?max_moves:int ->
     ?now:(unit -> float) ->
     ?chaos:('s state, 'i) Engine.chaos ->
     ?self_check:bool ->
@@ -99,8 +96,6 @@ module type RUN = sig
 
   val run_naive :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
-    ?max_moves:int ->
     ?now:(unit -> float) ->
     ?sinks:('s state, 'i) Engine.observer list ->
     ('s, 'i) P.params ->
@@ -110,7 +105,6 @@ module type RUN = sig
 
   val measure :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
     ?sharded:bool ->
     ?sinks:('s state, 'i) Engine.observer list ->
     ?hist:('s, 'i) Sync_runner.history ->
@@ -121,8 +115,8 @@ module type RUN = sig
 end
 
 module Make (T : TRANSFORMER) = struct
-  let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
-      ?(sharded = false) ?(sinks = []) p daemon config =
+  let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
+      ?(sinks = []) p daemon config =
     let algo = T.algorithm p in
     let sinks =
       if not self_check then sinks
@@ -138,15 +132,15 @@ module Make (T : TRANSFORMER) = struct
                 ("uncached", Config.enabled_nodes (T.reference_algorithm p));
           ]
     in
-    Engine.run ?budget ?max_steps ?max_moves ?now ?chaos ~self_check ~sharded
-      ~sinks algo daemon config
+    Engine.run ?budget ?now ?chaos ~self_check ~sharded ~sinks algo daemon
+      config
 
-  let run_naive ?budget ?max_steps ?max_moves ?now ?sinks p daemon config =
-    Engine.run_naive ?budget ?max_steps ?max_moves ?now ?sinks
-      (T.reference_algorithm p) daemon config
+  let run_naive ?budget ?now ?sinks p daemon config =
+    Engine.run_naive ?budget ?now ?sinks (T.reference_algorithm p) daemon
+      config
 
-  let measure ?budget ?max_steps ?sharded ?sinks ?hist p ~daemon ~start =
-    let stats = run ?budget ?max_steps ?sharded ?sinks p daemon start in
+  let measure ?budget ?sharded ?sinks ?hist p ~daemon ~start =
+    let stats = run ?budget ?sharded ?sinks p daemon start in
     (* Under a finite bound only rounds 0..B of the ground truth are
        ever consulted (heights never exceed B), so the history can be
        cut there — O(B·n) memory instead of O(T·n) at n = 10^6. *)
@@ -166,6 +160,7 @@ module Make (T : TRANSFORMER) = struct
       steps = stats.Engine.steps;
       rounds = stats.Engine.rounds;
       terminated = stats.Engine.terminated;
+      outcome = stats.Engine.outcome;
       legitimate =
         stats.Engine.terminated && T.legitimate_terminal p hist final = Ok ();
       space_bits = T.space_bits p final;
@@ -193,17 +188,13 @@ module Trans_hooks = struct
   let reference_algorithm = algorithm_uncached
   let space_bits = Checker.space_bits
 
-  (* §6's delta encoding: the only definition of a §3 move's wire
-     cost — the transformer grid and Ss_energy's cost model both read
-     it. *)
+  (* §6's delta encoding of a move, priced by {!Transformer}'s one
+     definition — the transformer grid and Ss_energy's cost model both
+     read it. *)
   let move_bits p ~rule st =
-    let label = 2 in
-    if rule = ru then
-      label + p.P.sync.Sync_algo.state_bits (Trans_state.top st)
-    else if rule = rp then
-      label
-      + (match p.P.bound with P.Finite b -> Util.bit_width b | P.Infinite -> 32)
-    else label
+    if rule = ru then ru_delta_bits p (Trans_state.top st)
+    else if rule = rp then rp_delta_bits p
+    else label_bits
 
   let legitimate_terminal = Checker.legitimate_terminal
 end
@@ -226,6 +217,7 @@ type outcome = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
   legitimate : bool;
   spec_ok : bool;
   space_bits : int;
@@ -233,9 +225,10 @@ type outcome = {
   moves_per_rule : (string * int) list;
 }
 
-let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000) ?p
-    ?hist ~rng ~daemon ~max_height ~(spec : s array -> bool)
-    (params : (s, i) P.params) graph ~inputs =
+let measure (type s i) (entry : entry)
+    ?(budget = Ss_report.Budget.v ~steps:2_000_000 ()) ?p ?hist ~rng ~daemon
+    ~max_height ~(spec : s array -> bool) (params : (s, i) P.params) graph
+    ~inputs =
   let module T = (val entry) in
   let module R = Make (T) in
   (match T.supports params with
@@ -257,8 +250,7 @@ let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000) ?p
       moved
   in
   let r =
-    R.measure ?budget ~max_steps ~sinks:[ energy_sink ] ?hist params ~daemon
-      ~start
+    R.measure ~budget ~sinks:[ energy_sink ] ?hist params ~daemon ~start
   in
   {
     transformer = T.name;
@@ -266,6 +258,7 @@ let measure (type s i) (entry : entry) ?budget ?(max_steps = 2_000_000) ?p
     steps = r.steps;
     rounds = r.rounds;
     terminated = r.terminated;
+    outcome = r.outcome;
     legitimate = r.legitimate;
     spec_ok = spec r.outputs;
     space_bits = r.space_bits;

@@ -119,6 +119,8 @@ type 's summary = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
+      (** [Completed], or which budget limit stopped the run. *)
   legitimate : bool;
       (** Terminated, and {!TRANSFORMER.legitimate_terminal} accepts
           the terminal configuration. *)
@@ -137,8 +139,6 @@ module type RUN = sig
 
   val run :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
-    ?max_moves:int ->
     ?now:(unit -> float) ->
     ?chaos:('s state, 'i) Ss_sim.Engine.chaos ->
     ?self_check:bool ->
@@ -148,8 +148,8 @@ module type RUN = sig
     Ss_sim.Daemon.t ->
     ('s state, 'i) Ss_sim.Config.t ->
     ('s state, 'i) Ss_sim.Engine.stats
-  (** {!Ss_sim.Engine.run} over {!TRANSFORMER.algorithm}; every budget,
-      chaos and sink option passes through.  [self_check] cross-checks
+  (** {!Ss_sim.Engine.run} over {!TRANSFORMER.algorithm}; the budget,
+      clock, chaos and sink options pass through.  [self_check] cross-checks
       the dirty-set scheduler against a full scan {e and} the
       production predicates against {!TRANSFORMER.reference_algorithm}
       (a sink appended after [sinks]), raising
@@ -159,8 +159,6 @@ module type RUN = sig
 
   val run_naive :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
-    ?max_moves:int ->
     ?now:(unit -> float) ->
     ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
     ('s, 'i) Predicates.params ->
@@ -173,7 +171,6 @@ module type RUN = sig
 
   val measure :
     ?budget:Ss_report.Budget.t ->
-    ?max_steps:int ->
     ?sharded:bool ->
     ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
     ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
@@ -226,6 +223,8 @@ type outcome = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
+      (** [Completed], or which budget limit stopped the run. *)
   legitimate : bool;  (** Terminated into a legitimate configuration. *)
   spec_ok : bool;  (** The caller's output specification held. *)
   space_bits : int;
@@ -238,7 +237,6 @@ type outcome = {
 val measure :
   entry ->
   ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
   ?p:float ->
   ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
   rng:Ss_prelude.Rng.t ->
@@ -254,7 +252,9 @@ val measure :
     probability [p] (default 1) through {!Ss_sim.Fault.corrupt} and
     the entry's [corrupt_state], then {!RUN.measure} it with a
     move-bits energy sink, and check the outputs against the caller's
-    [spec].  [max_steps] defaults to [2_000_000].
+    [spec].  [budget] defaults to [Budget.v ~steps:2_000_000 ()]; a
+    given budget replaces it whole, so a caller that adds a deadline
+    sets the step cap too.
     @raise Invalid_argument when the transformer does not support the
     parameters ({!supports}) or on a corruption probability outside
     [[0, 1]]. *)

@@ -25,6 +25,19 @@ let rp = "RP"
 let rc = "RC"
 let ru = "RU"
 
+let height_bits = function
+  | P.Finite b -> Ss_prelude.Util.bit_width b
+  | P.Infinite -> 32
+
+let full_state_bits sync st =
+  let bits = sync.Sync_algo.state_bits in
+  1 (* status *) + bits (St.init st)
+  + St.fold_cells (fun acc c -> acc + bits c) 0 st
+
+let label_bits = 2
+let rp_delta_bits p = label_bits + height_bits p.P.bound
+let ru_delta_bits p cell = label_bits + p.P.sync.Sync_algo.state_bits cell
+
 let rule_rr ~algo_err p =
   {
     Algorithm.rule_name = rr;

@@ -50,6 +50,25 @@ val rc : string
 val ru : string
 (** Rule label ["RU"]. *)
 
+(** {2 Prices} — the only definitions of what a §3 state and a §6
+    message cost in bits, read by {!Checker.space_bits},
+    [Registry.Trans.move_bits], [Ss_energy] and [Ss_msgnet]. *)
+
+val height_bits : Predicates.bound -> int
+(** A height [<= B]: [log₂(B+1)] bits, 32 under an infinite bound. *)
+
+val full_state_bits : ('s, 'i) Ss_sync.Sync_algo.t -> 's Trans_state.t -> int
+(** A whole state: 1 status bit plus the sizes of [init] and every cell. *)
+
+val label_bits : int
+(** A delta update's 2-bit rule label, all an [RR] or [RC] update sends. *)
+
+val rp_delta_bits : ('s, 'i) params -> int
+(** An [RP] update: the label plus the new height. *)
+
+val ru_delta_bits : ('s, 'i) params -> 's -> int
+(** An [RU] update: the label plus the new cell. *)
+
 val algorithm :
   ('s, 'i) params -> ('s Trans_state.t, 'i) Ss_sim.Algorithm.t
 (** The transformed algorithm, ready for {!Ss_sim.Engine.run}.  Each

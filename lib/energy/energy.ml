@@ -1,9 +1,7 @@
 module Graph = Ss_graph.Graph
 module Config = Ss_sim.Config
 module Engine = Ss_sim.Engine
-module Sync_algo = Ss_sync.Sync_algo
 module Util = Ss_prelude.Util
-module St = Ss_core.Trans_state
 module Transformer = Ss_core.Registry.Trans
 
 type cost = {
@@ -17,10 +15,6 @@ type cost = {
   terminated : bool;
 }
 
-let height_bits = function
-  | Ss_core.Predicates.Finite b -> Util.bit_width b
-  | Ss_core.Predicates.Infinite -> 32
-
 type proof_cost = { proof_bits : int; nonce_bits : int }
 
 let default_proof_cost = { proof_bits = 64; nonce_bits = 64 }
@@ -29,11 +23,6 @@ let request_message_bits = 2
 
 let proof_of_digest ~nonce d = Int64.logxor d (Int64.mul nonce 0x9E3779B97F4A7C15L)
 let state_proof ~nonce s = proof_of_digest ~nonce (Util.fnv1a64 s)
-
-let full_state_bits sync st =
-  let bits = sync.Sync_algo.state_bits in
-  1 (* status *) + bits (St.init st)
-  + St.fold_cells (fun acc c -> acc + bits c) 0 st
 
 let sink ?(proof = default_proof_cost) ?(heartbeat_period = 16) params g =
   let messages = ref 0 in
@@ -51,7 +40,8 @@ let sink ?(proof = default_proof_cost) ?(heartbeat_period = 16) params g =
         let st = Config.state after p in
         messages := !messages + deg;
         bits_full :=
-          !bits_full + (deg * full_state_bits params.Transformer.sync st);
+          !bits_full
+          + (deg * Transformer.full_state_bits params.Transformer.sync st);
         bits_delta :=
           !bits_delta + (deg * Transformer.move_bits params ~rule st))
       moved;

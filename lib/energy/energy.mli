@@ -22,7 +22,8 @@ type cost = {
   messages : int;  (** Algorithm messages: [Σ deg(p)] over moves. *)
   bits_full_state : int;
       (** Total bits if every message carries the sender's whole
-          transformed state. *)
+          transformed state
+          ([Ss_core.Transformer.full_state_bits]). *)
   bits_delta : int;
       (** Total bits under §6's delta encoding: 2 bits of rule label
           plus the rule's payload. *)
@@ -33,10 +34,6 @@ type cost = {
   rounds : int;
   terminated : bool;
 }
-
-val height_bits : Ss_core.Predicates.bound -> int
-(** Bits needed to transmit a height [<= B] ([log₂(B+1)], and 32 for
-    an infinite bound — a practical word). *)
 
 type proof_cost = { proof_bits : int; nonce_bits : int }
 (** Wire cost of one proof message: hash bits plus wave-nonce bits.
@@ -64,11 +61,6 @@ val state_proof : nonce:int64 -> string -> int64
 (** The §6 proof of a (serialized) state:
     [proof_of_digest ~nonce (Util.fnv1a64 s)].  Exposed so tests can
     check that proofs discriminate distinct states. *)
-
-val full_state_bits :
-  ('s, 'i) Ss_sync.Sync_algo.t -> 's Ss_core.Trans_state.t -> int
-(** Bits of a whole transformed state: 1 status bit plus the sizes of
-    [init] and every cell. *)
 
 val sink :
   ?proof:proof_cost ->

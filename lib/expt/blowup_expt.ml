@@ -3,6 +3,7 @@ module Rng = Ss_prelude.Rng
 module Gk = Ss_graph.Gk
 module Config = Ss_sim.Config
 module Engine = Ss_sim.Engine
+module Budget = Ss_report.Budget
 module P = Ss_core.Predicates
 module Transformer = Ss_core.Registry.Trans
 module St = Ss_core.Trans_state
@@ -27,7 +28,7 @@ let transformer_on_fig1 ~k ~daemon =
       Min_flood.algo
   in
   let stats =
-    Transformer.run ~max_steps:20_000_000 params daemon
+    Transformer.run ~budget:(Budget.v ~steps:20_000_000 ()) params daemon
       (fig1_transformer_config ~k)
   in
   (stats.Engine.moves, stats.Engine.terminated)

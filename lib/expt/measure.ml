@@ -37,8 +37,7 @@ let absorb ~spec agg (r : _ Stabilization.report) =
     all_spec = agg.all_spec && spec r.Stabilization.outputs;
   }
 
-let worst_case ?max_steps ?(corruption_p = 1.0)
-    ?(spec = fun _ -> true) ~seeds ~max_height sc =
+let worst_case ?(spec = fun _ -> true) ~seeds ~max_height sc =
   (* Fan the (seed × daemon) replicas out over the shared domain pool.
      All parent-stream consumption — portfolio construction and the
      per-replica [Rng.split] — happens here, sequentially, in the
@@ -59,10 +58,8 @@ let worst_case ?max_steps ?(corruption_p = 1.0)
   let reports =
     Ss_par.Par.map
       (fun ((_name, daemon), rng) ->
-        let start =
-          Stabilization.corrupted_start rng ~p:corruption_p ~max_height sc
-        in
-        Stabilization.run ?max_steps sc ~daemon ~start)
+        let start = Stabilization.corrupted_start rng ~max_height sc in
+        Stabilization.run sc ~daemon ~start)
       replicas
   in
   List.fold_left (absorb ~spec) empty reports

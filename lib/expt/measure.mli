@@ -20,14 +20,11 @@ type agg = {
 }
 
 val worst_case :
-  ?max_steps:int ->
-  ?corruption_p:float ->
   ?spec:('s array -> bool) ->
   seeds:int list ->
   max_height:int ->
   ('s, 'i) Ss_verify.Stabilization.scenario ->
   agg
-(** For each seed, corrupt the clean start (each node hit with
-    probability [corruption_p], default 1) and run under every
-    portfolio daemon; aggregate the maxima.  [spec] (default: always
+(** For each seed, corrupt every node of the clean start and run under
+    every portfolio daemon; aggregate the maxima.  [spec] (default: always
     true) is checked on each run's final outputs. *)

@@ -1,7 +1,6 @@
 module Graph = Ss_graph.Graph
 module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
-module Sync_algo = Ss_sync.Sync_algo
 module St = Ss_core.Trans_state
 module Cellpack = Ss_core.Cellpack
 module Transformer = Ss_core.Registry.Trans
@@ -111,13 +110,6 @@ let delta_of_move rule_name new_state =
   else if rule_name = Transformer.rp then D_rp (St.height new_state)
   else if rule_name = Transformer.rc then D_rc
   else D_ru (St.top new_state)
-
-(* A delta's wire size is derivable from the delta alone: D_ru carries
-   the new top cell, whose size is the sync algorithm's state_bits. *)
-let delta_bits params = function
-  | D_rr | D_rc -> 2
-  | D_rp _ -> 2 + Energy.height_bits params.Transformer.bound
-  | D_ru s -> 2 + params.Transformer.sync.Sync_algo.state_bits s
 
 let kind_of_message = function
   | Update_full _ | Update_delta _ -> K_update
@@ -241,8 +233,9 @@ let port_scan g ~src ~dst id = Graph.port_of g dst.(id) src.(id)
    drained-channel node pick ([picker]) and the receiver-port lookup
    ([port]).  Mirrors, proofs and waves are the same for both. *)
 let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
-    ?budget ?max_events ?(proof = Energy.default_proof_cost) ?heartbeat_every
-    ?now ?chaos ~rng ?(corrupt_mirrors = true) ?(sinks = []) params config =
+    ?(budget = Budget.unlimited) ?max_events
+    ?(proof = Energy.default_proof_cost) ?heartbeat_every ?now ?chaos ~rng
+    ?(corrupt_mirrors = true) ?(sinks = []) params config =
   (match heartbeat_every with
   | Some h when h < 1 -> invalid_arg "Msgnet.run: heartbeat_every must be >= 1"
   | _ -> ());
@@ -251,14 +244,13 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let sync = params.Transformer.sync in
   let algo = Transformer.algorithm params in
   let states = Array.copy config.Config.states in
-  (* Unified budget: the event cap (one delivery per event, so
-     [stats.deliveries] never exceeds it) resolves against the legacy
+  (* The event cap (one delivery per event, so [stats.deliveries]
+     never exceeds it) is the tighter of [budget.deliveries] and
      [max_events]; the deadline is checked once per event. *)
-  let b = Option.value budget ~default:Budget.unlimited in
   let max_events =
-    Budget.resolve ~default:2_000_000 max_events b.Budget.deliveries
+    Budget.resolve ~default:2_000_000 max_events budget.Budget.deliveries
   in
-  let deadline = Budget.deadline_check ?now b in
+  let deadline = Budget.deadline_check ?now budget in
   let observing = sinks <> [] in
   let emit ev = List.iter (fun s -> s ev) sinks in
   let proof_msg_bits = Energy.proof_message_bits proof in
@@ -385,13 +377,16 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let set_mirror v port st = mirrors.(v).(port) <- st in
 
   (* One wire-size accounting for every message kind, shared by the
-     counters, the event sinks and the queued-bits watermark. *)
+     counters, the event sinks and the queued-bits watermark.  A delta
+     is priced from the delta alone (D_ru carries the new cell). *)
   let message_bits = function
-    | Update_full s -> Energy.full_state_bits sync s
-    | Update_delta d -> delta_bits params d
+    | Update_full s -> Transformer.full_state_bits sync s
+    | Update_delta (D_rr | D_rc) -> Transformer.label_bits
+    | Update_delta (D_rp _) -> Transformer.rp_delta_bits params
+    | Update_delta (D_ru s) -> Transformer.ru_delta_bits params s
     | Proof _ -> proof_msg_bits
     | Request -> Energy.request_message_bits
-    | Full_copy s -> Energy.full_state_bits sync s
+    | Full_copy s -> Transformer.full_state_bits sync s
   in
   (* Peak in-flight wire load: bits enter on send, leave on delivery
      or drop (a duplicate's surviving copy never left).  The watermark
@@ -527,7 +522,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
           send chan_of.(v).(port) Request Energy.request_message_bits
         end
     | Request ->
-        let fb = Energy.full_state_bits sync states.(v) in
+        let fb = Transformer.full_state_bits sync states.(v) in
         c.full_copy_messages <- c.full_copy_messages + 1;
         c.full_copy_bits <- c.full_copy_bits + fb;
         send chan_of.(v).(port) (Full_copy states.(v)) fb
@@ -727,11 +722,11 @@ let run ?codec ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every
     ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every ?now ?chaos
     ~rng ?corrupt_mirrors ?sinks params config
 
-let run_naive ?encoding ?budget ?max_events ?proof ?heartbeat_every ?now ~rng
+let run_naive ?encoding ?budget ?proof ?heartbeat_every ?now ~rng
     ?corrupt_mirrors ?sinks params config =
   drive ~channels:Channel.queues ~picker:guard_scan ~port:port_scan ?encoding
-    ?budget ?max_events ?proof ?heartbeat_every ?now ~rng ?corrupt_mirrors
-    ?sinks params config
+    ?budget ?proof ?heartbeat_every ?now ~rng ?corrupt_mirrors ?sinks params
+    config
 
 let report ?(label = "msgnet-run") ?seed ?wall_s ?timebase (s : stats) =
   Run_report.v ?seed ?wall_s ?timebase ~outcome:s.outcome label

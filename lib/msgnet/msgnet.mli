@@ -177,18 +177,22 @@ val run :
     explicit values near [2m] are stress settings that converge slowly
     (or, below [2m], not at all).
 
-    The unified [budget] composes with the historical [max_events] —
-    the tightest provided limit wins; [budget.deliveries] caps events
-    (each event delivers at most one message, so [stats.deliveries]
-    never exceeds it), and [budget.deadline_s] is checked once per
-    event — against [now] when given (a virtual clock such as
-    {!Ss_chaos.Clock.now_fn} makes deadline budgets deterministic), the
-    monotonic machine clock otherwise — and re-checked on the
-    channels-drained exit path, so a run that drains past its time
-    budget reports [Tripped Deadline] rather than [Completed].
+    Budget: [budget.deliveries] caps events (each event delivers at
+    most one message, so [stats.deliveries] never exceeds it), and
+    [budget.deadline_s] is checked once per event — against [now] when
+    given (a virtual clock such as {!Ss_chaos.Clock.now_fn} makes
+    deadline budgets deterministic), the monotonic machine clock
+    otherwise — and re-checked on the channels-drained exit path, so a
+    run that drains past its time budget reports [Tripped Deadline]
+    rather than [Completed].
     Defaults: [encoding = Delta], event cap [2_000_000],
     [proof = Energy.default_proof_cost] (64-bit hash + 64-bit nonce).
     Returns the final true states and the traffic/work accounting.
+
+    [max_events] is a second event cap, combined with
+    [budget.deliveries] by {!Ss_report.Budget.resolve} (the tighter
+    wins).  It remains only because the recovery benchmark
+    ([bench/suite]) passes it; use [budget].
 
     [chaos] attaches deterministic fault injection: each pending-link
     pick consults the plan for a drop/duplicate/reorder verdict
@@ -233,7 +237,6 @@ val run :
 val run_naive :
   ?encoding:encoding ->
   ?budget:Ss_report.Budget.t ->
-  ?max_events:int ->
   ?proof:Ss_energy.Energy.proof_cost ->
   ?heartbeat_every:int ->
   ?now:(unit -> float) ->
@@ -255,7 +258,8 @@ val run_naive :
     link choice consumes the rng differently from {!run}, so the two
     produce different (equally valid) interleavings; both must reach
     the same terminal states.  Kept for differential testing and
-    benchmarking.  Deliberately takes no [codec], [layout] or [chaos]:
+    benchmarking.  Takes the same [budget] as {!run} but no
+    [max_events], and deliberately no [codec], [layout] or [chaos]:
     the naive loop is the fault-free reference twin that chaos runs
     are differentially checked against.
 

@@ -1,18 +1,15 @@
-(** Unified execution budgets across the three run loops.
+(** The one way to cap a run, across the three run loops.
 
     Every loop of the system — {!Ss_sim.Engine.run} (atomic-state
     steps/moves), {!Ss_sync.Sync_runner.run} (synchronous rounds) and
-    {!Ss_msgnet.Msgnet.run} (message deliveries) — historically had
-    its own ad-hoc cap arguments.  A [Budget.t] expresses all of them
-    in one record, and {!outcome} is the single "which limit tripped"
-    answer every loop reports.
+    {!Ss_msgnet.Msgnet.run} (message deliveries) — and every layer
+    above them takes its caps as one [?budget:Budget.t], and {!outcome}
+    is the single "which limit tripped" answer every loop reports.
 
     Semantics are {e conjunctive}: an execution stops at the first
-    limit it reaches.  A field left [None] is unlimited.  Loops that
-    also take their historical optional arguments combine them with
-    the budget via {!resolve} — the {e tightest} provided limit wins,
-    so a budget can only ever shrink an execution, never extend one
-    past an explicit legacy cap. *)
+    limit it reaches.  A field left [None] falls back to the loop's own
+    default cap (documented by each loop), or is unlimited where the
+    loop has none. *)
 
 type t = {
   steps : int option;
@@ -48,7 +45,8 @@ type outcome =
 val resolve : default:int -> int option -> int option -> int
 (** [resolve ~default legacy budget] is the effective integer cap:
     the minimum of the provided limits, or [default] when both are
-    [None]. *)
+    [None].  Its one caller is {!Ss_msgnet.Msgnet.run}, whose
+    [?max_events] the recovery benchmark still passes. *)
 
 val now_s : unit -> float
 (** Monotonic timestamp in seconds (the [CLOCK_MONOTONIC] stub from

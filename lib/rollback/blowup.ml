@@ -2,6 +2,7 @@ module Gk = Ss_graph.Gk
 module Config = Ss_sim.Config
 module Daemon = Ss_sim.Daemon
 module Engine = Ss_sim.Engine
+module Budget = Ss_report.Budget
 module Min_flood = Ss_algos.Min_flood
 
 let bound_for k = (3 * k) + 2
@@ -47,13 +48,15 @@ type result = {
   stabilized : bool;
 }
 
-let run ~k ?(max_steps = 50_000_000) () =
+let run ~k () =
   let config = initial_config ~k in
   let algo = Rollback.algorithm Min_flood.algo ~bound:(bound_for k) in
   let schedule = List.map (fun p -> [ p ]) (gamma k) in
   let schedule_moves = List.length schedule in
   let daemon = Daemon.scripted ~fallback:Daemon.synchronous schedule in
-  let stats = Engine.run ~max_steps algo daemon config in
+  let stats =
+    Engine.run ~budget:(Budget.v ~steps:50_000_000 ()) algo daemon config
+  in
   let all_ones =
     Array.for_all
       (fun st -> Array.for_all (fun c -> c = 1) st.Rollback.cells)

@@ -42,9 +42,9 @@ type result = {
   stabilized : bool;  (** Reached the all-ones legitimate lists. *)
 }
 
-val run : k:int -> ?max_steps:int -> unit -> result
+val run : k:int -> unit -> result
 (** Execute [Γ_k] (validated activation by activation), then finish
-    the execution under the synchronous daemon and check the terminal
-    lists are correct.
+    the execution under the synchronous daemon (within 50,000,000
+    steps in all) and check the terminal lists are correct.
     @raise Ss_sim.Engine.Invalid_selection if the schedule is not a
     legal execution (this would falsify the reproduction). *)

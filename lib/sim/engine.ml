@@ -141,13 +141,12 @@ let cap_selection ~budget selected =
     take [] budget selected
   end
 
-(* The three integer/clock limits of one run, resolved from the unified
-   budget plus the historical optional arguments (tightest wins). *)
-let limits ?budget ?max_steps ?max_moves ?now () =
-  let b = Option.value budget ~default:Budget.unlimited in
-  ( Budget.resolve ~default:10_000_000 max_steps b.Budget.steps,
-    Budget.resolve ~default:max_int max_moves b.Budget.moves,
-    Budget.deadline_check ?now b )
+(* The three integer/clock limits of one run, read once from its
+   budget: 10,000,000 steps when it sets none, moves unlimited. *)
+let limits ?(budget = Budget.unlimited) ?now () =
+  ( Option.value budget.Budget.steps ~default:10_000_000,
+    Option.value budget.Budget.moves ~default:max_int,
+    Budget.deadline_check ?now budget )
 
 (* Shared per-run accounting: per-node and per-rule move counters
    ([note p label] counts one move) and the final stats record.  A
@@ -205,11 +204,9 @@ let rec write_moves states next i = function
       states.(p) <- next.(i);
       write_moves states next (i + 1) rest
 
-let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
-    ?(sharded = false) ?observer ?sinks algo daemon config =
-  let max_steps, max_moves, deadline =
-    limits ?budget ?max_steps ?max_moves ?now ()
-  in
+let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
+    ?observer ?sinks algo daemon config =
+  let max_steps, max_moves, deadline = limits ?budget ?now () in
   let note_move, finish = make_counters algo (Config.n config) in
   let sched = Sched.create ~parallel:sharded algo config in
   let rule_of = Sched.enabled_rule sched in
@@ -294,11 +291,8 @@ let run ?budget ?max_steps ?max_moves ?now ?chaos ?(self_check = false)
   emit ~step:0 ~rounds:0 ~moved:[] config;
   finish tracker (loop 0 0 tracker)
 
-let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
-    config =
-  let max_steps, max_moves, deadline =
-    limits ?budget ?max_steps ?max_moves ?now ()
-  in
+let run_naive ?budget ?now ?observer ?sinks algo daemon config =
+  let max_steps, max_moves, deadline = limits ?budget ?now () in
   let note_move, finish = make_counters algo (Config.n config) in
   let emit, _ = bus ?observer ?sinks [] in
   let validate = validator (Config.n config) in
@@ -331,9 +325,6 @@ let run_naive ?budget ?max_steps ?max_moves ?now ?observer ?sinks algo daemon
   let tracker = Rounds.create ~enabled:(Config.enabled_nodes algo config) in
   emit ~step:0 ~rounds:0 ~moved:[] config;
   finish tracker (loop config 0 0 tracker)
-
-let run_synchronous ?budget ?max_steps ?max_moves algo config =
-  run ?budget ?max_steps ?max_moves algo Daemon.synchronous config
 
 let report ?(label = "engine-run") ?seed ?wall_s ?timebase stats =
   Run_report.v ?seed ?wall_s ?timebase ~outcome:stats.outcome label

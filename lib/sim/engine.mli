@@ -84,8 +84,6 @@ type ('s, 'i) chaos = {
 
 val run :
   ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
   ?now:(unit -> float) ->
   ?chaos:('s, 'i) chaos ->
   ?self_check:bool ->
@@ -113,13 +111,13 @@ val run :
     configuration, fresh to the caller.  Sinks borrow it (see
     {!observer}).
 
-    Budgets: the unified [budget] record and the historical
-    [max_steps]/[max_moves] arguments compose — the tightest provided
-    limit wins ({!Ss_report.Budget.resolve}); when neither constrains
-    a dimension, [steps] defaults to [10_000_000] and [moves] is
-    unlimited.  [budget.deadline_s] is checked between steps — against
-    [now] when given (e.g. {!Ss_chaos.Clock.now_fn} for deterministic
-    deadlines), the monotonic machine clock otherwise.
+    Budget: [budget] (default {!Ss_report.Budget.unlimited}) is the
+    run's only cap, read once when the run starts.  When it sets no
+    [steps], the run stops after [10_000_000] steps; [moves] is
+    unlimited unless set.  [budget.deadline_s] is checked between
+    steps — against [now] when given (e.g. {!Ss_chaos.Clock.now_fn}
+    for deterministic deadlines), the monotonic machine clock
+    otherwise.
 
     [chaos] injects scheduled mid-run corruption: before the step at
     each due index (and before the termination check, so a fault on a
@@ -129,14 +127,11 @@ val run :
     draws only from the plan's private RNG stream, so a run with no
     due corruption is byte-identical to one with no [chaos] at all.
 
-    The move limit is a {e hard} bound: [stats.moves <= max_moves]
+    The move limit is a {e hard} bound: [stats.moves <= budget.moves]
     always.  A step whose selection would cross the remaining budget
-    executes only a prefix of the selection (in the daemon's order) —
-    the historical behavior checked the budget only between steps and
-    could overshoot by up to n-1 moves on a synchronous step.  The
-    truncated step still counts as one step.  The step limit keeps its
-    pre-step semantics: the step that would exceed it is simply not
-    taken.
+    executes only a prefix of the selection (in the daemon's order) and
+    still counts as one step.  The step limit is checked before each
+    step: the step that would exceed it is simply not taken.
 
     Observability: [observer] and every element of [sinks] are placed
     on one bus ({!tee}) — [observer] first, then [sinks] in order —
@@ -159,8 +154,6 @@ val run :
 
 val run_naive :
   ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
   ?now:(unit -> float) ->
   ?observer:('s, 'i) observer ->
   ?sinks:('s, 'i) observer list ->
@@ -185,17 +178,6 @@ val step :
     exactly [selected]: returns the new configuration and the (node,
     rule) moves.  Validates the selection.
     @raise Invalid_selection on malformed selections. *)
-
-val run_synchronous :
-  ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
-  ?max_moves:int ->
-  ('s, 'i) Algorithm.t ->
-  ('s, 'i) Config.t ->
-  ('s, 'i) stats
-(** Convenience: run under the synchronous daemon (steps = rounds
-    except for the final, terminal configuration).  Takes the same
-    hard [max_moves] cap (and unified budget) as {!run}. *)
 
 val report :
   ?label:string ->

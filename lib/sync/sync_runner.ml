@@ -19,16 +19,14 @@ exception Did_not_terminate of string
    Recomputing exactly those nodes yields the same row sequence as
    recomputing all of them (skipped nodes provably keep their state),
    while convergence tails touch only the still-active region. *)
-let run ?budget ?max_rounds ?stop_after ?(sinks = []) algo g ~inputs =
+let run ?(budget = Budget.unlimited) ?stop_after ?(sinks = []) algo g
+    ~inputs =
   let n = Graph.n g in
   let stopped round =
     match stop_after with Some s -> round >= s | None -> false
   in
-  let b = Option.value budget ~default:Budget.unlimited in
-  let max_rounds =
-    Budget.resolve ~default:((4 * n) + 64) max_rounds b.Budget.steps
-  in
-  let deadline = Budget.deadline_check b in
+  let max_rounds = Option.value budget.Budget.steps ~default:((4 * n) + 64) in
+  let deadline = Budget.deadline_check budget in
   let emit =
     match sinks with
     | [] -> fun ~round:_ ~changed:_ _ -> ()

@@ -28,19 +28,18 @@ exception Did_not_terminate of string
 
 val run :
   ?budget:Ss_report.Budget.t ->
-  ?max_rounds:int ->
   ?stop_after:int ->
   ?sinks:'s sink list ->
   ('s, 'i) Sync_algo.t ->
   Ss_graph.Graph.t ->
   inputs:(int -> 'i) ->
   ('s, 'i) history
-(** [run algo g ~inputs] executes until the global fixpoint.  The
-    unified [budget] and the historical [max_rounds] compose — the
-    tightest provided limit wins ([budget.steps] counts synchronous
-    rounds here); the default is [4 * n + 64] rounds, ample for all
+(** [run algo g ~inputs] executes until the global fixpoint, capped
+    by [budget] alone: [budget.steps] counts synchronous rounds here,
+    and when it is unset the cap is [4 * n + 64] rounds, ample for all
     the algorithms here, whose [T] is at most [n].
-    [budget.deadline_s] is checked once per round.
+    [budget.deadline_s] is checked once per round; the other fields do
+    not apply.
 
     [stop_after] truncates the recorded history: the run stops
     cleanly (no exception) once that many rounds were executed, even

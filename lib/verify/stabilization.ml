@@ -17,6 +17,7 @@ type 's report = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
   recovery_moves : int;
   recovery_rounds : int;
   space_bits : int;
@@ -66,12 +67,10 @@ let recovery_sink ?track_recovery params start =
   ( (if track_recovery then [ sink ] else []),
     fun () -> (!recovery_moves, !recovery_rounds) )
 
-let run ?track_recovery ?budget ?max_steps ?(sharded = false) sc ~daemon ~start
-    =
+let run ?track_recovery ?budget ?(sharded = false) sc ~daemon ~start =
   let sinks, recovery = recovery_sink ?track_recovery sc.params start in
   let r =
-    Transformer.measure ?budget ?max_steps ~sharded ~sinks sc.params ~daemon
-      ~start
+    Transformer.measure ?budget ~sharded ~sinks sc.params ~daemon ~start
   in
   let recovery_moves, recovery_rounds = recovery () in
   {
@@ -79,6 +78,7 @@ let run ?track_recovery ?budget ?max_steps ?(sharded = false) sc ~daemon ~start
     steps = r.Registry.steps;
     rounds = r.Registry.rounds;
     terminated = r.Registry.terminated;
+    outcome = r.Registry.outcome;
     recovery_moves;
     recovery_rounds;
     space_bits = r.Registry.space_bits;

@@ -20,10 +20,13 @@ type 's report = {
   steps : int;
   rounds : int;
   terminated : bool;
+  outcome : Ss_report.Budget.outcome;
+      (** [Completed], or which budget limit stopped the run. *)
   recovery_moves : int;
       (** Moves executed up to the first root-free configuration
           ([0] when the start already has no root; [-1] when recovery
-          tracking is disabled). *)
+          tracking is disabled, or when the run stopped before its
+          first root-free configuration). *)
   recovery_rounds : int;  (** Rounds likewise. *)
   space_bits : int;  (** Maximum per-node footprint over the execution's
           final configuration. *)
@@ -63,7 +66,6 @@ val corrupted_start :
 val run :
   ?track_recovery:bool ->
   ?budget:Ss_report.Budget.t ->
-  ?max_steps:int ->
   ?sharded:bool ->
   ('s, 'i) scenario ->
   daemon:Ss_sim.Daemon.t ->
@@ -74,7 +76,8 @@ val run :
     checks for remaining roots after every step; its default is [true]
     below 65536 nodes and [false] above (the per-step O(n·deg) root
     scan would dominate a big run), and an untracked run attaches no
-    sink at all.  [budget] and [sharded] pass through to the run.
+    sink at all.  [budget] (the engine's default cap when omitted) and
+    [sharded] pass through to the run.
     Under a finite bound [B] the legitimacy check uses a ground-truth
     history cut at [B] rounds — exactly what terminal lists
     (heights ≤ B) can reference. *)

@@ -45,5 +45,8 @@ expect_usage_error -p run -p 1.5
 expect_usage_error -p run -p nan
 expect_usage_error -p run -p=-0.1
 expect_usage_error -a run -a nosuch
+expect_usage_error --deadline run --deadline nan
+expect_usage_error --deadline run --deadline inf
+expect_usage_error --deadline run --deadline=-3
 expect_usage_error -T run -T nosuch
 exit $status

@@ -74,7 +74,10 @@ let test_no_rp_stuck_rate_nonzero () =
         let start =
           Stabilization.corrupted_start (Rng.split rng) ~max_height:12 sc
         in
-        let stats = Engine.run ~max_steps:100_000 ablated daemon start in
+        let stats =
+          Engine.run ~budget:(Ss_report.Budget.v ~steps:100_000 ()) ablated
+            daemon start
+        in
         if
           (not stats.Engine.terminated)
           || Checker.legitimate_terminal params hist stats.Engine.final <> Ok ()
@@ -120,7 +123,10 @@ let test_eager_rc_can_lose_silence () =
         let start =
           Stabilization.corrupted_start (Rng.split seed_rng) ~max_height:10 sc
         in
-        let stats = Engine.run ~max_steps:100_000 algo daemon start in
+        let stats =
+          Engine.run ~budget:(Ss_report.Budget.v ~steps:100_000 ()) algo daemon
+            start
+        in
         incr total;
         if
           (not stats.Engine.terminated)

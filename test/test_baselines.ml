@@ -72,7 +72,10 @@ let test_never_silent () =
   (* The token ring never reaches a terminal configuration — unlike the
      transformer's silent outputs. *)
   let c = ring_config 4 (fun _ -> 1) in
-  let stats = Engine.run ~max_steps:100 Dijkstra.algo Daemon.central_min c in
+  let stats =
+    Engine.run ~budget:(Ss_report.Budget.v ~steps:100 ()) Dijkstra.algo
+      Daemon.central_min c
+  in
   check "still running after 100 steps" false stats.Engine.terminated
 
 let test_always_some_privilege () =

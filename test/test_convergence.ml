@@ -60,7 +60,9 @@ let run_setting ?sinks ~params ~g ~inputs seed =
   in
   let daemon = random_daemon rng in
   let stats =
-    Transformer.run ?sinks ~max_steps:3_000_000 params daemon start
+    Transformer.run ?sinks
+      ~budget:(Ss_report.Budget.v ~steps:3_000_000 ())
+      params daemon start
   in
   (hist, stats)
 

@@ -23,9 +23,10 @@ let measure ?proof ?heartbeat_period params daemon config =
   (stats, cost stats)
 
 let test_height_bits () =
-  check_int "finite bound" 4 (Energy.height_bits (P.Finite 10));
-  check_int "tight power of two" 4 (Energy.height_bits (P.Finite 8));
-  check_int "infinite bound word" 32 (Energy.height_bits P.Infinite)
+  let height_bits = Ss_core.Transformer.height_bits in
+  check_int "finite bound" 4 (height_bits (P.Finite 10));
+  check_int "tight power of two" 4 (height_bits (P.Finite 8));
+  check_int "infinite bound word" 32 (height_bits P.Infinite)
 
 let test_state_proof_discriminates () =
   let p1 = Energy.state_proof ~nonce:1L "state-a" in

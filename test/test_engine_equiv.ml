@@ -74,6 +74,10 @@ let max_algo : (int, unit) Algorithm.t =
 
 let seeds = [ 1; 2; 3 ]
 
+(* Safety net for the transformer runs: every one terminates long
+   before it. *)
+let budget = Ss_report.Budget.v ~steps:200_000 ()
+
 let graphs rng =
   [
     ("cycle9", Builders.cycle 9);
@@ -121,9 +125,9 @@ let test_transformer () =
       let eq = Ss_core.Trans_state.equal Leader.algo.Ss_sync.Sync_algo.equal in
       List.iter
         (fun (dname, mk) ->
-          let incr = Transformer.run ~max_steps:200_000 params (mk ()) start in
+          let incr = Transformer.run ~budget params (mk ()) start in
           let naive =
-            Transformer.run_naive ~max_steps:200_000 params (mk ()) start
+            Transformer.run_naive ~budget params (mk ()) start
           in
           assert_equiv
             ~msg:(Printf.sprintf "trans/%s/seed%d" dname seed)
@@ -157,8 +161,8 @@ let test_portfolio_pins () =
                   (1 + Option.value ~default:0 (Hashtbl.find_opt tally r)))
               moved
           in
-          let incr = Engine.run ~max_steps:200_000 ~sinks:[ observer ] algo d start in
-          let naive = Engine.run_naive ~max_steps:200_000 algo d' start in
+          let incr = Engine.run ~budget ~sinks:[ observer ] algo d start in
+          let naive = Engine.run_naive ~budget algo d' start in
           assert_equiv ~msg eq incr naive;
           Alcotest.(check (list (pair string int)))
             (msg ^ ": per-rule counts in priority order")
@@ -209,7 +213,7 @@ let test_self_check_section5_algorithms () =
     List.iter
       (fun (dname, mk) ->
         let stats =
-          Transformer.run ~self_check:true ~max_steps:200_000 params (mk ())
+          Transformer.run ~self_check:true ~budget params (mk ())
             start
         in
         check (Printf.sprintf "%s/%s terminated" name dname) true

@@ -69,6 +69,7 @@ let test_clean_start_report () =
       ~start:(Stabilization.clean_start sc)
   in
   check "terminated" true r.Stabilization.terminated;
+  check "completed" true (r.Stabilization.outcome = Ss_report.Budget.Completed);
   check "legitimate" true r.Stabilization.legitimate;
   check_int "recovery instantaneous from clean start" 0
     r.Stabilization.recovery_moves;
@@ -95,6 +96,20 @@ let test_recovery_tracking_off () =
       ~start:(Stabilization.clean_start sc)
   in
   check_int "disabled marker" (-1) r.Stabilization.recovery_moves
+
+let test_move_budget_outcome () =
+  (* The run's own outcome, not a guess from [terminated]: a move cap
+     reports [Tripped Moves], with the cap never overshot. *)
+  let sc = scenario () in
+  let start = Stabilization.corrupted_start (Rng.create 2) ~max_height:8 sc in
+  let r =
+    Stabilization.run ~budget:(Ss_report.Budget.v ~moves:3 ())
+      sc ~daemon:Daemon.synchronous ~start
+  in
+  check "move cap reported" true
+    (r.Stabilization.outcome = Ss_report.Budget.(Tripped Moves));
+  check_int "hard move cap" 3 r.Stabilization.moves;
+  check "not terminated" false r.Stabilization.terminated
 
 let test_history_cached_values () =
   let sc = scenario () in
@@ -189,6 +204,8 @@ let () =
           Alcotest.test_case "corrupted start" `Quick test_corrupted_start_recovers;
           Alcotest.test_case "recovery tracking off" `Quick
             test_recovery_tracking_off;
+          Alcotest.test_case "move budget outcome" `Quick
+            test_move_budget_outcome;
           Alcotest.test_case "history" `Quick test_history_cached_values;
           Alcotest.test_case "portfolio" `Quick test_daemon_portfolio;
         ] );

@@ -64,8 +64,8 @@ let test_wire_canonicalization () =
     (Energy.state_proof ~nonce:7L (Proof.canonical_bytes direct)
     = Energy.state_proof ~nonce:7L (Proof.canonical_bytes grown));
   check_int "identical measured bits"
-    (Energy.full_state_bits Min_flood.algo direct)
-    (Energy.full_state_bits Min_flood.algo grown);
+    (Ss_core.Transformer.full_state_bits Min_flood.algo direct)
+    (Ss_core.Transformer.full_state_bits Min_flood.algo grown);
   (* And a branch that shares the buffer with [direct] but differs
      logically must encode differently. *)
   check "different states, different bytes" true

@@ -405,20 +405,6 @@ let test_engine_outcome_labels () =
     (stepped.Engine.outcome = Budget.Tripped Budget.Steps);
   check_int "one step taken" 1 stepped.Engine.steps
 
-let test_run_synchronous_max_moves () =
-  (* Satellite pin: run_synchronous has max_moves parity with run. *)
-  let _, algo, start = leader_workload 11 in
-  let full = Engine.run_synchronous algo start in
-  check "synchronous run completes" true (full.Engine.terminated);
-  check "needs several moves" true (full.Engine.moves > 4);
-  let capped = Engine.run_synchronous ~max_moves:3 algo start in
-  check "max_moves caps hard" true (capped.Engine.moves <= 3);
-  check "trip is reported" true
-    (capped.Engine.outcome = Budget.Tripped Budget.Moves);
-  let budgeted = Engine.run_synchronous ~budget:(Budget.v ~moves:3 ()) algo start in
-  check "budget.moves equivalent" true
-    (budgeted.Engine.moves = capped.Engine.moves)
-
 let test_sync_runner_budget () =
   let g = G.Builders.path 24 in
   let inputs = Leader.random_ids (Rng.create 5) g in
@@ -576,8 +562,6 @@ let () =
         [
           Alcotest.test_case "engine outcomes" `Quick
             test_engine_outcome_labels;
-          Alcotest.test_case "run_synchronous max_moves" `Quick
-            test_run_synchronous_max_moves;
           Alcotest.test_case "sync runner budget" `Quick
             test_sync_runner_budget;
         ] );

@@ -84,7 +84,10 @@ let test_rollback_is_self_stabilizing () =
       | 1 -> Daemon.distributed_random (Rng.split rng) ~p:0.5
       | _ -> Daemon.central_random (Rng.split rng)
     in
-    let stats = Engine.run ~max_steps:1_000_000 algo daemon start in
+    let stats =
+      Engine.run ~budget:(Ss_report.Budget.v ~steps:1_000_000 ()) algo daemon
+        start
+    in
     check "terminated" true stats.Engine.terminated;
     let hist = Sync_runner.run Leader.algo g ~inputs in
     check "repaired" true

@@ -12,6 +12,7 @@ module Nodeset = Ss_sim.Nodeset
 module Trace = Ss_sim.Trace
 module Fault = Ss_sim.Fault
 module Rng = Ss_prelude.Rng
+module Budget = Ss_report.Budget
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -97,7 +98,7 @@ let test_map_states () =
 
 let test_synchronous_run () =
   let c = path_config [| 0; 0; 0; 0; 9 |] in
-  let stats = Engine.run_synchronous max_algo c in
+  let stats = Engine.run max_algo Daemon.synchronous c in
   check "terminated" true stats.Engine.terminated;
   check_int "steps = ecc" 4 stats.Engine.steps;
   check_int "rounds = steps" 4 stats.Engine.rounds;
@@ -109,7 +110,7 @@ let test_synchronous_run () =
 
 let test_moves_accounting () =
   let c = path_config [| 0; 0; 9 |] in
-  let stats = Engine.run_synchronous max_algo c in
+  let stats = Engine.run max_algo Daemon.synchronous c in
   Alcotest.(check (array int)) "moves per node" [| 1; 1; 0 |]
     stats.Engine.moves_per_node;
   Alcotest.(check (list (pair string int))) "moves per rule" [ ("UP", 2) ]
@@ -173,7 +174,9 @@ let test_selection_messages () =
     ];
   (* Marks of one step never leak into the next: synchronous steps
      select nodes 0..2 again and again. *)
-  let stats = Engine.run_synchronous max_algo (path_config [| 0; 1; 2; 3; 9 |]) in
+  let stats =
+    Engine.run max_algo Daemon.synchronous (path_config [| 0; 1; 2; 3; 9 |])
+  in
   check "multi-node steps may repeat nodes across steps" true
     stats.Engine.terminated
 
@@ -187,43 +190,46 @@ let test_step_atomicity () =
 
 let test_budget () =
   let c = path_config [| 0; 0; 0; 0; 9 |] in
-  let stats = Engine.run ~max_steps:2 max_algo Daemon.synchronous c in
+  let stats =
+    Engine.run ~budget:(Budget.v ~steps:2 ()) max_algo Daemon.synchronous c
+  in
   check "not terminated" false stats.Engine.terminated;
   check_int "stopped at budget" 2 stats.Engine.steps
 
 let test_max_moves_budget () =
   let c = path_config [| 0; 0; 0; 0; 9 |] in
-  let stats = Engine.run ~max_moves:1 max_algo Daemon.synchronous c in
+  let stats =
+    Engine.run ~budget:(Budget.v ~moves:1 ()) max_algo Daemon.synchronous c
+  in
   check "not terminated" false stats.Engine.terminated;
   check_int "exactly the move budget" 1 stats.Engine.moves
 
 let test_max_moves_is_a_hard_bound () =
   (* Three nodes are enabled simultaneously; a synchronous step used to
-     overshoot max_moves by n-1.  The bound is now hard: the final step
+     overshoot its move cap by n-1.  The bound is now hard: the final step
      activates only a budget-sized prefix of the selection, identically
      in both engines. *)
   let c = path_config [| 0; 9; 0; 9; 0 |] in
   List.iter
-    (fun budget ->
-      let incr = Engine.run ~max_moves:budget max_algo Daemon.synchronous c in
-      let naive =
-        Engine.run_naive ~max_moves:budget max_algo Daemon.synchronous c
-      in
-      check_int
-        (Printf.sprintf "budget %d: moves capped" budget)
-        budget incr.Engine.moves;
-      check (Printf.sprintf "budget %d: not terminated" budget) false
+    (fun k ->
+      let budget = Budget.v ~moves:k () in
+      let incr = Engine.run ~budget max_algo Daemon.synchronous c in
+      let naive = Engine.run_naive ~budget max_algo Daemon.synchronous c in
+      check_int (Printf.sprintf "budget %d: moves capped" k) k incr.Engine.moves;
+      check (Printf.sprintf "budget %d: not terminated" k) false
         incr.Engine.terminated;
       check_int
-        (Printf.sprintf "budget %d: naive agrees on moves" budget)
+        (Printf.sprintf "budget %d: naive agrees on moves" k)
         incr.Engine.moves naive.Engine.moves;
       Alcotest.(check (array int))
-        (Printf.sprintf "budget %d: naive agrees on states" budget)
+        (Printf.sprintf "budget %d: naive agrees on states" k)
         incr.Engine.final.Config.states naive.Engine.final.Config.states)
     [ 1; 2 ];
   (* Prefix semantics: with budget 2 the two smallest enabled nodes
      (daemon order = ascending) moved, the third did not. *)
-  let stats = Engine.run ~max_moves:2 max_algo Daemon.synchronous c in
+  let stats =
+    Engine.run ~budget:(Budget.v ~moves:2 ()) max_algo Daemon.synchronous c
+  in
   Alcotest.(check (array int))
     "prefix of the synchronous selection moved" [| 9; 9; 9; 9; 0 |]
     stats.Engine.final.Config.states
@@ -426,7 +432,7 @@ let test_neutralization_in_engine () =
 
 let test_sync_rounds_equal_steps () =
   let c = path_config [| 0; 0; 0; 0; 0; 9 |] in
-  let stats = Engine.run_synchronous max_algo c in
+  let stats = Engine.run max_algo Daemon.synchronous c in
   check_int "rounds = steps under synchrony" stats.Engine.steps
     stats.Engine.rounds
 
@@ -569,7 +575,7 @@ let test_map_input () =
   let algo = Algorithm.map_input (fun (x : int) -> ignore x) max_algo in
   let g = Builders.path 2 in
   let c = Config.make g ~inputs:(fun p -> p) ~states:(fun p -> p) in
-  let stats = Engine.run_synchronous algo c in
+  let stats = Engine.run algo Daemon.synchronous c in
   Alcotest.(check (array int)) "adapted algorithm runs" [| 1; 1 |]
     stats.Engine.final.Config.states
 

@@ -84,7 +84,9 @@ let test_did_not_terminate () =
   let g = Builders.path 2 in
   check "raises Did_not_terminate" true
     (try
-       ignore (Sync_runner.run ~max_rounds:50 blinker g ~inputs:(fun _ -> ()));
+       ignore
+         (Sync_runner.run ~budget:(Ss_report.Budget.v ~steps:50 ()) blinker g
+            ~inputs:(fun _ -> ()));
        false
      with Sync_runner.Did_not_terminate _ -> true)
 
