@@ -1,13 +1,12 @@
-(* Benchmark harness: regenerates every table and figure of the paper
-   and then times the hot paths of the implementation with Bechamel.
+(* Timing harness: Bechamel micro-benchmarks and plain-loop timings of
+   the hot paths, one-shot message-network scale runs, the parallel
+   campaign sweep and the packed-engine memory footprint, written to
+   BENCH_engine.json and BENCH_msgnet.json in the working directory.
+   The paper's tables are regenerated by `fasst all` and pinned by
+   test/fasst-all.golden.json; this harness only times.
 
-   Paper artefacts reproduced (see DESIGN.md §3 and EXPERIMENTS.md):
-     Table 1 (lazy / greedy / error-recovery / space rows),
-     §5.1 leader election, §5.2 BFS tree, §5.3 Cole-Vishkin,
-     §6 message/energy accounting,
-     §7 + Figure 1 rollback exponential blow-up vs the transformer.
-
-   Run with: dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe
+   (--bigrun and --msgnet-bigrun run the big-n recovery smokes). *)
 
 module Rng = Ss_prelude.Rng
 module Table = Ss_prelude.Table
@@ -15,49 +14,6 @@ module G = Ss_graph
 module Sim = Ss_sim
 module Core = Ss_core
 module P = Ss_core.Predicates
-
-let seeds = [ 1; 2 ]
-let fresh_rng () = Rng.create 7
-
-let section title f =
-  let t0 = Unix.gettimeofday () in
-  let table = f () in
-  Printf.printf "== %s  [%.1fs] ==\n%!" title (Unix.gettimeofday () -. t0);
-  Table.print table
-
-let experiment_tables () =
-  print_endline "#### Paper experiment reproduction ####";
-  print_newline ();
-  section "Table 1 / lazy mode: moves vs n^3+nT, rounds vs D+T" (fun () ->
-      Ss_expt.Table1.lazy_rows ~seeds (fresh_rng ()));
-  section "Table 1 / greedy mode: rounds scale with B" (fun () ->
-      Ss_expt.Table1.greedy_rows ~seeds (fresh_rng ()));
-  section "Table 1 / error recovery: rounds vs min(D,B)" (fun () ->
-      Ss_expt.Table1.recovery_rows ~seeds (fresh_rng ()));
-  section "Table 1 / space: per-node bits vs B*S" (fun () ->
-      Ss_expt.Table1.space_rows ~seeds (fresh_rng ()));
-  section "§5.1 leader election instance" (fun () ->
-      Ss_expt.Instances.leader_rows ~seeds (fresh_rng ()));
-  section "§5.2 BFS spanning tree instance" (fun () ->
-      Ss_expt.Instances.bfs_rows ~seeds (fresh_rng ()));
-  section "§5.3 Cole-Vishkin ring 3-coloring instance" (fun () ->
-      Ss_expt.Instances.cv_rows ~seeds (fresh_rng ()));
-  section "shortest-path tree instance (Bellman-Ford input)" (fun () ->
-      Ss_expt.Instances.shortest_path_rows ~seeds (fresh_rng ()));
-  section "§6 energy: full-state vs delta encodings" (fun () ->
-      Ss_expt.Energy_expt.rows ~seeds (fresh_rng ()));
-  section "§7 / Figure 1: rollback exponential blow-up (validated Gamma_k)"
-    (fun () -> Ss_expt.Blowup_expt.rows ~max_k:10 ());
-  section "ablation: each rule mechanism is load-bearing" (fun () ->
-      Ss_expt.Ablation_expt.rows ~seeds:[ 1; 2 ] (fresh_rng ()));
-  section "§6 end-to-end: transformer over message passing" (fun () ->
-      Ss_expt.Msgnet_expt.rows ~seeds (fresh_rng ()));
-  section "baseline: hand-crafted min+1 BFS vs transformed BFS" (fun () ->
-      Ss_expt.Baselines_expt.bfs_rows ~seeds (fresh_rng ()));
-  section "baseline: Dijkstra's token ring [27] (non-silent reference)"
-    (fun () -> Ss_expt.Baselines_expt.dijkstra_rows (fresh_rng ()));
-  section "locality: generic LOCAL simulation, space = Theta(Delta^r) * B"
-    (fun () -> Ss_expt.Locality_expt.rows (fresh_rng ()))
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks of the hot paths                           *)
@@ -356,16 +312,17 @@ let bench_gamma () = fun () -> ignore (Ss_rollback.Blowup.gamma 8)
 (* ------------------------------------------------------------------ *)
 
 (* One representative slice of the experiment campaign — the same row
-   functions the tables above use, with printing suppressed.  Output
+   functions `fasst all` prints, with printing suppressed.  Output
    is byte-identical for every job count (DESIGN.md §11), so the sweep
    measures pure scheduling overhead/speedup. *)
 let campaign_once () =
-  ignore (Ss_expt.Table1.lazy_rows ~seeds (fresh_rng ()));
-  ignore (Ss_expt.Table1.greedy_rows ~seeds (fresh_rng ()));
-  ignore (Ss_expt.Energy_expt.rows ~seeds (fresh_rng ()));
-  ignore (Ss_expt.Msgnet_expt.rows ~seeds (fresh_rng ()));
+  let seeds = [ 1; 2 ] and rng () = Rng.create 7 in
+  ignore (Ss_expt.Table1.lazy_rows ~seeds (rng ()));
+  ignore (Ss_expt.Table1.greedy_rows ~seeds (rng ()));
+  ignore (Ss_expt.Energy_expt.rows ~seeds (rng ()));
+  ignore (Ss_expt.Msgnet_expt.rows ~seeds (rng ()));
   ignore (Ss_expt.Blowup_expt.rows ~max_k:9 ());
-  ignore (Ss_expt.Ablation_expt.rows ~seeds (fresh_rng ()))
+  ignore (Ss_expt.Ablation_expt.rows ~seeds (rng ()))
 
 (* Wall time of the campaign at -j 1 / 2 / 4, plus the j4-vs-j1
    speedup.  On a single hardware thread the "speedup" is honestly
@@ -780,35 +737,12 @@ let micro_benchmarks () =
   List.iter (Table.add msgnet_table) msgnet_scale;
   List.iter (Table.add msgnet_table) (proof_rows ());
   emit_json "BENCH_engine.json" "engine micro-benchmarks" engine_table;
-  emit_json "BENCH_msgnet.json" "msgnet micro-benchmarks" msgnet_table;
-  (* The chaos grid rides along: scenario × algorithm × graph, fully
-     deterministic (virtual clocks, per-cell seeds), so this artefact
-     is byte-stable across machines and job counts — unlike the two
-     timing files above. *)
-  let sim_table, sim_ok =
-    Ss_expt.Sim_expt.rows
-      (Ss_expt.Sim_expt.default_workloads (Ss_prelude.Rng.create 42))
-  in
-  if not sim_ok then
-    failwith "sim grid: a scenario cell failed to re-stabilize";
-  emit_json "BENCH_sim.json" "chaos-mode scenario grid" sim_table;
-  (* The three-way transformer comparison rides along too: every
-     registered transformer × LCL workload × graph family, same
-     determinism contract, so the artefact is byte-stable as well. *)
-  let tf_table, tf_ok =
-    Ss_expt.Transformers_expt.rows ~seeds:[ 1 ] (Ss_prelude.Rng.create 42)
-  in
-  if not tf_ok then
-    failwith "transformers grid: an illegitimate terminal configuration";
-  emit_json "BENCH_transformers.json" "transformer comparison grid" tf_table
+  emit_json "BENCH_msgnet.json" "msgnet micro-benchmarks" msgnet_table
 
 let () =
   let t0 = Unix.gettimeofday () in
   let has flag = Array.exists (fun a -> a = flag) Sys.argv in
   if has "--bigrun" then bigrun ()
   else if has "--msgnet-bigrun" then msgnet_bigrun ()
-  else begin
-    if not (has "--micro") then experiment_tables ();
-    micro_benchmarks ()
-  end;
+  else micro_benchmarks ();
   Printf.printf "total wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

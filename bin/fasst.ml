@@ -91,10 +91,26 @@ let daemon_arg =
 let seed_arg =
   Arg.(value & opt int 1 & info [ "s"; "seed" ] ~doc:"Random seed.")
 
+(* A count that must be at least 1: below it, a table aggregates no
+   run at all (and still prints "legit yes"), or the worker pool has
+   no domain. *)
+let positive_conv what =
+  let parse s =
+    match int_of_string_opt s with
+    | Some k when k >= 1 -> Ok k
+    | _ ->
+        Error (Printf.sprintf "invalid %s %S: expected a positive integer" what s)
+  in
+  Arg.conv' (parse, Format.pp_print_int)
+
+(* [--seeds K] runs the corruption seeds 1..K. *)
 let seeds_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "seeds" ] ~doc:"Number of corruption seeds per experiment row.")
+  Term.(
+    const (fun k -> List.init k (fun i -> i + 1))
+    $ Arg.(
+        value
+        & opt (positive_conv "seed count") 2
+        & info [ "seeds" ] ~doc:"Number of corruption seeds per experiment row."))
 
 let mode_arg =
   Arg.(
@@ -189,7 +205,7 @@ let jobs_arg =
   in
   Arg.(
     value
-    & opt int (Ss_par.Par.default_jobs ())
+    & opt (positive_conv "job count") (Ss_par.Par.default_jobs ())
     & info [ "j"; "jobs" ] ~docv:"JOBS" ~doc)
 
 (* ------------------------------------------------------------------ *)
@@ -269,6 +285,12 @@ let run_outcome ~json name (o : Core.Registry.outcome) =
   s "specification" (string_of_bool o.Core.Registry.spec_ok);
   section ~json name table
 
+(* Option values that each parse but that the chosen algorithm or
+   transformer cannot run together: a usage error naming [opt] (exit
+   124), raised before any run starts.  For [Term.ret]. *)
+let usage_error opt msg =
+  `Error (true, Printf.sprintf "option '%s': %s" opt msg)
+
 let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
     ~p ~layout ~deadline ~jobs =
   let rng = Rng.create seed in
@@ -283,72 +305,75 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
          Stabilization-style recovery phases; the registry's measure
          covers them uniformly. *)
       let entry = Catalog.find_transformer transformer in
-      let budget =
-        Option.map
-          (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
-          deadline
-      in
-      let outcome =
-        Core.Registry.measure entry ?budget ~p
-          ~rng:(Rng.split rng) ~daemon
-          ~max_height:(min (P.bound_to_int bound) 1_000_000)
-          ~spec params graph ~inputs
-      in
-      run_outcome ~json sync.Ss_sync.Sync_algo.sync_name outcome
+      match Core.Registry.supports entry params with
+      | Error e -> usage_error "-b" e
+      | Ok () ->
+          let budget =
+            Option.map
+              (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
+              deadline
+          in
+          let outcome =
+            Core.Registry.measure entry ?budget ~p ~rng:(Rng.split rng)
+              ~daemon
+              ~max_height:(min (P.bound_to_int bound) 1_000_000)
+              ~spec params graph ~inputs
+          in
+          run_outcome ~json sync.Ss_sync.Sync_algo.sync_name outcome;
+          `Ok 0
     end
-    else begin
-    let sc = { Stabilization.params; graph; inputs } in
-    (* The corruption ceiling tracks the synchronous execution time.
-       Under a finite bound the ground truth is cut at B rounds — the
-       only part a B-bounded run can ever reference — so the pre-run
-       history is O(B·n) instead of O(T·n): the million-node path
-       never materializes the full fixpoint history. *)
-    let t =
-      let rounds = match bound with P.Finite b -> Some b | P.Infinite -> None in
-      (Stabilization.history ?rounds sc).Ss_sync.Sync_runner.t
-    in
-    let max_height = min (P.bound_to_int bound) (t + 6) in
-    let codec =
-      match layout with
-      | `Boxed -> None
-      | `Auto -> ( match bound with P.Finite _ -> codec | P.Infinite -> None)
-      | `Packed -> (
-          match (codec, bound) with
-          | Some _, P.Finite _ -> codec
-          | None, _ ->
-              failwith ("no packed codec for algorithm: " ^ algo_name)
-          | Some _, P.Infinite ->
-              failwith "--layout packed requires a finite bound (-b B)")
-    in
-    let start =
-      Stabilization.corrupted_start (Rng.split rng) ~p ?codec ~max_height sc
-    in
-    let budget =
-      Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
-    in
-    let report =
-      Stabilization.run ?budget ~sharded:(jobs > 1) sc ~daemon ~start
-    in
-    let name = sync.Ss_sync.Sync_algo.sync_name in
-    if json then
-      print_endline
-        (Json.to_string
-           (json_report name ~seed
-              ~spec:(spec report.Stabilization.outputs)
-              report))
-    else begin
-      print_report name report;
-      Printf.printf "specification  : %b\n" (spec report.Stabilization.outputs)
-    end
-    end
+    else
+      match (layout, codec, bound) with
+      | `Packed, None, _ ->
+          usage_error "--layout" ("no packed codec for algorithm " ^ algo_name)
+      | `Packed, Some _, P.Infinite ->
+          usage_error "-b" "--layout packed requires a finite bound B"
+      | _ ->
+          let codec =
+            match (layout, bound) with
+            | `Boxed, _ | `Auto, P.Infinite -> None
+            | _ -> codec
+          in
+          let sc = { Stabilization.params; graph; inputs } in
+          (* The corruption ceiling tracks the synchronous execution
+             time.  Under a finite bound the ground truth is cut at B
+             rounds — the only part a B-bounded run can ever reference
+             — so the pre-run history is O(B·n) instead of O(T·n): the
+             million-node path never materializes the full fixpoint
+             history. *)
+          let t =
+            let rounds =
+              match bound with P.Finite b -> Some b | P.Infinite -> None
+            in
+            (Stabilization.history ?rounds sc).Ss_sync.Sync_runner.t
+          in
+          let max_height = min (P.bound_to_int bound) (t + 6) in
+          let start =
+            Stabilization.corrupted_start (Rng.split rng) ~p ?codec
+              ~max_height sc
+          in
+          let budget =
+            Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
+          in
+          let report =
+            Stabilization.run ?budget ~sharded:(jobs > 1) sc ~daemon ~start
+          in
+          let name = sync.Ss_sync.Sync_algo.sync_name in
+          let spec = spec report.Stabilization.outputs in
+          if json then
+            print_endline (Json.to_string (json_report name ~seed ~spec report))
+          else begin
+            print_report name report;
+            Printf.printf "specification  : %b\n" spec
+          end;
+          `Ok 0
   in
   let a = Catalog.find_algo algo_name in
-  (match Catalog.validate_topology a graph with
-  | Ok () -> ()
-  | Error e -> failwith e);
-  (match a.Catalog.instantiate (Rng.split rng) graph with
-  | Catalog.Inst { sync; inputs; spec; codec } -> go ?codec sync inputs spec);
-  0
+  match Catalog.validate_topology a graph with
+  | Error e -> usage_error "-t" e
+  | Ok () -> (
+      match a.Catalog.instantiate (Rng.split rng) graph with
+      | Catalog.Inst { sync; inputs; spec; codec } -> go ?codec sync inputs spec)
 
 let run_cmd =
   let algo =
@@ -386,142 +411,145 @@ let run_cmd =
        ~doc:
          "Run one transformed algorithm from a corrupted configuration under \
           one adversary and report moves/rounds/recovery.")
-    term
+    (Term.ret term)
 
 (* ------------------------------------------------------------------ *)
 (* Experiment tables                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let seeds_list k = List.init k (fun i -> i + 1)
-
-let table1_run jobs json which seed seeds =
+(* An experiment section is a name (a [WHICH] value), a title and a
+   row generator; each draws from a fresh rng at [--seed].  [which]
+   picks one section by name, or "all" of them in order. *)
+let sections_run sections jobs json which seed seeds =
   Ss_par.Par.set_jobs jobs;
-  let rng () = Rng.create seed in
-  let seeds = seeds_list seeds in
-  if which = "lazy" || which = "all" then
-    section ~json "Table 1 / lazy mode (leader election)"
-      (Ss_expt.Table1.lazy_rows ~seeds (rng ()));
-  if which = "greedy" || which = "all" then
-    section ~json "Table 1 / greedy mode"
-      (Ss_expt.Table1.greedy_rows ~seeds (rng ()));
-  if which = "recovery" || which = "all" then
-    section ~json "Table 1 / error recovery"
-      (Ss_expt.Table1.recovery_rows ~seeds (rng ()));
-  if which = "space" || which = "all" then
-    section ~json "Table 1 / space" (Ss_expt.Table1.space_rows ~seeds (rng ()));
+  List.iter
+    (fun (name, title, (rows : ?seeds:int list -> Rng.t -> Table.t)) ->
+      if which = "all" || which = name then
+        section ~json title (rows ~seeds (Rng.create seed)))
+    sections;
   0
+
+(* A subcommand that prints every one of [sections]. *)
+let experiment_cmd name ~doc sections =
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (fun jobs json seed seeds ->
+          sections_run sections jobs json "all" seed seeds)
+      $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+
+(* A subcommand whose positional [WHICH] picks one of [sections]. *)
+let sections_cmd name ~doc sections =
+  let names = List.map (fun (n, _, _) -> n) sections @ [ "all" ] in
+  let which =
+    Arg.(
+      value
+      & pos 0 (name_conv names) "all"
+      & info [] ~docv:"WHICH" ~doc:(String.concat " | " names))
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const (sections_run sections)
+      $ jobs_arg $ json_arg $ which $ seed_arg $ seeds_arg)
+
+let table1_sections =
+  [
+    ("lazy", "Table 1 / lazy mode (leader election)", Ss_expt.Table1.lazy_rows);
+    ("greedy", "Table 1 / greedy mode", Ss_expt.Table1.greedy_rows);
+    ("recovery", "Table 1 / error recovery", Ss_expt.Table1.recovery_rows);
+    ("space", "Table 1 / space", Ss_expt.Table1.space_rows);
+  ]
 
 let table1_cmd =
-  let which =
-    Arg.(
-      value & pos 0 string "all"
-      & info [] ~docv:"WHICH" ~doc:"lazy | greedy | recovery | space | all")
-  in
-  Cmd.v
-    (Cmd.info "table1" ~doc:"Reproduce the complexity rows of Table 1.")
-    Term.(const table1_run $ jobs_arg $ json_arg $ which $ seed_arg $ seeds_arg)
+  sections_cmd "table1" ~doc:"Reproduce the complexity rows of Table 1."
+    table1_sections
 
-let instances_run jobs json which seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  let rng () = Rng.create seed in
-  let seeds = seeds_list seeds in
-  if which = "leader" || which = "all" then
-    section ~json "§5.1 leader election"
-      (Ss_expt.Instances.leader_rows ~seeds (rng ()));
-  if which = "bfs" || which = "all" then
-    section ~json "§5.2 BFS spanning tree"
-      (Ss_expt.Instances.bfs_rows ~seeds (rng ()));
-  if which = "cv" || which = "all" then
-    section ~json "§5.3 Cole-Vishkin ring coloring"
-      (Ss_expt.Instances.cv_rows ~seeds (rng ()));
-  if which = "sp" || which = "all" then
-    section ~json "shortest-path trees (§1 Bellman-Ford input)"
-      (Ss_expt.Instances.shortest_path_rows ~seeds (rng ()));
-  0
+let instances_sections =
+  [
+    ("leader", "§5.1 leader election", Ss_expt.Instances.leader_rows);
+    ("bfs", "§5.2 BFS spanning tree", Ss_expt.Instances.bfs_rows);
+    ("cv", "§5.3 Cole-Vishkin ring coloring", Ss_expt.Instances.cv_rows);
+    ( "sp",
+      "shortest-path trees (§1 Bellman-Ford input)",
+      Ss_expt.Instances.shortest_path_rows );
+  ]
 
 let instances_cmd =
-  let which =
-    Arg.(
-      value & pos 0 string "all"
-      & info [] ~docv:"WHICH" ~doc:"leader | bfs | cv | sp | all")
-  in
-  Cmd.v
-    (Cmd.info "instances" ~doc:"Reproduce the §5 instance experiments.")
-    Term.(
-      const instances_run $ jobs_arg $ json_arg $ which $ seed_arg $ seeds_arg)
+  sections_cmd "instances" ~doc:"Reproduce the §5 instance experiments."
+    instances_sections
 
-let rollback_run jobs json max_k =
-  Ss_par.Par.set_jobs jobs;
-  section ~json "§7 / Figure 1: rollback blow-up vs transformer"
-    (Ss_expt.Blowup_expt.rows ~max_k ());
-  0
+(* Γ_k is one fixed schedule on one fixed configuration: neither
+   --seed nor --seeds enters. *)
+let rollback_section ~max_k =
+  ( "rollback",
+    "§7 / Figure 1: rollback blow-up vs transformer",
+    fun ?seeds:_ _ -> Ss_expt.Blowup_expt.rows ~max_k () )
 
 let rollback_cmd =
   let max_k =
-    Arg.(value & opt int 10 & info [ "k"; "max-k" ] ~doc:"Largest G_k index.")
+    Arg.(
+      value
+      & opt (positive_conv "G_k index") 10
+      & info [ "k"; "max-k" ] ~doc:"Largest G_k index.")
   in
   Cmd.v
     (Cmd.info "rollback"
        ~doc:
          "Reproduce the exponential move complexity of the rollback compiler \
           on the G_k family (validated schedule Γ_k).")
-    Term.(const rollback_run $ jobs_arg $ json_arg $ max_k)
+    Term.(
+      const (fun jobs json max_k ->
+          sections_run [ rollback_section ~max_k ] jobs json "all" 1 [ 1 ])
+      $ jobs_arg $ json_arg $ max_k)
 
-let energy_run jobs json seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  section ~json "§6 message/energy accounting"
-    (Ss_expt.Energy_expt.rows ~seeds:(seeds_list seeds) (Rng.create seed));
-  0
+let energy_section =
+  ("energy", "§6 message/energy accounting", Ss_expt.Energy_expt.rows)
 
 let energy_cmd =
-  Cmd.v
-    (Cmd.info "energy" ~doc:"Reproduce the §6 message-size comparison.")
-    Term.(const energy_run $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  experiment_cmd "energy" ~doc:"Reproduce the §6 message-size comparison."
+    [ energy_section ]
 
-let ablation_run jobs json seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  section ~json "ablation: removing RP or the RC window breaks the transformer"
-    (Ss_expt.Ablation_expt.rows ~seeds:(seeds_list seeds) (Rng.create seed));
-  0
+let ablation_section =
+  ( "ablation",
+    "ablation: removing RP or the RC window breaks the transformer",
+    Ss_expt.Ablation_expt.rows )
 
 let ablation_cmd =
-  Cmd.v
-    (Cmd.info "ablation"
-       ~doc:
-         "Compare the full rule set against the no-RP and eager-RC ablations \
-          (stuck/live-lock rates, worst moves).")
-    Term.(const ablation_run $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  experiment_cmd "ablation"
+    ~doc:
+      "Compare the full rule set against the no-RP and eager-RC ablations \
+       (stuck/live-lock rates, worst moves)."
+    [ ablation_section ]
 
-let msgnet_run jobs json seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  section ~json "§6 end-to-end: transformer over message passing"
-    (Ss_expt.Msgnet_expt.rows ~seeds:(seeds_list seeds) (Rng.create seed));
-  0
+let msgnet_section =
+  ( "msgnet",
+    "§6 end-to-end: transformer over message passing",
+    Ss_expt.Msgnet_expt.rows )
 
 let msgnet_cmd =
-  Cmd.v
-    (Cmd.info "msgnet"
-       ~doc:
-         "Run the message-passing realization (mirrors, heartbeat proofs, \
-          delta encoding) end-to-end and report traffic plus the wire-memory \
-          figures (peak in-flight bits, resident mirror bytes).")
-    Term.(const msgnet_run $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  experiment_cmd "msgnet"
+    ~doc:
+      "Run the message-passing realization (mirrors, heartbeat proofs, delta \
+       encoding) end-to-end and report traffic plus the wire-memory figures \
+       (peak in-flight bits, resident mirror bytes)."
+    [ msgnet_section ]
 
-let baselines_run jobs json seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  section ~json "hand-crafted min+1 BFS vs transformed BFS"
-    (Ss_expt.Baselines_expt.bfs_rows ~seeds:(seeds_list seeds) (Rng.create seed));
-  section ~json "Dijkstra's token ring [27]"
-    (Ss_expt.Baselines_expt.dijkstra_rows (Rng.create seed));
-  0
+(* Dijkstra's ring keeps its own seed list whatever --seeds says. *)
+let baselines_sections =
+  [
+    ( "bfs",
+      "hand-crafted min+1 BFS vs transformed BFS",
+      Ss_expt.Baselines_expt.bfs_rows );
+    ( "dijkstra",
+      "Dijkstra's token ring [27]",
+      fun ?seeds:_ rng -> Ss_expt.Baselines_expt.dijkstra_rows rng );
+  ]
 
 let baselines_cmd =
-  Cmd.v
-    (Cmd.info "baselines"
-       ~doc:
-         "Compare hand-crafted self-stabilizing baselines (min+1 BFS, \
-          Dijkstra's token ring) against the transformer.")
-    Term.(const baselines_run $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  experiment_cmd "baselines"
+    ~doc:
+      "Compare hand-crafted self-stabilizing baselines (min+1 BFS, \
+       Dijkstra's token ring) against the transformer."
+    baselines_sections
 
 (* ------------------------------------------------------------------ *)
 (* transformers: the three-way comparison grid                          *)
@@ -530,7 +558,7 @@ let baselines_cmd =
 let transformers_run jobs json seed seeds =
   Ss_par.Par.set_jobs jobs;
   let table, ok =
-    Ss_expt.Transformers_expt.rows ~seeds:(seeds_list seeds) (Rng.create seed)
+    Ss_expt.Transformers_expt.rows ~seeds (Rng.create seed)
   in
   section ~json "transformer comparison: trans | rollback | adaptive" table;
   (* Any illegitimate terminal configuration is a non-zero exit, so
@@ -592,29 +620,8 @@ let list_cmd =
 (* sim: deterministic chaos-mode scenario grids                         *)
 (* ------------------------------------------------------------------ *)
 
-let sim_run jobs json scenario algo topology seed seeds out =
-  Ss_par.Par.set_jobs jobs;
-  let rng = Rng.create seed in
-  let scenarios =
-    if scenario = "all" then Ss_chaos.Scenario.all
-    else
-      match Ss_chaos.Scenario.of_string scenario with
-      | Ok s -> [ s ]
-      | Error e -> failwith e
-  in
-  let algos =
-    if algo = "all" then Ss_expt.Sim_expt.algo_names else [ algo ]
-  in
-  let workloads =
-    match topology with
-    | "default" -> Ss_expt.Sim_expt.default_workloads ~algos (Rng.split rng)
-    | spec ->
-        Ss_expt.Sim_expt.workloads_for ~algos (Rng.split rng)
-          [ (spec, parse_topology (Rng.split rng) spec) ]
-  in
-  let table, ok =
-    Ss_expt.Sim_expt.rows ~scenarios ~seeds:(seeds_list seeds) workloads
-  in
+let sim_grid ~json ~scenarios ~seeds ~out workloads =
+  let table, ok = Ss_expt.Sim_expt.rows ~scenarios ~seeds workloads in
   let title = "chaos-mode scenario grid (deterministic fault injection)" in
   section ~json title table;
   (match out with
@@ -628,12 +635,42 @@ let sim_run jobs json scenario algo topology seed seeds out =
   (* The smoke contract: a cell that fails to re-stabilize to a
      legitimate quiescent configuration is a non-zero exit, so the
      @sim-chaos alias can gate on it. *)
-  if ok then 0 else 1
+  `Ok (if ok then 0 else 1)
+
+let sim_run jobs json scenarios algos topology seed seeds out =
+  Ss_par.Par.set_jobs jobs;
+  let rng = Rng.create seed in
+  let grid = sim_grid ~json ~scenarios ~seeds ~out in
+  match topology with
+  | None -> grid (Ss_expt.Sim_expt.default_workloads ~algos (Rng.split rng))
+  | Some spec -> (
+      let graph = parse_topology (Rng.split rng) spec in
+      (* One named algorithm must fit the topology; a roster skips the
+         algorithms that do not. *)
+      let unfit =
+        match algos with
+        | [ a ] -> Catalog.validate_topology (Catalog.find_algo a) graph
+        | _ -> Ok ()
+      in
+      match unfit with
+      | Error e -> usage_error "-t" e
+      | Ok () ->
+          grid
+            (Ss_expt.Sim_expt.workloads_for ~algos (Rng.split rng)
+               [ (spec, graph) ]))
 
 let sim_cmd =
+  (* Each name selects itself; "all" selects every member, in order. *)
+  let all_or named =
+    ("all", List.map snd named) :: List.map (fun (n, v) -> (n, [ v ])) named
+  in
   let scenario =
+    let named =
+      List.map (fun s -> (s.Ss_chaos.Scenario.name, s)) Ss_chaos.Scenario.all
+    in
     Arg.(
-      value & opt string "all"
+      value
+      & opt (enum (all_or named)) Ss_chaos.Scenario.all
       & info [ "scenario" ]
           ~doc:
             "Fault scenario: $(b,quick) (no faults), $(b,standard) (0.2% \
@@ -643,7 +680,10 @@ let sim_cmd =
   in
   let algo =
     Arg.(
-      value & opt string "all"
+      value
+      & opt
+          (enum (all_or (List.map (fun a -> (a, a)) Ss_expt.Sim_expt.algo_names)))
+          Ss_expt.Sim_expt.algo_names
       & info [ "a"; "algorithm" ]
           ~doc:
             ("Algorithm: "
@@ -651,8 +691,16 @@ let sim_cmd =
             ^ ", or all."))
   in
   let topology =
+    let parse = function
+      | "default" -> Ok None
+      | spec -> Result.map (fun () -> Some spec) (Catalog.check_topology spec)
+    in
+    let print ppf t =
+      Format.pp_print_string ppf (Option.value t ~default:"default")
+    in
     Arg.(
-      value & opt string "default"
+      value
+      & opt (conv' (parse, print)) None
       & info [ "t"; "topology" ]
           ~doc:
             "Topology spec (same syntax as $(b,fasst run)), or \
@@ -667,10 +715,9 @@ let sim_cmd =
   in
   let term =
     Term.(
-      const (fun jobs json scenario algo topology seed seeds out ->
-          sim_run jobs json scenario algo topology seed seeds out)
-      $ jobs_arg $ json_arg $ scenario $ algo $ topology $ seed_arg $ seeds_arg
-      $ out)
+      ret
+        (const sim_run $ jobs_arg $ json_arg $ scenario $ algo $ topology
+       $ seed_arg $ seeds_arg $ out))
   in
   Cmd.v
     (Cmd.info "sim"
@@ -764,19 +811,20 @@ let trace_cmd =
     Term.(const trace_run $ json_arg $ topology_arg $ daemon_arg $ seed_arg $ out)
 
 let all_cmd =
-  Cmd.v
-    (Cmd.info "all" ~doc:"Run every experiment table in sequence.")
-    Term.(
-      const (fun jobs json seed seeds ->
-          ignore (table1_run jobs json "all" seed seeds);
-          ignore (instances_run jobs json "all" seed seeds);
-          ignore (rollback_run jobs json 10);
-          ignore (energy_run jobs json seed seeds);
-          ignore (msgnet_run jobs json seed seeds);
-          ignore (ablation_run jobs json seed seeds);
-          ignore (baselines_run jobs json seed seeds);
-          0)
-      $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  experiment_cmd "all"
+    ~doc:
+      "Run every experiment table in sequence (Table 1, the §5 \
+       instances, §6, §7, the ablation, the baselines and the §1.3 \
+       locality sweep)."
+    (table1_sections @ instances_sections
+    @ [ rollback_section ~max_k:10; energy_section; msgnet_section;
+        ablation_section ]
+    @ baselines_sections
+    @ [
+        ( "locality",
+          "§1.3 locality: LOCAL views, S = Theta(Delta^r), space vs B*S",
+          Ss_expt.Locality_expt.rows );
+      ])
 
 let main =
   Cmd.group

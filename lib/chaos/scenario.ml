@@ -42,14 +42,6 @@ let chaos =
 
 let all = [ quick; standard; chaos ]
 
-let of_string s =
-  match List.find_opt (fun m -> m.name = s) all with
-  | Some m -> Ok m
-  | None ->
-      Error
-        (Printf.sprintf "unknown scenario %S (expected %s)" s
-           (String.concat " | " (List.map (fun m -> m.name) all)))
-
 let msgnet_plan t ~seed =
   Fault_plan.v ~rates:t.rates ~horizon:t.fault_horizon
     ~corrupt_at:t.corrupt_events ~seed ()

@@ -37,7 +37,6 @@ val chaos : t
     mid-run corruption bursts. *)
 
 val all : t list
-val of_string : string -> (t, string) result
 
 val msgnet_plan : t -> seed:int -> Fault_plan.t
 (** The scenario instantiated for one message-network run. *)

@@ -51,8 +51,8 @@ type ('s, 'i) observer =
     the configuration, the algorithm, or the daemon it observes — it
     may only read them and accumulate into its own state.  All sinks
     on the bus see the same events in the same order, so composable
-    consumers (trace recording, CSV export, progress display,
-    divergence checking) cannot perturb the execution they measure. *)
+    consumers (trace recording, CSV export, divergence checking)
+    cannot perturb the execution they measure. *)
 
 val tee : ('s, 'i) observer list -> ('s, 'i) observer
 (** Fan one event stream out to several sinks, in list order. *)

@@ -88,13 +88,6 @@ let to_json events =
            e.ev_moved)
        events)
 
-let progress ?(every = 1000) ppf =
-  let moves = ref 0 in
-  fun ~step ~rounds ~moved _config ->
-    moves := !moves + List.length moved;
-    if step > 0 && step mod every = 0 then
-      Format.fprintf ppf "step %d  rounds %d  moves %d@." step rounds !moves
-
 let to_schedule events =
   List.filter_map
     (fun e ->

@@ -46,10 +46,6 @@ val to_json : event list -> Ss_report.Json.t
     [{step, rounds, node, rule}] objects built on the
     {!Ss_report.Json} type. *)
 
-val progress : ?every:int -> Format.formatter -> ('s, 'i) Engine.observer
-(** A progress sink: prints [step/rounds/moves-so-far] every [every]
-    steps (default 1000). *)
-
 val to_schedule : event list -> int list list
 (** The activation sets of the trace, replayable through
     {!Daemon.scripted} (the engine is deterministic given a schedule,

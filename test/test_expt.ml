@@ -1,6 +1,7 @@
 (* Tests for the experiment harness: workloads, worst-case
    aggregation, the stabilization harness and (smoke-level) the table
-   generators that back bench/main.ml. *)
+   generators that `fasst all` prints; test/fasst-all.golden.json pins
+   their every cell. *)
 
 module Builders = Ss_graph.Builders
 module Daemon = Ss_sim.Daemon
