@@ -291,6 +291,16 @@ let run_outcome ~json name (o : Core.Registry.outcome) =
 let usage_error opt msg =
   `Error (true, Printf.sprintf "option '%s': %s" opt msg)
 
+(* The [-o] file is opened before any work runs: an unwritable path is
+   a usage error at once, not an exception after the work. *)
+let with_output out k =
+  match out with
+  | None -> k None
+  | Some path -> (
+      match open_out path with
+      | oc -> k (Some (path, oc))
+      | exception Sys_error e -> usage_error "-o" e)
+
 let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
     ~p ~layout ~deadline ~jobs =
   let rng = Rng.create seed in
@@ -624,20 +634,20 @@ let sim_grid ~json ~scenarios ~seeds ~out workloads =
   let table, ok = Ss_expt.Sim_expt.rows ~scenarios ~seeds workloads in
   let title = "chaos-mode scenario grid (deterministic fault injection)" in
   section ~json title table;
-  (match out with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
+  Option.iter
+    (fun (path, oc) ->
       output_string oc (Json.to_string (Run_report.of_table ~label:title table));
       output_char oc '\n';
       close_out oc;
-      Printf.eprintf "grid written to %s\n" path);
+      Printf.eprintf "grid written to %s\n" path)
+    out;
   (* The smoke contract: a cell that fails to re-stabilize to a
      legitimate quiescent configuration is a non-zero exit, so the
      @sim-chaos alias can gate on it. *)
   `Ok (if ok then 0 else 1)
 
 let sim_run jobs json scenarios algos topology seed seeds out =
+  with_output out @@ fun out ->
   Ss_par.Par.set_jobs jobs;
   let rng = Rng.create seed in
   let grid = sim_grid ~json ~scenarios ~seeds ~out in
@@ -736,6 +746,7 @@ let sim_cmd =
 (* ------------------------------------------------------------------ *)
 
 let trace_run json topology daemon seed out =
+  with_output out @@ fun out ->
   let rng = Rng.create seed in
   let graph = parse_topology rng topology in
   let daemon = parse_daemon (Rng.split rng) daemon in
@@ -754,17 +765,17 @@ let trace_run json topology daemon seed out =
   in
   (match out with
   | None -> print_string payload
-  | Some path ->
-      let oc = open_out path in
+  | Some (path, oc) ->
       output_string oc payload;
       close_out oc;
       Printf.printf "trace written to %s\n" path);
   Printf.eprintf "(%d moves, %d rounds, terminated=%b)\n"
     stats.Ss_sim.Engine.moves stats.Ss_sim.Engine.rounds
     stats.Ss_sim.Engine.terminated;
-  0
+  `Ok 0
 
 let dot_run topology seed out =
+  with_output out @@ fun out ->
   let rng = Rng.create seed in
   let graph = parse_topology rng topology in
   let label =
@@ -775,14 +786,13 @@ let dot_run topology seed out =
   let dot = G.Dot.of_graph ~name:"topology" ~label graph in
   (match out with
   | None -> print_string dot
-  | Some path ->
-      let oc = open_out path in
+  | Some (path, oc) ->
       output_string oc dot;
       close_out oc;
       Printf.printf "graph written to %s (n=%d, m=%d, D=%d)\n" path
         (G.Graph.n graph) (G.Graph.m graph)
         (G.Properties.diameter graph));
-  0
+  `Ok 0
 
 let dot_cmd =
   let out =
@@ -793,7 +803,7 @@ let dot_cmd =
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Export a topology in Graphviz DOT syntax.")
-    Term.(const dot_run $ topology_arg $ seed_arg $ out)
+    Term.(ret (const dot_run $ topology_arg $ seed_arg $ out))
 
 let trace_cmd =
   let out =
@@ -808,7 +818,8 @@ let trace_cmd =
          "Run transformed leader election from a corrupted start and dump the \
           per-move trace (step, rounds, node, rule) as CSV (or JSON with \
           $(b,--json)).")
-    Term.(const trace_run $ json_arg $ topology_arg $ daemon_arg $ seed_arg $ out)
+    Term.(
+      ret (const trace_run $ json_arg $ topology_arg $ daemon_arg $ seed_arg $ out))
 
 let all_cmd =
   experiment_cmd "all"

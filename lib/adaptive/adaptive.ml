@@ -40,7 +40,7 @@ let rule_rs ~algo_err p =
    neighbor-height window (§3's [updatable] requires [nb <= h+1]):
    after a point truncation the neighbors may tower arbitrarily high
    above the repaired node, and waiting for them would deadlock. *)
-let rule_rx p =
+let rule_rx ~algo_hat p =
   let b = bound_of p in
   {
     Algorithm.rule_name = rx;
@@ -51,7 +51,7 @@ let rule_rx p =
     action =
       (fun v ->
         let self = v.Algorithm.self in
-        St.extend self (P.algo_hat p v (St.height self)));
+        St.extend self (algo_hat p v (St.height self)));
   }
 
 (* CO: a node still flagged [E] by a transient fault clears the flag
@@ -66,13 +66,13 @@ let rule_co p =
     action = (fun v -> St.with_status v.Algorithm.self St.C);
   }
 
-let algorithm_gen ~algo_err p =
+let algorithm_gen ~algo_err ~algo_hat p =
   let b = bound_of p in
   {
     Algorithm.algo_name =
       Printf.sprintf "adaptive(%s,B=%d)" p.P.sync.Sync_algo.sync_name b;
     equal = St.equal p.P.sync.Sync_algo.equal;
-    rules = [ rule_rs ~algo_err p; rule_rx p; rule_co p ];
+    rules = [ rule_rs ~algo_err p; rule_rx ~algo_hat p; rule_co p ];
     pp_state = St.pp p.P.sync.Sync_algo.pp_state;
   }
 
@@ -83,11 +83,12 @@ let algorithm p =
   let key = Domain.DLS.new_key P.make_cache in
   algorithm_gen
     ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
+    ~algo_hat:(fun p v i -> P.algo_hat_cached (Domain.DLS.get key) p v i)
     p
 
 let algorithm_uncached p =
   ignore (bound_of p);
-  algorithm_gen ~algo_err:P.algo_err p
+  algorithm_gen ~algo_err:P.algo_err ~algo_hat:P.algo_hat p
 
 (* The state space is exactly the §3 transformer's, so configurations,
    the packed backend and the fault model are shared. *)

@@ -1,3 +1,4 @@
+module Algorithm = Ss_sim.Algorithm
 module Config = Ss_sim.Config
 module Graph = Ss_graph.Graph
 module Sync_algo = Ss_sync.Sync_algo
@@ -38,21 +39,24 @@ let space_bits params config =
     (fun acc st -> max acc (Transformer.full_state_bits sync st))
     0 config.Config.states
 
+(* Node [p]'s list is correct and equals its synchronous history. *)
+let simulates_node eq history p st =
+  (not (St.in_error st))
+  && eq (St.init st) (Sync_runner.state_at history ~round:0 ~node:p)
+  &&
+  let rec cells i =
+    i > St.height st
+    || (eq (St.cell st i) (Sync_runner.state_at history ~round:i ~node:p)
+       && cells (i + 1))
+  in
+  cells 1
+
 let simulates_history params history config =
   let eq = params.Transformer.sync.Sync_algo.equal in
-  let ok p =
-    let st = Config.state config p in
-    (not (St.in_error st))
-    && eq (St.init st) (Sync_runner.state_at history ~round:0 ~node:p)
-    &&
-    let rec cells i =
-      i > St.height st
-      || (eq (St.cell st i) (Sync_runner.state_at history ~round:i ~node:p)
-         && cells (i + 1))
-    in
-    cells 1
+  let rec go p =
+    p >= Config.n config
+    || (simulates_node eq history p (Config.state config p) && go (p + 1))
   in
-  let rec go p = p >= Config.n config || (ok p && go (p + 1)) in
   go 0
 
 (* ------------------------------------------------------------------ *)
@@ -90,19 +94,42 @@ let coloring_legitimate g ~max_colors ~color =
   let proper = List.for_all (fun (u, v) -> color u <> color v) (Graph.edges g) in
   proper && Graph.fold_nodes g ~init:true ~f:(fun acc p -> acc && in_range p)
 
+(* One pass over the nodes, one borrowed view each, judging with the
+   reference predicates: the oracle must not read (or fill) the
+   watermark memo whose runs it judges.  The reference [algoErr] of the
+   node under judgement is computed once, and both [RR]'s guard and the
+   root test read it.  The verdict is the first failing check of the
+   sequence terminal, no root, equal heights, history: an enabled node
+   ends the pass at once; a root, an uneven height or a history mismatch
+   only stops the later checks, since an enabled node further on still
+   takes precedence. *)
 let legitimate_terminal params history config =
-  (* The reference predicates: the oracle must not read (or fill) the
-     watermark memo whose runs it judges. *)
-  let algo = Transformer.algorithm_uncached params in
-  if not (Config.is_terminal algo config) then
-    Error "configuration is not terminal"
-  else if has_root params config then Error "terminal configuration has a root"
-  else begin
-    let h = heights config in
-    let h0 = if Array.length h = 0 then 0 else h.(0) in
-    if not (Array.for_all (fun x -> x = h0) h) then
-      Error "terminal heights are not all equal"
-    else if not (simulates_history params history config) then
-      Error "terminal lists do not match the synchronous history"
-    else Ok ()
-  end
+  let err = ref false in
+  let algo = Transformer.with_algo_err ~algo_err:(fun _ _ -> !err) params in
+  let eq = params.Transformer.sync.Sync_algo.equal in
+  let views = Ss_prelude.Scratch.create () in
+  let n = Config.n config in
+  let h0 = if n = 0 then 0 else St.height (Config.state config 0) in
+  let rec go p ~rooted ~uneven ~mismatch =
+    if p >= n then
+      if rooted then Error "terminal configuration has a root"
+      else if uneven then Error "terminal heights are not all equal"
+      else if mismatch then
+        Error "terminal lists do not match the synchronous history"
+      else Ok ()
+    else begin
+      let v = Config.borrowed_view views config p in
+      err := Predicates.algo_err params v;
+      if Algorithm.is_enabled algo v then Error "configuration is not terminal"
+      else
+        let rooted = rooted || !err || Predicates.dep_err params v in
+        let st = v.Algorithm.self in
+        let uneven = uneven || St.height st <> h0 in
+        let mismatch =
+          mismatch
+          || (not (rooted || uneven)) && not (simulates_node eq history p st)
+        in
+        go (p + 1) ~rooted ~uneven ~mismatch
+    end
+  in
+  go 0 ~rooted:false ~uneven:false ~mismatch:false

@@ -108,9 +108,9 @@ type ('s, 'i) cache = {
   mutable entries : entry array;
       (* [entries.(p)] is node [p]'s watermark, {!no_entry} until its
          first evaluation; grown on demand, overwritten in place. *)
-  mutable scratch : 's array array;
-      (* [scratch.(d)] is the dependency array {!scan} refills for a
-         node of degree [d], allocated on first use. *)
+  scratch : 's Ss_prelude.Scratch.t;
+      (* The dependency arrays {!scan} and {!algo_hat_cached} refill,
+         one per node degree. *)
 }
 
 (* An entry that matches no view: its input token is private. *)
@@ -131,7 +131,8 @@ let blank () =
 (* Stand-in for "no entry yet"; never written. *)
 let no_entry = blank ()
 
-let make_cache () : ('s, 'i) cache = { entries = [||]; scratch = [||] }
+let make_cache () : ('s, 'i) cache =
+  { entries = [||]; scratch = Ss_prelude.Scratch.create () }
 
 (* Node [node]'s entry, created (and the table grown, at least
    doubling) on its first evaluation. *)
@@ -148,22 +149,6 @@ let entry_for c node =
     let e = blank () in
     c.entries.(node) <- e;
     e
-  end
-
-(* The dependency scratch for a node of degree [deg]; [fill] seeds a
-   newly allocated array. *)
-let scratch c deg (fill : 's) =
-  if deg >= Array.length c.scratch then begin
-    let grown = Array.make (deg + 1) [||] in
-    Array.blit c.scratch 0 grown 0 (Array.length c.scratch);
-    c.scratch <- grown
-  end;
-  let a = c.scratch.(deg) in
-  if Array.length a = deg then a
-  else begin
-    let a = Array.make deg fill in
-    c.scratch.(deg) <- a;
-    a
   end
 
 (* Global count of guard evaluations answered (fully or partially)
@@ -225,7 +210,8 @@ let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
         else 0
       in
       if base > 0 then Atomic.incr hits;
-      let i = scan params v (scratch c deg (St.cell self 0)) ~base ~top in
+      let deps = Ss_prelude.Scratch.get c.scratch deg (St.cell self 0) in
+      let i = scan params v deps ~base ~top in
       let result = i <= top in
       let e = if e != no_entry then e else entry_for c node in
       e.input <- input;
@@ -238,6 +224,16 @@ let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
       result
     end
   end
+
+let algo_hat_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) i =
+  let nbs = v.Algorithm.neighbors in
+  let deg = Array.length nbs in
+  let self_i = St.cell v.Algorithm.self i in
+  let deps = Ss_prelude.Scratch.get c.scratch deg self_i in
+  for k = 0 to deg - 1 do
+    deps.(k) <- St.cell nbs.(k) i
+  done;
+  params.sync.Sync_algo.step v.Algorithm.input self_i deps
 
 let rec has_error_below nbs h k =
   k < Array.length nbs
@@ -294,7 +290,9 @@ let rec aligned_nbs nbs h k =
 let rec some_nb_above nbs h k =
   k < Array.length nbs && (St.height nbs.(k) > h || some_nb_above nbs h (k + 1))
 
-let updatable params (v : ('s, 'i) view) =
+(* The lazy test comes last, its cheap height test first: [algo_hat]
+   runs [step]. *)
+let updatable_with ~algo_hat params (v : ('s, 'i) view) =
   let self = v.Algorithm.self in
   let h = St.height self in
   let nbs = v.Algorithm.neighbors in
@@ -305,7 +303,7 @@ let updatable params (v : ('s, 'i) view) =
   match params.mode with
   | Greedy -> true
   | Lazy ->
-      (* The cheap height test first: [algo_hat] runs [step] and
-         allocates its dependency array. *)
       some_nb_above nbs h 0
       || not (params.sync.Sync_algo.equal (St.top self) (algo_hat params v h))
+
+let updatable params v = updatable_with ~algo_hat params v

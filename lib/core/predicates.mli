@@ -86,6 +86,13 @@ val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
     O(Δ·deg) when only Δ cells were appended or became checkable since
     the last evaluation of this node. *)
 
+val algo_hat_cached :
+  ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> int -> 's
+(** Same result as {!algo_hat}, with the dependency array taken from
+    the cache's per-degree scratch instead of allocated: the
+    production [RU] guard and action use it (the simulated [step] must
+    not retain its neighbour array, see {!Ss_sync.Sync_algo.t}). *)
+
 val cache_hits : unit -> int
 (** Process-wide count of {!algo_err_cached} evaluations answered from
     a watermark (stamp-exact hits plus partial prefix reuses), across
@@ -120,3 +127,13 @@ val updatable : ('s, 'i) params -> ('s, 'i) view -> bool
     [\[h, h+1\]], and — in lazy mode — a reason to go on: either the
     simulation has not terminated at height [h] or some neighbor is
     already ahead. *)
+
+val updatable_with :
+  algo_hat:(('s, 'i) params -> ('s, 'i) view -> int -> 's) ->
+  ('s, 'i) params ->
+  ('s, 'i) view ->
+  bool
+(** {!updatable} with the lazy test's [algô] computed by [algo_hat]:
+    [updatable = updatable_with ~algo_hat].  The production [RU] guard
+    passes a closure over {!algo_hat_cached}, which only a lazy test
+    that reaches [algô] calls. *)

@@ -67,24 +67,25 @@ let rule_rc p =
     action = (fun v -> St.with_status v.Algorithm.self St.C);
   }
 
-let rule_ru p =
+let rule_ru ~algo_hat p =
   {
     Algorithm.rule_name = ru;
-    guard = (fun v -> P.updatable p v);
+    guard = (fun v -> P.updatable_with ~algo_hat p v);
     action =
       (fun v ->
         let self = v.Algorithm.self in
-        St.extend self (P.algo_hat p v (St.height self)));
+        St.extend self (algo_hat p v (St.height self)));
   }
 
-let algorithm_gen ~algo_err p =
+let algorithm_gen ~algo_err ~algo_hat p =
   {
     Algorithm.algo_name =
       Printf.sprintf "trans(%s,%s,B=%s)" p.sync.Sync_algo.sync_name
         (match p.mode with P.Lazy -> "lazy" | P.Greedy -> "greedy")
         (match p.bound with P.Infinite -> "inf" | P.Finite b -> string_of_int b);
     equal = St.equal p.sync.Sync_algo.equal;
-    rules = [ rule_rr ~algo_err p; rule_rp p; rule_rc p; rule_ru p ];
+    rules =
+      [ rule_rr ~algo_err p; rule_rp p; rule_rc p; rule_ru ~algo_hat p ];
     pp_state = St.pp p.sync.Sync_algo.pp_state;
   }
 
@@ -96,12 +97,17 @@ let algorithm_gen ~algo_err p =
    per-domain instances cannot affect the execution.  DLS slots are
    never freed: a domain keeps the cache of every instantiation it
    evaluated for the life of the process (DESIGN.md §10 gives the
-   size). *)
+   size).  The same cache lends [RU] its dependency scratch. *)
 let algorithm p =
   let key = Domain.DLS.new_key P.make_cache in
-  algorithm_gen ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v) p
+  let algo_hat p v i = P.algo_hat_cached (Domain.DLS.get key) p v i in
+  algorithm_gen
+    ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
+    ~algo_hat p
 
-let algorithm_uncached p = algorithm_gen ~algo_err:P.algo_err p
+let with_algo_err ~algo_err p = algorithm_gen ~algo_err ~algo_hat:P.algo_hat p
+
+let algorithm_uncached p = with_algo_err ~algo_err:P.algo_err p
 
 let clean_config p g ~inputs =
   Config.make g ~inputs ~states:(fun node ->

@@ -76,8 +76,10 @@ val algorithm :
     (keyed through [Domain.DLS], so sharded guard sweeps on the
     [Ss_par] pool each use a private instance), and [RR]'s [algoErr]
     guard re-verifies only the cells that changed since the node's
-    previous evaluation (O(Δ·deg) instead of O(h·deg)).  The cache
-    never changes results — see {!Predicates.algo_err_cached} — and
+    previous evaluation (O(Δ·deg) instead of O(h·deg)); [RU]'s guard
+    and action compute [algô] into the cache's per-degree scratch
+    ({!Predicates.algo_hat_cached}).  The cache never changes
+    results — see {!Predicates.algo_err_cached} — and
     [Registry.Trans.run ~self_check:true] cross-validates it on every
     step. *)
 
@@ -86,6 +88,17 @@ val algorithm_uncached :
 (** Same algorithm with the reference full-prefix [algoErr] — the
     differential-testing and benchmarking baseline
     ([Registry.Trans.run_naive] uses it). *)
+
+val with_algo_err :
+  algo_err:(('s, 'i) params -> ('s, 'i) Predicates.view -> bool) ->
+  ('s, 'i) params ->
+  ('s Trans_state.t, 'i) Ss_sim.Algorithm.t
+(** [algorithm_uncached] with [RR]'s [algoErr] replaced by [algo_err]
+    (every other predicate is the reference one):
+    [algorithm_uncached p = with_algo_err ~algo_err:Predicates.algo_err p].
+    {!Checker.legitimate_terminal} passes the reference verdict it
+    already computed for the node under judgement, so one [algoErr]
+    serves both [RR]'s guard and the root test. *)
 
 val clean_config :
   ('s, 'i) params ->

@@ -15,7 +15,11 @@
 type ('s, 'i) view = {
   input : 'i;  (** The node's read-only input (ids, ports, flags…). *)
   self : 's;  (** The node's current state. *)
-  neighbors : 's array;  (** Neighbor states, in port order. *)
+  neighbors : 's array;
+      (** Neighbor states, in port order.  The run loops lend this
+          array: it is a buffer shared by every node of the same degree
+          and refilled for the next evaluation, so guards and actions
+          must not retain it (nor mutate it) beyond the call. *)
   node : int;
       (** Index of the node the view belongs to.  A memo key only
           (the transformer's verification watermarks are stored per
@@ -25,8 +29,13 @@ type ('s, 'i) view = {
 
 type ('s, 'i) rule = {
   rule_name : string;  (** Label, e.g. ["RR"]; used in traces/metrics. *)
-  guard : ('s, 'i) view -> bool;  (** Enabling predicate. *)
-  action : ('s, 'i) view -> 's;  (** New state when executed. *)
+  guard : ('s, 'i) view -> bool;
+      (** Enabling predicate.  Pure; must not retain [neighbors]. *)
+  action : ('s, 'i) view -> 's;
+      (** New state when executed.  Must not retain [neighbors]: a
+          returned state may hold neighbour {e states}, but not the
+          array itself — the same rule [guard] and a synchronous
+          algorithm's [step] follow. *)
 }
 
 type ('s, 'i) t = {

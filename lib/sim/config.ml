@@ -23,6 +23,16 @@ let view c p =
     node = p;
   }
 
+let borrowed_view scratch c p =
+  let g = c.graph in
+  let deg = Graph.degree g p in
+  let self = c.states.(p) in
+  let buf = Ss_prelude.Scratch.get scratch deg self in
+  for i = 0 to deg - 1 do
+    buf.(i) <- c.states.(Graph.nbr g p i)
+  done;
+  { Algorithm.input = c.inputs.(p); self; neighbors = buf; node = p }
+
 let with_states c states = { c with states }
 
 let set_state c p s =

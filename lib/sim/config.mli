@@ -22,7 +22,15 @@ val input : ('s, 'i) t -> int -> 'i
 
 val view : ('s, 'i) t -> int -> ('s, 'i) Algorithm.view
 (** [view c p] is what node [p] observes: its input, its state, and
-    its neighbors' states in port order. *)
+    its neighbors' states in port order, in a fresh array. *)
+
+val borrowed_view :
+  's Ss_prelude.Scratch.t -> ('s, 'i) t -> int -> ('s, 'i) Algorithm.view
+(** [borrowed_view scratch c p] is [view c p] with the neighbour
+    states copied into [scratch]'s buffer for [p]'s degree instead of
+    a fresh array.  The array is valid until the next call on
+    [scratch] for a node of the same degree: the consumer (a guard, an
+    action) must not retain it. *)
 
 val with_states : ('s, 'i) t -> 's array -> ('s, 'i) t
 (** Functional update of the state vector (the array is used as-is). *)

@@ -99,9 +99,8 @@ let rule_of_selected rule_of p =
    below).  [rule_of p] is the enabled rule the selection was
    validated against.  Every action reads the pre-step configuration:
    views are built from [config], whose own array is never written.
-   Actions get fresh views (Config.view), never the scheduler's
-   reusable buffers, so a returned state may safely retain view
-   data. *)
+   The twins keep the allocating reference view (Config.view, a fresh
+   neighbours array per mover); [run] lends borrowed ones. *)
 let apply config ~rule_of selected =
   let states = Array.copy config.Config.states in
   let moved =
@@ -189,14 +188,15 @@ let make_counters algo n =
    [run] without intermediate lists: every new state is computed into
    the run-owned scratch [next] (position [i] for the selection's
    [i]-th node) from the pre-step configuration, counted, and only then
-   written back.  Returns the number of moves. *)
-let rec compute_moves config ~rule_of ~note next i = function
+   written back.  Each action reads a view borrowed from [views].
+   Returns the number of moves. *)
+let rec compute_moves config views ~rule_of ~note next i = function
   | [] -> i
   | p :: rest ->
       let r = rule_of_selected rule_of p in
-      next.(i) <- r.Algorithm.action (Config.view config p);
+      next.(i) <- r.Algorithm.action (Config.borrowed_view views config p);
       note p r.Algorithm.rule_name;
-      compute_moves config ~rule_of ~note next (i + 1) rest
+      compute_moves config views ~rule_of ~note next (i + 1) rest
 
 let rec write_moves states next i = function
   | [] -> ()
@@ -228,21 +228,26 @@ let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
      (see the interface). *)
   let config = Config.with_states config (Array.copy config.Config.states) in
   let states = config.Config.states in
-  (* Scratch for multi-mover steps, allocated on the first one. *)
+  (* Scratch for multi-mover steps, allocated on the first one, and
+     the actions' neighbour buffers: actions, like guards, must not
+     retain the neighbours array (see the interface). *)
   let next = ref [||] in
+  let views = Ss_prelude.Scratch.create () in
   let execute selected =
     match selected with
     | [ p ] ->
         (* One mover (every central-daemon step): nothing else reads
            the pre-step state, so write it straight away. *)
         let r = rule_of_selected rule_of p in
-        states.(p) <- r.Algorithm.action (Config.view config p);
+        states.(p) <- r.Algorithm.action (Config.borrowed_view views config p);
         note_move p r.Algorithm.rule_name;
         (1, [ (p, r.Algorithm.rule_name) ])
     | _ ->
         if Array.length !next = 0 then
           next := Array.make (Array.length states) states.(0);
-        let k = compute_moves config ~rule_of ~note:note_move !next 0 selected in
+        let k =
+          compute_moves config views ~rule_of ~note:note_move !next 0 selected
+        in
         write_moves states !next 0 selected;
         let moved =
           if observed then

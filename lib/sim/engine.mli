@@ -150,6 +150,12 @@ val run :
     set with a full scan after every step and raises {!Divergence} on
     any mismatch; use it when developing new algorithms or engine
     changes.
+
+    Views are borrowed: guards and actions both receive a view whose
+    [neighbors] array is a per-degree buffer refilled for the next
+    node ({!Config.borrowed_view}), so neither may retain that array
+    (see {!Algorithm.view}).  {!step} and {!run_naive} keep the
+    allocating reference views ({!Config.view}).
     @raise Invalid_selection on malformed daemon selections. *)
 
 val run_naive :

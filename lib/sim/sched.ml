@@ -2,23 +2,20 @@ module Graph = Ss_graph.Graph
 
 (* Contiguous node range owned by one worker.  Shard boundaries are
    multiples of {!Nodeset.word_bits}, so two shards never write the
-   same bitset word; all other mutable fields are shard-private.
-   Counter deltas are harvested into the global totals in shard-index
-   order after every update — the same deterministic merge discipline
-   the campaign pool uses (DESIGN.md §11/§12). *)
-type ('s, 'i) shard = {
+   same bitset word (of the enabled set or of the dirty set); all
+   other mutable fields are shard-private.  Counter deltas are
+   harvested into the global totals in shard-index order after every
+   update — the same deterministic merge discipline the campaign pool
+   uses (DESIGN.md §11/§12). *)
+type 's shard = {
   lo : int;
   hi : int;  (* owns nodes [lo, hi) *)
-  work : int array;  (* this update's dirty owned nodes, scan order *)
-  mutable wlen : int;
-  scratch : 's array array;
-      (* Shared guard-view buffers indexed by degree: one buffer per
-         distinct degree per shard, refilled in place for every
-         evaluation — views need exact-length neighbor arrays, and
-         guards must not retain them (see the interface), so nodes of
-         equal degree can share.  Replaces the historical n per-node
-         buffers (~4M boxed words at n = 10^6 random-4) with O(#degrees)
-         per shard, allocated on first touch. *)
+  scratch : 's Ss_prelude.Scratch.t;
+      (* Guard-view buffers shared by degree, refilled in place for
+         every evaluation: guards must not retain them (see the
+         interface).  Replaces the historical n per-node buffers (~4M
+         boxed words at n = 10^6 random-4) with O(#degrees) per
+         shard. *)
   mutable s_evals : int;
   mutable s_delta : int;  (* enabled-count change, pending harvest *)
 }
@@ -26,48 +23,49 @@ type ('s, 'i) shard = {
 type ('s, 'i) t = {
   algo : ('s, 'i) Algorithm.t;
   graph : Graph.t;
-  inputs : 'i array;
   rules : ('s, 'i) Algorithm.rule option array;
       (* Highest-priority enabled rule of each node, [None] when the
          node is disabled.  This is the scheduler's ground truth. *)
+  choices : ('s, 'i) Algorithm.rule option array;
+      (* [Some r] for each rule, in priority order, built once: a
+         refresh stores a shared value instead of allocating one that
+         the long-lived [rules] array would drag into the major
+         heap. *)
   enabled : Nodeset.t;
-  stamp : int array;
-  mutable epoch : int;
-      (* Visit stamps: a node whose stamp equals the current epoch has
-         already been bucketed this update (dirty sets of adjacent
-         movers overlap). *)
+  dirty : int array;
+      (* This update's dirty set, one bit per node in the enabled set's
+         word layout; all zero between updates. *)
+  mutable span_lo : int;
+  mutable span_hi : int;
+      (* Words [span_lo .. span_hi] hold every dirty bit (empty when
+         [span_lo > span_hi]). *)
+  mutable ndirty : int;
   mutable evals : int;
-  shards : ('s, 'i) shard array;
+  shards : 's shard array;
   parallel : bool;
 }
 
-let eval t sh states p =
-  let deg = Graph.degree t.graph p in
-  let buf =
-    let b = sh.scratch.(deg) in
-    if Array.length b = deg then b
-    else begin
-      let b = Array.make deg states.(p) in
-      sh.scratch.(deg) <- b;
-      b
-    end
-  in
-  for i = 0 to deg - 1 do
-    buf.(i) <- states.(Graph.nbr t.graph p i)
-  done;
-  sh.s_evals <- sh.s_evals + 1;
-  Algorithm.enabled_rule t.algo
-    { Algorithm.input = t.inputs.(p); self = states.(p); neighbors = buf; node = p }
+(* {!Algorithm.enabled_rule}, answered from [choices]. *)
+let rec first_enabled choices view k = function
+  | [] -> None
+  | r :: rest ->
+      if r.Algorithm.guard view then choices.(k)
+      else first_enabled choices view (k + 1) rest
 
-let refresh t sh states p =
-  let now = eval t sh states p in
-  (match (t.rules.(p), now) with
-  | None, Some _ ->
-      if Nodeset.unsafe_add t.enabled p then sh.s_delta <- sh.s_delta + 1
-  | Some _, None ->
-      if Nodeset.unsafe_remove t.enabled p then sh.s_delta <- sh.s_delta - 1
-  | None, None | Some _, Some _ -> ());
-  t.rules.(p) <- now
+let refresh t sh config p =
+  sh.s_evals <- sh.s_evals + 1;
+  let view = Config.borrowed_view sh.scratch config p in
+  let now = first_enabled t.choices view 0 t.algo.Algorithm.rules in
+  let was = t.rules.(p) in
+  if was != now then begin
+    (match (was, now) with
+    | None, Some _ ->
+        if Nodeset.unsafe_add t.enabled p then sh.s_delta <- sh.s_delta + 1
+    | Some _, None ->
+        if Nodeset.unsafe_remove t.enabled p then sh.s_delta <- sh.s_delta - 1
+    | None, None | Some _, Some _ -> ());
+    t.rules.(p) <- now
+  end
 
 (* Fold every shard's pending deltas into the global counters, in
    shard-index order, and reset them.  This is the only place shard
@@ -78,8 +76,7 @@ let harvest t =
       t.evals <- t.evals + sh.s_evals;
       if sh.s_delta <> 0 then Nodeset.bump t.enabled sh.s_delta;
       sh.s_evals <- 0;
-      sh.s_delta <- 0;
-      sh.wlen <- 0)
+      sh.s_delta <- 0)
     t.shards
 
 (* ~16k nodes per shard, rounded to the bitset word size so shard
@@ -88,100 +85,104 @@ let harvest t =
    machine- and [-j]-independent. *)
 let shard_quantum = Nodeset.word_bits * 256
 
-let make_shards ~parallel ~n ~max_degree =
-  let ranges =
-    if (not parallel) || n <= shard_quantum then [ (0, n) ]
-    else begin
-      let acc = ref [] in
-      let lo = ref 0 in
-      while !lo < n do
-        let hi = min n (!lo + shard_quantum) in
-        acc := (!lo, hi) :: !acc;
-        lo := hi
-      done;
-      List.rev !acc
-    end
+let make_shards ~parallel ~n =
+  let shard lo hi =
+    { lo; hi; scratch = Ss_prelude.Scratch.create (); s_evals = 0; s_delta = 0 }
   in
-  Array.of_list
-    (List.map
-       (fun (lo, hi) ->
-         {
-           lo;
-           hi;
-           work = Array.make (max 1 (hi - lo)) 0;
-           wlen = 0;
-           scratch = Array.make (max_degree + 1) [||];
-           s_evals = 0;
-           s_delta = 0;
-         })
-       ranges)
+  if (not parallel) || n <= shard_quantum then [| shard 0 n |]
+  else
+    Array.init
+      ((n + shard_quantum - 1) / shard_quantum)
+      (fun k -> shard (k * shard_quantum) (min n ((k + 1) * shard_quantum)))
 
 let create ?(parallel = false) algo (config : ('s, 'i) Config.t) =
   let graph = config.Config.graph in
   let n = Graph.n graph in
-  let states = config.Config.states in
+  let words = (max 1 n + Nodeset.word_bits - 1) / Nodeset.word_bits in
   let t =
     {
       algo;
       graph;
-      inputs = config.Config.inputs;
       rules = Array.make n None;
+      choices = Array.of_list (List.map Option.some algo.Algorithm.rules);
       enabled = Nodeset.create ~capacity:(max 1 n) ();
-      stamp = Array.make n (-1);
-      epoch = 0;
+      dirty = Array.make words 0;
+      span_lo = max_int;
+      span_hi = -1;
+      ndirty = 0;
       evals = 0;
-      shards = make_shards ~parallel ~n ~max_degree:(Graph.max_degree graph);
+      shards = make_shards ~parallel ~n;
       parallel;
     }
   in
   Array.iter
     (fun sh ->
       for p = sh.lo to sh.hi - 1 do
-        refresh t sh states p
+        refresh t sh config p
       done)
     t.shards;
   harvest t;
   t
 
-let shard_of t p = t.shards.(p / shard_quantum)
+let mark t p =
+  let w = p / Nodeset.word_bits in
+  let b = 1 lsl (p - (w * Nodeset.word_bits)) in
+  let old = t.dirty.(w) in
+  if old land b = 0 then begin
+    t.dirty.(w) <- old lor b;
+    t.ndirty <- t.ndirty + 1;
+    if w < t.span_lo then t.span_lo <- w;
+    if w > t.span_hi then t.span_hi <- w
+  end
+
+(* Evaluate the shard's dirty nodes in increasing node order, clearing
+   its words of the dirty set: the sweep covers the shard's share of
+   the dirty span, word by word, and each word's bits from the lowest
+   up. *)
+let sweep t config sh =
+  let wb = Nodeset.word_bits in
+  let dirty = t.dirty in
+  for w = max t.span_lo (sh.lo / wb) to min t.span_hi ((sh.hi - 1) / wb) do
+    let bits = ref dirty.(w) in
+    if !bits <> 0 then begin
+      dirty.(w) <- 0;
+      let base = w * wb in
+      while !bits <> 0 do
+        let low = !bits land - !bits in
+        refresh t sh config (base + Nodeset.popcount (low - 1));
+        bits := !bits lxor low
+      done
+    end
+  done
 
 let update t (config : ('s, 'i) Config.t) ~moved =
   if config.Config.graph != t.graph then
     invalid_arg "Sched.update: configuration belongs to another topology";
-  let states = config.Config.states in
-  t.epoch <- t.epoch + 1;
-  (* Sequential dirty scan: bucket each dirty node into its owner
-     shard, deduplicated by epoch stamp.  Cheap integer work — the
-     expensive part (guard evaluation) happens per bucket below. *)
-  let single = Array.length t.shards = 1 in
-  let touch p =
-    if t.stamp.(p) <> t.epoch then begin
-      t.stamp.(p) <- t.epoch;
-      let sh = if single then t.shards.(0) else shard_of t p in
-      sh.work.(sh.wlen) <- p - sh.lo;
-      sh.wlen <- sh.wlen + 1
-    end
+  (* Mark the closed neighborhood of the movers (overlaps dedup in the
+     bitset), then sweep.  A sweep costs its span in word reads beyond
+     the evaluations — at most n / 63, what the round tracker's
+     [Nodeset.inter] already pays every step. *)
+  let g = t.graph in
+  let rec mark_all = function
+    | [] -> ()
+    | p :: rest ->
+        mark t p;
+        for i = 0 to Graph.degree g p - 1 do
+          mark t (Graph.nbr g p i)
+        done;
+        mark_all rest
   in
-  List.iter
-    (fun p ->
-      touch p;
-      Graph.iter_neighbors t.graph p touch)
-    moved;
-  let process sh =
-    for k = 0 to sh.wlen - 1 do
-      refresh t sh states (sh.lo + sh.work.(k))
-    done
-  in
-  let total_dirty =
-    Array.fold_left (fun acc sh -> acc + sh.wlen) 0 t.shards
-  in
+  mark_all moved;
   if
     t.parallel
     && Array.length t.shards > 1
-    && total_dirty >= 1024
+    && t.ndirty >= 1024
     && Ss_par.Par.jobs () > 1
-  then ignore (Ss_par.Par.map_array process t.shards)
-  else Array.iter process t.shards;
+  then ignore (Ss_par.Par.map_array (sweep t config) t.shards)
+  else Array.iter (sweep t config) t.shards;
+  t.span_lo <- max_int;
+  t.span_hi <- -1;
+  t.ndirty <- 0;
   harvest t
 
 let enabled t = Nodeset.elements t.enabled

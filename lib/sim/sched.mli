@@ -14,17 +14,24 @@
     select straight from it ({!enabled_set}), so no step builds a
     members array.  Guard evaluations share one
     neighbor-state buffer per distinct degree (per shard), refilled in
-    place — guards must therefore be pure and must not retain the
-    [neighbors] array of the view they are given beyond the call;
-    every algorithm in the atomic-state model satisfies this (actions,
-    which may retain data, are never handed buffered views; see
-    {!Engine}).
+    place ({!Config.borrowed_view}) — guards must therefore be pure and
+    must not retain the [neighbors] array of the view they are given
+    beyond the call; every algorithm in the atomic-state model
+    satisfies this ({!Engine.run} lends its actions the same kind of
+    view).
+
+    An update marks the dirty set in a bitset laid out like the
+    enabled set, then sweeps the marked word span: dirty nodes are
+    evaluated in increasing node order within each shard, whatever the
+    order of the movers.  The sweep reads at most [n / 63] words beyond
+    the evaluations, what the round tracker already reads every
+    step.
 
     {b Sharding} ([~parallel:true]): the node space is partitioned
     into contiguous, bitset-word-aligned shards with fixed,
-    job-count-independent boundaries.  Each update buckets the dirty
-    nodes by owner shard in one sequential scan, then evaluates the
-    buckets — concurrently on the {!Ss_par} pool when the dirty set is
+    job-count-independent boundaries.  Each update marks the dirty
+    nodes in one sequential scan, then each shard sweeps its own words
+    of the dirty bitset — concurrently on the {!Ss_par} pool when the dirty set is
     large — with every write (rule slot, bitset word, counters)
     shard-private, and folds the per-shard deltas back in shard-index
     order.  Results are byte-identical to the sequential scheduler for

@@ -15,13 +15,6 @@ type ('s, 'i) history = {
   t : int;  (** Execution time [T]: first round index with no change. *)
 }
 
-type 's sink = round:int -> changed:int list -> 's array -> unit
-(** A sink on the synchronous loop's event stream: called once on the
-    initial row ([round = 0], every node "changed") and after every
-    round that changed at least one node, with the nodes that changed
-    and the row reached.  Same purity contract as
-    {!Ss_sim.Engine.observer} (DESIGN.md §9). *)
-
 exception Did_not_terminate of string
 (** Raised when no fixpoint is reached within the budget (round cap or
     wall-clock deadline). *)
@@ -29,7 +22,6 @@ exception Did_not_terminate of string
 val run :
   ?budget:Ss_report.Budget.t ->
   ?stop_after:int ->
-  ?sinks:'s sink list ->
   ('s, 'i) Sync_algo.t ->
   Ss_graph.Graph.t ->
   inputs:(int -> 'i) ->

@@ -71,6 +71,9 @@ expect_usage_error --seeds ablation --seeds 0
 expect_usage_error --seeds sim --seeds=-1
 expect_usage_error -j run -j 0
 expect_usage_error --max-k rollback --max-k 0
+expect_usage_error -o trace -o /nonexistent-dir/trace.csv
+expect_usage_error -o dot -o /nonexistent-dir/graph.dot
+expect_usage_error -o sim -o /nonexistent-dir/grid.json
 expect_error "WHICH argument" table1 bogus
 expect_error "WHICH argument" instances bogus
 exit $status

@@ -287,6 +287,88 @@ let test_sched_locality () =
       (Sched.enabled sched)
   done
 
+(* Pin of the node-order sweep: after every step of a transformer run,
+   the scheduler evaluated exactly the closed neighborhood of the
+   movers (its evaluation count grew by |moved ∪ N(moved)|), and its
+   enabled set and every node's rule equal a full re-evaluation with
+   the reference predicates.  On a synchronous 128x128 torus, unsharded
+   and sharded (two shards at this size, on two domains), and on a
+   ring of 64 under a central daemon. *)
+let test_sched_sweep_pin () =
+  let pin ~msg ~parallel ~daemon g =
+    let n = Graph.n g in
+    let rng = Rng.create 5 in
+    let inputs = Leader.random_ids (Rng.split rng) g in
+    let params =
+      Transformer.params ~bound:(Ss_core.Predicates.Finite 8) Leader.algo
+    in
+    let reference = Transformer.algorithm_uncached params in
+    let start =
+      Transformer.corrupt (Rng.split rng) ~max_height:8 params
+        (Transformer.clean_config params g ~inputs)
+    in
+    let sched = Sched.create ~parallel (Transformer.algorithm params) start in
+    check_int (msg ^ ": create evaluates every node once") n (Sched.evals sched);
+    let rule_name = Option.map (fun r -> r.Algorithm.rule_name) in
+    let mark = Array.make n (-1) in
+    let rec go config step =
+      if Sched.no_enabled sched || step >= 5_000 then step
+      else begin
+        let selected =
+          daemon.Daemon.select ~step ~enabled:(Sched.enabled_set sched)
+        in
+        let states = Array.copy config.Config.states in
+        List.iter
+          (fun p ->
+            match Sched.enabled_rule sched p with
+            | Some r -> states.(p) <- r.Algorithm.action (Config.view config p)
+            | None -> Alcotest.failf "%s: node %d selected but disabled" msg p)
+          selected;
+        let config = Config.with_states config states in
+        let dirty = ref 0 in
+        let touch p =
+          if mark.(p) <> step then begin
+            mark.(p) <- step;
+            incr dirty
+          end
+        in
+        List.iter (fun p -> touch p; Graph.iter_neighbors g p touch) selected;
+        let before = Sched.evals sched in
+        Sched.update sched config ~moved:selected;
+        let step_msg what = Printf.sprintf "%s, step %d: %s" msg step what in
+        check_int (step_msg "evaluations = |moved ∪ N(moved)|") !dirty
+          (Sched.evals sched - before);
+        let full =
+          Array.init n (fun p ->
+              rule_name (Algorithm.enabled_rule reference (Config.view config p)))
+        in
+        Alcotest.(check (list int))
+          (step_msg "enabled set = full re-evaluation")
+          (List.filter (fun p -> full.(p) <> None) (List.init n Fun.id))
+          (Sched.enabled sched);
+        check (step_msg "rules = full re-evaluation") true
+          (Array.for_all Fun.id
+             (Array.init n (fun p -> rule_name (Sched.enabled_rule sched p) = full.(p))));
+        go config (step + 1)
+      end
+    in
+    let steps = go start 0 in
+    check (msg ^ ": reached a terminal configuration") true (Sched.no_enabled sched);
+    check (msg ^ ": moved") true (steps > 0)
+  in
+  let torus = Builders.torus ~rows:128 ~cols:128 in
+  let saved = Ss_par.Par.jobs () in
+  Fun.protect
+    ~finally:(fun () -> Ss_par.Par.set_jobs saved)
+    (fun () ->
+      Ss_par.Par.set_jobs 2;
+      pin ~msg:"synchronous torus, sharded" ~parallel:true
+        ~daemon:Daemon.synchronous torus);
+  pin ~msg:"synchronous torus" ~parallel:false ~daemon:Daemon.synchronous torus;
+  pin ~msg:"central ring" ~parallel:false
+    ~daemon:(Daemon.central_random (Rng.create 9))
+    (Builders.cycle 64)
+
 (* ------------------------------------------------------------------ *)
 (* One stepping path: observed ≡ unobserved ≡ naive                     *)
 (* ------------------------------------------------------------------ *)
@@ -431,20 +513,6 @@ let test_single_path_chaos () =
 (* Allocation guard                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Words allocated by [f ()]: minor allocations plus direct major
-   ones (promotions are counted once, on the minor side).  The minor
-   term reads [Gc.minor_words], which is exact; [Gc.quick_stat]'s
-   minor count advances only at minor collections (OCaml 5.1), a
-   granularity of a whole minor heap. *)
-let allocated f =
-  let w0 = Gc.minor_words () and s0 = Gc.quick_stat () in
-  let r = f () in
-  let w1 = Gc.minor_words () and s1 = Gc.quick_stat () in
-  ( r,
-    w1 -. w0
-    +. (s1.Gc.major_words -. s0.Gc.major_words)
-    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
-
 (* Observing a run must not change its per-step cost class.  A ring of
    512 under a central daemon makes one move per step, so an O(n)
    state copy per observed step (513 words) would dwarf the engine's
@@ -461,14 +529,14 @@ let test_observed_allocation () =
   let daemon () = Daemon.central_random (Rng.create daemon_seed) in
   let per_step (steps, words) = words /. float_of_int (max 1 steps) in
   let bare =
-    allocated (fun () ->
+    Alloc.words (fun () ->
         let r =
           Stabilization.run ~track_recovery:false sc ~daemon:(daemon ()) ~start
         in
         r.Stabilization.steps)
   in
   let tracked =
-    allocated (fun () ->
+    Alloc.words (fun () ->
         let r = Stabilization.run sc ~daemon:(daemon ()) ~start in
         check "recovery was tracked" true (r.Stabilization.recovery_moves >= 0);
         r.Stabilization.steps)
@@ -476,10 +544,10 @@ let test_observed_allocation () =
   let count, _ = counting_sink () in
   let algo = Transformer.algorithm sc.Stabilization.params in
   let engine_bare =
-    allocated (fun () -> (Engine.run algo (daemon ()) start).Engine.steps)
+    Alloc.words (fun () -> (Engine.run algo (daemon ()) start).Engine.steps)
   in
   let engine_sink =
-    allocated (fun () ->
+    Alloc.words (fun () ->
         (Engine.run ~sinks:[ count ] algo (daemon ()) start).Engine.steps)
   in
   check_int "same execution" (fst bare) (fst tracked);
@@ -579,17 +647,20 @@ let test_packed_sync_apply () =
 
 (* Allocation tripwire for the synchronous step: leader election on a
    packed 16x32 torus, B = 8, one run on a fresh algorithm instance
-   (its watermark memo is filled from cold).  This measures ~57 words
-   per move.  It took ~68 while every multi-mover step built three
-   lists (node/rule/state triples, then node/rule pairs); what remains
-   is mostly the fresh view and neighbour array of every guard
-   evaluation and action, and the action's new state.  The ceiling
-   sits just above the current level. *)
+   (its watermark memo is filled from cold).  This measures ~36 words
+   per move.  It took ~61 while every guard evaluation stored a fresh
+   [Some rule] and every action read a fresh neighbour array and
+   [algo_hat] dependency array, and ~68 while every multi-mover step
+   built three lists (node/rule/state triples, then node/rule pairs);
+   what remains is mostly the view record of every guard evaluation
+   and action, the daemon's selection list and the action's new state.
+   The ceiling was set just above the ~57 words measured before the
+   views were borrowed. *)
 let test_sync_allocation () =
   let params, start = packed_torus_start ~rows:16 ~cols:32 3 in
   let algo = Transformer.algorithm params in
   let stats, words =
-    allocated (fun () -> Engine.run algo Daemon.synchronous start)
+    Alloc.words (fun () -> Engine.run algo Daemon.synchronous start)
   in
   check "terminated" true stats.Engine.terminated;
   check "multi-mover steps" true (stats.Engine.moves > 4 * stats.Engine.steps);
@@ -673,6 +744,8 @@ let () =
             `Quick test_self_check_section5_algorithms;
           Alcotest.test_case "sched dirty-set locality" `Quick
             test_sched_locality;
+          Alcotest.test_case "sweep pin: evals and enabled set per step" `Quick
+            test_sched_sweep_pin;
           Alcotest.test_case "divergence sink fires" `Quick
             test_divergence_sink_fires;
         ] );

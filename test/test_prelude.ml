@@ -135,15 +135,7 @@ let test_pinned_streams () =
     [ 360151682654433995; 1649047870767490993; 1107540886123373426 ]
     (draws g (fun g -> Rng.int g ((1 lsl 61) + 12345)) 3)
 
-(* Minor words allocated by [f ()], less the cost of measuring an
-   empty thunk, so a zero-allocation [f] reads exactly 0. *)
-let minor_words f =
-  let cost g =
-    let w0 = Gc.minor_words () in
-    g ();
-    Gc.minor_words () -. w0
-  in
-  cost f -. cost ignore
+let minor_words f = snd (Alloc.words f)
 
 (* Allocation tripwire: the generator's state is unboxed, so a bounded
    draw allocates nothing and [bits64] allocates only its boxed
@@ -345,9 +337,7 @@ let test_fnv1a64 () =
   (* Allocation-free per byte: hashing 4 KiB allocates only the boxed
      result, where boxing the accumulator would cost ~12 words a byte. *)
   let s = String.init 4096 (fun i -> Char.chr (i land 0xFF)) in
-  let before = Gc.minor_words () in
-  let h = Util.fnv1a64 s in
-  let words = Gc.minor_words () -. before in
+  let h, words = Alloc.words (fun () -> Util.fnv1a64 s) in
   check (Printf.sprintf "%.0f words to hash 4 KiB" words) true (words < 64.);
   check "hash of the long string is stable" true (h = Util.fnv1a64 s)
 

@@ -107,9 +107,57 @@ let test_history_metadata () =
   Alcotest.(check (array int)) "inputs carried" [| 0; 1; 2; 3 |]
     h.Sync_runner.inputs
 
+(* The history as a per-round full recompute: every node steps every
+   round, on a fresh neighbour array, until a round changes nothing or
+   [stop_after] rounds ran. *)
+let recomputed ?stop_after algo g ~inputs =
+  let n = Graph.n g in
+  let step row =
+    Array.init n (fun p ->
+        algo.Sync_algo.step (inputs p) row.(p)
+          (Array.map (fun q -> row.(q)) (Graph.neighbors g p)))
+  in
+  let rec go rows row round =
+    let stopped = match stop_after with Some s -> round >= s | None -> false in
+    let next = if stopped then row else step row in
+    if stopped || Ss_prelude.Util.array_equal algo.Sync_algo.equal row next then
+      (Array.of_list (List.rev rows), round)
+    else go (next :: rows) next (round + 1)
+  in
+  let row0 = Array.init n (fun p -> algo.Sync_algo.init (inputs p)) in
+  go [ row0 ] row0 0
+
+let rows_equal algo a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (Ss_prelude.Util.array_equal algo.Sync_algo.equal) a b
+
+(* The dirty-set runner against the full recompute: same rows, same
+   [t], for min-flood, leader election and the clock (whose nodes keep
+   changing after their neighbours stop) on random graphs, run to the
+   fixpoint or cut at a random round. *)
+let qcheck_incremental_history =
+  QCheck.Test.make ~count:150
+    ~name:"incremental history = per-round full recompute"
+    QCheck.(pair small_int (int_range 2 24))
+    (fun (seed, n) ->
+      let rng = Rng.create seed in
+      let g = Builders.random_connected rng ~n ~extra_edges:(Rng.int rng 6) in
+      let stop_after = if Rng.bool rng then None else Some (Rng.int rng (n + 2)) in
+      let agree algo inputs =
+        let h = Sync_runner.run ?stop_after algo g ~inputs in
+        let rows, t = recomputed ?stop_after algo g ~inputs in
+        h.Sync_runner.t = t && rows_equal algo h.Sync_runner.states_by_round rows
+      in
+      let values = Array.init n (fun _ -> Rng.int rng 50) in
+      let ids = Ss_algos.Leader_election.random_ids (Rng.split rng) g in
+      agree Min_flood.algo (fun p -> values.(p))
+      && agree Ss_algos.Leader_election.algo ids
+      && agree Toy.clock (fun p -> values.(p) mod 7))
+
 let qcheck_tests =
   let open QCheck in
   [
+    qcheck_incremental_history;
     Test.make ~count:80
       ~name:"history rows obey the synchronous step relation"
       (pair small_int (int_range 2 8))

@@ -366,11 +366,13 @@ let test_cached_guard_allocation () =
   sweep ();
   check "some rule enabled" true (!enabled > 0);
   let rounds = 50 in
-  let w0 = Gc.minor_words () in
-  for _ = 1 to rounds do
-    sweep ()
-  done;
-  let per_eval = (Gc.minor_words () -. w0) /. float_of_int (rounds * n) in
+  let (), words =
+    Alloc.words (fun () ->
+        for _ = 1 to rounds do
+          sweep ()
+        done)
+  in
+  let per_eval = words /. float_of_int (rounds * n) in
   check (Printf.sprintf "%.1f words per cached evaluation <= 4" per_eval) true
     (per_eval <= 4.)
 
@@ -771,11 +773,148 @@ let qcheck_memo_differential =
       trial (n1 + 1 + Rng.int rng 8);
       !ok)
 
+(* The verdict [Checker.legitimate_terminal] gave as a composition of
+   whole-configuration scans, before it became one pass: terminal, then
+   no root, then equal heights, then the history. *)
+let composed_legitimate params hist config =
+  let algo = Transformer.algorithm_uncached params in
+  if not (Config.is_terminal algo config) then
+    Error "configuration is not terminal"
+  else if Checker.has_root params config then
+    Error "terminal configuration has a root"
+  else begin
+    let h = Checker.heights config in
+    let h0 = if Array.length h = 0 then 0 else h.(0) in
+    if not (Array.for_all (fun x -> x = h0) h) then
+      Error "terminal heights are not all equal"
+    else if not (Checker.simulates_history params hist config) then
+      Error "terminal lists do not match the synchronous history"
+    else Ok ()
+  end
+
+(* A configuration to judge and the history to judge it against.  The
+   graph has one or two random connected components (two components can
+   hold a terminal, rootless configuration of unequal heights); every
+   node holds its history up to its component's height, in a boxed or a
+   packed lazy configuration.  Then, at random, a few nodes are
+   corrupted or one node's top cell is rewritten, and the judging
+   history is that of other inputs. *)
+let legitimacy_case seed =
+  let rng = Rng.create (seed + 1) in
+  let sync = if Rng.bool rng then Min_flood.algo else Ss_algos.Toy.clock in
+  let cap = 8 in
+  let packed = Rng.bool rng in
+  (* 0-1: corrupt a few nodes; 2: rewrite one node's top cell; 3: none. *)
+  let perturbation = Rng.int rng 4 in
+  let wrong_top = perturbation = 2 in
+  let bound =
+    if wrong_top || packed || Rng.bool rng then P.Finite cap else P.Infinite
+  in
+  let params = Transformer.params ~bound sync in
+  let component () =
+    Builders.random_connected rng ~n:(3 + Rng.int rng 4) ~extra_edges:(Rng.int rng 3)
+  in
+  let parts = if Rng.bool rng then [ component () ] else [ component (); component () ] in
+  let n = List.fold_left (fun acc g -> acc + Graph.n g) 0 parts in
+  let edges, _ =
+    List.fold_left
+      (fun (edges, base) g ->
+        ( List.map (fun (u, v) -> (u + base, v + base)) (Graph.edges g) @ edges,
+          base + Graph.n g ))
+      ([], 0) parts
+  in
+  (* [component.(p)] is the index of [p]'s part. *)
+  let component =
+    Array.of_list
+      (List.concat (List.mapi (fun k g -> List.init (Graph.n g) (fun _ -> k)) parts))
+  in
+  let g = Graph.of_edges ~n edges in
+  let values = Array.init n (fun _ -> Rng.int rng 5) in
+  let inputs p = values.(p) in
+  let hist = Sync_runner.run sync g ~inputs in
+  let heights =
+    Array.of_list
+      (List.map
+         (fun _ ->
+           if wrong_top || Rng.int rng 3 = 0 then cap
+           else min cap (Rng.int rng (hist.Sync_runner.t + 3)))
+         parts)
+  in
+  let height p = heights.(component.(p)) in
+  let start =
+    if packed then
+      Transformer.packed_config params ~codec:Ss_core.Cellpack.int_codec g ~inputs
+    else Transformer.clean_config params g ~inputs
+  in
+  let states =
+    Array.mapi
+      (fun p st ->
+        let st = ref st in
+        for i = 1 to height p do
+          st := St.extend !st (Sync_runner.state_at hist ~round:i ~node:p)
+        done;
+        !st)
+      start.Config.states
+  in
+  (match perturbation with
+  | 0 | 1 ->
+      for _ = 1 to 1 + Rng.int rng 2 do
+        let p = Rng.int rng n in
+        states.(p) <-
+          Transformer.corrupt_state rng ~max_height:cap params (inputs p) states.(p)
+      done
+  | 2 ->
+      (* A wrong top cell at height B: no neighbour reads it, so the
+         node is a root by algoErr alone, and only RR enables it. *)
+      let p = Rng.int rng n in
+      let st = states.(p) in
+      let h = St.height st in
+      if h > 0 then
+        states.(p) <-
+          St.extend (St.truncate st (h - 1)) (sync.Ss_sync.Sync_algo.random_state rng (inputs p))
+  | _ -> ());
+  let judge =
+    if Rng.int rng 4 = 0 then Sync_runner.run sync g ~inputs:(fun p -> values.(p) + 1)
+    else hist
+  in
+  (params, judge, Config.with_states start states)
+
+let qcheck_legitimate_one_pass =
+  QCheck.Test.make ~count:300
+    ~name:"one-pass legitimate_terminal = the composed scans"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let params, hist, config = legitimacy_case seed in
+      Checker.legitimate_terminal params hist config
+      = composed_legitimate params hist config)
+
+(* The cases above reach every verdict but the root one: a terminal
+   configuration has no root (paper §4), so that verdict is the
+   oracle's defence against a broken transformer. *)
+let test_legitimacy_cases_reach_verdicts () =
+  let seen = Hashtbl.create 5 in
+  for seed = 0 to 299 do
+    let params, hist, config = legitimacy_case seed in
+    Hashtbl.replace seen (composed_legitimate params hist config) ()
+  done;
+  List.iter
+    (fun verdict ->
+      check
+        (match verdict with Ok () -> "Ok" | Error e -> e)
+        true (Hashtbl.mem seen verdict))
+    [
+      Ok ();
+      Error "configuration is not terminal";
+      Error "terminal heights are not all equal";
+      Error "terminal lists do not match the synchronous history";
+    ]
+
 let qcheck_tests =
   let open QCheck in
   [
     qcheck_state_model;
     qcheck_memo_differential;
+    qcheck_legitimate_one_pass;
     Test.make ~count:500 ~name:"RC and RU guards are mutually exclusive"
       small_int
       (fun seed ->
@@ -919,6 +1058,8 @@ let () =
             test_legitimate_terminal_diagnostics;
           Alcotest.test_case "simulates history" `Quick
             test_simulates_history_negative;
+          Alcotest.test_case "one-pass cases reach the verdicts" `Quick
+            test_legitimacy_cases_reach_verdicts;
         ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]
