@@ -5,18 +5,23 @@ module Sync_algo = Ss_sync.Sync_algo
 module Sync_runner = Ss_sync.Sync_runner
 module St = Trans_state
 
-let is_root params config p = Predicates.is_root params (Config.view config p)
+(* The reference root predicate, read through a view borrowed from
+   [views]: one neighbour buffer per degree for the whole scan. *)
+let is_root params views config p =
+  Predicates.is_root params (Config.borrowed_view views config p)
 
 let roots params config =
+  let views = Ss_prelude.Scratch.create () in
   let acc = ref [] in
   for p = Config.n config - 1 downto 0 do
-    if is_root params config p then acc := p :: !acc
+    if is_root params views config p then acc := p :: !acc
   done;
   !acc
 
 let has_root params config =
+  let views = Ss_prelude.Scratch.create () in
   let n = Config.n config in
-  let rec go p = p < n && (is_root params config p || go (p + 1)) in
+  let rec go p = p < n && (is_root params views config p || go (p + 1)) in
   go 0
 
 let heights config = Array.map St.height config.Config.states

@@ -39,15 +39,17 @@ type 's backend =
   | Boxed of 's buffer
   | Packed of { arena : 's Cellpack.arena; node : int; rep : int }
 
+(* The fields are mutable for {!assign} alone: every other function
+   builds a new record and never writes an existing one. *)
 type 's t = {
-  init : 's;
-  status : status;
-  len : int;  (* logical height; cells live at logical indices 1..len *)
-  stamp : int;
+  mutable init : 's;
+  mutable status : status;
+  mutable len : int;  (* logical height; cells live at logical indices 1..len *)
+  mutable stamp : int;
       (* Monotone version stamp, fresh on every construction: equal
          stamps imply the two values are the same construction, hence
          logically equal. *)
-  backend : 's backend;
+  mutable backend : 's backend;
 }
 
 (* Atomic: states are constructed concurrently by campaign pool tasks
@@ -153,7 +155,7 @@ let extend st s =
           stamp = fresh_stamp ();
         }
       end
-  | Packed { arena; node; rep } ->
+  | Packed { arena; node; _ } ->
       if st.len >= arena.Cellpack.a_cap then
         invalid_arg
           (Printf.sprintf
@@ -162,29 +164,53 @@ let extend st s =
       arena.Cellpack.codec.Cellpack.pack arena.Cellpack.data
         (Cellpack.slot arena node st.len)
         s;
-      let rep =
-        if st.len = arena.Cellpack.committed.(node) then
-          (* Frontier extension: committed prefix untouched, the
-             lineage continues — watermarks keyed on [rep] stay
-             valid and verification resumes above them. *)
-          rep
-        else begin
-          (* Write below (or, for a stale handle, beyond) the
-             committed frontier: the slab's history changed, mint a
-             fresh lineage id so every cache keyed on the old one
-             misses. *)
-          let r = fresh_rep () in
-          arena.Cellpack.rep.(node) <- r;
-          r
-        end
-      in
+      let frontier = st.len = arena.Cellpack.committed.(node) in
       arena.Cellpack.committed.(node) <- st.len + 1;
-      {
-        st with
-        len = st.len + 1;
-        stamp = fresh_stamp ();
-        backend = Packed { arena; node; rep };
-      }
+      if frontier then
+        (* Frontier extension: committed prefix untouched, the lineage
+           continues — watermarks keyed on [rep] stay valid and
+           verification resumes above them.  Same arena, node and rep:
+           the backend block is shared, not rebuilt. *)
+        { st with len = st.len + 1; stamp = fresh_stamp () }
+      else begin
+        (* Write below (or, for a stale handle, beyond) the committed
+           frontier: the slab's history changed, mint a fresh lineage
+           id so every cache keyed on the old one misses. *)
+        let rep = fresh_rep () in
+        arena.Cellpack.rep.(node) <- rep;
+        {
+          st with
+          len = st.len + 1;
+          stamp = fresh_stamp ();
+          backend = Packed { arena; node; rep };
+        }
+      end
+
+let at_capacity st =
+  match st.backend with
+  | Boxed _ -> false
+  | Packed { arena; _ } -> st.len >= arena.Cellpack.a_cap
+
+let in_arena arena st =
+  match st.backend with Boxed _ -> false | Packed p -> p.arena == arena
+
+let copy st =
+  {
+    init = st.init;
+    status = st.status;
+    len = st.len;
+    stamp = st.stamp;
+    backend = st.backend;
+  }
+
+let assign dst src =
+  if dst != src then begin
+    dst.init <- src.init;
+    dst.status <- src.status;
+    dst.len <- src.len;
+    dst.stamp <- src.stamp;
+    dst.backend <- src.backend
+  end
 
 let with_status st status =
   if st.status = status then st else { st with status; stamp = fresh_stamp () }

@@ -13,7 +13,8 @@
 
     {b Representation.} Values have immutable {e value semantics} —
     [extend]/[truncate]/[with_status] return new states and never
-    change an existing one — but share a capacity-doubling backing
+    change an existing one (only {!assign} does, see "Owned handles"
+    below) — but share a capacity-doubling backing
     buffer whose committed prefix is write-once.  Consequences:
     - [extend] is amortized O(1) when the state is uniquely extendable
       (the overwhelmingly common case: a node appending to its own
@@ -42,7 +43,19 @@
     [rep_id] remains sound for the {!Predicates} watermark cache on
     both backends: every packed write below the committed frontier
     mints a fresh lineage id, so equal [rep_id] still implies a
-    physically unchanged committed prefix. *)
+    physically unchanged committed prefix.
+
+    {b Owned handles.}  {!assign} is the one operation that changes an
+    existing handle: it overwrites a handle with another value, stamp
+    included, so a long-lived slot keeps one handle instead of storing
+    (and promoting) a fresh one per write.  Only a handle that no one
+    else can reach may be assigned.  In this code base those are the
+    handles [Msgnet]'s event loop owns: its copy of every node state
+    and each packed mirror in its private arena.  Every handle that
+    escapes such an owner is a snapshot that no later [assign]
+    changes: a message payload is a {!copy} or a fresh value, and the
+    initial mirrors are built from the caller's start handles, which
+    the loop never assigns. *)
 
 type status = C | E
 
@@ -88,8 +101,8 @@ val extend : 's t -> 's -> 's t
     copy-on-write when diverging from a prefix another state extended
     differently (re-appending the {e physically} identical cell
     re-adopts it without copying).  Packed: O(1) slab write — keeps
-    the lineage id when extending the committed frontier, mints a
-    fresh one when overwriting below it.
+    the lineage id (and shares the backend block) when extending the
+    committed frontier, mints a fresh one when overwriting below it.
     @raise Invalid_argument when a packed list would exceed the
     arena's capacity. *)
 
@@ -101,6 +114,27 @@ val rebuild : 's t -> status:status -> cells:'s array -> 's t
     mints a fresh lineage id (older handles become stale).
     @raise Invalid_argument when packed and
     [Array.length cells > cap]. *)
+
+val copy : 's t -> 's t
+(** [copy st] is a fresh handle on the same value, stamp included: a
+    snapshot that no later {!assign} on [st] changes.  O(1); it shares
+    the backing buffer or slab, so a packed copy still obeys the
+    linear-history discipline. *)
+
+val assign : 's t -> 's t -> unit
+(** [assign dst src] overwrites the handle [dst] with [src]'s value
+    (status, list, [init], backend and stamp), in place and without
+    allocating.  Afterwards [dst] and [src] are the same construction.
+    Only for handles whose every reader expects the change (see
+    "Owned handles" above). *)
+
+val at_capacity : 's t -> bool
+(** Whether {!extend} would raise: a packed list as tall as its
+    arena's capacity.  Always [false] for a boxed state. *)
+
+val in_arena : 's Cellpack.arena -> 's t -> bool
+(** [in_arena a st] is whether [st] keeps its cells in arena [a]
+    (physically); allocation-free, unlike {!backing_arena}. *)
 
 val with_status : 's t -> status -> 's t
 (** Replace the status ([st] itself when already equal). *)

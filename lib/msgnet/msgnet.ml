@@ -243,7 +243,12 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let n = Config.n config in
   let sync = params.Transformer.sync in
   let algo = Transformer.algorithm params in
-  let states = Array.copy config.Config.states in
+  (* [drive] owns [states]: a copy of every start handle, which moves
+     and corruptions then overwrite in place ({!St.assign}), so the
+     array keeps one handle per node instead of promoting a fresh one
+     per move.  The caller's start handles are never written. *)
+  let start = config.Config.states in
+  let states = Array.map St.copy start in
   (* The event cap (one delivery per event, so [stats.deliveries]
      never exceeds it) is the tighter of [budget.deliveries] and
      [max_events]; the deadline is checked once per event. *)
@@ -313,12 +318,13 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
     | `Packed, Some c, Some cap ->
         if nchan = 0 then None else Some (Cellpack.arena ~codec:c ~n:nchan ~cap)
   in
-  (* [install v port src] stores [src]'s logical content as v's port
-     mirror: packed into the arena slot when it fits, the boxed handle
-     itself otherwise.  Rebuilding through a fresh [packed_clean]
-     handle is safe even when the previous slot holder was boxed or
-     stale — it only writes the slab and mints a fresh lineage. *)
-  let install v port src =
+  (* [pack v port src] is [src]'s logical content as a fresh handle
+     for v's port mirror: packed into the arena slot when it fits, the
+     boxed handle itself otherwise.  Rebuilding through a fresh
+     [packed_clean] handle is safe even when the previous slot holder
+     was boxed or stale — it only writes the slab and mints a fresh
+     lineage. *)
+  let pack v port src =
     match marena with
     | Some a when St.height src <= Cellpack.cap a ->
         St.rebuild
@@ -326,30 +332,54 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
           ~status:(St.status src) ~cells:(St.cells src)
     | _ -> src
   in
-  (* Mirrors: mirrors.(v).(k) is v's belief about its port-k neighbor. *)
+  (* Mirrors: mirrors.(v).(k) is v's belief about its port-k neighbor,
+     built from the caller's start handles: [corrupt_state] and the
+     boxed [pack] may return their argument, and a mirror must never
+     alias a handle that [states] owns. *)
   let mirrors =
     Array.init n (fun v ->
         Array.mapi
           (fun i u ->
-            install v i
+            pack v i
               (if corrupt_mirrors then
                  Transformer.corrupt_state rng
-                   ~max_height:(St.height states.(u) + 4)
-                   params (Config.input config u) states.(u)
-               else states.(u)))
+                   ~max_height:(St.height start.(u) + 4)
+                   params (Config.input config u) start.(u)
+               else start.(u)))
           (Graph.neighbors g v))
+  in
+  (* A packed mirror in [marena] is owned by its slot: no other
+     reference to the handle exists, so a write overwrites it in place
+     with the new value (fresh stamp and all) instead of storing a new
+     handle that the long-lived [mirrors] array would promote.  A boxed
+     mirror may be a message payload, so it is replaced, never
+     written; so is an owned one whose new value no longer packs. *)
+  let owned m = match marena with Some a -> St.in_arena a m | None -> false in
+  let store v port m' =
+    let m = mirrors.(v).(port) in
+    if owned m && owned m' then St.assign m m' else mirrors.(v).(port) <- m'
+  in
+  (* A full-state write: an owned slot that can hold [src] is
+     rewritten on its own slab (one fresh lineage), keeping its [init]
+     — a slot always mirrors the same neighbour, whose [init] is
+     read-only. *)
+  let install v port src =
+    let m = mirrors.(v).(port) in
+    match marena with
+    | Some a when St.in_arena a m && St.height src <= Cellpack.cap a ->
+        St.assign m (St.rebuild m ~status:(St.status src) ~cells:(St.cells src))
+    | _ -> mirrors.(v).(port) <- pack v port src
   in
   (* Extend a mirror by a delivered D_ru cell.  A packed mirror at the
      arena bound boxes itself instead of raising: with faulty channels
      a dropped D_rr can leave a mirror growing without its reset, and
      the protocol must keep running until a proof wave repairs it. *)
   let mirror_extend m s =
-    match St.backing_arena m with
-    | Some a when St.height m >= Cellpack.cap a ->
-        St.extend
-          (St.make ~init:(St.init m) ~status:(St.status m) ~cells:(St.cells m))
-          s
-    | _ -> St.extend m s
+    if St.at_capacity m then
+      St.extend
+        (St.make ~init:(St.init m) ~status:(St.status m) ~cells:(St.cells m))
+        s
+    else St.extend m s
   in
   let apply_delta mirror = function
     | D_rr -> St.wipe mirror
@@ -374,7 +404,6 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   in
   let state_proofs = proof_layer n in
   let mirror_proofs = proof_layer nchan in
-  let set_mirror v port st = mirrors.(v).(port) <- st in
 
   (* One wire-size accounting for every message kind, shared by the
      counters, the event sinks and the queued-bits watermark.  A delta
@@ -424,7 +453,11 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
     if deg > 0 then begin
       let msg =
         match encoding with
-        | Full_state -> Update_full new_state
+        | Full_state ->
+            (* [new_state] is a fresh value unless the action returned
+               its argument, the handle [states] owns. *)
+            Update_full
+              (if new_state == states.(v) then St.copy new_state else new_state)
         | Delta -> Update_delta (delta_of_move rule_name new_state)
       in
       let bits = message_bits msg in
@@ -464,9 +497,9 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
       | None -> continue := false
       | Some rule ->
           let new_state = rule.Algorithm.action view in
-          states.(v) <- new_state;
           c.rule_executions <- c.rule_executions + 1;
-          broadcast_move v new_state rule.Algorithm.rule_name
+          broadcast_move v new_state rule.Algorithm.rule_name;
+          St.assign states.(v) new_state
     done;
     (* [!continue] here means the safety budget ran out first: the node
        may still be enabled, so it must stay pickable. *)
@@ -504,10 +537,10 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
     let port = port cid in
     match msg with
     | Update_full s ->
-        set_mirror v port (install v port s);
+        install v port s;
         act v
     | Update_delta d ->
-        set_mirror v port (apply_delta mirrors.(v).(port) d);
+        store v port (apply_delta mirrors.(v).(port) d);
         act v
     | Proof (h, pnonce) ->
         if pnonce < !nonce then
@@ -525,9 +558,9 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
         let fb = Transformer.full_state_bits sync states.(v) in
         c.full_copy_messages <- c.full_copy_messages + 1;
         c.full_copy_bits <- c.full_copy_bits + fb;
-        send chan_of.(v).(port) (Full_copy states.(v)) fb
+        send chan_of.(v).(port) (Full_copy (St.copy states.(v))) fb
     | Full_copy s ->
-        set_mirror v port (install v port s);
+        install v port s;
         act v
   in
 
@@ -620,7 +653,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
         ->
           let crng = Ss_chaos.Fault_plan.rng ch.plan in
           let victim = Rng.int crng n in
-          states.(victim) <- ch.mutate crng victim states.(victim);
+          St.assign states.(victim) (ch.mutate crng victim states.(victim));
           picker.note victim true;
           c.corruptions <- c.corruptions + 1;
           chaos_hit ();

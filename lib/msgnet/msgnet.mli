@@ -188,6 +188,13 @@ val run :
     Defaults: [encoding = Delta], event cap [2_000_000],
     [proof = Energy.default_proof_cost] (64-bit hash + 64-bit nonce).
     Returns the final true states and the traffic/work accounting.
+    The handles in [config] are never written: the run works on its
+    own copies and overwrites those in place (see
+    {!Ss_core.Trans_state.assign}), so a second run from the same
+    boxed [config] repeats the first.  (Packed start states share
+    their arena with those copies, and a move may overwrite a slot
+    below its frontier, so they obey the packed linear-history
+    rule.)
 
     [max_events] is a second event cap, combined with
     [budget.deliveries] by {!Ss_report.Budget.resolve} (the tighter

@@ -24,3 +24,16 @@ let words f =
   let r, w = measure f in
   let (), idle = measure ignore in
   (r, w -. idle)
+
+(* [f ()] and the words it promoted to the major heap.  A [Gc.minor ()]
+   on each side empties the minor heap, so the [promoted_words] delta
+   holds every promotion [f] caused, its result's included; with the
+   same minor heap size the collection schedule inside [f] is the same
+   on every run, so the reading is deterministic within one binary. *)
+let promoted f =
+  Gc.minor ();
+  let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+  let r = f () in
+  Gc.minor ();
+  let p1 = (Gc.quick_stat ()).Gc.promoted_words in
+  (r, p1 -. p0)

@@ -516,7 +516,10 @@ let test_single_path_chaos () =
 (* Observing a run must not change its per-step cost class.  A ring of
    512 under a central daemon makes one move per step, so an O(n)
    state copy per observed step (513 words) would dwarf the engine's
-   own few hundred words per step; the guard allows 1.5×. *)
+   own few hundred words per step; the guard allows 1.2×.  Exact
+   readings: recovery tracking 79.6 against 70.0 words/step (1.14×; it
+   read 89.6, 1.28×, while the recovery scan built a fresh view per
+   node), counting sink 68.4 against 68.7. *)
 let test_observed_allocation () =
   let n = 512 in
   let rng = Rng.create 7 in
@@ -555,9 +558,9 @@ let test_observed_allocation () =
   let guard name observed unobserved =
     let ratio = per_step observed /. per_step unobserved in
     check
-      (Printf.sprintf "%s: %.0f vs %.0f words/step (%.2fx < 1.5x)" name
+      (Printf.sprintf "%s: %.0f vs %.0f words/step (%.2fx < 1.2x)" name
          (per_step observed) (per_step unobserved) ratio)
-      true (ratio < 1.5)
+      true (ratio < 1.2)
   in
   guard "recovery tracking" tracked bare;
   guard "counting sink" engine_sink engine_bare

@@ -1039,6 +1039,113 @@ let golden_pins =
       ] );
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Ownership of the loop's handles                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A packed Cole-Vishkin ring of [n] nodes from [seed]: codec, finite
+   bound B, corrupted start. *)
+let cv_ring ~seed ~n =
+  let rng = Rng.create seed in
+  let width = 17 in
+  let g = Builders.cycle n in
+  let inputs = Cv.inputs ~ids:(Cv.random_ring_ids rng ~n ~width) ~width g in
+  let b = Cv.schedule_length width in
+  let params =
+    Transformer.params ~mode:Ss_core.Predicates.Greedy
+      ~bound:(Ss_core.Predicates.Finite b) Cv.algo
+  in
+  let start =
+    Transformer.corrupt rng ~max_height:b params
+      (Transformer.clean_config params g ~inputs)
+  in
+  (params, start)
+
+(* Promotion tripwire for the update plane.  [Msgnet.run] keeps one
+   handle per node state and per packed mirror and overwrites it in
+   place; storing a fresh handle per move and per mirror write instead
+   made the long-lived arrays promote every one of them.  Exact
+   readings (promoted words per delivery, ring of 3000): 9.3 while
+   every write stored a fresh handle, 5.7 with owned handles. *)
+let test_promotion_per_delivery () =
+  let params, start = cv_ring ~seed:11 ~n:3000 in
+  let (_, stats), promoted =
+    Alloc.promoted (fun () ->
+        M.run ~codec:Cv.codec ~rng:(Rng.create 12) params start)
+  in
+  check "quiescent" true stats.M.quiescent;
+  let per_delivery = promoted /. float_of_int stats.M.deliveries in
+  check
+    (Printf.sprintf "%.1f promoted words per delivery < 7" per_delivery)
+    true (per_delivery < 7.)
+
+(* Ownership: [run] writes only the handles it owns.  The caller's
+   start configuration keeps every stamp, status, height and cell, and
+   a second run from it repeats the first exactly. *)
+let fingerprint config =
+  Array.map
+    (fun st -> (St.stamp st, St.status st, St.height st, St.cells st))
+    config.Ss_sim.Config.states
+
+let test_start_untouched () =
+  let cv_params, cv_start = cv_ring ~seed:13 ~n:48 in
+  let lp, linputs, lmax, lstart = pin_leader 32 in
+  let chaos () =
+    {
+      M.plan = Ss_chaos.Scenario.msgnet_plan Ss_chaos.Scenario.chaos ~seed:9;
+      mutate =
+        (fun crng v st ->
+          Transformer.corrupt_state crng ~max_height:lmax lp (linputs v) st);
+    }
+  in
+  let twice name start run =
+    let before = fingerprint start in
+    let _, first = run () in
+    check (name ^ ": start untouched") true (fingerprint start = before);
+    let _, second = run () in
+    Alcotest.check stats_testable (name ^ ": second run repeats") first second;
+    check (name ^ ": quiescent") true first.M.quiescent
+  in
+  List.iter
+    (fun (lname, layout) ->
+      List.iter
+        (fun (ename, encoding) ->
+          twice
+            (Printf.sprintf "cv, %s, %s" lname ename)
+            cv_start
+            (fun () ->
+              M.run ~codec:Cv.codec ~layout ~encoding ~corrupt_mirrors:true
+                ~rng:(Rng.create 5) cv_params cv_start))
+        [ ("delta", M.Delta); ("full state", M.Full_state) ])
+    [ ("packed", `Packed); ("boxed", `Boxed) ];
+  twice "leader, chaos" lstart (fun () ->
+      M.run ~chaos:(chaos ()) ~rng:(Rng.create 7) lp lstart);
+  twice "leader, run_naive" lstart (fun () ->
+      M.run_naive ~rng:(Rng.create 7) lp lstart)
+
+(* Mirrors that start accurate stay accurate over loss-free FIFO
+   channels: every proof matches and no Request is sent, in either
+   layout and encoding.  A mirror aliasing a node state [run] owns
+   would see the node's moves before their updates arrive, apply each
+   update twice, and ask for repairs. *)
+let test_accurate_mirrors_need_no_repair () =
+  let params, start = cv_ring ~seed:17 ~n:48 in
+  List.iter
+    (fun layout ->
+      List.iter
+        (fun encoding ->
+          let _, s =
+            M.run ~codec:Cv.codec ~layout ~encoding ~corrupt_mirrors:false
+              ~rng:(Rng.create 3) params start
+          in
+          check "quiescent" true s.M.quiescent;
+          check_int "no request" 0 s.M.request_messages)
+        [ M.Delta; M.Full_state ])
+    [ `Packed; `Boxed ];
+  let lp, _, _, lstart = pin_leader 16 in
+  let _, s = M.run ~corrupt_mirrors:false ~rng:(Rng.create 4) lp lstart in
+  check_int "leader, boxed: no request" 0 s.M.request_messages
+
 let test_golden () =
   List.iter2
     (fun (name, stats, counts) (name', (stats', counts')) ->
@@ -1125,5 +1232,14 @@ let () =
               test_proof_allocation;
           ] );
       ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "ownership",
+        [
+          Alcotest.test_case "start configuration untouched" `Quick
+            test_start_untouched;
+          Alcotest.test_case "accurate mirrors need no repair" `Quick
+            test_accurate_mirrors_need_no_repair;
+          Alcotest.test_case "promoted words per delivery" `Quick
+            test_promotion_per_delivery;
+        ] );
       ("golden", [ Alcotest.test_case "stats and sink events" `Quick test_golden ]);
     ]

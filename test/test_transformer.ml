@@ -677,6 +677,60 @@ let qcheck_state_model =
       done;
       !ok)
 
+(* Owned handles: [assign h (op h)] is the in-place twin of the
+   functional [op h], and a [copy] taken before keeps its value however
+   [h] is written afterwards.  Boxed handles take every operation; a
+   packed one only what keeps its slab's history (frontier extensions,
+   status changes), since a write below the frontier makes older
+   handles on the slot stale by design. *)
+let qcheck_owned_handle =
+  QCheck.Test.make ~count:200
+    ~name:"in-place writes equal functional ones and spare every snapshot"
+    QCheck.(pair bool small_int)
+    (fun (packed, seed) ->
+      let rng = Rng.create (seed + 1) in
+      let cap = 40 in
+      let init = Rng.int rng 20 in
+      let h =
+        if packed then
+          St.packed_clean
+            (Ss_core.Cellpack.arena ~codec:Ss_core.Cellpack.int_codec ~n:1 ~cap)
+            ~node:0 ~init
+        else St.clean init
+      in
+      let model s = (St.status s, St.height s, St.cells s) in
+      let snapshots = ref [] in
+      let ok = ref true in
+      for _ = 1 to 60 do
+        if Rng.int rng 3 = 0 then
+          snapshots := (St.copy h, model h) :: !snapshots;
+        let status = if Rng.bool rng then St.C else St.E in
+        let op =
+          match Rng.int rng (if packed then 2 else 5) with
+          | 0 when St.height h < cap -> fun s -> St.extend s (Rng.int rng 20)
+          | 0 | 1 -> fun s -> St.with_status s status
+          | 2 -> fun s -> St.truncate s (Rng.int rng (St.height s + 1))
+          | 3 -> St.wipe
+          | _ ->
+              fun s ->
+                St.rebuild s ~status
+                  ~cells:(Array.init (Rng.int rng 6) (fun _ -> Rng.int rng 20))
+        in
+        let r = op h in
+        let expected = model r in
+        St.assign h r;
+        if
+          model h <> expected
+          || St.stamp h <> St.stamp r
+          || St.init h <> init
+          || not (St.equal Int.equal h r)
+        then ok := false;
+        List.iter
+          (fun (snap, m) -> if model snap <> m then ok := false)
+          !snapshots
+      done;
+      !ok)
+
 (* Differential for the watermark memo: one cached algorithm instance
    (and one explicit cache) against the reference predicates, node by
    node, while a random sequence of moves and faults rewrites boxed or
@@ -913,6 +967,7 @@ let qcheck_tests =
   let open QCheck in
   [
     qcheck_state_model;
+    qcheck_owned_handle;
     qcheck_memo_differential;
     qcheck_legitimate_one_pass;
     Test.make ~count:500 ~name:"RC and RU guards are mutually exclusive"
