@@ -57,9 +57,9 @@ let bench_enabled_scan_naive ~n () =
 let bench_enabled_scan_incr ~n () =
   let _, algo, config = trans_ring ~n ~seed:3 in
   let sched = Sim.Sched.create algo config in
-  let p = n / 2 in
+  let moved = [| n / 2 |] in
   fun () ->
-    Sim.Sched.update sched config ~moved:[ p ];
+    Sim.Sched.update sched config ~moved ~count:1;
     ignore (Sim.Sched.enabled sched)
 
 let recovery_start ~n =

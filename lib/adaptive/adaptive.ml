@@ -74,17 +74,15 @@ let algorithm_gen ~algo_err ~algo_hat p =
     equal = St.equal p.P.sync.Sync_algo.equal;
     rules = [ rule_rs ~algo_err p; rule_rx ~algo_hat p; rule_co p ];
     pp_state = St.pp p.P.sync.Sync_algo.pp_state;
+    store = Algorithm.in_place ~copy:St.copy ~assign:St.assign;
   }
 
 (* Same per-(instantiation × domain) watermark-cache discipline as
    {!Ss_core.Transformer.algorithm}. *)
 let algorithm p =
   ignore (bound_of p);
-  let key = Domain.DLS.new_key P.make_cache in
-  algorithm_gen
-    ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
-    ~algo_hat:(fun p v i -> P.algo_hat_cached (Domain.DLS.get key) p v i)
-    p
+  let algo_err, algo_hat = P.per_domain_cached () in
+  algorithm_gen ~algo_err ~algo_hat p
 
 let algorithm_uncached p =
   ignore (bound_of p);

@@ -78,11 +78,18 @@ let algo =
     pp_state;
   }
 
+(* [color] then [round], one word each: the layout of
+   [map (pair int_codec int_codec)], written without its tuples, so a
+   pack allocates nothing and an unpack only the state. *)
 let codec =
-  Ss_core.Cellpack.map
-    ~inj:(fun s -> (s.color, s.round))
-    ~prj:(fun (color, round) -> { color; round })
-    (Ss_core.Cellpack.pair Ss_core.Cellpack.int_codec Ss_core.Cellpack.int_codec)
+  {
+    Ss_core.Cellpack.words = 2;
+    pack =
+      (fun data off s ->
+        data.(off) <- s.color;
+        data.(off + 1) <- s.round);
+    unpack = (fun data off -> { color = data.(off); round = data.(off + 1) });
+  }
 
 let inputs ~ids ~width _g p = { id = ids p; width; schedule = schedule_length width }
 

@@ -39,7 +39,9 @@ val reduce : own:int -> pred:int -> int
 
 val codec : state Ss_core.Cellpack.codec
 (** Two-word packed layout [(color, round)] — packed arenas and the
-    message network's int-packed delta channels. *)
+    message network's int-packed delta channels.  The words are those
+    of [Cellpack.(map (pair int_codec int_codec))] over the pair;
+    packing allocates nothing, unpacking only the state. *)
 
 val algo : (state, input) Ss_sync.Sync_algo.t
 (** The synchronous algorithm.  Every node must have degree 2 with

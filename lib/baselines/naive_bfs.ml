@@ -28,6 +28,7 @@ let algo : (state, input) Algorithm.t =
         };
       ];
     pp_state = Format.pp_print_int;
+    store = Algorithm.immutable;
   }
 
 let inputs g ~root ?dmax () =

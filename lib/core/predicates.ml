@@ -131,8 +131,26 @@ let blank () =
 (* Stand-in for "no entry yet"; never written. *)
 let no_entry = blank ()
 
+(* The spine of the largest table whose cache was finalised on this
+   domain, for the next cache the domain makes, which blanks it.
+   Entries are not typed by the algorithm, so any cache can adopt any
+   spine; the entry records themselves die with their cache.  Keeping
+   one spine alive across runs keeps the allocator from returning the
+   freed heap to the OS between back-to-back runs, which made the next
+   set-up fault its pages in again (DESIGN.md §10). *)
+let spare = Domain.DLS.new_key (fun () -> [||])
+
+let retire (c : (_, _) cache) =
+  if Array.length c.entries > Array.length (Domain.DLS.get spare) then
+    Domain.DLS.set spare c.entries
+
 let make_cache () : ('s, 'i) cache =
-  { entries = [||]; scratch = Ss_prelude.Scratch.create () }
+  let entries = Domain.DLS.get spare in
+  Domain.DLS.set spare [||];
+  Array.fill entries 0 (Array.length entries) no_entry;
+  let c = { entries; scratch = Ss_prelude.Scratch.create () } in
+  Gc.finalise retire c;
+  c
 
 (* Node [node]'s entry, created (and the table grown, at least
    doubling) on its first evaluation. *)
@@ -153,8 +171,7 @@ let entry_for c node =
 
 (* Global count of guard evaluations answered (fully or partially)
    from a watermark instead of a full-prefix rescan.  The caches
-   themselves are per-domain (transformer.ml keys them through
-   Domain.DLS), so this one shared counter is the only cross-domain
+   themselves are per-domain ({!per_domain_cached}), so this one shared counter is the only cross-domain
    write on the hot path; it exists so tests can assert that sharded
    runs actually exercise the cached predicates. *)
 let hits = Atomic.make 0
@@ -234,6 +251,11 @@ let algo_hat_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) i =
     deps.(k) <- St.cell nbs.(k) i
   done;
   params.sync.Sync_algo.step v.Algorithm.input self_i deps
+
+let per_domain_cached () =
+  let caches = Ss_prelude.Per_domain.create make_cache in
+  ( (fun params v -> algo_err_cached (Ss_prelude.Per_domain.get caches) params v),
+    fun params v i -> algo_hat_cached (Ss_prelude.Per_domain.get caches) params v i )
 
 let rec has_error_below nbs h k =
   k < Array.length nbs

@@ -79,7 +79,9 @@ val make_cache : unit -> ('s, 'i) cache
     it has seen (about 20 words per evaluated node of degree 4) and a
     miss overwrites the node's entry in place.  One cache serves one
     (algorithm, domain) pair; it may see several configurations and
-    graphs, which only cost misses. *)
+    graphs, which only cost misses.  When a cache is finalised, the
+    spine of its table (one word per node) is kept, blank, for the
+    next cache the calling domain makes (DESIGN.md §10). *)
 
 val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
 (** Same result as {!algo_err}, but O(deg) on a stamp-exact hit and
@@ -92,6 +94,16 @@ val algo_hat_cached :
     the cache's per-degree scratch instead of allocated: the
     production [RU] guard and action use it (the simulated [step] must
     not retain its neighbour array, see {!Ss_sync.Sync_algo.t}). *)
+
+val per_domain_cached :
+  unit ->
+  (('s, 'i) params -> ('s, 'i) view -> bool)
+  * (('s, 'i) params -> ('s, 'i) view -> int -> 's)
+(** [per_domain_cached ()] is ({!algo_err_cached}, {!algo_hat_cached})
+    over a fresh family of caches, one per domain that calls them
+    ({!Ss_prelude.Per_domain}, so sharded guard sweeps on the [Ss_par]
+    pool never share one).  The family is garbage once both closures
+    are: each transformer algorithm value holds its own. *)
 
 val cache_hits : unit -> int
 (** Process-wide count of {!algo_err_cached} evaluations answered from

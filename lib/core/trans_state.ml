@@ -203,13 +203,16 @@ let copy st =
     backend = st.backend;
   }
 
+(* The pointer fields are compared before they are written: a node's
+   [init] never changes, and a frontier extend keeps its backend block,
+   so most writes skip both write barriers. *)
 let assign dst src =
   if dst != src then begin
-    dst.init <- src.init;
+    if dst.init != src.init then dst.init <- src.init;
     dst.status <- src.status;
     dst.len <- src.len;
     dst.stamp <- src.stamp;
-    dst.backend <- src.backend
+    if dst.backend != src.backend then dst.backend <- src.backend
   end
 
 let with_status st status =

@@ -50,12 +50,15 @@
     included, so a long-lived slot keeps one handle instead of storing
     (and promoting) a fresh one per write.  Only a handle that no one
     else can reach may be assigned.  In this code base those are the
-    handles [Msgnet]'s event loop owns: its copy of every node state
-    and each packed mirror in its private arena.  Every handle that
+    handles the two run loops own: [Engine.run]'s copy of every node
+    state and its synchronous scratch (through the transformers'
+    [Algorithm.store]), and [Msgnet]'s copy of every node state and
+    each packed mirror in its private arena.  Every handle that
     escapes such an owner is a snapshot that no later [assign]
     changes: a message payload is a {!copy} or a fresh value, and the
     initial mirrors are built from the caller's start handles, which
-    the loop never assigns. *)
+    the loop never assigns; a sink that keeps an engine state keeps
+    its {!copy}. *)
 
 type status = C | E
 

@@ -87,23 +87,20 @@ let algorithm_gen ~algo_err ~algo_hat p =
     rules =
       [ rule_rr ~algo_err p; rule_rp p; rule_rc p; rule_ru ~algo_hat p ];
     pp_state = St.pp p.sync.Sync_algo.pp_state;
+    store = Algorithm.in_place ~copy:St.copy ~assign:St.assign;
   }
 
 (* One watermark cache per (algorithm instantiation × domain): the
    cache is a plain mutable array, so sharded runs — whose guard
    sweeps execute on the Ss_par pool's domains — get a lazily created
-   private instance through Domain.DLS instead of racing on one
-   table.  The cache is a pure memo (it never changes results), so
-   per-domain instances cannot affect the execution.  DLS slots are
-   never freed: a domain keeps the cache of every instantiation it
-   evaluated for the life of the process (DESIGN.md §10 gives the
-   size).  The same cache lends [RU] its dependency scratch. *)
+   private instance instead of racing on one table.  The cache is a
+   pure memo (it never changes results), so per-domain instances
+   cannot affect the execution.  The caches belong to the algorithm
+   value and become garbage with it (DESIGN.md §10 gives the size).
+   The same cache lends [RU] its dependency scratch. *)
 let algorithm p =
-  let key = Domain.DLS.new_key P.make_cache in
-  let algo_hat p v i = P.algo_hat_cached (Domain.DLS.get key) p v i in
-  algorithm_gen
-    ~algo_err:(fun p v -> P.algo_err_cached (Domain.DLS.get key) p v)
-    ~algo_hat p
+  let algo_err, algo_hat = P.per_domain_cached () in
+  algorithm_gen ~algo_err ~algo_hat p
 
 let with_algo_err ~algo_err p = algorithm_gen ~algo_err ~algo_hat:P.algo_hat p
 

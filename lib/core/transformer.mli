@@ -73,8 +73,9 @@ val algorithm :
   ('s, 'i) params -> ('s Trans_state.t, 'i) Ss_sim.Algorithm.t
 (** The transformed algorithm, ready for {!Ss_sim.Engine.run}.  Each
     call embeds a fresh per-domain family of {!Predicates.cache}s
-    (keyed through [Domain.DLS], so sharded guard sweeps on the
-    [Ss_par] pool each use a private instance), and [RR]'s [algoErr]
+    ({!Ss_prelude.Per_domain}, so sharded guard sweeps on the [Ss_par]
+    pool each use a private instance; the family is garbage once the
+    algorithm value is), and [RR]'s [algoErr]
     guard re-verifies only the cells that changed since the node's
     previous evaluation (O(Δ·deg) instead of O(h·deg)); [RU]'s guard
     and action compute [algô] into the cache's per-degree scratch

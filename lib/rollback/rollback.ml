@@ -52,6 +52,7 @@ let algorithm sync ~bound =
              ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
              sync.Sync_algo.pp_state)
           (Array.to_list st.cells));
+    store = Algorithm.immutable;
   }
 
 let clean_config sync ~bound g ~inputs =

@@ -6,11 +6,19 @@ type ('s, 'i) rule = {
   action : ('s, 'i) view -> 's;
 }
 
+type 's store = { copy : 's -> 's; write : 's array -> int -> 's -> unit }
+
+let immutable = { copy = Fun.id; write = (fun states p s -> states.(p) <- s) }
+
+let in_place ~copy ~assign =
+  { copy; write = (fun states p s -> assign states.(p) s) }
+
 type ('s, 'i) t = {
   algo_name : string;
   equal : 's -> 's -> bool;
   rules : ('s, 'i) rule list;
   pp_state : Format.formatter -> 's -> unit;
+  store : 's store;
 }
 
 (* Direct recursion over the rule list: a guard sweep runs on every

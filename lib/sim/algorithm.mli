@@ -38,11 +38,39 @@ type ('s, 'i) rule = {
           algorithm's [step] follow. *)
 }
 
+type 's store = {
+  copy : 's -> 's;
+      (** [copy s] is a handle on [s]'s value that only its holder may
+          [write] over. *)
+  write : 's array -> int -> 's -> unit;
+      (** [write states p s] makes [states.(p)] hold [s]'s value. *)
+}
+(** How a run loop copies and writes the states it owns.
+
+    {b Ownership contract.}  {!Engine.run} copies every start handle
+    once with [copy] and from then on changes a node's state only by
+    [write] on its own array.  So the caller's start configuration is
+    never written, and a state handle that the run lends (to a sink,
+    in a view, in [stats.final] while the run goes on) may change
+    after the call that lent it returns: whoever keeps a state beyond
+    that call must keep [copy] of it.  An action's result is read by
+    [write] and not stored, so the handle it returns dies young. *)
+
+val immutable : 's store
+(** For immutable states (Rollback, the baselines, every plain
+    algorithm): [copy] is the identity and [write] the array write. *)
+
+val in_place : copy:('s -> 's) -> assign:('s -> 's -> unit) -> 's store
+(** For states with mutable handles ({!Ss_core.Trans_state}):
+    [write states p s] is [assign states.(p) s], which overwrites the
+    resident handle in place. *)
+
 type ('s, 'i) t = {
   algo_name : string;
   equal : 's -> 's -> bool;  (** State equality (for silence checks). *)
   rules : ('s, 'i) rule list;  (** In decreasing priority. *)
   pp_state : Format.formatter -> 's -> unit;
+  store : 's store;  (** How run loops copy and write its states. *)
 }
 
 val enabled_rule : ('s, 'i) t -> ('s, 'i) view -> ('s, 'i) rule option

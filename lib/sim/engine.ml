@@ -123,7 +123,9 @@ let step algo config selected =
 (* Hard move budget: activating a full selection could overshoot
    the move cap by up to n-1 moves (the bound used to be checked only
    between steps), so the final, budget-crossing step executes only a
-   prefix of the daemon's selection, in the daemon's order. *)
+   prefix of the daemon's selection, in the daemon's order: the list
+   prefix for [run_naive], the same prefix copied into the run-owned
+   array for [run] ({!copy_selection}). *)
 let cap_selection ~budget selected =
   (* Sharing-preserving and stack-safe: [selected] itself when it fits
      (the overwhelmingly common case — checked without measuring the
@@ -184,33 +186,43 @@ let make_counters algo n =
   in
   (note_move, finish)
 
-(* A validated selection of several nodes, executed into [states] by
-   [run] without intermediate lists: every new state is computed into
-   the run-owned scratch [next] (position [i] for the selection's
-   [i]-th node) from the pre-step configuration, counted, and only then
-   written back.  Each action reads a view borrowed from [views].
-   Returns the number of moves. *)
-let rec compute_moves config views ~rule_of ~note next i = function
-  | [] -> i
-  | p :: rest ->
-      let r = rule_of_selected rule_of p in
-      next.(i) <- r.Algorithm.action (Config.borrowed_view views config p);
-      note p r.Algorithm.rule_name;
-      compute_moves config views ~rule_of ~note next (i + 1) rest
-
-let rec write_moves states next i = function
-  | [] -> ()
-  | p :: rest ->
-      states.(p) <- next.(i);
-      write_moves states next (i + 1) rest
+(* The run-owned copy of a validated selection: its first [budget]
+   nodes, in the daemon's order, written into [sel] (grown to [n]
+   slots the first time a selection has more than one node).  Returns
+   the count.  The daemon's list dies young: nothing the run keeps
+   points into it. *)
+let copy_selection sel ~n ~budget selected =
+  let rec fill a i = function
+    | p :: rest when i < budget ->
+        a.(i) <- p;
+        fill a (i + 1) rest
+    | _ -> i
+  in
+  (match selected with
+  | _ :: _ :: _ when Array.length !sel < n -> sel := Array.make n 0
+  | _ -> ());
+  fill !sel 0 selected
 
 let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
     ?observer ?sinks algo daemon config =
+  let n = Config.n config in
   let max_steps, max_moves, deadline = limits ?budget ?now () in
-  let note_move, finish = make_counters algo (Config.n config) in
+  let note_move, finish = make_counters algo n in
+  (* The run owns the state handles it writes (see {!Algorithm.store}):
+     every start handle is copied once, and every move, corruption and
+     synchronous write-back goes through [write], so the caller's
+     configuration is never written and no step pays an O(n) copy.
+     Sinks borrow the live configuration for the duration of each call
+     (see the interface). *)
+  let store = algo.Algorithm.store in
+  let write = store.Algorithm.write in
+  let config =
+    Config.with_states config (Array.map store.Algorithm.copy config.Config.states)
+  in
+  let states = config.Config.states in
   let sched = Sched.create ~parallel:sharded algo config in
   let rule_of = Sched.enabled_rule sched in
-  let validate = validator (Config.n config) in
+  let validate = validator n in
   (* Divergence checking is just another sink on the bus: it reads the
      configuration each event reaches and compares the incrementally
      maintained enabled set against a full naive scan. *)
@@ -222,38 +234,45 @@ let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
   let emit, observed =
     bus ?observer ?sinks (if self_check then [ check_sink ] else [])
   in
-  (* Step in place on a private copy of the states: the input
-     configuration is never mutated, and no step pays an O(n) copy.
-     Sinks borrow the live configuration for the duration of each call
-     (see the interface). *)
-  let config = Config.with_states config (Array.copy config.Config.states) in
-  let states = config.Config.states in
-  (* Scratch for multi-mover steps, allocated on the first one, and
+  (* The movers of the current step ([sel], its first [k] slots) and,
+     for a multi-mover step, their new states: [next.(i)] is an owned
+     handle that receives the [i]-th mover's new value before any is
+     written back, so every action reads the pre-step configuration.
+     Both are allocated on the first multi-mover step.  [views] lends
      the actions' neighbour buffers: actions, like guards, must not
      retain the neighbours array (see the interface). *)
+  let sel = ref [| 0 |] in
   let next = ref [||] in
   let views = Ss_prelude.Scratch.create () in
-  let execute selected =
+  let execute budget selected =
     match selected with
     | [ p ] ->
         (* One mover (every central-daemon step): nothing else reads
            the pre-step state, so write it straight away. *)
         let r = rule_of_selected rule_of p in
-        states.(p) <- r.Algorithm.action (Config.borrowed_view views config p);
+        write states p (r.Algorithm.action (Config.borrowed_view views config p));
         note_move p r.Algorithm.rule_name;
+        !sel.(0) <- p;
         (1, [ (p, r.Algorithm.rule_name) ])
     | _ ->
+        let k = copy_selection sel ~n ~budget selected in
+        let sel = !sel in
         if Array.length !next = 0 then
-          next := Array.make (Array.length states) states.(0);
-        let k =
-          compute_moves config views ~rule_of ~note:note_move !next 0 selected
-        in
-        write_moves states !next 0 selected;
+          next := Array.init n (fun _ -> store.Algorithm.copy states.(0));
+        let next = !next in
+        for i = 0 to k - 1 do
+          let p = sel.(i) in
+          let r = rule_of_selected rule_of p in
+          write next i (r.Algorithm.action (Config.borrowed_view views config p));
+          note_move p r.Algorithm.rule_name
+        done;
+        for i = 0 to k - 1 do
+          write states sel.(i) next.(i)
+        done;
         let moved =
           if observed then
-            List.map
-              (fun p -> (p, (rule_of_selected rule_of p).Algorithm.rule_name))
-              selected
+            List.init k (fun i ->
+                (sel.(i), (rule_of_selected rule_of sel.(i)).Algorithm.rule_name))
           else []
         in
         (k, moved)
@@ -267,9 +286,10 @@ let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
     (match chaos with
     | Some ch when Ss_chaos.Fault_plan.corruption_due ch.plan ~event:steps ->
         let crng = Ss_chaos.Fault_plan.rng ch.plan in
-        let v = Ss_prelude.Rng.int crng (Config.n config) in
-        states.(v) <- ch.mutate crng v config;
-        Sched.update sched config ~moved:[ v ]
+        let v = Ss_prelude.Rng.int crng n in
+        write states v (ch.mutate crng v config);
+        !sel.(0) <- v;
+        Sched.update sched config ~moved:!sel ~count:1
     | _ -> ());
     if Sched.no_enabled sched then (config, steps, moves, Budget.Completed)
     else if moves >= max_moves then
@@ -282,11 +302,10 @@ let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
         daemon.Daemon.select ~step:steps ~enabled:(Sched.enabled_set sched)
       in
       validate ~is_enabled:(Sched.is_enabled sched) selected;
-      let selected = cap_selection ~budget:(max_moves - moves) selected in
-      let k, moved = execute selected in
+      let k, moved = execute (max_moves - moves) selected in
       (* The movers are exactly the (capped) selection, in order. *)
-      Sched.update sched config ~moved:selected;
-      Rounds.note_step_set tracker ~moved:selected
+      Sched.update sched config ~moved:!sel ~count:k;
+      Rounds.note_step_set tracker ~moved:!sel ~count:k
         ~enabled_after:(Sched.enabled_set sched);
       emit ~step:(steps + 1) ~rounds:(Rounds.completed tracker) ~moved config;
       loop (steps + 1) (moves + k) tracker

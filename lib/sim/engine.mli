@@ -41,11 +41,13 @@ type ('s, 'i) observer =
 
     {b Borrowing rule}: the configuration is the engine's live one,
     lent for the duration of the call.  {!run} steps in place, so the
-    same configuration value is passed to every call and its state
-    array changes after the sink returns.  A sink that keeps
-    configurations must snapshot them (copy [config.states], as
-    {!Trace.with_configs} does); reading states, inputs and the graph
-    during the call is always safe.
+    same configuration value is passed to every call, its state array
+    changes after the sink returns, and so may the states themselves:
+    {!run} writes the handles it owns in place
+    ({!Algorithm.store}).  A sink borrows states only for its call; one
+    that keeps a state must keep [algo.store.copy] of it, as
+    {!Trace.with_configs} does for every state.  Reading states, inputs
+    and the graph during the call is always safe.
 
     {b Sink purity contract} (DESIGN.md §9): a sink must not mutate
     the configuration, the algorithm, or the daemon it observes — it
@@ -104,12 +106,16 @@ val run :
     byte-identical to the sequential engine for every job count; only
     the wall clock changes (DESIGN.md §12).
 
-    The engine steps {e in place} on a private copy of the state
-    array, observed or not: a step costs time proportional to the
-    nodes it moves and their neighborhoods, never an O(n) copy.  The
-    input configuration is never mutated; [stats.final] is the private
-    configuration, fresh to the caller.  Sinks borrow it (see
-    {!observer}).
+    The engine steps {e in place}, observed or not: a step costs time
+    proportional to the nodes it moves and their neighborhoods, never
+    an O(n) copy.  The run owns the handles it writes: it copies every
+    start handle once ([algo.store.copy]), and every move, chaos
+    corruption and synchronous write-back goes through
+    [algo.store.write] ({!Algorithm.store}), which for
+    {!Ss_core.Trans_state} overwrites the resident handle in place.
+    The input configuration and its states are never written;
+    [stats.final] is the private configuration, fresh to the caller.
+    Sinks borrow it (see {!observer}).
 
     Budget: [budget] (default {!Ss_report.Budget.unlimited}) is the
     run's only cap, read once when the run starts.  When it sets no

@@ -27,9 +27,12 @@ val note_step : t -> moved:int list -> enabled_after:int list -> unit
     discharged.  When every node of the current round is discharged
     the round completes and the next one opens with [enabled_after]. *)
 
-val note_step_set : t -> moved:int list -> enabled_after:Nodeset.t -> unit
-(** As {!note_step} with the post-step enabled set passed as a set,
-    avoiding a per-step list-to-set conversion. *)
+val note_step_set :
+  t -> moved:int array -> count:int -> enabled_after:Nodeset.t -> unit
+(** As {!note_step} with the movers [moved.(0 .. count-1)] in an array
+    and the post-step enabled set passed as a set, avoiding a per-step
+    list-to-set conversion: the incremental engine passes its run-owned
+    selection array, read during the call only. *)
 
 val completed : t -> int
 (** Number of completed rounds so far. *)

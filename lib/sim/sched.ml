@@ -155,7 +155,7 @@ let sweep t config sh =
     end
   done
 
-let update t (config : ('s, 'i) Config.t) ~moved =
+let update t (config : ('s, 'i) Config.t) ~moved ~count =
   if config.Config.graph != t.graph then
     invalid_arg "Sched.update: configuration belongs to another topology";
   (* Mark the closed neighborhood of the movers (overlaps dedup in the
@@ -163,16 +163,13 @@ let update t (config : ('s, 'i) Config.t) ~moved =
      the evaluations — at most n / 63, what the round tracker's
      [Nodeset.inter] already pays every step. *)
   let g = t.graph in
-  let rec mark_all = function
-    | [] -> ()
-    | p :: rest ->
-        mark t p;
-        for i = 0 to Graph.degree g p - 1 do
-          mark t (Graph.nbr g p i)
-        done;
-        mark_all rest
-  in
-  mark_all moved;
+  for k = 0 to count - 1 do
+    let p = moved.(k) in
+    mark t p;
+    for i = 0 to Graph.degree g p - 1 do
+      mark t (Graph.nbr g p i)
+    done
+  done;
   if
     t.parallel
     && Array.length t.shards > 1

@@ -56,11 +56,14 @@ val create :
     [parallel] (default [false]) enables the sharded update path; it
     never changes any observable result, only the wall clock. *)
 
-val update : ('s, 'i) t -> ('s, 'i) Config.t -> moved:int list -> unit
-(** [update t config ~moved] accounts for one atomic step that changed
-    exactly the states of [moved], re-evaluating the closed
-    neighborhood of [moved] against [config] (the {e post-step}
-    configuration).  Overlapping neighborhoods are deduplicated.
+val update :
+  ('s, 'i) t -> ('s, 'i) Config.t -> moved:int array -> count:int -> unit
+(** [update t config ~moved ~count] accounts for one atomic step that
+    changed exactly the states of the movers [moved.(0 .. count-1)],
+    re-evaluating their closed neighborhood against [config] (the
+    {e post-step} configuration).  Overlapping neighborhoods are
+    deduplicated.  [moved] is read during the call only (the engine
+    passes its run-owned selection array).
     @raise Invalid_argument if [config]'s graph is not the one
     [create] saw. *)
 

@@ -13,12 +13,13 @@ let make () =
   (observer, fun () -> List.rev !acc)
 
 (* The engine lends its live configuration only for the duration of
-   the call: keep a snapshot of the state array (a shallow copy: the
-   state values themselves are shared). *)
-let with_configs () =
+   the call, and writes the states it owns in place: keep a snapshot
+   of every state ([store.copy], the identity for immutable states). *)
+let with_configs algo =
+  let copy = algo.Algorithm.store.Algorithm.copy in
   let acc = ref [] in
   let observer ~step ~rounds ~moved config =
-    let snapshot = Config.with_states config (Array.copy config.Config.states) in
+    let snapshot = Config.with_states config (Array.map copy config.Config.states) in
     acc :=
       ({ ev_step = step; ev_rounds = rounds; ev_moved = moved }, snapshot) :: !acc
   in

@@ -18,14 +18,19 @@ val make : unit -> ('s, 'i) Engine.observer * (unit -> event list)
     is not recorded. *)
 
 val with_configs :
-  unit ->
+  ('s, 'i) Algorithm.t ->
   ('s, 'i) Engine.observer * (unit -> (event * ('s, 'i) Config.t) list)
-(** Like {!make} but each record also captures a snapshot of the
-    configuration the step reached; the initial configuration is
-    included as a pseudo-event with [ev_step = 0] and no moves.  The
-    engine only lends its live configuration to a sink (see
-    {!Engine.observer}), so this recorder copies the state array on
-    every event: O(n) per step, for small executions and tests. *)
+(** [with_configs algo] is like {!make}, but each record also captures
+    a snapshot of the configuration the step reached, for a run of
+    [algo]; the initial configuration is included as a pseudo-event
+    with [ev_step = 0] and no moves.  The engine only lends its live
+    configuration to a sink and writes the states it owns in place
+    (see {!Engine.observer}), so this recorder keeps
+    [algo.store.copy] of every state on every event: O(n) per step,
+    for small executions and tests.  The copies are snapshots of
+    packed states too, but a packed snapshot stays readable only
+    until its arena slot is rewritten below its frontier (see
+    {!Ss_core.Trans_state}): record boxed runs. *)
 
 val moves_of : event list -> int
 (** Total number of moves across the events. *)

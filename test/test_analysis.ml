@@ -89,7 +89,7 @@ let run_with_records seed =
     Transformer.corrupt (Rng.split rng) ~max_height:10 lp
       (Transformer.clean_config lp g ~inputs)
   in
-  let observer, records = Trace.with_configs () in
+  let observer, records = Trace.with_configs (Transformer.algorithm lp) in
   let daemon = Daemon.distributed_random (Rng.split rng) ~p:0.4 in
   let stats = Transformer.run ~sinks:[ observer ] lp daemon start in
   (lp, Config.n start, records (), stats)
@@ -140,7 +140,7 @@ let test_segment_of_clean_run () =
   (* A clean start has no roots: zero segments, rootless from step 0. *)
   let g = Builders.cycle 5 in
   let lp = Transformer.params Leader.algo in
-  let observer, records = Trace.with_configs () in
+  let observer, records = Trace.with_configs (Transformer.algorithm lp) in
   let _ =
     Transformer.run ~sinks:[ observer ] lp Daemon.synchronous
       (Transformer.clean_config lp g ~inputs:(fun p -> p))

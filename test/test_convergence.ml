@@ -190,7 +190,7 @@ let roots_never_created seed =
   let g = random_graph rng in
   let inputs = Leader.random_ids (Rng.split rng) g in
   let params = Transformer.params Leader.algo in
-  let observer, records = Trace.with_configs () in
+  let observer, records = Trace.with_configs (Transformer.algorithm params) in
   let _hist, stats = run_setting ~sinks:[ observer ] ~params ~g ~inputs seed in
   let configs = List.map snd (records ()) in
   let root_sets = List.map (fun c -> Checker.roots params c) configs in
@@ -209,7 +209,7 @@ let recovery_is_permanent seed =
   let g = random_graph rng in
   let inputs = Leader.random_ids (Rng.split rng) g in
   let params = Transformer.params Leader.algo in
-  let observer, records = Trace.with_configs () in
+  let observer, records = Trace.with_configs (Transformer.algorithm params) in
   let _hist, stats = run_setting ~sinks:[ observer ] ~params ~g ~inputs seed in
   let flags =
     List.map (fun (_, c) -> Checker.has_root params c) (records ())

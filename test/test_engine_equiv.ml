@@ -70,6 +70,7 @@ let max_algo : (int, unit) Algorithm.t =
         };
       ];
     pp_state = Format.pp_print_int;
+    store = Algorithm.immutable;
   }
 
 let seeds = [ 1; 2; 3 ]
@@ -278,7 +279,7 @@ let test_sched_locality () =
     let p = Rng.int rng 64 in
     let before = Sched.evals sched in
     config := Config.set_state !config p (Rng.int rng 50);
-    Sched.update sched !config ~moved:[ p ];
+    Sched.update sched !config ~moved:[| p |] ~count:1;
     check_int "only the closed neighborhood is re-evaluated" 3
       (Sched.evals sched - before);
     Alcotest.(check (list int))
@@ -334,7 +335,8 @@ let test_sched_sweep_pin () =
         in
         List.iter (fun p -> touch p; Graph.iter_neighbors g p touch) selected;
         let before = Sched.evals sched in
-        Sched.update sched config ~moved:selected;
+        let moved = Array.of_list selected in
+        Sched.update sched config ~moved ~count:(Array.length moved);
         let step_msg what = Printf.sprintf "%s, step %d: %s" msg step what in
         check_int (step_msg "evaluations = |moved ∪ N(moved)|") !dirty
           (Sched.evals sched - before);
@@ -393,10 +395,10 @@ let counting_sink () =
 let check_single_path ~msg eq algo mk start =
   let before = Array.copy start.Config.states in
   let count, events = counting_sink () in
-  let recorder, records = Trace.with_configs () in
+  let recorder, records = Trace.with_configs algo in
   let observed = Engine.run ~sinks:[ count; recorder ] algo (mk ()) start in
   let unobserved = Engine.run algo (mk ()) start in
-  let naive_recorder, naive_records = Trace.with_configs () in
+  let naive_recorder, naive_records = Trace.with_configs algo in
   let naive = Engine.run_naive ~sinks:[ naive_recorder ] algo (mk ()) start in
   input_untouched ~msg before start;
   assert_equiv ~msg:(msg ^ " observed/unobserved") eq observed unobserved;
@@ -451,8 +453,9 @@ let test_single_path () =
 
 (* Mid-run corruption writes into the same private array the steps do.
    Observed and unobserved chaos runs agree; every corruption fires;
-   each recorded snapshot differs from its predecessor at least at the
-   nodes that moved, and beyond them only at corruption victims. *)
+   each recorded snapshot differs from its predecessor (in version
+   stamp: the recorder's snapshots are copies) at least at the nodes
+   that moved, and beyond them only at corruption victims. *)
 let test_single_path_chaos () =
   let params, start = transformer_start 9 in
   let eq = Ss_core.Trans_state.equal Leader.algo.Ss_sync.Sync_algo.equal in
@@ -471,7 +474,7 @@ let test_single_path_chaos () =
   let daemon () = Daemon.central_random (Rng.create 21) in
   let ch_obs = chaos () and ch_bare = chaos () in
   let count, events = counting_sink () in
-  let recorder, records = Trace.with_configs () in
+  let recorder, records = Trace.with_configs algo in
   let observed =
     Engine.run ~chaos:ch_obs ~sinks:[ count; recorder ] algo (daemon ()) start
   in
@@ -497,7 +500,10 @@ let test_single_path_chaos () =
          let moved = List.map fst e.Trace.ev_moved in
          Array.iteri
            (fun p st ->
-             let changed = st != prev.Config.states.(p) in
+             let changed =
+               Ss_core.Trans_state.stamp st
+               <> Ss_core.Trans_state.stamp prev.Config.states.(p)
+             in
              if List.mem p moved then
                check
                  (Printf.sprintf "step %d: moved node %d changed" e.Trace.ev_step p)
@@ -516,10 +522,11 @@ let test_single_path_chaos () =
 (* Observing a run must not change its per-step cost class.  A ring of
    512 under a central daemon makes one move per step, so an O(n)
    state copy per observed step (513 words) would dwarf the engine's
-   own few hundred words per step; the guard allows 1.2×.  Exact
-   readings: recovery tracking 79.6 against 70.0 words/step (1.14×; it
-   read 89.6, 1.28×, while the recovery scan built a fresh view per
-   node), counting sink 68.4 against 68.7. *)
+   own few hundred words per step; the guard allows 1.2×.  Readings:
+   recovery tracking 71 against 61 words/step (1.16×; it read 89.6
+   against 70.0, 1.28×, while the recovery scan built a fresh view per
+   node, and 79.6 against 70.0 before the run wrote its handles in
+   place), counting sink 59 against 60. *)
 let test_observed_allocation () =
   let n = 512 in
   let rng = Rng.create 7 in
@@ -650,8 +657,9 @@ let test_packed_sync_apply () =
 
 (* Allocation tripwire for the synchronous step: leader election on a
    packed 16x32 torus, B = 8, one run on a fresh algorithm instance
-   (its watermark memo is filled from cold).  This measures ~36 words
-   per move.  It took ~61 while every guard evaluation stored a fresh
+   (its watermark memo is filled from cold).  This measures ~34 words
+   per move (~36 before the run copied its selection into an array and
+   wrote its owned handles in place).  It took ~61 while every guard evaluation stored a fresh
    [Some rule] and every action read a fresh neighbour array and
    [algo_hat] dependency array, and ~68 while every multi-mover step
    built three lists (node/rule/state triples, then node/rule pairs);
@@ -670,6 +678,160 @@ let test_sync_allocation () =
   let per_move = words /. float_of_int stats.Engine.moves in
   check (Printf.sprintf "%.1f words per move < 62" per_move) true (per_move < 62.)
 
+(* ------------------------------------------------------------------ *)
+(* Ownership of the run's handles                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* [Engine.run] copies every start handle once and writes the copies in
+   place ([Algorithm.store]).  The caller's boxed start keeps every
+   stamp, status, height and cell, and a second run from it repeats the
+   first, under central, synchronous and chaos runs, for both
+   algorithms whose states are written in place. *)
+let fingerprint (config : _ Config.t) =
+  Array.map
+    (fun st -> (St.stamp st, St.status st, St.height st, St.cells st))
+    config.Config.states
+
+let test_start_untouched () =
+  let rng = Rng.create 31 in
+  let g = Builders.torus ~rows:5 ~cols:6 in
+  let inputs = Leader.random_ids (Rng.split rng) g in
+  let params = Transformer.params ~bound:(Ss_core.Predicates.Finite 8) Leader.algo in
+  let start =
+    Transformer.corrupt (Rng.split rng) ~max_height:8 params
+      (Transformer.clean_config params g ~inputs)
+  in
+  let eq = St.equal Int.equal in
+  let chaos () =
+    {
+      Engine.plan = Fault_plan.v ~corrupt_at:[ 1; 4; 8 ] ~seed:6 ();
+      mutate =
+        (fun crng v config ->
+          Transformer.corrupt_state crng ~max_height:8 params
+            (Config.input config v) config.Config.states.(v));
+    }
+  in
+  let before = fingerprint start in
+  List.iter
+    (fun (aname, algo) ->
+      List.iter
+        (fun (dname, run) ->
+          let msg = Printf.sprintf "%s, %s" aname dname in
+          let first = run algo in
+          check (msg ^ ": start untouched") true (fingerprint start = before);
+          check (msg ^ ": terminated") true first.Engine.terminated;
+          assert_equiv ~msg:(msg ^ ": second run repeats") eq first (run algo))
+        [
+          ("central", fun a -> Engine.run a (Daemon.central_random (Rng.create 3)) start);
+          ("synchronous", fun a -> Engine.run a Daemon.synchronous start);
+          ( "chaos",
+            fun a ->
+              Engine.run ~chaos:(chaos ()) a
+                (Daemon.distributed_random (Rng.create 4) ~p:0.5)
+                start );
+        ])
+    [
+      ("transformer", Transformer.algorithm params);
+      ("adaptive", Ss_adaptive.Adaptive.algorithm params);
+    ]
+
+(* Promotion tripwires: peak RSS follows promoted words (DESIGN.md
+   §15).  Each run uses a fresh algorithm instance, so its watermark
+   memo fills from cold, as in a recovery benchmark.  Exact readings
+   (promoted words per move) while every move stored its action's
+   fresh handle in the long-lived state arrays, and with owned handles
+   written in place: packed synchronous 128x128 torus, B = 8: 11.0 ->
+   3.8; boxed central ring of 512: 2.9 -> 2.1. *)
+let test_promotion_per_move () =
+  let per_move name bound f =
+    let stats, promoted = Alloc.promoted f in
+    check (name ^ ": terminated") true stats.Engine.terminated;
+    let per_move = promoted /. float_of_int stats.Engine.moves in
+    check
+      (Printf.sprintf "%s: %.1f promoted words per move < %.1f" name per_move
+         bound)
+      true (per_move < bound)
+  in
+  let params, start = packed_torus_start ~rows:128 ~cols:128 7 in
+  per_move "packed synchronous torus" 7. (fun () ->
+      Engine.run (Transformer.algorithm params) Daemon.synchronous start);
+  let rng = Rng.create 8 in
+  let g = Builders.cycle 512 in
+  let inputs = Leader.random_ids (Rng.split rng) g in
+  let params = Transformer.params Leader.algo in
+  let start =
+    Transformer.corrupt (Rng.split rng) ~max_height:12 params
+      (Transformer.clean_config params g ~inputs)
+  in
+  per_move "boxed central ring" 2.5 (fun () ->
+      Engine.run (Transformer.algorithm params)
+        (Daemon.central_random (Rng.create 9))
+        start)
+
+(* The watermark memo belongs to its algorithm value.  Every
+   [Stabilization.run] builds a fresh one; when each one's cache lived
+   in a never-freed [Domain.DLS] slot, the live heap after a full major
+   collection grew by ~21 words per node per run (20.2 on this test).
+   After a warm-up run, five runs on fresh packed tori must leave it
+   flat. *)
+let test_memo_freed () =
+  let live_after_run seed =
+    let params, start = packed_torus_start ~rows:32 ~cols:32 seed in
+    let sc =
+      { Stabilization.params; graph = start.Config.graph; inputs = Config.input start }
+    in
+    let r = Stabilization.run sc ~daemon:Daemon.synchronous ~start in
+    check "terminated" true r.Stabilization.terminated;
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (live_after_run 0);
+  let first = live_after_run 1 in
+  let last = List.fold_left (fun _ seed -> live_after_run seed) first [ 2; 3; 4; 5 ] in
+  let per_node_run = float_of_int (last - first) /. float_of_int (4 * 1024) in
+  check
+    (Printf.sprintf "live heap grows %.2f words per node per run < 2" per_node_run)
+    true (per_node_run < 2.)
+
+(* A finalised cache's table spine goes to its domain's spare, and the
+   next cache adopts it blank.  Min-flood's correct lists on a path are
+   wrong for max-flood, with the same states and inputs: entries kept
+   from the first cache would answer the second one's guards. *)
+let fill_and_drop_cache params config =
+  let c = Ss_core.Predicates.make_cache () in
+  for p = 0 to Config.n config - 1 do
+    ignore (Ss_core.Predicates.algo_err_cached c params (Config.view config p))
+  done
+
+let test_spare_table_blank () =
+  let g = Builders.path 4 in
+  let inputs p = [| 3; 1; 4; 2 |].(p) in
+  let hist = Ss_sync.Sync_runner.run Min_flood.algo g ~inputs in
+  let t = hist.Ss_sync.Sync_runner.t in
+  let config =
+    Config.make g ~inputs ~states:(fun p ->
+        St.make ~init:(inputs p) ~status:St.C
+          ~cells:
+            (Array.init t (fun i ->
+                 Ss_sync.Sync_runner.state_at hist ~round:(i + 1) ~node:p)))
+  in
+  let pmin = Transformer.params Min_flood.algo in
+  let pmax = Transformer.params Ss_algos.Toy.max_flood in
+  fill_and_drop_cache pmin config;
+  Gc.full_major ();
+  Gc.full_major ();
+  let c = Ss_core.Predicates.make_cache () in
+  let wrong = ref 0 in
+  for p = 0 to Config.n config - 1 do
+    let v = Config.view config p in
+    check
+      (Printf.sprintf "node %d: cached = reference" p)
+      (Ss_core.Predicates.algo_err pmax v)
+      (Ss_core.Predicates.algo_err_cached c pmax v);
+    if Ss_core.Predicates.algo_err pmax v then incr wrong
+  done;
+  check "max-flood refutes some min-flood list" true (!wrong > 0)
+
 (* The divergence sink fires.  A guard that reads hidden mutable state
    breaks the purity the dirty-set scheduler relies on: once node 0
    moves, node 3 (outside 0's closed neighborhood on a 6-cycle) becomes
@@ -682,6 +844,7 @@ let test_divergence_sink_fires () =
       Algorithm.algo_name = "impure";
       equal = Int.equal;
       pp_state = Format.pp_print_int;
+      store = Algorithm.immutable;
       rules =
         [
           {
@@ -764,5 +927,16 @@ let () =
             test_packed_sync_apply;
           Alcotest.test_case "synchronous allocation per move" `Quick
             test_sync_allocation;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "start configuration untouched" `Quick
+            test_start_untouched;
+          Alcotest.test_case "promoted words per move" `Quick
+            test_promotion_per_move;
+          Alcotest.test_case "watermark memo freed with its algorithm" `Quick
+            test_memo_freed;
+          Alcotest.test_case "recycled memo table starts blank" `Quick
+            test_spare_table_blank;
         ] );
     ]

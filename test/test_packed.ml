@@ -161,6 +161,32 @@ let qcheck_tests =
         true);
   ]
 
+(* [Cole_vishkin.codec] writes its two ints directly.  It must lay out
+   exactly the words of the composed codec it replaced, so packed
+   arenas, proof digests and mirrors stay unchanged, and round-trip. *)
+let cv_codec_test =
+  let module Cv = Ss_algos.Cole_vishkin in
+  let composed =
+    Cellpack.map
+      ~inj:(fun s -> (s.Cv.color, s.Cv.round))
+      ~prj:(fun (color, round) -> { Cv.color; round })
+      (Cellpack.pair Cellpack.int_codec Cellpack.int_codec)
+  in
+  QCheck.Test.make ~count:500 ~name:"Cole-Vishkin codec = composed codec"
+    QCheck.(triple int int (int_range 0 5))
+    (fun (color, round, off) ->
+      let s = { Cv.color; round } in
+      let words codec =
+        let data = Array.make (off + 4) (-1) in
+        codec.Cellpack.pack data off s;
+        data
+      in
+      let direct = words Cv.codec in
+      Cv.codec.Cellpack.words = composed.Cellpack.words
+      && direct = words composed
+      && Cv.codec.Cellpack.unpack direct off = s
+      && composed.Cellpack.unpack direct off = s)
+
 let test_capacity_exceeded () =
   let arena = Cellpack.arena ~codec:Cellpack.int_codec ~n:1 ~cap:2 in
   let st = St.packed_clean arena ~node:0 ~init:0 in
@@ -361,5 +387,7 @@ let () =
           Alcotest.test_case "sharded merge at scale" `Quick
             test_sharded_merge_at_scale;
         ] );
-      ("qcheck", List.map QCheck_alcotest.to_alcotest qcheck_tests);
+      ( "qcheck",
+        List.map QCheck_alcotest.to_alcotest (qcheck_tests @ [ cv_codec_test ])
+      );
     ]

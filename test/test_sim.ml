@@ -35,6 +35,7 @@ let max_algo : (int, unit) Algorithm.t =
         };
       ];
     pp_state = Format.pp_print_int;
+    store = Algorithm.immutable;
   }
 
 (* Mutual-exclusion toy used to exercise neutralization: a node at 0
@@ -56,6 +57,7 @@ let neutral_algo : (int, unit) Algorithm.t =
         };
       ];
     pp_state = Format.pp_print_int;
+    store = Algorithm.immutable;
   }
 
 let path_config values =
@@ -454,7 +456,7 @@ let test_trace_events () =
 
 let test_trace_with_configs () =
   let c = path_config [| 0; 9 |] in
-  let observer, records = Trace.with_configs () in
+  let observer, records = Trace.with_configs max_algo in
   let stats = Engine.run ~sinks:[ observer ] max_algo Daemon.synchronous c in
   let recs = records () in
   check_int "initial + steps" (stats.Engine.steps + 1) (List.length recs);
@@ -563,6 +565,7 @@ let test_priority_order () =
           };
         ];
       pp_state = Format.pp_print_int;
+      store = Algorithm.immutable;
     }
   in
   let g = Builders.path 1 in
