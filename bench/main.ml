@@ -6,7 +6,8 @@
    test/fasst-all.golden.json; this harness only times.
 
    Run with: dune exec bench/main.exe
-   (--bigrun and --msgnet-bigrun run the big-n recovery smokes). *)
+   (--bigrun and --msgnet-bigrun run the big-n recovery smokes; add
+   --profile to either for a sampled line profile of the run). *)
 
 module Rng = Ss_prelude.Rng
 module Table = Ss_prelude.Table
@@ -175,7 +176,9 @@ let bench_proof ~incremental ~h () =
       ~cells:(Array.init h (fun i -> (i * 31) + 5))
   in
   let layer =
-    if incremental then Proof.incremental Ss_algos.Leader_election.codec ~slots:1
+    if incremental then
+      Proof.incremental Ss_algos.Leader_election.codec ~slots:1
+        ~bound:Core.Predicates.Infinite
     else Proof.reference ~slots:1
   in
   fun () -> ignore (Proof.digest layer 0 (Core.Trans_state.extend base h))
@@ -583,6 +586,68 @@ let bigrun () =
     prerr_endline "bigrun: FAILED (budget tripped or illegitimate terminal)";
     exit 1)
 
+(* --profile: a SIGPROF sampler for the big-n smokes, with no profiler
+   dependency.  Every millisecond of process CPU time (the kernel
+   rounds the period up to its tick, 4 ms at HZ=250) the handler
+   records the OCaml call stack; the report ranks source lines by self
+   samples (innermost frame) and inclusive samples (any frame, counted
+   once per sample).  Caveat: OCaml runs a signal handler at its next
+   poll point (an allocation, a function prologue, a loop back-edge),
+   so a sample is charged to the line that polls next after the
+   interrupt — a cache stall in a non-allocating stretch shows up on
+   the following poll point, not on the load that stalled.  The timer
+   counts the CPU time of every domain, while a sample records the
+   stack of the domain that handles the signal. *)
+let[@inline never] record_stack samples _ =
+  samples := Printexc.get_callstack 64 :: !samples
+
+let profile f =
+  let samples = ref [] in
+  Sys.set_signal Sys.sigprof (Sys.Signal_handle (record_stack samples));
+  let every dt = { Unix.it_interval = dt; it_value = dt } in
+  ignore (Unix.setitimer Unix.ITIMER_PROF (every 0.001));
+  Fun.protect f ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_PROF (every 0.));
+      Sys.set_signal Sys.sigprof Sys.Signal_default);
+  let line slot =
+    Option.map
+      (fun l ->
+        Printf.sprintf "%s:%d %s" l.Printexc.filename l.Printexc.line_number
+          (Option.value ~default:"" (Printexc.Slot.name slot)))
+      (Printexc.Slot.location slot)
+  in
+  let self = Hashtbl.create 64 and incl = Hashtbl.create 256 in
+  let bump t k =
+    Hashtbl.replace t k (1 + Option.value ~default:0 (Hashtbl.find_opt t k))
+  in
+  List.iter
+    (fun stack ->
+      let frames =
+        match Printexc.backtrace_slots stack with
+        | None -> []
+        | Some slots -> List.filter_map line (Array.to_list slots)
+      in
+      (* The first frame is [record_stack] itself. *)
+      match frames with
+      | _ :: (top :: _ as frames) ->
+          bump self top;
+          List.iter (bump incl) (List.sort_uniq compare frames)
+      | _ -> ())
+    !samples;
+  let total = List.length !samples in
+  let print title t =
+    Printf.printf "profile: top %s lines of %d samples\n" title total;
+    Hashtbl.fold (fun k v acc -> (v, k) :: acc) t []
+    |> List.sort (fun a b -> compare b a)
+    |> List.iteri (fun i (v, k) ->
+           if i < 25 then
+             Printf.printf "%6d %5.1f%%  %s\n" v
+               (100. *. float_of_int v /. float_of_int (max 1 total))
+               k)
+  in
+  print "self" self;
+  print "inclusive" incl
+
 (* Machine-readable results, written next to the printed tables so the
    perf trajectory is trackable across PRs.  Both renderings read the
    same typed Table.t — the text via Table.print, the JSON via the
@@ -742,7 +807,11 @@ let micro_benchmarks () =
 let () =
   let t0 = Unix.gettimeofday () in
   let has flag = Array.exists (fun a -> a = flag) Sys.argv in
-  if has "--bigrun" then bigrun ()
-  else if has "--msgnet-bigrun" then msgnet_bigrun ()
+  let smoke f = if has "--profile" then profile f else f () in
+  if has "--bigrun" then smoke bigrun
+  else if has "--msgnet-bigrun" then smoke msgnet_bigrun
+  else if has "--profile" then (
+    prerr_endline "--profile needs --bigrun or --msgnet-bigrun";
+    exit 2)
   else micro_benchmarks ();
   Printf.printf "total wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -53,12 +53,13 @@
     handles the two run loops own: [Engine.run]'s copy of every node
     state and its synchronous scratch (through the transformers'
     [Algorithm.store]), and [Msgnet]'s copy of every node state and
-    each packed mirror in its private arena.  Every handle that
-    escapes such an owner is a snapshot that no later [assign]
-    changes: a message payload is a {!copy} or a fresh value, and the
-    initial mirrors are built from the caller's start handles, which
-    the loop never assigns; a sink that keeps an engine state keeps
-    its {!copy}. *)
+    each packed mirror, both in private arenas when the run packs.
+    Every handle that escapes such an owner is a snapshot that no
+    later [assign] changes: a message payload is a {!copy}, a fresh
+    value or, from a packed node state, a boxed snapshot, and the
+    initial mirrors are built from the caller's start handles (boxed
+    snapshots of packed ones), which the loop never writes; a sink
+    that keeps an engine state keeps its {!copy}. *)
 
 type status = C | E
 

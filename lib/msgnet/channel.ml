@@ -22,7 +22,7 @@ let pick t = t.pick
 
 let rings wire ~src ~dst:_ =
   let nchan = Array.length src in
-  let rings = Array.init nchan (fun _ -> Ringbuf.create ()) in
+  let rings = Ringbuf.create nchan in
   let side = Array.make nchan None in
   let side_q id =
     match side.(id) with
@@ -44,25 +44,22 @@ let rings wire ~src ~dst:_ =
   {
     push =
       (fun id m ->
-        let r = rings.(id) in
-        if Ringbuf.is_empty r then Chanset.add active id;
+        if Ringbuf.is_empty rings id then Chanset.add active id;
         let len = wire.encode scratch m in
-        Ringbuf.push r scratch len;
+        Ringbuf.push rings id scratch len;
         if len = 0 then Queue.push m (side_q id));
     pop =
       (fun id ->
-        let r = rings.(id) in
-        let m = head id (Ringbuf.pop r scratch) ~pop:true in
-        if Ringbuf.is_empty r then Chanset.remove active id;
+        let m = head id (Ringbuf.pop rings id scratch) ~pop:true in
+        if Ringbuf.is_empty rings id then Chanset.remove active id;
         m);
-    peek = (fun id -> head id (Ringbuf.peek rings.(id) scratch) ~pop:false);
+    peek = (fun id -> head id (Ringbuf.peek rings id scratch) ~pop:false);
     rotate =
       (fun id ->
-        let r = rings.(id) in
-        Ringbuf.records r >= 2
+        Ringbuf.records rings id >= 2
         && begin
-             let len = Ringbuf.pop r scratch in
-             Ringbuf.push r scratch len;
+             let len = Ringbuf.pop rings id scratch in
+             Ringbuf.push rings id scratch len;
              (* A boxed payload rotates with its marker. *)
              if len = 0 then Queue.push (Queue.pop (side_q id)) (side_q id);
              true

@@ -22,12 +22,13 @@ type 'm wire = {
 type 'm t
 
 val rings : 'm wire -> src:int array -> dst:int array -> 'm t
-(** Flat storage: one {!Ringbuf} of int records per link, a lazily
-    created side queue per link for the boxed messages (each marked by
-    an empty record, so the side queue stays aligned with the ring
-    under {!rotate}), and a {!Chanset} of the non-empty links, so
-    every operation, {!pick} included, is O(1) amortized.  [src] and
-    [dst] are unused beyond their length, the number of links. *)
+(** Flat storage: one {!Ringbuf} store that keeps each link's ring
+    header and int records in a single block, a lazily created side
+    queue per link for the boxed messages (each marked by an empty
+    record, so the side queue stays aligned with the ring under
+    {!rotate}), and a {!Chanset} of the non-empty links, so every
+    operation, {!pick} included, is O(1) amortized.  [src] and [dst]
+    are unused beyond their length, the number of links. *)
 
 val queues : 'm wire -> src:int array -> dst:int array -> 'm t
 (** The historical reference: one boxed [Queue.t] per link, reached

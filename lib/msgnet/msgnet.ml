@@ -243,12 +243,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let n = Config.n config in
   let sync = params.Transformer.sync in
   let algo = Transformer.algorithm params in
-  (* [drive] owns [states]: a copy of every start handle, which moves
-     and corruptions then overwrite in place ({!St.assign}), so the
-     array keeps one handle per node instead of promoting a fresh one
-     per move.  The caller's start handles are never written. *)
   let start = config.Config.states in
-  let states = Array.map St.copy start in
   (* The event cap (one delivery per event, so [stats.deliveries]
      never exceeds it) is the tighter of [budget.deliveries] and
      [max_events]; the deadline is checked once per event. *)
@@ -292,48 +287,85 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let port = port g ~src:chan_src ~dst:chan_dst in
   let chans = channels (wire codec) ~src:chan_src ~dst:chan_dst in
 
-  (* Mirror layout.  Under the engine's --layout policy: [`Packed]
-     requires a codec and a finite bound (each of the 2m mirrors lives
-     in the slot of one Cellpack arena, indexed by the owner's outgoing
-     channel id — the same dense (node, port) numbering the channels
-     use); [`Auto] packs exactly when both are available; [`Boxed]
-     keeps the historical per-mirror buffers.  The packed arena caps a
-     mirror at B cells — chaos can starve a mirror of its RR reset and
-     drift it past B, so over-tall contents fall back to boxed handles
-     until a full-state install re-packs the slot. *)
-  let marena =
+  (* Layout.  Under the engine's --layout policy: [`Packed] requires a
+     codec and a finite bound, and then the run keeps its node states
+     in one private Cellpack arena (slot = node) and its 2m mirrors in
+     another (slot = the owner's outgoing channel id, the same dense
+     (node, port) numbering the channels use); [`Auto] packs exactly
+     when both are available; [`Boxed] keeps the historical per-state
+     buffers.  An arena caps a list at B cells — chaos can starve a
+     mirror of its RR reset and drift it past B, so over-tall contents
+     fall back to boxed handles until a full-state install re-packs
+     the slot. *)
+  let packing =
     let finite =
       match params.Transformer.bound with
       | Ss_core.Predicates.Finite b -> Some b
       | Ss_core.Predicates.Infinite -> None
     in
     match (layout, codec, finite) with
-    | `Boxed, _, _ -> None
-    | `Auto, Some c, Some cap when nchan > 0 ->
-        Some (Cellpack.arena ~codec:c ~n:nchan ~cap)
-    | `Auto, _, _ -> None
+    | `Boxed, _, _ | `Auto, None, _ | `Auto, _, None -> None
     | `Packed, None, _ -> invalid_arg "Msgnet.run: packed layout needs a codec"
     | `Packed, Some _, None ->
         invalid_arg "Msgnet.run: packed layout needs a finite bound"
-    | `Packed, Some c, Some cap ->
-        if nchan = 0 then None else Some (Cellpack.arena ~codec:c ~n:nchan ~cap)
+    | (`Auto | `Packed), Some c, Some cap -> Some (c, cap)
   in
-  (* [pack v port src] is [src]'s logical content as a fresh handle
-     for v's port mirror: packed into the arena slot when it fits, the
-     boxed handle itself otherwise.  Rebuilding through a fresh
-     [packed_clean] handle is safe even when the previous slot holder
-     was boxed or stale — it only writes the slab and mints a fresh
-     lineage. *)
-  let pack v port src =
-    match marena with
+  let arena slots =
+    match packing with
+    | Some (codec, cap) when slots > 0 ->
+        Some (Cellpack.arena ~codec ~n:slots ~cap)
+    | _ -> None
+  in
+  let narena = arena n and marena = arena nchan in
+  (* [repack arena slot src] is [src]'s logical content as a fresh
+     handle in [arena]'s [slot] when it fits, [src] itself otherwise.
+     Rebuilding through a fresh [packed_clean] handle is safe even when
+     the previous slot holder was boxed or stale — it only writes the
+     slab and mints a fresh lineage. *)
+  let repack arena slot src =
+    match arena with
     | Some a when St.height src <= Cellpack.cap a ->
         St.rebuild
-          (St.packed_clean a ~node:chan_of.(v).(port) ~init:(St.init src))
+          (St.packed_clean a ~node:slot ~init:(St.init src))
           ~status:(St.status src) ~cells:(St.cells src)
     | _ -> src
   in
+  let snapshot st =
+    St.make ~init:(St.init st) ~status:(St.status st) ~cells:(St.cells st)
+  in
+  (* The caller's start handles are only ever read: a packed one shares
+     its slab with every handle the caller keeps, so whatever the run
+     may write (its own states, a scrambled or delta-updated boxed
+     mirror) starts from a boxed snapshot of it instead. *)
+  let unshared st = if St.backing_arena st = None then st else snapshot st in
+  let start = Array.map unshared start in
+  (* [drive] owns [states]: each start state packed into [narena], or
+     a copy of its (boxed) handle.  Moves and corruptions then
+     overwrite these handles in place ({!St.assign}), so the array
+     keeps one handle per node instead of promoting a fresh one per
+     move, and packed cells never live in a promoted buffer. *)
+  let states =
+    Array.mapi
+      (fun v st ->
+        let own = repack narena v st in
+        if own == st then St.copy st else own)
+      start
+  in
+  let in_arena arena st =
+    match arena with Some a -> St.in_arena a st | None -> false
+  in
+  (* A payload that leaves the loop's ownership (an [Update_full] or a
+     [Full_copy]) is a snapshot that no later write changes: a packed
+     node state is unpacked into a boxed copy (its slot is overwritten
+     by later moves), an owned boxed handle is copied. *)
+  let escape v st =
+    if in_arena narena st then snapshot st
+    else if st == states.(v) then St.copy st
+    else st
+  in
+  let pack v port src = repack marena chan_of.(v).(port) src in
   (* Mirrors: mirrors.(v).(k) is v's belief about its port-k neighbor,
-     built from the caller's start handles: [corrupt_state] and the
+     built from the (unshared) start handles: [corrupt_state] and the
      boxed [pack] may return their argument, and a mirror must never
      alias a handle that [states] owns. *)
   let mirrors =
@@ -354,7 +386,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
      handle that the long-lived [mirrors] array would promote.  A boxed
      mirror may be a message payload, so it is replaced, never
      written; so is an owned one whose new value no longer packs. *)
-  let owned m = match marena with Some a -> St.in_arena a m | None -> false in
+  let owned = in_arena marena in
   let store v port m' =
     let m = mirrors.(v).(port) in
     if owned m && owned m' then St.assign m m' else mirrors.(v).(port) <- m'
@@ -399,7 +431,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
      prefix instead of re-encoding the whole list. *)
   let proof_layer slots =
     match codec with
-    | Some c -> Proof.incremental c ~slots
+    | Some c -> Proof.incremental c ~slots ~bound:params.Transformer.bound
     | None -> Proof.reference ~slots
   in
   let state_proofs = proof_layer n in
@@ -455,9 +487,9 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
         match encoding with
         | Full_state ->
             (* [new_state] is a fresh value unless the action returned
-               its argument, the handle [states] owns. *)
-            Update_full
-              (if new_state == states.(v) then St.copy new_state else new_state)
+               its argument, the handle [states] owns; a packed one
+               shares the node's slot. *)
+            Update_full (escape v new_state)
         | Delta -> Update_delta (delta_of_move rule_name new_state)
       in
       let bits = message_bits msg in
@@ -558,7 +590,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
         let fb = Transformer.full_state_bits sync states.(v) in
         c.full_copy_messages <- c.full_copy_messages + 1;
         c.full_copy_bits <- c.full_copy_bits + fb;
-        send chan_of.(v).(port) (Full_copy (St.copy states.(v))) fb
+        send chan_of.(v).(port) (Full_copy (escape v states.(v))) fb
     | Full_copy s ->
         install v port s;
         act v

@@ -51,12 +51,16 @@ type msg_kind = K_update | K_proof | K_request | K_full_copy
 (** Wire-level message class, as seen by event sinks. *)
 
 type layout = [ `Auto | `Packed | `Boxed ]
-(** Mirror storage policy, mirroring the engine's [--layout]
-    (DESIGN.md §12, §15).  [`Auto] packs all [2m] mirrors into one
-    {!Ss_core.Cellpack} arena exactly when the run has both a [codec]
-    and a finite transformer bound; [`Packed] demands it (raising
+(** State storage policy, mirroring the engine's [--layout]
+    (DESIGN.md §12, §15).  [`Auto] packs exactly when the run has both
+    a [codec] and a finite transformer bound: all [2m] mirrors go into
+    one {!Ss_core.Cellpack} arena, and the run's copies of the [n] node
+    states into another; [`Packed] demands it (raising
     [Invalid_argument] when either is missing); [`Boxed] keeps the
-    historical per-mirror buffers. *)
+    historical per-state buffers.  The arenas are the run's own: a
+    value that leaves the run (an [Update_full] or [Full_copy]
+    payload) is a boxed snapshot, and the final states returned live
+    in the node arena. *)
 
 type event =
   | Sent of { src : int; dst : int; kind : msg_kind; bits : int }
@@ -188,13 +192,11 @@ val run :
     Defaults: [encoding = Delta], event cap [2_000_000],
     [proof = Energy.default_proof_cost] (64-bit hash + 64-bit nonce).
     Returns the final true states and the traffic/work accounting.
-    The handles in [config] are never written: the run works on its
-    own copies and overwrites those in place (see
+    The states in [config], boxed or packed, are only read: the run
+    works on its own copies and overwrites those in place (see
     {!Ss_core.Trans_state.assign}), so a second run from the same
-    boxed [config] repeats the first.  (Packed start states share
-    their arena with those copies, and a move may overwrite a slot
-    below its frontier, so they obey the packed linear-history
-    rule.)
+    [config] repeats the first, and a packed and a boxed copy of one
+    start run identically.
 
     [max_events] is a second event cap, combined with
     [budget.deliveries] by {!Ss_report.Budget.resolve} (the tighter
@@ -223,13 +225,15 @@ val run :
     fold from the longest prefix still valid for the state's lineage:
     a state extended by [Δ] cells since its last proof costs
     [O(Δ)] word mixes, with no buffer, string or [Marshal].  [layout]
-    (default [`Auto]) selects the mirror backing per {!type-layout}.
+    (default [`Auto]) selects the node-state and mirror backing per
+    {!type-layout}.
 
     [run] and {!run_naive} are two compositions of one event loop
     (DESIGN.md §8, §15); they differ only in three layers.  [run]
-    stores links in {!Channel.rings}: int-packed per-link {!Ringbuf}
-    records, boxed variants in a FIFO-aligned side queue, and pending
-    links picked from a maintained {!Chanset}.  It replaces the
+    stores links in {!Channel.rings}: int-packed records in one
+    {!Ringbuf} slab (each link's ring header inline with its records),
+    boxed variants in a FIFO-aligned side queue, and pending links
+    picked from a maintained {!Chanset}.  It replaces the
     drained-channel guard scan by a dirty-candidate set — nodes whose
     state or mirrors changed since their guards last evaluated
     disabled — picked by rejection sampling, which preserves the

@@ -21,35 +21,45 @@ let codec_bytes (c : 's Cellpack.codec) (st : 's St.t) =
    stamp, hashed on every call. *)
 type reference = { bytes : string array; bytes_stamp : int array }
 
-(* The resumable codec fold.  Per slot: the (stamp, digest) memo of the
-   last state proved, and the fold's prefix values [prefix.(s).(k)]
-   (the fold over cells 1..k) for lineage [lineage.(s)], valid for
-   [k <= valid.(s)].  [prefix.(s).(0)] is always [seed]. *)
+(* The resumable codec fold.  Per slot [s], four adjacent words of
+   [memo] at [4 * s]: the stamp and digest of the last state proved,
+   and the lineage and height up to which the fold's prefix values
+   [prefix.(s).(k)] (the fold over cells 1..k) are valid.  One
+   strided table instead of four parallel arrays: a proof finds all
+   four words next to each other.  [prefix.(s).(0)] is always
+   [seed]; a prefix is created at its first use with [prefix_len]
+   words (B + 1 under a finite bound, so a slot that stays within B
+   never regrows it) and doubles past that. *)
 type 's incremental = {
   codec : 's Cellpack.codec;
   words : int array;  (* pack scratch *)
-  stamp : int array;
-  digest : int array;
-  lineage : int array;
-  valid : int array;
+  memo : int array;
   prefix : int array array;
+  prefix_len : int;
 }
+
+let m_stamp = 0
+let m_digest = 1
+let m_lineage = 2
+let m_valid = 3
 
 type 's t = Reference of reference | Incremental of 's incremental
 
 let reference ~slots =
   Reference { bytes = Array.make slots ""; bytes_stamp = Array.make slots (-1) }
 
-let incremental codec ~slots =
+(* A zeroed memo is blank: stamps and lineage ids count from 1. *)
+let incremental codec ~slots ~bound =
   Incremental
     {
       codec;
       words = Array.make codec.Cellpack.words 0;
-      stamp = Array.make slots (-1);
-      digest = Array.make slots 0;
-      lineage = Array.make slots (-1);
-      valid = Array.make slots 0;
+      memo = Array.make (4 * slots) 0;
       prefix = Array.make slots [||];
+      prefix_len =
+        (match bound with
+        | Ss_core.Predicates.Finite b -> b + 1
+        | Ss_core.Predicates.Infinite -> 1);
     }
 
 (* One fold step per 63-bit word: xor in, multiply by an odd constant,
@@ -70,38 +80,42 @@ let mix_state p acc s =
   done;
   !acc
 
-(* [prefix.(s)] with room for index [h], keeping its valid values. *)
-let prefix_for p s h =
+(* [prefix.(s)] with room for index [h], keeping its [valid + 1]
+   valid values. *)
+let prefix_for p s h valid =
   let pre = p.prefix.(s) in
   if Array.length pre > h then pre
   else begin
-    let grown = Array.make (max (h + 1) (2 * Array.length pre)) seed in
-    Array.blit pre 0 grown 0 (min (Array.length pre) (p.valid.(s) + 1));
+    let len = max (max (h + 1) p.prefix_len) (2 * Array.length pre) in
+    let grown = Array.make len seed in
+    Array.blit pre 0 grown 0 (min (Array.length pre) (valid + 1));
     p.prefix.(s) <- grown;
     grown
   end
 
 let digest_incremental p s st =
+  let m = p.memo and at = 4 * s in
   let k = St.stamp st in
-  if p.stamp.(s) = k then p.digest.(s)
+  if m.(at + m_stamp) = k then m.(at + m_digest)
   else begin
     (* Same lineage: cells 1..valid are physically the ones folded
        before (the committed prefix is write-once), so resume there. *)
     let r = St.rep_id st in
-    if p.lineage.(s) <> r then begin
-      p.lineage.(s) <- r;
-      p.valid.(s) <- 0
+    if m.(at + m_lineage) <> r then begin
+      m.(at + m_lineage) <- r;
+      m.(at + m_valid) <- 0
     end;
+    let valid = m.(at + m_valid) in
     let h = St.height st in
-    let pre = prefix_for p s h in
-    for i = p.valid.(s) + 1 to h do
+    let pre = prefix_for p s h valid in
+    for i = valid + 1 to h do
       pre.(i) <- mix_state p pre.(i - 1) (St.cell st i)
     done;
-    if h > p.valid.(s) then p.valid.(s) <- h;
+    if h > valid then m.(at + m_valid) <- h;
     let status = match St.status st with St.C -> 0x43 | St.E -> 0x45 in
     let d = mix (mix_state p (mix pre.(h) h) (St.init st)) status in
-    p.stamp.(s) <- k;
-    p.digest.(s) <- d;
+    m.(at + m_stamp) <- k;
+    m.(at + m_digest) <- d;
     d
   end
 

@@ -38,12 +38,21 @@ val reference : slots:int -> 's t
     [Energy.state_proof ~nonce (canonical_bytes st)].
     @raise Invalid_argument when [slots < 0]. *)
 
-val incremental : 's Ss_core.Cellpack.codec -> slots:int -> 's t
-(** [incremental codec ~slots] is the resumable codec layer.  Its
-    digests are native ints widened to [int64].  Because a codec's
+val incremental :
+  's Ss_core.Cellpack.codec -> slots:int -> bound:Ss_core.Predicates.bound -> 's t
+(** [incremental codec ~slots ~bound] is the resumable codec layer.
+    Its digests are native ints widened to [int64].  Because a codec's
     word image is injective ([unpack] inverts [pack]) and the height
     is folded in, two states get equal digests iff they are logically
     equal, up to 63-bit hash collisions.
+
+    Layout: the per-slot memo (stamp, digest, lineage and the height
+    its prefix is valid to) is one strided int table, four adjacent
+    words per slot.  A slot's prefix values are allocated at its first
+    proof: [B + 1] words under [bound = Finite B], so a state within
+    the bound never regrows them, and just enough under [Infinite];
+    either way they double when a taller state arrives.  [bound]
+    sizes storage only; it never changes a digest.
     @raise Invalid_argument when [slots < 0]. *)
 
 val digest : 's t -> int -> 's Ss_core.Trans_state.t -> int64

@@ -1,70 +1,162 @@
-(* Chunked circular buffer of variable-length int records — the flat
-   channel storage behind the indexed message-network loop.
+(* Circular buffers of variable-length int records, one per link — the
+   flat channel storage behind the indexed message-network loop.
 
-   Each record is stored as [length; payload...] in a power-of-two
-   circular int array that doubles on overflow, so a channel queue
-   costs a handful of flat words per pending message instead of a
-   boxed [Queue.t] cell plus a boxed message variant (and, for proofs,
-   two boxed [Int64]s).  The payload words carry the caller's own
-   encoding; this module only frames them FIFO. *)
+   All links share one int slab with a fixed stride: three header
+   words, then a 16-word circular data region holding records framed
+   as [length; payload...].  A delivery on a randomly picked link
+   therefore touches one stretch of one block (usually one or two
+   cache lines), with no pointer to chase and no per-link object for
+   the GC to mark.  A link whose records outgrow its 16 words moves
+   into an overflow block of the same layout (header, then a
+   power-of-two data region that doubles) and comes back inline once
+   it drains; the overflow block is kept for the link's next burst.
+   The payload words carry the caller's own encoding; this module
+   only frames them FIFO. *)
+
+(* Header word offsets; the data region starts at [base].  [head] is
+   the data index of the first queued word, or -1 in the slab when the
+   link lives in its overflow block. *)
+let head = 0
+let used = 1 (* queued words, record headers included *)
+let count = 2 (* queued records *)
+let base = 3
+
+(* 16 inline words: a proof record (5 words with its length) plus a
+   D_ru record (4) fit, and a slot stays within a few cache lines.  A
+   run holds one slot per directed link (2m of them), most of which
+   hold at most a record or two. *)
+let inline_capacity = 16
+let stride = base + inline_capacity
 
 type t = {
-  mutable data : int array;  (* power-of-two capacity *)
-  mutable head : int;  (* index of the first queued word *)
-  mutable used : int;  (* queued words, record headers included *)
-  mutable count : int;  (* queued records *)
+  slab : int array;  (* [links * stride] words *)
+  overflow : int array array;  (* per link; [||] until its first overflow *)
 }
 
-(* Small initial capacity: a run allocates one ring per directed link
-   (2m of them), most of which are near-empty most of the time. *)
-let initial_capacity = 8
+let create links =
+  if links < 0 then invalid_arg "Ringbuf.create";
+  { slab = Array.make (links * stride) 0; overflow = Array.make links [||] }
 
-let create () =
-  { data = Array.make initial_capacity 0; head = 0; used = 0; count = 0 }
+let links t = Array.length t.overflow
+let inline t off = t.slab.(off + head) >= 0
 
-let records t = t.count
-let is_empty t = t.count = 0
-let words t = t.used
-let capacity_words t = Array.length t.data
+let records t l =
+  let off = l * stride in
+  if inline t off then t.slab.(off + count) else t.overflow.(l).(count)
 
-let grow t needed =
-  let cap = Array.length t.data in
-  let cap' = ref (2 * cap) in
-  while !cap' < t.used + needed do
-    cap' := 2 * !cap'
+let is_empty t l = records t l = 0
+
+let words t l =
+  let off = l * stride in
+  if inline t off then t.slab.(off + used) else t.overflow.(l).(used)
+
+let capacity_words t l =
+  if inline t (l * stride) then inline_capacity
+  else Array.length t.overflow.(l) - base
+
+(* Copy the [u] queued words of a circular region ([src] at [off],
+   capacity [cap], first word at [h]) to the start of [dst]'s data
+   region, unrolled. *)
+let unroll src off cap h u dst =
+  let tail_len = min u (cap - h) in
+  Array.blit src (off + base + h) dst base tail_len;
+  Array.blit src (off + base) dst (base + tail_len) (u - tail_len)
+
+(* A fresh overflow block for link [l] holding its queued words and
+   room for [needed] more: the kept block when it is large enough,
+   else one of doubled capacity.  Returns the block. *)
+let spill t l src off cap needed =
+  let h = src.(off + head) and u = src.(off + used) in
+  let kept = t.overflow.(l) in
+  let dst =
+    if Array.length kept - base >= u + needed then kept
+    else begin
+      let cap' = ref (2 * cap) in
+      while !cap' < u + needed do
+        cap' := 2 * !cap'
+      done;
+      Array.make (base + !cap') 0
+    end
+  in
+  unroll src off cap h u dst;
+  dst.(head) <- 0;
+  dst.(used) <- u;
+  dst.(count) <- src.(off + count);
+  t.overflow.(l) <- dst;
+  dst
+
+(* Append a record to the region at [off] of [r] (capacity [cap]),
+   which has room for it. *)
+let write r off cap src len =
+  let mask = cap - 1 in
+  let w = r.(off + head) + r.(off + used) in
+  r.(off + base + (w land mask)) <- len;
+  for i = 0 to len - 1 do
+    r.(off + base + ((w + 1 + i) land mask)) <- Array.unsafe_get src i
   done;
-  let data = Array.make !cap' 0 in
-  (* Unroll the circular layout into the fresh array. *)
-  let tail_len = min t.used (cap - t.head) in
-  Array.blit t.data t.head data 0 tail_len;
-  Array.blit t.data 0 data tail_len (t.used - tail_len);
-  t.data <- data;
-  t.head <- 0
+  r.(off + used) <- r.(off + used) + len + 1;
+  r.(off + count) <- r.(off + count) + 1
 
-let push t src len =
+let push t l src len =
   if len < 0 || len > Array.length src then invalid_arg "Ringbuf.push";
-  if t.used + len + 1 > Array.length t.data then grow t (len + 1);
-  let mask = Array.length t.data - 1 in
-  let w = (t.head + t.used) land mask in
-  t.data.(w) <- len;
-  for i = 0 to len - 1 do
-    t.data.((w + 1 + i) land mask) <- src.(i)
-  done;
-  t.used <- t.used + len + 1;
-  t.count <- t.count + 1
+  let off = l * stride and s = t.slab in
+  if inline t off && s.(off + used) + len + 1 <= inline_capacity then
+    write s off inline_capacity src len
+  else begin
+    let r =
+      if inline t off then begin
+        let r = spill t l s off inline_capacity (len + 1) in
+        s.(off + head) <- -1;
+        r
+      end
+      else
+        let r = t.overflow.(l) in
+        let cap = Array.length r - base in
+        if r.(used) + len + 1 <= cap then r else spill t l r 0 cap (len + 1)
+    in
+    write r 0 (Array.length r - base) src len
+  end
 
-let peek t dst =
-  if t.count = 0 then invalid_arg "Ringbuf.peek: empty";
-  let mask = Array.length t.data - 1 in
-  let len = t.data.(t.head) in
+let read r off cap dst =
+  if r.(off + count) = 0 then invalid_arg "Ringbuf.peek: empty";
+  let mask = cap - 1 in
+  let h = r.(off + head) in
+  let len = r.(off + base + h) in
   for i = 0 to len - 1 do
-    dst.(i) <- t.data.((t.head + 1 + i) land mask)
+    dst.(i) <- r.(off + base + ((h + 1 + i) land mask))
   done;
   len
 
-let pop t dst =
-  let len = peek t dst in
-  t.head <- (t.head + len + 1) land (Array.length t.data - 1);
-  t.used <- t.used - len - 1;
-  t.count <- t.count - 1;
-  len
+let peek t l dst =
+  let off = l * stride in
+  if inline t off then read t.slab off inline_capacity dst
+  else
+    let r = t.overflow.(l) in
+    read r 0 (Array.length r - base) dst
+
+let dequeue r off cap len =
+  r.(off + head) <- (r.(off + head) + len + 1) land (cap - 1);
+  r.(off + used) <- r.(off + used) - len - 1;
+  r.(off + count) <- r.(off + count) - 1
+
+let pop t l dst =
+  let off = l * stride in
+  let s = t.slab in
+  if inline t off then begin
+    let len = read s off inline_capacity dst in
+    dequeue s off inline_capacity len;
+    len
+  end
+  else begin
+    let r = t.overflow.(l) in
+    let cap = Array.length r - base in
+    let len = read r 0 cap dst in
+    dequeue r 0 cap len;
+    (* Drained: back to the inline slot; the block stays for reuse. *)
+    if r.(count) = 0 then begin
+      s.(off + head) <- 0;
+      s.(off + used) <- 0;
+      s.(off + count) <- 0
+    end;
+    len
+  end

@@ -24,7 +24,8 @@
 
    4. Channel.rings, the flat link storage of Msgnet.run, is checked
       against Channel.queues, the boxed reference of Msgnet.run_naive,
-      and a list model on random operation sequences. *)
+      and a list model on random operation sequences, including
+      push-heavy ones whose rings wrap and outgrow their slots. *)
 
 module Graph = Ss_graph.Graph
 module Builders = Ss_graph.Builders
@@ -297,6 +298,21 @@ let channel_differential ops =
   expect (Channel.pick queues queue_rng = -1);
   !ok
 
+(* A push-heavy mix over longer sequences: about 20 records pile up
+   per link, so the rings wrap around and outgrow their 16 initial
+   words (a Long record takes 4) while pops, rotations and boxed
+   markers interleave. *)
+let growth_op (code, link, k) =
+  let code =
+    match code with
+    | 0 | 1 | 2 | 3 | 4 -> 0
+    | 5 | 6 -> 2
+    | 7 -> 3
+    | 8 -> 4
+    | _ -> 5
+  in
+  (code, link, k)
+
 let channel_qcheck_tests =
   let open QCheck in
   [
@@ -304,7 +320,24 @@ let channel_qcheck_tests =
       (list_of_size (Gen.int_range 0 120)
          (triple (int_bound 5) (int_bound 3) small_nat))
       channel_differential;
+    Test.make ~count:200 ~name:"rings agree while they wrap and grow"
+      (list_of_size (Gen.int_range 100 400)
+         (map growth_op (triple (int_bound 9) (int_bound 3) small_nat)))
+      channel_differential;
   ]
+
+(* The growth path, deterministically: link 1 first walks its head
+   around the ring at constant occupancy, then takes 30 records of
+   every shape (80 words) in one burst, so the ring grows three times
+   with its records straddling the wrap point, then rotates and
+   drains. *)
+let test_channel_wrap_then_grow () =
+  let walk = List.concat (List.init 40 (fun k -> [ (0, 1, (3 * k) + 1); (2, 1, 0) ])) in
+  let burst = List.init 30 (fun k -> (0, 1, k)) in
+  let rotate = List.init 5 (fun _ -> (4, 1, 0)) in
+  let drain = List.init 10 (fun _ -> (2, 1, 0)) in
+  check "rings agree with queues through wrap and growth" true
+    (channel_differential (walk @ burst @ rotate @ drain @ [ (5, 0, 0) ]))
 
 let () =
   Alcotest.run "msgnet-equiv"
@@ -321,5 +354,10 @@ let () =
           Alcotest.test_case "pick covers members" `Quick
             test_chanset_pick_covers_members;
         ] );
-      ("channel", List.map QCheck_alcotest.to_alcotest channel_qcheck_tests);
+      ( "channel",
+        List.map QCheck_alcotest.to_alcotest channel_qcheck_tests
+        @ [
+            Alcotest.test_case "wrap then grow" `Quick
+              test_channel_wrap_then_grow;
+          ] );
     ]
