@@ -111,6 +111,8 @@ type ('s, 'i) cache = {
   scratch : 's Ss_prelude.Scratch.t;
       (* The dependency arrays {!scan} and {!algo_hat_cached} refill,
          one per node degree. *)
+  home : entry array Atomic.t;
+      (* The spare of the domain that made the cache (below). *)
 }
 
 (* An entry that matches no view: its input token is private. *)
@@ -131,24 +133,31 @@ let blank () =
 (* Stand-in for "no entry yet"; never written. *)
 let no_entry = blank ()
 
-(* The spine of the largest table whose cache was finalised on this
-   domain, for the next cache the domain makes, which blanks it.
+(* The spine of the largest table whose cache, made on this domain,
+   was finalised, for the next cache the domain makes, which blanks it.
    Entries are not typed by the algorithm, so any cache can adopt any
    spine; the entry records themselves die with their cache.  Keeping
    one spine alive across runs keeps the allocator from returning the
    freed heap to the OS between back-to-back runs, which made the next
-   set-up fault its pages in again (DESIGN.md §10). *)
-let spare = Domain.DLS.new_key (fun () -> [||])
+   set-up fault its pages in again (DESIGN.md §10).  The finaliser
+   reaches the spare through the cache's [home] cell, never through
+   [Domain.DLS]: a finaliser may run on another domain, or while its
+   own domain terminates, and reading domain-local state there crashed
+   the OCaml 5.1 runtime once pool domains came and went. *)
+let spare = Domain.DLS.new_key (fun () -> Atomic.make [||])
 
-let retire (c : (_, _) cache) =
-  if Array.length c.entries > Array.length (Domain.DLS.get spare) then
-    Domain.DLS.set spare c.entries
+let rec retire (c : (_, _) cache) =
+  let s = Atomic.get c.home in
+  if
+    Array.length c.entries > Array.length s
+    && not (Atomic.compare_and_set c.home s c.entries)
+  then retire c
 
 let make_cache () : ('s, 'i) cache =
-  let entries = Domain.DLS.get spare in
-  Domain.DLS.set spare [||];
+  let home = Domain.DLS.get spare in
+  let entries = Atomic.exchange home [||] in
   Array.fill entries 0 (Array.length entries) no_entry;
-  let c = { entries; scratch = Ss_prelude.Scratch.create () } in
+  let c = { entries; scratch = Ss_prelude.Scratch.create (); home } in
   Gc.finalise retire c;
   c
 
