@@ -319,13 +319,11 @@ let bench_gamma () = fun () -> ignore (Ss_rollback.Blowup.gamma 8)
    is byte-identical for every job count (DESIGN.md §11), so the sweep
    measures pure scheduling overhead/speedup. *)
 let campaign_once () =
-  let seeds = [ 1; 2 ] and rng () = Rng.create 7 in
-  ignore (Ss_expt.Table1.lazy_rows ~seeds (rng ()));
-  ignore (Ss_expt.Table1.greedy_rows ~seeds (rng ()));
-  ignore (Ss_expt.Energy_expt.rows ~seeds (rng ()));
-  ignore (Ss_expt.Msgnet_expt.rows ~seeds (rng ()));
-  ignore (Ss_expt.Blowup_expt.rows ~max_k:9 ());
-  ignore (Ss_expt.Ablation_expt.rows ~seeds (rng ()))
+  let open Ss_expt.Sections in
+  List.iter
+    (fun s -> ignore (s.run ~seeds:[ 1; 2 ] (Rng.create 7)))
+    (List.filteri (fun i _ -> i < 2) table1
+    @ [ energy; msgnet; rollback ~max_k:9; ablation ])
 
 (* Wall time of the campaign at -j 1 / 2 / 4, plus the j4-vs-j1
    speedup.  On a single hardware thread the "speedup" is honestly

@@ -253,15 +253,10 @@ let print_report name (r : _ Stabilization.report) =
   Printf.printf "legitimate     : %b\n" r.Stabilization.legitimate
 
 (* Both renderings read the same typed Table.t: the text goes through
-   Table.print, the JSON through Run_report.of_table — content-identical
+   Table.render, the JSON through Run_report.of_table — content-identical
    by construction (pinned by the test suite). *)
 let section ~json title table =
-  if json then
-    print_endline (Json.to_string (Run_report.of_table ~label:title table))
-  else begin
-    Printf.printf "== %s ==\n" title;
-    Table.print table
-  end
+  Ss_expt.Sections.print Format.std_formatter ~json title table
 
 (* Non-trans transformers run through the registry's generic
    [measure]; the report is a metric/value table through [section], so
@@ -427,73 +422,45 @@ let run_cmd =
 (* Experiment tables                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* An experiment section is a name (a [WHICH] value), a title and a
-   row generator; each draws from a fresh rng at [--seed].  [which]
-   picks one section by name, or "all" of them in order. *)
-let sections_run sections jobs json which seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  List.iter
-    (fun (name, title, (rows : ?seeds:int list -> Rng.t -> Table.t)) ->
-      if which = "all" || which = name then
-        section ~json title (rows ~seeds (Rng.create seed)))
-    sections;
-  0
+module Sections = Ss_expt.Sections
 
-(* A subcommand that prints every one of [sections]. *)
-let experiment_cmd name ~doc sections =
+(* Each section draws from a fresh rng at [--seed] and takes the worst
+   over the [--seeds] corruption seeds. *)
+let seeded =
+  Term.(const (fun seed seeds -> (seed, seeds)) $ seed_arg $ seeds_arg)
+
+(* Every table subcommand: print the [sections] in order under
+   [seeding]; exit 1 when any printed cell reads NO (so the smoke
+   aliases can gate on it). *)
+let tables_cmd name ~doc seeding sections =
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const (fun jobs json seed seeds ->
-          sections_run sections jobs json "all" seed seeds)
-      $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+      const (fun jobs json (seed, seeds) sections ->
+          Ss_par.Par.set_jobs jobs;
+          Sections.run Format.std_formatter ~json ~seed ~seeds sections)
+      $ jobs_arg $ json_arg $ seeding $ sections)
 
-(* A subcommand whose positional [WHICH] picks one of [sections]. *)
-let sections_cmd name ~doc sections =
-  let names = List.map (fun (n, _, _) -> n) sections @ [ "all" ] in
-  let which =
-    Arg.(
-      value
-      & pos 0 (name_conv names) "all"
-      & info [] ~docv:"WHICH" ~doc:(String.concat " | " names))
-  in
-  Cmd.v (Cmd.info name ~doc)
-    Term.(
-      const (sections_run sections)
-      $ jobs_arg $ json_arg $ which $ seed_arg $ seeds_arg)
-
-let table1_sections =
-  [
-    ("lazy", "Table 1 / lazy mode (leader election)", Ss_expt.Table1.lazy_rows);
-    ("greedy", "Table 1 / greedy mode", Ss_expt.Table1.greedy_rows);
-    ("recovery", "Table 1 / error recovery", Ss_expt.Table1.recovery_rows);
-    ("space", "Table 1 / space", Ss_expt.Table1.space_rows);
-  ]
+(* A positional [WHICH] picks one of [sections], or "all" of them. *)
+let which sections =
+  let names = List.map (fun s -> s.Sections.name) sections @ [ "all" ] in
+  Term.(
+    const (fun which ->
+        List.filter (fun s -> which = "all" || which = s.Sections.name) sections)
+    $ Arg.(
+        value
+        & pos 0 (name_conv names) "all"
+        & info [] ~docv:"WHICH" ~doc:(String.concat " | " names)))
 
 let table1_cmd =
-  sections_cmd "table1" ~doc:"Reproduce the complexity rows of Table 1."
-    table1_sections
-
-let instances_sections =
-  [
-    ("leader", "§5.1 leader election", Ss_expt.Instances.leader_rows);
-    ("bfs", "§5.2 BFS spanning tree", Ss_expt.Instances.bfs_rows);
-    ("cv", "§5.3 Cole-Vishkin ring coloring", Ss_expt.Instances.cv_rows);
-    ( "sp",
-      "shortest-path trees (§1 Bellman-Ford input)",
-      Ss_expt.Instances.shortest_path_rows );
-  ]
+  tables_cmd "table1" ~doc:"Reproduce the complexity rows of Table 1." seeded
+    (which Sections.table1)
 
 let instances_cmd =
-  sections_cmd "instances" ~doc:"Reproduce the §5 instance experiments."
-    instances_sections
+  tables_cmd "instances" ~doc:"Reproduce the §5 instance experiments." seeded
+    (which Sections.instances)
 
 (* Γ_k is one fixed schedule on one fixed configuration: neither
    --seed nor --seeds enters. *)
-let rollback_section ~max_k =
-  ( "rollback",
-    "§7 / Figure 1: rollback blow-up vs transformer",
-    fun ?seeds:_ _ -> Ss_expt.Blowup_expt.rows ~max_k () )
-
 let rollback_cmd =
   let max_k =
     Arg.(
@@ -501,90 +468,52 @@ let rollback_cmd =
       & opt (positive_conv "G_k index") 10
       & info [ "k"; "max-k" ] ~doc:"Largest G_k index.")
   in
-  Cmd.v
-    (Cmd.info "rollback"
-       ~doc:
-         "Reproduce the exponential move complexity of the rollback compiler \
-          on the G_k family (validated schedule Γ_k).")
-    Term.(
-      const (fun jobs json max_k ->
-          sections_run [ rollback_section ~max_k ] jobs json "all" 1 [ 1 ])
-      $ jobs_arg $ json_arg $ max_k)
-
-let energy_section =
-  ("energy", "§6 message/energy accounting", Ss_expt.Energy_expt.rows)
+  tables_cmd "rollback"
+    ~doc:
+      "Reproduce the exponential move complexity of the rollback compiler on \
+       the G_k family (validated schedule Γ_k)."
+    (Term.const (1, [ 1 ]))
+    Term.(const (fun max_k -> [ Sections.rollback ~max_k ]) $ max_k)
 
 let energy_cmd =
-  experiment_cmd "energy" ~doc:"Reproduce the §6 message-size comparison."
-    [ energy_section ]
-
-let ablation_section =
-  ( "ablation",
-    "ablation: removing RP or the RC window breaks the transformer",
-    Ss_expt.Ablation_expt.rows )
+  tables_cmd "energy" ~doc:"Reproduce the §6 message-size comparison." seeded
+    (Term.const [ Sections.energy ])
 
 let ablation_cmd =
-  experiment_cmd "ablation"
+  tables_cmd "ablation"
     ~doc:
       "Compare the full rule set against the no-RP and eager-RC ablations \
        (stuck/live-lock rates, worst moves)."
-    [ ablation_section ]
-
-let msgnet_section =
-  ( "msgnet",
-    "§6 end-to-end: transformer over message passing",
-    Ss_expt.Msgnet_expt.rows )
+    seeded
+    (Term.const [ Sections.ablation ])
 
 let msgnet_cmd =
-  experiment_cmd "msgnet"
+  tables_cmd "msgnet"
     ~doc:
       "Run the message-passing realization (mirrors, heartbeat proofs, delta \
        encoding) end-to-end and report traffic plus the wire-memory figures \
        (peak in-flight bits, resident mirror bytes)."
-    [ msgnet_section ]
-
-(* Dijkstra's ring keeps its own seed list whatever --seeds says. *)
-let baselines_sections =
-  [
-    ( "bfs",
-      "hand-crafted min+1 BFS vs transformed BFS",
-      Ss_expt.Baselines_expt.bfs_rows );
-    ( "dijkstra",
-      "Dijkstra's token ring [27]",
-      fun ?seeds:_ rng -> Ss_expt.Baselines_expt.dijkstra_rows rng );
-  ]
+    seeded
+    (Term.const [ Sections.msgnet ])
 
 let baselines_cmd =
-  experiment_cmd "baselines"
+  tables_cmd "baselines"
     ~doc:
       "Compare hand-crafted self-stabilizing baselines (min+1 BFS, \
        Dijkstra's token ring) against the transformer."
-    baselines_sections
-
-(* ------------------------------------------------------------------ *)
-(* transformers: the three-way comparison grid                          *)
-(* ------------------------------------------------------------------ *)
-
-let transformers_run jobs json seed seeds =
-  Ss_par.Par.set_jobs jobs;
-  let table, ok =
-    Ss_expt.Transformers_expt.rows ~seeds (Rng.create seed)
-  in
-  section ~json "transformer comparison: trans | rollback | adaptive" table;
-  (* Any illegitimate terminal configuration is a non-zero exit, so
-     the @transformers-smoke alias can gate on it. *)
-  if ok then 0 else 1
+    seeded
+    (Term.const Sections.baselines)
 
 let transformers_cmd =
-  Cmd.v
-    (Cmd.info "transformers"
-       ~doc:
-         "Run every registered transformer (§3 trans, §7 rollback, fully \
-          adaptive) over the LCL workload suite (leader, BFS, Cole-Vishkin, \
-          MIS, matching, coloring) on ring/torus/random4 graphs and compare \
-          moves, rounds and energy bits.  Byte-identical for any $(b,-j); \
-          exits non-zero if any cell ends illegitimate.")
-    Term.(const transformers_run $ jobs_arg $ json_arg $ seed_arg $ seeds_arg)
+  tables_cmd "transformers"
+    ~doc:
+      "Run every registered transformer (§3 trans, §7 rollback, fully \
+       adaptive) over the LCL workload suite (leader, BFS, Cole-Vishkin, \
+       MIS, matching, coloring) on ring/torus/random4 graphs and compare \
+       moves, rounds and energy bits.  Byte-identical for any $(b,-j); exits \
+       non-zero if any cell ends illegitimate."
+    seeded
+    (Term.const [ Sections.transformers ])
 
 (* ------------------------------------------------------------------ *)
 (* list: what the registry and the catalog know                         *)
@@ -631,7 +560,7 @@ let list_cmd =
 (* ------------------------------------------------------------------ *)
 
 let sim_grid ~json ~scenarios ~seeds ~out workloads =
-  let table, ok = Ss_expt.Sim_expt.rows ~scenarios ~seeds workloads in
+  let table = Ss_expt.Sim_expt.rows ~scenarios ~seeds workloads in
   let title = "chaos-mode scenario grid (deterministic fault injection)" in
   section ~json title table;
   Option.iter
@@ -644,7 +573,7 @@ let sim_grid ~json ~scenarios ~seeds ~out workloads =
   (* The smoke contract: a cell that fails to re-stabilize to a
      legitimate quiescent configuration is a non-zero exit, so the
      @sim-chaos alias can gate on it. *)
-  `Ok (if ok then 0 else 1)
+  `Ok (if Ss_expt.Measure.ok table then 0 else 1)
 
 let sim_run jobs json scenarios algos topology seed seeds out =
   with_output out @@ fun out ->
@@ -822,20 +751,12 @@ let trace_cmd =
       ret (const trace_run $ json_arg $ topology_arg $ daemon_arg $ seed_arg $ out))
 
 let all_cmd =
-  experiment_cmd "all"
+  tables_cmd "all"
     ~doc:
-      "Run every experiment table in sequence (Table 1, the §5 \
-       instances, §6, §7, the ablation, the baselines and the §1.3 \
-       locality sweep)."
-    (table1_sections @ instances_sections
-    @ [ rollback_section ~max_k:10; energy_section; msgnet_section;
-        ablation_section ]
-    @ baselines_sections
-    @ [
-        ( "locality",
-          "§1.3 locality: LOCAL views, S = Theta(Delta^r), space vs B*S",
-          Ss_expt.Locality_expt.rows );
-      ])
+      "Run every experiment table in sequence (Table 1, the §5 instances, \
+       §6, §7, the ablation, the baselines and the §1.3 locality sweep); \
+       exits non-zero if any cell reads NO."
+    seeded (Term.const Sections.all)
 
 let main =
   Cmd.group

@@ -26,7 +26,7 @@ let merge_into acc t =
   acc.max_moves <- max acc.max_moves t.max_moves;
   acc.max_rounds <- max acc.max_rounds t.max_rounds
 
-let rows ?(seeds = [ 1; 2; 3 ]) rng =
+let rows ~seeds rng =
   let table =
     Table.create
       [

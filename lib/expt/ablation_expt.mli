@@ -10,5 +10,5 @@
     illegitimate terminal configurations), not merely for speed; the
     eager-RC column prices the freeze discipline. *)
 
-val rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** The ablation comparison on leader election over a topology mix. *)

@@ -3,63 +3,33 @@ module Rng = Ss_prelude.Rng
 module G = Ss_graph
 module Config = Ss_sim.Config
 module Engine = Ss_sim.Engine
-module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
-module Bfs = Ss_algos.Bfs_tree
 module Naive = Ss_baselines.Naive_bfs
 module Dijkstra = Ss_baselines.Dijkstra_ring
 
-let naive_worst_case rng g ~root seeds =
+(* Moves and spec verdict of every naive min+1 run over the seeds'
+   portfolios, each from the adversarial start where every non-root
+   estimate is 0 — the classic underestimate flood. *)
+let naive_runs g ~root seeds =
   let inputs = Naive.inputs g ~root () in
-  let worst_moves = ref 0 and worst_rounds = ref 0 and ok = ref true in
-  List.iter
+  List.concat_map
     (fun seed ->
-      let seed_rng = Rng.create (seed * 31) in
-      List.iter
+      List.map
         (fun (_name, daemon) ->
-          (* Adversarial start: every non-root estimate is 0 — the
-             classic underestimate flood. *)
-          let start =
-            Config.make g ~inputs ~states:(fun _ -> 0)
-          in
+          let start = Config.make g ~inputs ~states:(fun _ -> 0) in
           let stats =
             Engine.run
               ~budget:(Ss_report.Budget.v ~steps:5_000_000 ())
               Naive.algo daemon start
           in
-          worst_moves := max !worst_moves stats.Engine.moves;
-          worst_rounds := max !worst_rounds stats.Engine.rounds;
-          ok :=
-            !ok && stats.Engine.terminated
-            && Naive.spec_holds g ~root ~final:stats.Engine.final.Config.states)
-        (Stabilization.daemon_portfolio seed_rng))
-    seeds;
-  ignore rng;
-  (!worst_moves, !worst_rounds, !ok)
+          ( stats.Engine.moves,
+            stats.Engine.terminated
+            && Naive.spec_holds g ~root ~final:stats.Engine.final.Config.states
+          ))
+        (Stabilization.daemon_portfolio (Rng.create (seed * 31))))
+    seeds
 
-let transformed_worst_case rng g ~root seeds =
-  let inputs = Bfs.inputs g ~root in
-  let sc =
-    { Stabilization.params = Transformer.params Bfs.algo; graph = g; inputs }
-  in
-  let t = (Stabilization.history sc).Ss_sync.Sync_runner.t in
-  let agg =
-    Measure.worst_case ~seeds ~max_height:(t + 4)
-      ~spec:(fun final -> Bfs.spec_holds g ~root ~final)
-      sc
-  in
-  ignore rng;
-  (agg.Measure.max_moves, agg.Measure.max_rounds,
-   agg.Measure.all_legitimate && agg.Measure.all_spec)
-
-let bfs_rows ?(seeds = [ 1; 2 ]) rng =
-  let table =
-    Table.create
-      [
-        "graph"; "n"; "D"; "naive-moves"; "naive-adv-moves"; "trans-moves";
-        "trans-rounds"; "ok";
-      ]
-  in
+let bfs_rows ~seeds rng =
   let workloads =
     [
       ("path", G.Builders.path 24);
@@ -68,84 +38,80 @@ let bfs_rows ?(seeds = [ 1; 2 ]) rng =
       ("random", G.Builders.random_connected (Rng.split rng) ~n:24 ~extra_edges:12);
     ]
   in
-  (* One pool task per workload; the two historical per-workload splits
-     are pre-derived in order (DESIGN.md §11). *)
-  let tasks =
-    List.rev
-      (List.fold_left
-         (fun acc (name, g) ->
-           let naive_rng = Rng.split rng in
-           let trans_rng = Rng.split rng in
-           (name, g, naive_rng, trans_rng) :: acc)
-         [] workloads)
-  in
-  List.iter (Table.add table)
-    (Ss_par.Par.map
-       (fun (name, g, naive_rng, trans_rng) ->
+  Measure.table
+    [
+      "graph"; "n"; "D"; "naive-moves"; "naive-adv-moves"; "trans-moves";
+      "trans-rounds"; "ok";
+    ]
+    (List.map
+       (fun (name, g) () ->
          let root = 0 in
-         let nm, _nr, nok = naive_worst_case naive_rng g ~root seeds in
          let adv_moves, adv_ok =
            Naive.adversarial_run
              (Config.make g
                 ~inputs:(Naive.inputs g ~root ())
                 ~states:(fun _ -> 0))
          in
-         let tm, tr, tok = transformed_worst_case trans_rng g ~root seeds in
-         [
-           Table.S name;
-           Table.I (G.Graph.n g);
-           Table.I (G.Properties.diameter g);
-           Table.I nm;
-           Table.I adv_moves;
-           Table.I tm;
-           Table.I tr;
-           Table.S (if nok && tok && adv_ok then "yes" else "NO");
-         ])
-       tasks);
-  table
+         (* Transformed BFS (root 0) draws no inputs. *)
+         let agg =
+           (Measure.instance ~seeds (Catalog.instantiate "bfs" rng g) g)
+             .Measure.agg
+         in
+         let trans_ok = agg.Measure.all_legitimate && agg.Measure.all_spec in
+         Measure.worst
+           (List.map
+              (fun (moves, ok) ->
+                [
+                  Table.S name;
+                  Table.I (G.Graph.n g);
+                  Table.I (G.Properties.diameter g);
+                  Table.I moves;
+                  Table.I adv_moves;
+                  Table.I agg.Measure.max_moves;
+                  Table.I agg.Measure.max_rounds;
+                  Measure.ok_cell (ok && trans_ok && adv_ok);
+                ])
+              (naive_runs g ~root seeds)))
+       workloads)
 
 let dijkstra_rows ?(seeds = [ 1; 2; 3 ]) rng =
-  let table =
-    Table.create [ "n"; "K"; "steps-to-legit"; "moves-to-legit"; "closure" ]
-  in
-  List.iter (Table.add table)
-    (Ss_par.Par.map
-       (fun n ->
-         (* Self-contained task: every draw comes from the per-seed
-            generators, so ring sizes can run on any domain. *)
+  ignore rng;
+  Measure.table
+    [ "n"; "K"; "steps-to-legit"; "moves-to-legit"; "closure" ]
+    (List.map
+       (fun n () ->
+         (* Self-contained row: every draw comes from the per-seed
+            generators. *)
          let g = G.Builders.cycle n in
          let inputs = Dijkstra.inputs ~n () in
-         let worst_steps = ref 0
-         and worst_moves = ref 0
-         and closure = ref true in
-         List.iter
-           (fun seed ->
-             let seed_rng = Rng.create (seed * 17) in
-             let start =
-               Config.make g ~inputs ~states:(fun _ ->
-                   Rng.int seed_rng (n + 1))
-             in
-             List.iter
-               (fun (_name, daemon) ->
-                 match Dijkstra.run_to_legitimacy daemon start with
-                 | Some (steps, moves, legit_config) ->
-                     worst_steps := max !worst_steps steps;
-                     worst_moves := max !worst_moves moves;
-                     closure :=
-                       !closure
-                       && Dijkstra.closure_holds
-                            (Ss_sim.Daemon.central_random (Rng.split seed_rng))
-                            legit_config
-                 | None -> closure := false)
-               (Stabilization.daemon_portfolio seed_rng))
-           seeds;
-         [
-           Table.I n;
-           Table.I (n + 1);
-           Table.I !worst_steps;
-           Table.I !worst_moves;
-           Table.S (if !closure then "yes" else "NO");
-         ])
-       [ 5; 9; 17; 33 ]);
-  ignore rng;
-  table
+         Measure.worst
+           (List.concat_map
+              (fun seed ->
+                let seed_rng = Rng.create (seed * 17) in
+                let start =
+                  Config.make g ~inputs ~states:(fun _ ->
+                      Rng.int seed_rng (n + 1))
+                in
+                List.map
+                  (fun (_name, daemon) ->
+                    let steps, moves, closure =
+                      match Dijkstra.run_to_legitimacy daemon start with
+                      | Some (steps, moves, legit_config) ->
+                          ( steps,
+                            moves,
+                            Dijkstra.closure_holds
+                              (Ss_sim.Daemon.central_random
+                                 (Rng.split seed_rng))
+                              legit_config )
+                      | None -> (0, 0, false)
+                    in
+                    [
+                      Table.I n;
+                      Table.I (n + 1);
+                      Table.I steps;
+                      Table.I moves;
+                      Measure.ok_cell closure;
+                    ])
+                  (Stabilization.daemon_portfolio seed_rng))
+              seeds))
+       [ 5; 9; 17; 33 ])

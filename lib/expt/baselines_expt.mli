@@ -9,7 +9,7 @@
     adversary portfolio — plus Dijkstra's token ring as a
     non-silent reference point. *)
 
-val bfs_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val bfs_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** naive min+1 BFS vs transformed BFS: worst moves and rounds. *)
 
 val dijkstra_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t

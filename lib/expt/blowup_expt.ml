@@ -34,42 +34,43 @@ let transformer_on_fig1 ~k ~daemon =
   (stats.Engine.moves, stats.Engine.terminated)
 
 let rows ?(max_k = 9) ?(seeds = [ 1 ]) () =
-  let table =
-    Table.create
-      [
-        "k"; "n"; "B"; "|Gamma_k|"; "rollback-moves"; "trans-moves";
-        "ratio"; "ok";
-      ]
-  in
-  (* One pool task per k; each task owns its configs, daemons and
-     generators outright ([Rng.create seed] only). *)
-  List.iter (Table.add_row table)
-    (Ss_par.Par.map
-       (fun k ->
+  (* One row per k; each owns its configs, daemons and generators
+     outright ([Rng.create seed] only). *)
+  Measure.table
+    [
+      "k"; "n"; "B"; "|Gamma_k|"; "rollback-moves"; "trans-moves"; "ratio";
+      "ok";
+    ]
+    (List.init max_k (fun i () ->
+         let k = i + 1 in
          let r = Blowup.run ~k () in
-         let trans_moves, trans_ok =
-           List.fold_left
-             (fun (worst, ok) seed ->
-               let rng = Rng.create seed in
-               List.fold_left
-                 (fun (worst, ok) (_name, daemon) ->
-                   let m, t = transformer_on_fig1 ~k ~daemon in
-                   (max worst m, ok && t))
-                 (worst, ok)
-                 (Stabilization.daemon_portfolio rng))
-             (0, true) seeds
+         let trans =
+           Measure.worst
+             (List.concat_map
+                (fun seed ->
+                  List.map
+                    (fun (_name, daemon) ->
+                      let m, t = transformer_on_fig1 ~k ~daemon in
+                      [ Table.I m; Measure.ok_cell t ])
+                    (Stabilization.daemon_portfolio (Rng.create seed)))
+                seeds)
          in
-         [
-           string_of_int k;
-           string_of_int r.Blowup.n;
-           string_of_int (Blowup.bound_for k);
-           string_of_int r.Blowup.schedule_moves;
-           string_of_int r.Blowup.total_moves;
-           string_of_int trans_moves;
-           Printf.sprintf "%.1f"
-             (float_of_int r.Blowup.total_moves
-             /. float_of_int (max 1 trans_moves));
-           (if r.Blowup.stabilized && trans_ok then "yes" else "NO");
-         ])
-       (List.init max_k (fun i -> i + 1)));
-  table
+         let trans_moves, trans_ok =
+           match trans with
+           | [ Table.I m; ok ] -> (m, ok <> Table.S "NO")
+           | _ -> assert false
+         in
+         List.map
+           (fun c -> Table.S c)
+           [
+             string_of_int k;
+             string_of_int r.Blowup.n;
+             string_of_int (Blowup.bound_for k);
+             string_of_int r.Blowup.schedule_moves;
+             string_of_int r.Blowup.total_moves;
+             string_of_int trans_moves;
+             Printf.sprintf "%.1f"
+               (float_of_int r.Blowup.total_moves
+               /. float_of_int (max 1 trans_moves));
+             (if r.Blowup.stabilized && trans_ok then "yes" else "NO");
+           ]))

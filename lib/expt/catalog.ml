@@ -235,6 +235,20 @@ let find_algo name =
         (Printf.sprintf "unknown algorithm: %s (known: %s)" name
            (String.concat ", " (algo_names ())))
 
+let instantiate name = (find_algo name).instantiate
+
+type instance =
+  | Instance : {
+      algo_name : string;
+      graph : G.Graph.t;
+      params : ('s, 'i) Ss_core.Predicates.params;
+      inputs : int -> 'i;
+      spec : 's array -> bool;
+      hist : ('s, 'i) Ss_sync.Sync_runner.history;
+      codec : 's Ss_core.Cellpack.codec option;
+    }
+      -> instance
+
 let is_ring g =
   G.Graph.m g = G.Graph.n g
   && G.Graph.fold_nodes g ~init:true ~f:(fun acc v ->
@@ -246,6 +260,21 @@ let validate_topology a g =
       (Printf.sprintf "algorithm %s is ring-only (n = m, all degrees 2)"
          a.algo_name)
   else Ok ()
+
+let greedy_instance rng algo_name graph =
+  let a = find_algo algo_name in
+  Result.map
+    (fun () ->
+      match a.instantiate (Rng.split rng) graph with
+      | Inst { sync; inputs; spec; codec } ->
+          let hist = Ss_sync.Sync_runner.run sync graph ~inputs in
+          let b = max 1 hist.Ss_sync.Sync_runner.t in
+          let params =
+            Registry.Trans.params ~mode:Ss_core.Predicates.Greedy
+              ~bound:(Ss_core.Predicates.Finite b) sync
+          in
+          Instance { algo_name; graph; params; inputs; spec; hist; codec })
+    (validate_topology a graph)
 
 (* ------------------------------------------------------------------ *)
 (* Topologies                                                           *)

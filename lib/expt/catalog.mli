@@ -55,6 +55,33 @@ val sim_algo_names : unit -> string list
 val find_algo : string -> algo
 (** @raise Failure with the known names on an unknown name. *)
 
+val instantiate : string -> Ss_prelude.Rng.t -> Ss_graph.Graph.t -> algo_inst
+(** [instantiate name] is [(find_algo name).instantiate].
+    @raise Failure on an unknown name. *)
+
+type instance =
+  | Instance : {
+      algo_name : string;
+      graph : Ss_graph.Graph.t;
+      params : ('s, 'i) Ss_core.Predicates.params;
+      inputs : int -> 'i;
+      spec : 's array -> bool;
+      hist : ('s, 'i) Ss_sync.Sync_runner.history;
+          (** The synchronous ground truth. *)
+      codec : 's Ss_core.Cellpack.codec option;
+    }
+      -> instance
+(** An algorithm instantiated on a graph under the grids' uniform
+    policy: greedy mode, [B = max 1 T]. *)
+
+val greedy_instance :
+  Ss_prelude.Rng.t -> string -> Ss_graph.Graph.t -> (instance, string) result
+(** [greedy_instance rng algo g]: find, validate the topology, draw
+    the inputs from one split of [rng], run the synchronous ground
+    truth and set [B] to its time (at least 1).  [Error] (drawing
+    nothing) when a ring-only algorithm meets a non-ring graph.
+    @raise Failure on an unknown algorithm. *)
+
 val is_ring : Ss_graph.Graph.t -> bool
 (** [n = m] and every degree is 2 (the builders only make connected
     graphs, so this characterizes the cycle). *)

@@ -7,7 +7,7 @@
     overhead.  The per-message compression ratio should track
     [B·S / (S + log B)]. *)
 
-val rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Sweep ring sizes and bounds; one row per configuration with
     moves, messages, full-state bits, delta bits, the measured ratio
     and the predicted ratio. *)

@@ -1,102 +1,57 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
 module Util = Ss_prelude.Util
-module Par = Ss_par.Par
 module G = Ss_graph
 module P = Ss_core.Predicates
 module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
-module Sync_runner = Ss_sync.Sync_runner
-module Leader = Ss_algos.Leader_election
-module Bfs = Ss_algos.Bfs_tree
 module Cv = Ss_algos.Cole_vishkin
-module Sp = Ss_algos.Shortest_path
 
-let default_seeds = [ 1; 2 ]
+let yes_no b = if b then "yes" else "NO"
 
-(* Rows fan out over the shared domain pool: parent-RNG splits happen
-   while the row thunks are built (in row order), each thunk draws only
-   from its own generator, and rows are appended in construction order
-   — byte-identical output for any [-j] (DESIGN.md §11). *)
-let run_rows table row_thunks =
-  List.iter (Table.add_row table) (Par.map (fun row -> row ()) row_thunks)
+(* Lazy mode with the algorithm's specification checked on every run. *)
+let measure algo ~seeds rng (w : Workloads.t) =
+  Measure.instance ~seeds
+    (Catalog.instantiate algo rng w.Workloads.graph)
+    w.Workloads.graph
 
-let leader_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [ "family"; "n"; "D"; "rounds"; "D+T"; "moves"; "n^3"; "spec"; "legit" ]
-  in
-  run_rows table
+let rounds_rows algo ~seeds workloads =
+  Measure.table
+    [ "family"; "n"; "D"; "rounds"; "D+T"; "moves"; "n^3"; "spec"; "legit" ]
     (List.map
        (fun ((w : Workloads.t), rng) () ->
-         let inputs = Leader.random_ids rng w.Workloads.graph in
-         let sc =
-           {
-             Stabilization.params = Transformer.params Leader.algo;
-             graph = w.Workloads.graph;
-             inputs;
-           }
-         in
-         let t = (Stabilization.history sc).Sync_runner.t in
-         let spec final = Leader.spec_holds w.Workloads.graph ~inputs ~final in
-         let agg = Measure.worst_case ~seeds ~max_height:(t + 4) ~spec sc in
-         [
-           w.Workloads.family;
-           string_of_int w.Workloads.n;
-           string_of_int w.Workloads.diameter;
-           string_of_int agg.Measure.max_rounds;
-           string_of_int (w.Workloads.diameter + t);
-           string_of_int agg.Measure.max_moves;
-           string_of_int (w.Workloads.n * w.Workloads.n * w.Workloads.n);
-           (if agg.Measure.all_spec then "yes" else "NO");
-           (if agg.Measure.all_legitimate then "yes" else "NO");
-         ])
-       (Rng.split_per rng (Workloads.diameter_sweep () @ Workloads.standard rng)));
-  table
+         let m = measure algo ~seeds rng w in
+         let agg = m.Measure.agg and n = w.Workloads.n in
+         List.map
+           (fun c -> Table.S c)
+           [
+             w.Workloads.family;
+             string_of_int n;
+             string_of_int w.Workloads.diameter;
+             string_of_int agg.Measure.max_rounds;
+             string_of_int (w.Workloads.diameter + m.Measure.t);
+             string_of_int agg.Measure.max_moves;
+             string_of_int (n * n * n);
+             yes_no agg.Measure.all_spec;
+             yes_no agg.Measure.all_legitimate;
+           ])
+       workloads)
 
-let bfs_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [ "family"; "n"; "D"; "rounds"; "D+T"; "moves"; "n^3"; "spec"; "legit" ]
-  in
-  run_rows table
-    (List.map
-       (fun ((w : Workloads.t), _rng) () ->
-         let root = 0 in
-         let inputs = Bfs.inputs w.Workloads.graph ~root in
-         let sc =
-           {
-             Stabilization.params = Transformer.params Bfs.algo;
-             graph = w.Workloads.graph;
-             inputs;
-           }
-         in
-         let t = (Stabilization.history sc).Sync_runner.t in
-         let spec final = Bfs.spec_holds w.Workloads.graph ~root ~final in
-         let agg = Measure.worst_case ~seeds ~max_height:(t + 4) ~spec sc in
-         [
-           w.Workloads.family;
-           string_of_int w.Workloads.n;
-           string_of_int w.Workloads.diameter;
-           string_of_int agg.Measure.max_rounds;
-           string_of_int (w.Workloads.diameter + t);
-           string_of_int agg.Measure.max_moves;
-           string_of_int (w.Workloads.n * w.Workloads.n * w.Workloads.n);
-           (if agg.Measure.all_spec then "yes" else "NO");
-           (if agg.Measure.all_legitimate then "yes" else "NO");
-         ])
-       (List.map (fun w -> (w, rng)) (Workloads.standard rng)));
-  table
+let leader_rows ~seeds rng =
+  rounds_rows "leader" ~seeds
+    (Rng.split_per rng (Workloads.diameter_sweep () @ Workloads.standard rng))
 
-let cv_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [
-        "n"; "width"; "log*n"; "T"; "B"; "rounds"; "moves"; "n^2*B"; "spec";
-        "legit";
-      ]
-  in
-  run_rows table
+(* BFS draws no inputs: every row reads the parent generator, unused. *)
+let bfs_rows ~seeds rng =
+  rounds_rows "bfs" ~seeds
+    (List.map (fun w -> (w, rng)) (Workloads.standard rng))
+
+let cv_rows ~seeds rng =
+  Measure.table
+    [
+      "n"; "width"; "log*n"; "T"; "B"; "rounds"; "moves"; "n^2*B"; "spec";
+      "legit";
+    ]
     (List.map
        (fun ((n, width), rng) () ->
          let g = G.Builders.cycle n in
@@ -114,54 +69,41 @@ let cv_rows ?(seeds = default_seeds) rng =
          in
          let spec final = Cv.spec_holds g ~final in
          let agg = Measure.worst_case ~seeds ~max_height:b ~spec sc in
-         [
-           string_of_int n;
-           string_of_int width;
-           string_of_int (Util.log_star n);
-           string_of_int t;
-           string_of_int b;
-           string_of_int agg.Measure.max_rounds;
-           string_of_int agg.Measure.max_moves;
-           string_of_int (n * n * b);
-           (if agg.Measure.all_spec then "yes" else "NO");
-           (if agg.Measure.all_legitimate then "yes" else "NO");
-         ])
-       (Rng.split_per rng [ (8, 6); (16, 8); (64, 10); (128, 16); (256, 16) ]));
-  table
+         List.map
+           (fun c -> Table.S c)
+           [
+             string_of_int n;
+             string_of_int width;
+             string_of_int (Util.log_star n);
+             string_of_int t;
+             string_of_int b;
+             string_of_int agg.Measure.max_rounds;
+             string_of_int agg.Measure.max_moves;
+             string_of_int (n * n * b);
+             yes_no agg.Measure.all_spec;
+             yes_no agg.Measure.all_legitimate;
+           ])
+       (Rng.split_per rng [ (8, 6); (16, 8); (64, 10); (128, 16); (256, 16) ]))
 
-let shortest_path_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [ "family"; "n"; "D"; "T"; "rounds"; "moves"; "spec"; "legit" ]
-  in
-  run_rows table
+let shortest_path_rows ~seeds rng =
+  Measure.table
+    [ "family"; "n"; "D"; "T"; "rounds"; "moves"; "spec"; "legit" ]
     (List.map
        (fun ((w : Workloads.t), rng) () ->
-         let root = 0 in
-         let weight =
-           Sp.random_weights rng w.Workloads.graph ~max_weight:8
-         in
-         let inputs = Sp.inputs w.Workloads.graph ~weight ~root in
-         let sc =
-           {
-             Stabilization.params = Transformer.params Sp.algo;
-             graph = w.Workloads.graph;
-             inputs;
-           }
-         in
-         let t = (Stabilization.history sc).Sync_runner.t in
-         let spec final = Sp.spec_holds w.Workloads.graph ~weight ~root ~final in
-         let agg = Measure.worst_case ~seeds ~max_height:(t + 4) ~spec sc in
-         [
-           w.Workloads.family;
-           string_of_int w.Workloads.n;
-           string_of_int w.Workloads.diameter;
-           string_of_int t;
-           string_of_int agg.Measure.max_rounds;
-           string_of_int agg.Measure.max_moves;
-           (if agg.Measure.all_spec then "yes" else "NO");
-           (if agg.Measure.all_legitimate then "yes" else "NO");
-         ])
+         let m = measure "sp" ~seeds rng w in
+         let agg = m.Measure.agg in
+         List.map
+           (fun c -> Table.S c)
+           [
+             w.Workloads.family;
+             string_of_int w.Workloads.n;
+             string_of_int w.Workloads.diameter;
+             string_of_int m.Measure.t;
+             string_of_int agg.Measure.max_rounds;
+             string_of_int agg.Measure.max_moves;
+             yes_no agg.Measure.all_spec;
+             yes_no agg.Measure.all_legitimate;
+           ])
        (Rng.split_per rng
           [
             Workloads.make "path" (G.Builders.path 16);
@@ -169,5 +111,4 @@ let shortest_path_rows ?(seeds = default_seeds) rng =
             Workloads.make "grid" (G.Builders.grid ~rows:4 ~cols:4);
             Workloads.make "random"
               (G.Builders.random_connected (Rng.split rng) ~n:20 ~extra_edges:12);
-          ]));
-  table
+          ]))

@@ -13,49 +13,47 @@ let int_views =
     ~random_input:(fun rng -> Rng.int rng 64)
     ~pp:Format.pp_print_int
 
-let rows ?(seeds = [ 1 ]) rng =
-  let table =
-    Table.create
-      [
-        "graph"; "n"; "radius"; "T"; "S(view-bits)"; "B*S"; "space-bits";
-        "moves"; "rounds"; "legit";
-      ]
-  in
+let rows ~seeds rng =
   let workloads =
     [ ("ring", G.Builders.cycle 10); ("grid", G.Builders.grid ~rows:3 ~cols:4) ]
   in
-  (* (workload × radius) grid over the shared pool; tasks draw no
-     parent randomness at all. *)
-  List.iter (Table.add_row table)
-    (Ss_par.Par.map
-       (fun ((name, g), radius) ->
-         let base p = (p * 13) mod 31 in
-         let inputs p = { Lv.self_input = base p; radius } in
-         let sc =
-           {
-             Stabilization.params = Transformer.params int_views;
-             graph = g;
-             inputs;
-           }
-         in
-         let hist = Stabilization.history sc in
-         let t = hist.Sync_runner.t in
-         let s = Sync_runner.max_state_bits int_views hist in
-         let agg = Measure.worst_case ~seeds ~max_height:(t + 2) sc in
-         [
-           name;
-           string_of_int (G.Graph.n g);
-           string_of_int radius;
-           string_of_int t;
-           string_of_int s;
-           string_of_int ((t + 2) * s);
-           string_of_int agg.Measure.max_space_bits;
-           string_of_int agg.Measure.max_moves;
-           string_of_int agg.Measure.max_rounds;
-           (if agg.Measure.all_legitimate then "yes" else "NO");
-         ])
-       (List.concat_map
-          (fun w -> List.map (fun radius -> (w, radius)) [ 1; 2; 3; 4 ])
-          workloads));
+  (* (workload × radius) rows; they draw no parent randomness at all. *)
   ignore rng;
-  table
+  Measure.table
+    [
+      "graph"; "n"; "radius"; "T"; "S(view-bits)"; "B*S"; "space-bits";
+      "moves"; "rounds"; "legit";
+    ]
+    (List.concat_map
+       (fun (name, g) ->
+         List.map
+           (fun radius () ->
+             let base p = (p * 13) mod 31 in
+             let inputs p = { Lv.self_input = base p; radius } in
+             let sc =
+               {
+                 Stabilization.params = Transformer.params int_views;
+                 graph = g;
+                 inputs;
+               }
+             in
+             let hist = Stabilization.history sc in
+             let t = hist.Sync_runner.t in
+             let s = Sync_runner.max_state_bits int_views hist in
+             let agg = Measure.worst_case ~seeds ~max_height:(t + 2) sc in
+             List.map
+               (fun c -> Table.S c)
+               [
+                 name;
+                 string_of_int (G.Graph.n g);
+                 string_of_int radius;
+                 string_of_int t;
+                 string_of_int s;
+                 string_of_int ((t + 2) * s);
+                 string_of_int agg.Measure.max_space_bits;
+                 string_of_int agg.Measure.max_moves;
+                 string_of_int agg.Measure.max_rounds;
+                 (if agg.Measure.all_legitimate then "yes" else "NO");
+               ])
+           [ 1; 2; 3; 4 ])
+       workloads)

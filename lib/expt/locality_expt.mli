@@ -10,4 +10,4 @@
     (max view bits), the transformed space footprint, and the [B·S]
     bound, with legitimacy checked under the portfolio. *)
 
-val rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t

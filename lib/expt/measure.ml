@@ -1,5 +1,9 @@
 module Stabilization = Ss_verify.Stabilization
 module Rng = Ss_prelude.Rng
+module Table = Ss_prelude.Table
+module P = Ss_core.Predicates
+module Transformer = Ss_core.Registry.Trans
+module Sync_runner = Ss_sync.Sync_runner
 
 type agg = {
   runs : int;
@@ -63,3 +67,58 @@ let worst_case ?(spec = fun _ -> true) ~seeds ~max_height sc =
       replicas
   in
   List.fold_left (absorb ~spec) empty reports
+
+type instance = { t : int; bound : int; state_bits : int; agg : agg }
+
+let instance ?greedy ~seeds (Catalog.Inst { sync; inputs; spec; codec = _ })
+    graph =
+  let hist = Sync_runner.run sync graph ~inputs in
+  let t = hist.Sync_runner.t in
+  let mode, bound, max_height =
+    match greedy with
+    | None -> (P.Lazy, 0, t + 4)
+    | Some f ->
+        let b = f (max 1 t) in
+        (P.Greedy, b, b)
+  in
+  let params =
+    Transformer.params ~mode
+      ~bound:(if bound = 0 then P.Infinite else P.Finite bound)
+      sync
+  in
+  {
+    t;
+    bound;
+    state_bits = Sync_runner.max_state_bits sync hist;
+    agg =
+      worst_case ~spec ~seeds ~max_height
+        { Stabilization.params; graph; inputs };
+  }
+
+let table headers rows =
+  let table = Table.create headers in
+  List.iter (Table.add table) (Ss_par.Par.map (fun row -> row ()) rows);
+  table
+
+let worst_cell a b =
+  match (a, b) with
+  | Table.I x, Table.I y -> Table.I (max x y)
+  | Table.S "NO", Table.S _ | Table.S _, Table.S "NO" -> Table.S "NO"
+  | Table.S x, Table.S y when String.equal x y -> a
+  | _ ->
+      invalid_arg
+        (Printf.sprintf "Measure.worst: cells %S and %S differ"
+           (Table.cell_text a) (Table.cell_text b))
+
+let worst = function
+  | [] -> invalid_arg "Measure.worst: no rows"
+  | first :: rest ->
+      List.fold_left
+        (fun acc row ->
+          if List.compare_lengths acc row <> 0 then
+            invalid_arg "Measure.worst: rows of different lengths";
+          List.map2 worst_cell acc row)
+        first rest
+
+let ok_cell b = Table.S (if b then "yes" else "NO")
+let ok table = not (List.exists (List.mem (Table.S "NO")) (Table.rows table))

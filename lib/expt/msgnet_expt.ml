@@ -1,6 +1,5 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
-module Par = Ss_par.Par
 module G = Ss_graph
 module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
@@ -8,22 +7,7 @@ module M = Ss_msgnet.Msgnet
 module Leader = Ss_algos.Leader_election
 module Sync_runner = Ss_sync.Sync_runner
 
-let rows ?(seeds = [ 1; 2 ]) rng =
-  (* total-bits = update-bits + proof-bits + request-bits + repair-bits
-     (the shared Ss_energy.Energy accounting: proofs cost hash + nonce,
-     requests cost Energy.request_message_bits each).  "stale" counts
-     proofs from superseded waves dropped without comparison. *)
-  (* wire-peak-bits is the high-water mark of in-flight bits across all
-     channels; mirror-bytes the resident bytes behind the 2m mirrors —
-     the two wire-memory figures a deployment provisions against. *)
-  let table =
-    Table.create
-      [
-        "graph"; "n"; "encoding"; "execs"; "deliveries"; "update-bits";
-        "proof-bits"; "request-bits"; "repair-bits"; "total-bits"; "stale";
-        "wire-peak-bits"; "mirror-bytes"; "ok";
-      ]
-  in
+let rows ~seeds rng =
   let workloads =
     [
       ("ring", G.Builders.cycle 8);
@@ -34,9 +18,9 @@ let rows ?(seeds = [ 1; 2 ]) rng =
     ]
   in
   (* Per-workload setup consumes the parent stream sequentially (one
-     split per workload, as ever); the (workload × encoding) rows then
-     fan out over the shared pool, every task drawing only from
-     [Rng.create (seed * 101)] and owning its protocol state. *)
+     split per workload, as ever); every (workload × encoding) row then
+     draws only from [Rng.create (seed * 101)] and owns its protocol
+     state. *)
   let contexts =
     List.map
       (fun ((name, g), rng) ->
@@ -46,78 +30,56 @@ let rows ?(seeds = [ 1; 2 ]) rng =
         (name, g, inputs, params, hist))
       (Rng.split_per rng workloads)
   in
-  let tasks =
-    List.concat_map
-      (fun ctx ->
-        List.map
-          (fun enc -> (ctx, enc))
-          [ ("full", M.Full_state); ("delta", M.Delta) ])
-      contexts
+  let run_seed (name, g, inputs, params, hist) (enc_name, encoding) seed =
+    let seed_rng = Rng.create (seed * 101) in
+    let start =
+      Transformer.corrupt (Rng.split seed_rng)
+        ~max_height:(hist.Sync_runner.t + 4)
+        params
+        (Transformer.clean_config params g ~inputs)
+    in
+    (* Leader's codec switches the proof pre-images to the packed
+       encoder; the infinite bound keeps the mirrors boxed, so the
+       traffic columns are unchanged. *)
+    let final, stats =
+      M.run ~codec:Leader.codec ~encoding ~rng:seed_rng params start
+    in
+    [
+      Table.S name;
+      Table.I (G.Graph.n g);
+      Table.S enc_name;
+      Table.I stats.M.rule_executions;
+      Table.I stats.M.deliveries;
+      Table.I stats.M.update_bits;
+      Table.I stats.M.proof_bits;
+      Table.I
+        (stats.M.request_messages * Ss_energy.Energy.request_message_bits);
+      Table.I stats.M.full_copy_bits;
+      Table.I (M.total_bits stats);
+      Table.I stats.M.stale_proof_messages;
+      Table.I stats.M.peak_queued_bits;
+      Table.I stats.M.mirror_bytes;
+      Measure.ok_cell
+        (stats.M.quiescent
+        && Checker.legitimate_terminal params hist final = Ok ());
+    ]
   in
-  List.iter (Table.add table)
-    (Par.map
-       (fun ((name, g, inputs, params, hist), (enc_name, encoding)) ->
-         (* Aggregate over seeds: worst bits, all-ok conjunction. *)
-         let execs = ref 0
-         and deliveries = ref 0
-         and update_bits = ref 0
-         and proof_bits = ref 0
-         and request_bits = ref 0
-         and repair_bits = ref 0
-         and total = ref 0
-         and stale = ref 0
-         and wire_peak = ref 0
-         and mirror_bytes = ref 0
-         and ok = ref true in
-         List.iter
-           (fun seed ->
-             let seed_rng = Rng.create (seed * 101) in
-             let start =
-               Transformer.corrupt (Rng.split seed_rng)
-                 ~max_height:(hist.Sync_runner.t + 4)
-                 params
-                 (Transformer.clean_config params g ~inputs)
-             in
-             (* Leader's codec switches the proof pre-images to the
-                packed encoder; the infinite bound keeps the mirrors
-                boxed, so the traffic columns are unchanged. *)
-             let final, stats =
-               M.run ~codec:Leader.codec ~encoding ~rng:seed_rng params start
-             in
-             execs := max !execs stats.M.rule_executions;
-             deliveries := max !deliveries stats.M.deliveries;
-             update_bits := max !update_bits stats.M.update_bits;
-             proof_bits := max !proof_bits stats.M.proof_bits;
-             request_bits :=
-               max !request_bits
-                 (stats.M.request_messages
-                 * Ss_energy.Energy.request_message_bits);
-             repair_bits := max !repair_bits stats.M.full_copy_bits;
-             total := max !total (M.total_bits stats);
-             stale := max !stale stats.M.stale_proof_messages;
-             wire_peak := max !wire_peak stats.M.peak_queued_bits;
-             mirror_bytes := max !mirror_bytes stats.M.mirror_bytes;
-             ok :=
-               !ok && stats.M.quiescent
-               && Checker.legitimate_terminal params hist final = Ok ())
-           seeds;
-         (* Typed cells: the printed table and the JSON rows emitted
-            by Run_report.of_table read the same record. *)
-         [
-           Table.S name;
-           Table.I (G.Graph.n g);
-           Table.S enc_name;
-           Table.I !execs;
-           Table.I !deliveries;
-           Table.I !update_bits;
-           Table.I !proof_bits;
-           Table.I !request_bits;
-           Table.I !repair_bits;
-           Table.I !total;
-           Table.I !stale;
-           Table.I !wire_peak;
-           Table.I !mirror_bytes;
-           Table.S (if !ok then "yes" else "NO");
-         ])
-       tasks);
-  table
+  (* total-bits = update-bits + proof-bits + request-bits + repair-bits
+     (the shared Ss_energy.Energy accounting: proofs cost hash + nonce,
+     requests cost Energy.request_message_bits each).  "stale" counts
+     proofs from superseded waves dropped without comparison. *)
+  (* wire-peak-bits is the high-water mark of in-flight bits across all
+     channels; mirror-bytes the resident bytes behind the 2m mirrors —
+     the two wire-memory figures a deployment provisions against. *)
+  Measure.table
+    [
+      "graph"; "n"; "encoding"; "execs"; "deliveries"; "update-bits";
+      "proof-bits"; "request-bits"; "repair-bits"; "total-bits"; "stale";
+      "wire-peak-bits"; "mirror-bytes"; "ok";
+    ]
+    (List.concat_map
+       (fun ctx ->
+         List.map
+           (fun enc () -> Measure.worst (List.map (run_seed ctx enc) seeds))
+           [ ("full", M.Full_state); ("delta", M.Delta) ])
+       contexts)

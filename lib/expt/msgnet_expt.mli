@@ -9,5 +9,6 @@
     repair bits) and whether verified quiescence with a legitimate
     outcome was reached. *)
 
-val rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
-(** Leader election over rings and random graphs, both encodings. *)
+val rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+(** Leader election over rings and random graphs, both encodings;
+    each row is the worst over [seeds]. *)

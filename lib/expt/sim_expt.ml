@@ -1,7 +1,5 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
-module Util = Ss_prelude.Util
-module Par = Ss_par.Par
 module G = Ss_graph
 module Sim = Ss_sim
 module Config = Ss_sim.Config
@@ -17,39 +15,12 @@ module Budget = Ss_report.Budget
 
 exception Invariant_violation of string
 
-(* One algorithm instantiated on one graph, with its synchronous
-   ground-truth history.  The existential keeps the per-algorithm state
-   and input types out of the grid plumbing. *)
-type workload =
-  | W : {
-      algo_name : string;
-      graph_name : string;
-      graph : G.Graph.t;
-      params : ('s, 'i) Transformer.params;
-      inputs : int -> 'i;
-      hist : ('s, 'i) Sync_runner.history;
-      codec : 's Ss_core.Cellpack.codec option;
-          (* When the algorithm exports one, the msgnet leg runs with
-             codec proof pre-images and (the grid bound being finite)
-             packed mirrors — the production configuration. *)
-    }
-      -> workload
-
-(* Workloads come from the {!Catalog}: any registered algorithm can
-   enter the grid under the uniform policy (greedy mode, bound = the
-   measured synchronous time), and the default roster is the catalog's
-   [in_sim_grid] subset. *)
-let workload rng ~algo ~graph_name graph =
-  let a = Catalog.find_algo algo in
-  (match Catalog.validate_topology a graph with
-  | Ok () -> ()
-  | Error e -> failwith e);
-  match a.Catalog.instantiate rng graph with
-  | Catalog.Inst { sync; inputs; spec = _; codec } ->
-      let hist = Sync_runner.run sync graph ~inputs in
-      let b = max 1 hist.Sync_runner.t in
-      let params = Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) sync in
-      W { algo_name = algo; graph_name; graph; params; inputs; hist; codec }
+(* One {!Catalog} algorithm instantiated on one named graph under the
+   uniform grid policy (greedy mode, bound = the measured synchronous
+   time).  When the algorithm exports a codec, the msgnet leg runs
+   with codec proof pre-images and (the grid bound being finite)
+   packed mirrors — the production configuration. *)
+type workload = { graph_name : string; inst : Catalog.instance }
 
 let algo_names = Catalog.sim_algo_names ()
 
@@ -77,7 +48,7 @@ let headers =
    and a per-step observer asserting the height invariant on the
    virtual clock's event stream. *)
 let engine_leg (type s i) ~scenario ~seed ~(params : (s, i) Transformer.params)
-    ~inputs:_ ~(hist : (s, i) Sync_runner.history) ~max_height ~daemon_rng
+    ~(hist : (s, i) Sync_runner.history) ~max_height ~daemon_rng
     start =
   let clk = Clock.create () in
   let height_cap = max max_height hist.Sync_runner.t + 4 in
@@ -185,67 +156,26 @@ let msgnet_leg (type s i) ~scenario ~seed ~(params : (s, i) Transformer.params)
   in
   (stats, ok)
 
-let cell_rows ~seeds (scenario, W w) =
-  let n = G.Graph.n w.graph in
+(* The two rows of one grid cell, ["engine"] and ["msgnet"], each the
+   worst over the seeds.  Every draw comes from streams derived from
+   the cell seed alone — nothing is shared across pool tasks, so the
+   grid is byte-identical for every job count.  Both legs start from
+   the same corrupted configuration. *)
+let cell_rows ~seeds scenario
+    {
+      graph_name;
+      inst =
+        Catalog.Instance { algo_name; graph; params; inputs; hist; codec; _ };
+    } =
   let max_height =
-    min (P.bound_to_int w.params.Transformer.bound) (w.hist.Sync_runner.t + 4)
+    min (P.bound_to_int params.Transformer.bound) (hist.Sync_runner.t + 4)
   in
-  (* Worst-over-seeds aggregation, msgnet_expt-style. *)
-  let e_moves = ref 0
-  and e_steps = ref 0
-  and e_corrupt = ref 0
-  and e_ok = ref true in
-  let m_execs = ref 0
-  and m_events = ref 0
-  and m_drops = ref 0
-  and m_dups = ref 0
-  and m_reorders = ref 0
-  and m_corrupt = ref 0
-  and m_stale = ref 0
-  and m_wirepeak = ref 0
-  and m_ok = ref true in
-  List.iter
-    (fun seed ->
-      (* Every draw in this cell comes from streams derived from the
-         cell seed alone — nothing is shared across pool tasks, so the
-         grid is byte-identical for every job count. *)
-      let seed_rng = Rng.create ((seed * 7919) + 97) in
-      let start =
-        Transformer.corrupt (Rng.split seed_rng) ~max_height w.params
-          (Transformer.clean_config w.params w.graph ~inputs:w.inputs)
-      in
-      let daemon =
-        Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5
-      in
-      let stats, fired, ok =
-        engine_leg ~scenario ~seed ~params:w.params ~inputs:w.inputs
-          ~hist:w.hist ~max_height ~daemon_rng:daemon start
-      in
-      e_moves := max !e_moves stats.Sim.Engine.moves;
-      e_steps := max !e_steps stats.Sim.Engine.steps;
-      e_corrupt := max !e_corrupt fired;
-      e_ok := !e_ok && ok;
-      let mstats, mok =
-        msgnet_leg ~scenario ~seed ~params:w.params ~inputs:w.inputs
-          ~hist:w.hist ~max_height ~codec:w.codec ~rng:(Rng.split seed_rng)
-          ~naive_rng:(Rng.split seed_rng) start
-      in
-      m_execs := max !m_execs mstats.M.rule_executions;
-      m_events := max !m_events mstats.M.deliveries;
-      m_drops := max !m_drops mstats.M.dropped_messages;
-      m_dups := max !m_dups mstats.M.duplicated_messages;
-      m_reorders := max !m_reorders mstats.M.reordered_messages;
-      m_corrupt := max !m_corrupt mstats.M.corruption_events;
-      m_stale := max !m_stale mstats.M.stale_proof_messages;
-      m_wirepeak := max !m_wirepeak mstats.M.peak_queued_bits;
-      m_ok := !m_ok && mok)
-    seeds;
   let row loop moves events drops dups reorders corrupt stale wirepeak ok =
     [
       Table.S scenario.Scenario.name;
-      Table.S w.algo_name;
-      Table.S w.graph_name;
-      Table.I n;
+      Table.S algo_name;
+      Table.S graph_name;
+      Table.I (G.Graph.n graph);
       Table.S loop;
       Table.I moves;
       Table.I events;
@@ -255,13 +185,40 @@ let cell_rows ~seeds (scenario, W w) =
       Table.I corrupt;
       Table.I stale;
       Table.I wirepeak;
-      Table.S (if ok then "yes" else "NO");
+      Measure.ok_cell ok;
     ]
   in
+  let leg run () = Measure.worst (List.map run seeds) in
+  let draws seed =
+    let seed_rng = Rng.create ((seed * 7919) + 97) in
+    let start =
+      Transformer.corrupt (Rng.split seed_rng) ~max_height params
+        (Transformer.clean_config params graph ~inputs)
+    in
+    let daemon = Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5 in
+    (* The naive twin's generator is split first, as ever. *)
+    let naive_rng = Rng.split seed_rng in
+    let rng = Rng.split seed_rng in
+    (start, daemon, rng, naive_rng)
+  in
   [
-    row "engine" !e_moves !e_steps 0 0 0 !e_corrupt 0 0 !e_ok;
-    row "msgnet" !m_execs !m_events !m_drops !m_dups !m_reorders !m_corrupt
-      !m_stale !m_wirepeak !m_ok;
+    leg (fun seed ->
+        let start, daemon, _, _ = draws seed in
+        let stats, fired, ok =
+          engine_leg ~scenario ~seed ~params ~hist ~max_height
+            ~daemon_rng:daemon start
+        in
+        row "engine" stats.Sim.Engine.moves stats.Sim.Engine.steps 0 0 0 fired
+          0 0 ok);
+    leg (fun seed ->
+        let start, _, rng, naive_rng = draws seed in
+        let s, ok =
+          msgnet_leg ~scenario ~seed ~params ~inputs ~hist ~max_height ~codec
+            ~rng ~naive_rng start
+        in
+        row "msgnet" s.M.rule_executions s.M.deliveries s.M.dropped_messages
+          s.M.duplicated_messages s.M.reordered_messages s.M.corruption_events
+          s.M.stale_proof_messages s.M.peak_queued_bits ok);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -270,19 +227,21 @@ let cell_rows ~seeds (scenario, W w) =
 
 let workloads_for ?(algos = algo_names) rng graphs =
   List.concat_map
-    (fun ((name, g), rng) ->
+    (fun ((graph_name, g), rng) ->
       List.filter_map
         (fun algo ->
           (* Ring-only members of a larger sweep are skipped on unfit
              topologies instead of failing the whole grid; an explicit
-             single-algorithm request still fails loudly inside
-             [workload]. *)
+             single-algorithm request still fails loudly. *)
           if
             (Catalog.find_algo algo).Catalog.ring_only
             && List.length algos > 1
             && not (Catalog.is_ring g)
           then None
-          else Some (workload (Rng.split rng) ~algo ~graph_name:name g))
+          else
+            match Catalog.greedy_instance rng algo g with
+            | Ok inst -> Some { graph_name; inst }
+            | Error e -> failwith e)
         algos)
     (Rng.split_per rng graphs)
 
@@ -294,17 +253,8 @@ let default_workloads ?algos rng =
         G.Builders.random_connected (Rng.split rng) ~n:24 ~extra_edges:12 );
     ]
 
-let rows ?(scenarios = Scenario.all) ?(seeds = [ 1; 2 ]) workloads =
-  let table = Table.create headers in
-  let cells =
-    List.concat_map (fun s -> List.map (fun w -> (s, w)) workloads) scenarios
-  in
-  let all_rows = List.concat (Par.map (cell_rows ~seeds) cells) in
-  List.iter (Table.add table) all_rows;
-  let ok =
-    List.for_all
-      (fun cells ->
-        match List.rev cells with Table.S "NO" :: _ -> false | _ -> true)
-      all_rows
-  in
-  (table, ok)
+let rows ?(scenarios = Scenario.all) ~seeds workloads =
+  Measure.table headers
+    (List.concat_map
+       (fun s -> List.concat_map (cell_rows ~seeds s) workloads)
+       scenarios)

@@ -25,22 +25,10 @@ exception Invariant_violation of string
     instead of averaging into a table cell. *)
 
 type workload
-(** One algorithm instantiated on one graph, with its synchronous
-    ground-truth history precomputed. *)
-
-val workload :
-  Ss_prelude.Rng.t ->
-  algo:string ->
-  graph_name:string ->
-  Ss_graph.Graph.t ->
-  workload
-(** [workload rng ~algo ~graph_name g] builds a grid workload for any
-    {!Catalog} algorithm, under the uniform policy: greedy mode, bound
-    = the measured synchronous time.  The rng seeds algorithm inputs
-    (ids); the synchronous history is computed here, once, outside the
-    pool.
-    @raise Failure on an unknown algorithm or a ring-only algorithm on
-    a non-ring topology. *)
+(** One {!Catalog} algorithm on one named graph, under
+    {!Catalog.greedy_instance}'s policy (greedy mode, bound = the
+    measured synchronous time), with its synchronous ground-truth
+    history precomputed outside the pool. *)
 
 val algo_names : string list
 (** The default grid roster: the catalog's [in_sim_grid] subset
@@ -54,7 +42,10 @@ val workloads_for :
 (** [workloads_for rng graphs] crosses the named graphs with [algos]
     (default {!algo_names}).  When [algos] has several members,
     ring-only algorithms are silently skipped on unfit topologies; a
-    single-algorithm list keeps {!workload}'s strict failure. *)
+    single-algorithm list fails on one.  The inputs of each workload
+    are drawn from one split of its graph's generator.
+    @raise Failure on an unknown algorithm or a ring-only algorithm on
+    a non-ring topology. *)
 
 val default_workloads : ?algos:string list -> Ss_prelude.Rng.t -> workload list
 (** The built-in grid: ring and random-connected topologies × every
@@ -62,12 +53,11 @@ val default_workloads : ?algos:string list -> Ss_prelude.Rng.t -> workload list
 
 val rows :
   ?scenarios:Ss_chaos.Scenario.t list ->
-  ?seeds:int list ->
+  seeds:int list ->
   workload list ->
-  Ss_prelude.Table.t * bool
-(** [rows workloads] runs the scenario × workload grid on the shared
-    {!Ss_par.Par} pool (two rows per cell: ["engine"] and ["msgnet"])
-    and returns the typed table plus the conjunction of every cell's
-    "ok" — [false] means some run failed to re-stabilize to a
-    legitimate quiescent configuration.  Defaults:
-    [scenarios = Scenario.all], [seeds = \[1; 2\]]. *)
+  Ss_prelude.Table.t
+(** [rows ~seeds workloads] runs the scenario × workload grid on the
+    shared {!Ss_par.Par} pool: two rows per cell (["engine"] and
+    ["msgnet"]), each the worst over [seeds].  A run that fails to
+    re-stabilize to a legitimate quiescent configuration reads "NO"
+    in the "ok" column.  Default: [scenarios = Scenario.all]. *)

@@ -1,86 +1,50 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
-module Par = Ss_par.Par
 module P = Ss_core.Predicates
 module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
-module Sync_runner = Ss_sync.Sync_runner
-module Leader = Ss_algos.Leader_election
 module Toy = Ss_algos.Toy
 
-let default_seeds = [ 1; 2 ]
+(* Leader election on a workload, its ids drawn from [rng]. *)
+let leader ?greedy ~seeds rng (w : Workloads.t) =
+  Measure.instance ?greedy ~seeds
+    (Catalog.instantiate "leader" rng w.Workloads.graph)
+    w.Workloads.graph
 
-let leader_scenario rng ?mode ?bound (w : Workloads.t) =
-  let inputs = Leader.random_ids rng w.Workloads.graph in
-  {
-    Stabilization.params = Transformer.params ?mode ?bound Leader.algo;
-    graph = w.Workloads.graph;
-    inputs;
-  }
+(* The clock algorithm with exact [T = k] under greedy [B = b]. *)
+let clock ~seeds g ~k ~b =
+  Measure.worst_case ~seeds ~max_height:b
+    {
+      Stabilization.params =
+        Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) Toy.clock;
+      graph = g;
+      inputs = (fun _ -> k);
+    }
 
-let sync_time sc = (Stabilization.history sc).Sync_runner.t
-
-(* Rows are built from typed cells (Table.S / Table.I) so the text
-   renderer and the JSON serializer (Run_report.of_table) read the very
-   same record — the machine-readable output cannot drift from the
-   printed table.
-
-   Each table fans its rows out over the shared domain pool
-   (DESIGN.md §11): every parent-RNG split happens sequentially while
-   the row thunks are BUILT, each thunk draws only from its own
-   pre-split generator, and the computed cell rows are appended in
-   construction order — so the rendering is byte-identical for any
-   [-j]. *)
-
-let run_rows table row_thunks =
-  List.iter (Table.add table) (Par.map (fun row -> row ()) row_thunks)
-
-let lazy_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [
-        "family"; "n"; "D"; "T"; "moves"; "n^3+nT"; "rounds"; "D+T"; "legit";
-      ]
-  in
-  run_rows table
+let lazy_rows ~seeds rng =
+  Measure.table
+    [ "family"; "n"; "D"; "T"; "moves"; "n^3+nT"; "rounds"; "D+T"; "legit" ]
     (List.map
        (fun ((w : Workloads.t), rng) () ->
-         let sc = leader_scenario rng w in
-         let t = sync_time sc in
-         let agg = Measure.worst_case ~seeds ~max_height:(t + 4) sc in
+         let m = leader ~seeds rng w in
+         let n = w.Workloads.n and t = m.Measure.t in
          [
            Table.S w.Workloads.family;
-           Table.I w.Workloads.n;
+           Table.I n;
            Table.I w.Workloads.diameter;
            Table.I t;
-           Table.I agg.Measure.max_moves;
-           Table.I
-             ((w.Workloads.n * w.Workloads.n * w.Workloads.n)
-             + (w.Workloads.n * t));
-           Table.I agg.Measure.max_rounds;
+           Table.I m.Measure.agg.Measure.max_moves;
+           Table.I ((n * n * n) + (n * t));
+           Table.I m.Measure.agg.Measure.max_rounds;
            Table.I (w.Workloads.diameter + t);
-           Table.S (if agg.Measure.all_legitimate then "yes" else "NO");
+           Measure.ok_cell m.Measure.agg.Measure.all_legitimate;
          ])
-       (Rng.split_per rng (Workloads.standard rng)));
-  table
+       (Rng.split_per rng (Workloads.standard rng)))
 
-let greedy_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [ "workload"; "n"; "T"; "B"; "moves"; "n^3+nB"; "rounds"; "legit" ]
-  in
+let greedy_rows ~seeds rng =
   (* Clock with exact T, growing B: rounds must scale with B. *)
   let clock_row n k b () =
-    let g = Ss_graph.Builders.cycle n in
-    let sc =
-      {
-        Stabilization.params =
-          Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) Toy.clock;
-        graph = g;
-        inputs = (fun _ -> k);
-      }
-    in
-    let agg = Measure.worst_case ~seeds ~max_height:b sc in
+    let agg = clock ~seeds (Ss_graph.Builders.cycle n) ~k ~b in
     [
       Table.S (Printf.sprintf "clock(T=%d)" k);
       Table.I n;
@@ -89,74 +53,50 @@ let greedy_rows ?(seeds = default_seeds) rng =
       Table.I agg.Measure.max_moves;
       Table.I ((n * n * n) + (n * b));
       Table.I agg.Measure.max_rounds;
-      Table.S (if agg.Measure.all_legitimate then "yes" else "NO");
+      Measure.ok_cell agg.Measure.all_legitimate;
     ]
   in
   (* Greedy leader election with B a small multiple of T. *)
-  let leader_row ((w : Workloads.t), rng') () =
-    let probe = leader_scenario (Rng.copy rng') w in
-    let t = max 1 (sync_time probe) in
-    let b = 2 * t in
-    let sc = leader_scenario rng' ~mode:P.Greedy ~bound:(P.Finite b) w in
-    let agg = Measure.worst_case ~seeds ~max_height:b sc in
+  let leader_row ((w : Workloads.t), rng) () =
+    let m = leader ~greedy:(fun t -> 2 * t) ~seeds rng w in
+    let n = w.Workloads.n and b = m.Measure.bound in
     [
       Table.S ("leader/" ^ w.Workloads.family);
-      Table.I w.Workloads.n;
-      Table.I t;
+      Table.I n;
+      Table.I (max 1 m.Measure.t);
       Table.I b;
-      Table.I agg.Measure.max_moves;
-      Table.I
-        ((w.Workloads.n * w.Workloads.n * w.Workloads.n)
-        + (w.Workloads.n * b));
-      Table.I agg.Measure.max_rounds;
-      Table.S (if agg.Measure.all_legitimate then "yes" else "NO");
+      Table.I m.Measure.agg.Measure.max_moves;
+      Table.I ((n * n * n) + (n * b));
+      Table.I m.Measure.agg.Measure.max_rounds;
+      Measure.ok_cell m.Measure.agg.Measure.all_legitimate;
     ]
   in
-  run_rows table
+  Measure.table
+    [ "workload"; "n"; "T"; "B"; "moves"; "n^3+nB"; "rounds"; "legit" ]
     (List.map (fun b -> clock_row 16 8 b) [ 8; 16; 32; 64 ]
-    @ List.map leader_row
-        (Rng.split_per rng (Workloads.rings [ 8; 16; 32 ])));
-  table
+    @ List.map leader_row (Rng.split_per rng (Workloads.rings [ 8; 16; 32 ])))
 
-let recovery_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create
-      [
-        "workload"; "n"; "D"; "B"; "recov-rounds"; "min(D,B)"; "recov-moves";
-        "min(n^3,n^2B)";
-      ]
-  in
+let recovery_rows ~seeds rng =
   (* Lazy leader election, B = +inf: recovery within O(D). *)
-  let leader_row ((w : Workloads.t), rng') () =
-    let sc = leader_scenario rng' w in
-    let t = sync_time sc in
-    let agg = Measure.worst_case ~seeds ~max_height:(t + 4) sc in
+  let leader_row ((w : Workloads.t), rng) () =
+    let agg = (leader ~seeds rng w).Measure.agg in
+    let n = w.Workloads.n in
     [
       Table.S ("leader/" ^ w.Workloads.family);
-      Table.I w.Workloads.n;
+      Table.I n;
       Table.I w.Workloads.diameter;
       Table.S "inf";
       Table.I agg.Measure.max_recovery_rounds;
       Table.I w.Workloads.diameter;
       Table.I agg.Measure.max_recovery_moves;
-      Table.I (w.Workloads.n * w.Workloads.n * w.Workloads.n);
+      Table.I (n * n * n);
     ]
   in
   (* The B < D regime: a short clock on a long path — recovery is
      bounded by B, not by the (large) diameter. *)
   let clock_row n () =
-    let b = 4 in
-    let g = Ss_graph.Builders.path n in
-    let d = n - 1 in
-    let sc =
-      {
-        Stabilization.params =
-          Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) Toy.clock;
-        graph = g;
-        inputs = (fun _ -> b);
-      }
-    in
-    let agg = Measure.worst_case ~seeds ~max_height:b sc in
+    let b = 4 and d = n - 1 in
+    let agg = clock ~seeds (Ss_graph.Builders.path n) ~k:b ~b in
     [
       Table.S (Printf.sprintf "clock(B=%d)/path" b);
       Table.I n;
@@ -168,37 +108,29 @@ let recovery_rows ?(seeds = default_seeds) rng =
       Table.I (min (n * n * n) (n * n * b));
     ]
   in
-  run_rows table
+  Measure.table
+    [
+      "workload"; "n"; "D"; "B"; "recov-rounds"; "min(D,B)"; "recov-moves";
+      "min(n^3,n^2B)";
+    ]
     (List.map leader_row (Rng.split_per rng (Workloads.diameter_sweep ()))
-    @ List.map clock_row [ 16; 32; 64 ]);
-  table
+    @ List.map clock_row [ 16; 32; 64 ])
 
-let space_rows ?(seeds = default_seeds) rng =
-  let table =
-    Table.create [ "workload"; "n"; "B"; "S"; "B*S"; "space-bits"; "legit" ]
-  in
-  run_rows table
+let space_rows ~seeds rng =
+  Measure.table
+    [ "workload"; "n"; "B"; "S"; "B*S"; "space-bits"; "legit" ]
     (List.map
-       (fun ((w : Workloads.t), rng') () ->
-         let probe = leader_scenario (Rng.copy rng') w in
-         let t = max 1 (sync_time probe) in
-         let b = t + 2 in
-         let sc = leader_scenario rng' ~mode:P.Greedy ~bound:(P.Finite b) w in
-         let hist = Stabilization.history sc in
-         let s =
-           Sync_runner.max_state_bits sc.Stabilization.params.Transformer.sync
-             hist
-         in
-         let agg = Measure.worst_case ~seeds ~max_height:b sc in
+       (fun ((w : Workloads.t), rng) () ->
+         let m = leader ~greedy:(fun t -> t + 2) ~seeds rng w in
+         let b = m.Measure.bound and s = m.Measure.state_bits in
          [
            Table.S ("leader/" ^ w.Workloads.family);
            Table.I w.Workloads.n;
            Table.I b;
            Table.I s;
            Table.I (b * s);
-           Table.I agg.Measure.max_space_bits;
-           Table.S (if agg.Measure.all_legitimate then "yes" else "NO");
+           Table.I m.Measure.agg.Measure.max_space_bits;
+           Measure.ok_cell m.Measure.agg.Measure.all_legitimate;
          ])
        (Rng.split_per rng
-          (Workloads.standard rng |> List.filteri (fun i _ -> i mod 3 = 0))));
-  table
+          (Workloads.standard rng |> List.filteri (fun i _ -> i mod 3 = 0))))

@@ -12,18 +12,19 @@
     - space: at most [O(B·S)] bits per node.
 
     Every run is also checked to end in a legitimate terminal
-    configuration (the correctness side of the theorem). *)
+    configuration (the correctness side of the theorem).  Each table
+    takes the worst over [seeds] corruption seeds. *)
 
-val lazy_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val lazy_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Lazy-mode sweep of leader election over the standard workloads. *)
 
-val greedy_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val greedy_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Greedy-mode sweep with controlled [T] (the clock algorithm) and
     growing [B], plus greedy leader election. *)
 
-val recovery_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val recovery_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Error-recovery sweep: recovery rounds against [min(D, B)]
     including the counterintuitive [B < D] regime. *)
 
-val space_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val space_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Space sweep: measured per-node bits against [B·S]. *)

@@ -23,89 +23,53 @@ let default_graphs rng =
     ("random4:16", G.Builders.random4 (Rng.split rng) 16);
   ]
 
-(* One grid cell: a transformer on an instantiated workload.  The
-   workload (inputs, ground-truth history, greedy/Finite-B params) is
-   built once per (algo, graph) and shared by every transformer, so
-   the comparison is apples-to-apples.  [Unfit] marks a ring-only
-   algorithm on a non-ring graph — rendered as an "n/a" row rather
-   than silently dropped, so the grid shape is the full cross
+(* One grid row: a transformer on an instantiated workload, worst
+   over the seeds.  The workload (inputs, ground-truth history,
+   greedy/Finite-B params) is built once per (algo, graph) and shared
+   by every transformer, so the comparison is apples-to-apples. *)
+let cell_row ~seeds
+    (Catalog.Instance { algo_name; graph; params; inputs; spec; hist; _ })
+    graph_name entry () =
+  let b = P.bound_to_int params.P.bound in
+  Measure.worst
+    (List.map
+       (fun seed ->
+         (* Every draw comes from streams derived from the seed ints
+            alone — byte-identical grids for any -j (DESIGN.md §11). *)
+         let seed_rng = Rng.create ((seed * 7919) + 97) in
+         let daemon =
+           Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5
+         in
+         let o =
+           Registry.measure entry ~hist ~rng:(Rng.split seed_rng) ~daemon
+             ~max_height:b ~spec params graph ~inputs
+         in
+         [
+           Table.S (Registry.name entry);
+           Table.S algo_name;
+           Table.S graph_name;
+           Table.I (G.Graph.n graph);
+           Table.I b;
+           Table.I o.Registry.moves;
+           Table.I o.Registry.rounds;
+           Table.I o.Registry.steps;
+           Table.I o.Registry.energy_bits;
+           Table.I o.Registry.space_bits;
+           Measure.ok_cell
+             (o.Registry.terminated && o.Registry.legitimate
+            && o.Registry.spec_ok);
+         ])
+       seeds)
+
+(* A ring-only algorithm on a non-ring graph renders as an "n/a" row
+   rather than being dropped, so the grid shape is the full cross
    product. *)
-type cell =
-  | Run : {
-      entry : Registry.entry;
-      algo_name : string;
-      graph_name : string;
-      graph : G.Graph.t;
-      params : ('s, 'i) P.params;
-      inputs : int -> 'i;
-      spec : 's array -> bool;
-      hist : ('s, 'i) Sync_runner.history;
-    }
-      -> cell
-  | Unfit of { t_name : string; algo_name : string; graph_name : string }
+let unfit_row algo graph_name entry () =
+  [ Table.S (Registry.name entry); Table.S algo; Table.S graph_name ]
+  @ List.init 7 (fun _ -> Table.S "-")
+  @ [ Table.S "n/a" ]
 
-let cell_row ~seeds = function
-  | Unfit { t_name; algo_name; graph_name } ->
-      ( [
-          Table.S t_name;
-          Table.S algo_name;
-          Table.S graph_name;
-          Table.S "-";
-          Table.S "-";
-          Table.S "-";
-          Table.S "-";
-          Table.S "-";
-          Table.S "-";
-          Table.S "-";
-          Table.S "n/a";
-        ],
-        true )
-  | Run { entry; algo_name; graph_name; graph; params; inputs; spec; hist } ->
-      let b = P.bound_to_int params.P.bound in
-      let moves = ref 0
-      and rounds = ref 0
-      and steps = ref 0
-      and energy = ref 0
-      and space = ref 0
-      and ok = ref true in
-      List.iter
-        (fun seed ->
-          (* Every draw comes from streams derived from the seed ints
-             alone — byte-identical grids for any -j (DESIGN.md §11). *)
-          let seed_rng = Rng.create ((seed * 7919) + 97) in
-          let daemon =
-            Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5
-          in
-          let o =
-            Registry.measure entry ~hist ~rng:(Rng.split seed_rng) ~daemon
-              ~max_height:b ~spec params graph ~inputs
-          in
-          (* Worst-over-seeds aggregation, sim_expt-style. *)
-          moves := max !moves o.Registry.moves;
-          rounds := max !rounds o.Registry.rounds;
-          steps := max !steps o.Registry.steps;
-          energy := max !energy o.Registry.energy_bits;
-          space := max !space o.Registry.space_bits;
-          ok := !ok && o.Registry.terminated && o.Registry.legitimate
-                && o.Registry.spec_ok)
-        seeds;
-      ( [
-          Table.S (Registry.name entry);
-          Table.S algo_name;
-          Table.S graph_name;
-          Table.I (G.Graph.n graph);
-          Table.I b;
-          Table.I !moves;
-          Table.I !rounds;
-          Table.I !steps;
-          Table.I !energy;
-          Table.I !space;
-          Table.S (if !ok then "yes" else "NO");
-        ],
-        !ok )
-
-let rows ?transformers ?(algos = default_algos) ?graphs ?(seeds = [ 1; 2 ])
-    rng =
+let rows ?transformers ?(algos = default_algos) ?graphs ~seeds rng =
   let transformers =
     match transformers with Some ts -> ts | None -> Catalog.transformers ()
   in
@@ -117,48 +81,15 @@ let rows ?transformers ?(algos = default_algos) ?graphs ?(seeds = [ 1; 2 ])
   let workloads =
     List.concat_map
       (fun algo ->
-        let a = Catalog.find_algo algo in
         List.map
           (fun (graph_name, graph) ->
-            match Catalog.validate_topology a graph with
-            | Error _ -> `Unfit (algo, graph_name)
-            | Ok () -> (
-                match a.Catalog.instantiate (Rng.split rng) graph with
-                | Catalog.Inst { sync; inputs; spec; codec = _ } ->
-                    let hist = Sync_runner.run sync graph ~inputs in
-                    let b = max 1 hist.Sync_runner.t in
-                    let params =
-                      Transformer.params ~mode:P.Greedy ~bound:(P.Finite b)
-                        sync
-                    in
-                    `Fit
-                      (fun entry ->
-                        Run
-                          {
-                            entry;
-                            algo_name = algo;
-                            graph_name;
-                            graph;
-                            params;
-                            inputs;
-                            spec;
-                            hist;
-                          })))
+            match Catalog.greedy_instance rng algo graph with
+            | Error _ -> unfit_row algo graph_name
+            | Ok inst -> cell_row ~seeds inst graph_name)
           graphs)
       algos
   in
-  let cells =
-    List.concat_map
-      (fun entry ->
-        List.map
-          (function
-            | `Fit make -> make entry
-            | `Unfit (algo_name, graph_name) ->
-                Unfit { t_name = Registry.name entry; algo_name; graph_name })
-          workloads)
-      transformers
-  in
-  let table = Table.create headers in
-  let results = Par.map (cell_row ~seeds) cells in
-  List.iter (fun (row, _) -> Table.add table row) results;
-  (table, List.for_all snd results)
+  Measure.table headers
+    (List.concat_map
+       (fun entry -> List.map (fun row -> row entry) workloads)
+       transformers)

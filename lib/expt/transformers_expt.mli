@@ -10,9 +10,9 @@
     transformer's own [move_bits] hook, and terminal legitimacy plus
     the workload's output specification.
 
-    The table is worst-over-seeds per cell; the companion boolean is
-    the conjunction of every cell's "ok", so the CI smoke can gate on
-    any illegitimate terminal configuration.  Ring-only workloads on
+    The table is worst-over-seeds per cell ({!Measure.worst}); an
+    illegitimate terminal configuration reads "NO" in the "ok" column,
+    which makes [fasst transformers] exit 1.  Ring-only workloads on
     non-ring graphs render as "n/a" rows, keeping the full cross
     product visible.  Byte-identical output for any [-j] (DESIGN.md
     §11). *)
@@ -30,9 +30,9 @@ val rows :
   ?transformers:Ss_core.Registry.entry list ->
   ?algos:string list ->
   ?graphs:(string * Ss_graph.Graph.t) list ->
-  ?seeds:int list ->
+  seeds:int list ->
   Ss_prelude.Rng.t ->
-  Ss_prelude.Table.t * bool
-(** [rows rng] runs the grid on the shared {!Ss_par.Par} pool.
+  Ss_prelude.Table.t
+(** [rows ~seeds rng] runs the grid on the shared {!Ss_par.Par} pool.
     Defaults: all registered transformers, {!default_algos},
-    {!default_graphs}, [seeds = \[1; 2\]]. *)
+    {!default_graphs}. *)

@@ -312,15 +312,14 @@ let test_table_equivalence_real () =
     (table_contents_agree (Ss_expt.Msgnet_expt.rows ~seeds:[ 1 ] (Rng.create 7)));
   check "Transformers_expt.rows" true
     (table_contents_agree
-       (fst
-          (Ss_expt.Transformers_expt.rows
-             ~algos:[ "leader"; "cv" ]
-             ~graphs:
-               [
-                 ("ring:8", Ss_graph.Builders.cycle 8);
-                 ("path:6", Ss_graph.Builders.path 6);
-               ]
-             ~seeds:[ 1 ] (Rng.create 7))))
+       (Ss_expt.Transformers_expt.rows
+          ~algos:[ "leader"; "cv" ]
+          ~graphs:
+            [
+              ("ring:8", Ss_graph.Builders.cycle 8);
+              ("path:6", Ss_graph.Builders.path 6);
+            ]
+          ~seeds:[ 1 ] (Rng.create 7)))
 
 let qcheck_table_equivalence =
   let open QCheck in
