@@ -60,17 +60,16 @@ let rows ?(max_k = 9) ?(seeds = [ 1 ]) () =
            | [ Table.I m; ok ] -> (m, ok <> Table.S "NO")
            | _ -> assert false
          in
-         List.map
-           (fun c -> Table.S c)
-           [
-             string_of_int k;
-             string_of_int r.Blowup.n;
-             string_of_int (Blowup.bound_for k);
-             string_of_int r.Blowup.schedule_moves;
-             string_of_int r.Blowup.total_moves;
-             string_of_int trans_moves;
-             Printf.sprintf "%.1f"
-               (float_of_int r.Blowup.total_moves
-               /. float_of_int (max 1 trans_moves));
-             (if r.Blowup.stabilized && trans_ok then "yes" else "NO");
-           ]))
+         [
+           Table.I k;
+           Table.I r.Blowup.n;
+           Table.I (Blowup.bound_for k);
+           Table.I r.Blowup.schedule_moves;
+           Table.I r.Blowup.total_moves;
+           Table.I trans_moves;
+           Table.S
+             (Printf.sprintf "%.1f"
+                (float_of_int r.Blowup.total_moves
+                /. float_of_int (max 1 trans_moves)));
+           Measure.ok_cell (r.Blowup.stabilized && trans_ok);
+         ]))

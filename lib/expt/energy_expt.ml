@@ -61,18 +61,16 @@ let rows ~seeds rng =
              let predicted =
                float_of_int (b * s) /. float_of_int (s + Util.bit_width b)
              in
-             List.map
-               (fun c -> Table.S c)
-               [
-                 string_of_int n;
-                 string_of_int b;
-                 string_of_int cost.Energy.moves;
-                 string_of_int cost.Energy.messages;
-                 string_of_int cost.Energy.bits_full_state;
-                 string_of_int cost.Energy.bits_delta;
-                 Printf.sprintf "%.1f" ratio;
-                 Printf.sprintf "%.1f" predicted;
-                 string_of_int cost.Energy.heartbeat_bits;
-               ])
+             [
+               Table.I n;
+               Table.I b;
+               Table.I cost.Energy.moves;
+               Table.I cost.Energy.messages;
+               Table.I cost.Energy.bits_full_state;
+               Table.I cost.Energy.bits_delta;
+               Table.S (Printf.sprintf "%.1f" ratio);
+               Table.S (Printf.sprintf "%.1f" predicted);
+               Table.I cost.Energy.heartbeat_bits;
+             ])
            seeds)
        contexts)

@@ -7,8 +7,6 @@ module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
 module Cv = Ss_algos.Cole_vishkin
 
-let yes_no b = if b then "yes" else "NO"
-
 (* Lazy mode with the algorithm's specification checked on every run. *)
 let measure algo ~seeds rng (w : Workloads.t) =
   Measure.instance ~seeds
@@ -22,19 +20,17 @@ let rounds_rows algo ~seeds workloads =
        (fun ((w : Workloads.t), rng) () ->
          let m = measure algo ~seeds rng w in
          let agg = m.Measure.agg and n = w.Workloads.n in
-         List.map
-           (fun c -> Table.S c)
-           [
-             w.Workloads.family;
-             string_of_int n;
-             string_of_int w.Workloads.diameter;
-             string_of_int agg.Measure.max_rounds;
-             string_of_int (w.Workloads.diameter + m.Measure.t);
-             string_of_int agg.Measure.max_moves;
-             string_of_int (n * n * n);
-             yes_no agg.Measure.all_spec;
-             yes_no agg.Measure.all_legitimate;
-           ])
+         [
+           Table.S w.Workloads.family;
+           Table.I n;
+           Table.I w.Workloads.diameter;
+           Table.I agg.Measure.max_rounds;
+           Table.I (w.Workloads.diameter + m.Measure.t);
+           Table.I agg.Measure.max_moves;
+           Table.I (n * n * n);
+           Measure.ok_cell agg.Measure.all_spec;
+           Measure.ok_cell agg.Measure.all_legitimate;
+         ])
        workloads)
 
 let leader_rows ~seeds rng =
@@ -69,20 +65,18 @@ let cv_rows ~seeds rng =
          in
          let spec final = Cv.spec_holds g ~final in
          let agg = Measure.worst_case ~seeds ~max_height:b ~spec sc in
-         List.map
-           (fun c -> Table.S c)
-           [
-             string_of_int n;
-             string_of_int width;
-             string_of_int (Util.log_star n);
-             string_of_int t;
-             string_of_int b;
-             string_of_int agg.Measure.max_rounds;
-             string_of_int agg.Measure.max_moves;
-             string_of_int (n * n * b);
-             yes_no agg.Measure.all_spec;
-             yes_no agg.Measure.all_legitimate;
-           ])
+         [
+           Table.I n;
+           Table.I width;
+           Table.I (Util.log_star n);
+           Table.I t;
+           Table.I b;
+           Table.I agg.Measure.max_rounds;
+           Table.I agg.Measure.max_moves;
+           Table.I (n * n * b);
+           Measure.ok_cell agg.Measure.all_spec;
+           Measure.ok_cell agg.Measure.all_legitimate;
+         ])
        (Rng.split_per rng [ (8, 6); (16, 8); (64, 10); (128, 16); (256, 16) ]))
 
 let shortest_path_rows ~seeds rng =
@@ -92,18 +86,16 @@ let shortest_path_rows ~seeds rng =
        (fun ((w : Workloads.t), rng) () ->
          let m = measure "sp" ~seeds rng w in
          let agg = m.Measure.agg in
-         List.map
-           (fun c -> Table.S c)
-           [
-             w.Workloads.family;
-             string_of_int w.Workloads.n;
-             string_of_int w.Workloads.diameter;
-             string_of_int m.Measure.t;
-             string_of_int agg.Measure.max_rounds;
-             string_of_int agg.Measure.max_moves;
-             yes_no agg.Measure.all_spec;
-             yes_no agg.Measure.all_legitimate;
-           ])
+         [
+           Table.S w.Workloads.family;
+           Table.I w.Workloads.n;
+           Table.I w.Workloads.diameter;
+           Table.I m.Measure.t;
+           Table.I agg.Measure.max_rounds;
+           Table.I agg.Measure.max_moves;
+           Measure.ok_cell agg.Measure.all_spec;
+           Measure.ok_cell agg.Measure.all_legitimate;
+         ])
        (Rng.split_per rng
           [
             Workloads.make "path" (G.Builders.path 16);

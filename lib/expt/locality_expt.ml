@@ -41,19 +41,17 @@ let rows ~seeds rng =
              let t = hist.Sync_runner.t in
              let s = Sync_runner.max_state_bits int_views hist in
              let agg = Measure.worst_case ~seeds ~max_height:(t + 2) sc in
-             List.map
-               (fun c -> Table.S c)
-               [
-                 name;
-                 string_of_int (G.Graph.n g);
-                 string_of_int radius;
-                 string_of_int t;
-                 string_of_int s;
-                 string_of_int ((t + 2) * s);
-                 string_of_int agg.Measure.max_space_bits;
-                 string_of_int agg.Measure.max_moves;
-                 string_of_int agg.Measure.max_rounds;
-                 (if agg.Measure.all_legitimate then "yes" else "NO");
-               ])
+             [
+               Table.S name;
+               Table.I (G.Graph.n g);
+               Table.I radius;
+               Table.I t;
+               Table.I s;
+               Table.I ((t + 2) * s);
+               Table.I agg.Measure.max_space_bits;
+               Table.I agg.Measure.max_moves;
+               Table.I agg.Measure.max_rounds;
+               Measure.ok_cell agg.Measure.all_legitimate;
+             ])
            [ 1; 2; 3; 4 ])
        workloads)

@@ -3,8 +3,6 @@ type t = { headers : string list; mutable rev_rows : cell list list }
 
 let create headers = { headers; rev_rows = [] }
 let add t cells = t.rev_rows <- cells :: t.rev_rows
-let add_row t cells = add t (List.map (fun c -> S c) cells)
-let add_int_row t label xs = add t (S label :: List.map (fun x -> I x) xs)
 let headers t = t.headers
 let rows t = List.rev t.rev_rows
 let cell_text = function S s -> s | I i -> string_of_int i

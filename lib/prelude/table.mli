@@ -24,13 +24,6 @@ val add : t -> cell list -> unit
     header are padded with empty cells; longer rows extend the table
     width. *)
 
-val add_row : t -> string list -> unit
-(** [add_row t cells] appends a row of text cells ([S]). *)
-
-val add_int_row : t -> string -> int list -> unit
-(** [add_int_row t label xs] appends [label] followed by [xs] as
-    integer cells. *)
-
 val headers : t -> string list
 (** The column headers, in order. *)
 

@@ -354,8 +354,8 @@ let render t =
 
 let test_table_render () =
   let t = Table.create [ "name"; "value" ] in
-  Table.add_row t [ "alpha"; "1" ];
-  Table.add_int_row t "beta" [ 42 ];
+  Table.add t [ Table.S "alpha"; Table.S "1" ];
+  Table.add t [ Table.S "beta"; Table.I 42 ];
   let s = render t in
   check "has header" true
     (String.length s > 0
@@ -372,7 +372,7 @@ let test_table_render () =
 
 let test_table_ragged () =
   let t = Table.create [ "a"; "b"; "c" ] in
-  Table.add_row t [ "x" ];
+  Table.add t [ Table.S "x" ];
   let s = render t in
   check "short rows padded" true (String.length s > 0)
 
