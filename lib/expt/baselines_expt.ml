@@ -74,8 +74,7 @@ let bfs_rows ~seeds rng =
               (naive_runs g ~root seeds)))
        workloads)
 
-let dijkstra_rows ?(seeds = [ 1; 2; 3 ]) rng =
-  ignore rng;
+let dijkstra_rows ~seeds _ =
   Measure.table
     [ "n"; "K"; "steps-to-legit"; "moves-to-legit"; "closure" ]
     (List.map

@@ -12,6 +12,8 @@
 val bfs_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** naive min+1 BFS vs transformed BFS: worst moves and rounds. *)
 
-val dijkstra_rows : ?seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+val dijkstra_rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
 (** Dijkstra's token ring: convergence steps/moves to the first
-    legitimate configuration over ring sizes. *)
+    legitimate configuration over ring sizes, worst over [seeds].  The
+    generator is unused: each seed's start and portfolio come from
+    [Rng.create (seed * 17)]. *)

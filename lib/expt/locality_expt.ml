@@ -13,12 +13,11 @@ let int_views =
     ~random_input:(fun rng -> Rng.int rng 64)
     ~pp:Format.pp_print_int
 
-let rows ~seeds rng =
+let rows ~seeds _ =
   let workloads =
     [ ("ring", G.Builders.cycle 10); ("grid", G.Builders.grid ~rows:3 ~cols:4) ]
   in
-  (* (workload × radius) rows; they draw no parent randomness at all. *)
-  ignore rng;
+  (* (workload × radius) rows over the fixed inputs p -> 13p mod 31. *)
   Measure.table
     [
       "graph"; "n"; "radius"; "T"; "S(view-bits)"; "B*S"; "space-bits";

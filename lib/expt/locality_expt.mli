@@ -11,3 +11,6 @@
     bound, with legitimacy checked under the portfolio. *)
 
 val rows : seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+(** The sweep, worst over [seeds].  The generator is unused: the
+    inputs are the fixed map [p ↦ 13p mod 31], so only the corruption
+    seeds vary between runs. *)

@@ -43,8 +43,7 @@ let ablation =
 let baselines =
   [
     v "bfs" "hand-crafted min+1 BFS vs transformed BFS" Baselines_expt.bfs_rows;
-    v "dijkstra" "Dijkstra's token ring [27]" (fun ~seeds:_ rng ->
-        Baselines_expt.dijkstra_rows rng);
+    v "dijkstra" "Dijkstra's token ring [27]" Baselines_expt.dijkstra_rows;
   ]
 
 let locality =
