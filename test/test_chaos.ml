@@ -145,6 +145,37 @@ let test_plan_corruption_schedule () =
   check_int "schedule exhausted" 0 (Fault_plan.pending_corruptions plan);
   check "never fires again" false (Fault_plan.corruption_due plan ~event:1000)
 
+(* The validated constructors on arbitrary integers: they build a plan
+   or raise their documented [Invalid_argument], exactly when a rate
+   leaves [0, ppm_scale] or an index or the horizon is negative. *)
+let qcheck_plan_constructors =
+  let open QCheck in
+  let edge =
+    Gen.oneof
+      [
+        Gen.oneofl
+          [ min_int; -1; 0; 1; Fault_plan.ppm_scale; Fault_plan.ppm_scale + 1;
+            max_int ];
+        Gen.int_range (-10) (Fault_plan.ppm_scale + 10);
+        Gen.int;
+      ]
+  in
+  Test.make ~count:1000
+    ~name:"Fault_plan.rates / v accept or raise Invalid_argument"
+    (make
+       ~print:Print.(pair (triple int int int) (pair (list int) int))
+       Gen.(
+         pair (triple edge edge edge)
+           (pair (list_size (int_range 0 4) edge) edge)))
+    (fun ((drop_ppm, reorder_ppm, dup_ppm), (corrupt_at, horizon)) ->
+      let in_scale r = r >= 0 && r <= Fault_plan.ppm_scale in
+      let rates () = Fault_plan.rates ~drop_ppm ~reorder_ppm ~dup_ppm () in
+      let plan () = Fault_plan.v ~corrupt_at ~horizon ~seed:1 () in
+      raises_invalid rates
+      = not (in_scale drop_ppm && in_scale reorder_ppm && in_scale dup_ppm)
+      && raises_invalid plan
+         = (horizon < 0 || List.exists (fun e -> e < 0) corrupt_at))
+
 (* ------------------------------------------------------------------ *)
 (* Clock / Budget seam                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -407,6 +438,7 @@ let () =
           Alcotest.test_case "allocation" `Quick test_plan_allocation;
           Alcotest.test_case "corruption schedule" `Quick
             test_plan_corruption_schedule;
+          QCheck_alcotest.to_alcotest qcheck_plan_constructors;
         ] );
       ( "clock",
         [

@@ -144,6 +144,135 @@ let test_worst_case_spec_detects_violation () =
   in
   check "violations reported" false agg.Measure.all_spec
 
+(* The worst-over-runs fold: [I] columns take the max, a "NO" wins,
+   labels must agree. *)
+let test_worst_takes_max () =
+  let worst =
+    Measure.worst
+      [
+        [ Table.S "ring"; Table.I 3; Table.I 9; Table.S "yes" ];
+        [ Table.S "ring"; Table.I 7; Table.I 2; Table.S "yes" ];
+        [ Table.S "ring"; Table.I 5; Table.I 4; Table.S "yes" ];
+      ]
+  in
+  check "column-wise max" true
+    (worst = [ Table.S "ring"; Table.I 7; Table.I 9; Table.S "yes" ]);
+  check "one row is its own worst" true
+    (Measure.worst [ [ Table.I 1; Table.S "n/a" ] ]
+    = [ Table.I 1; Table.S "n/a" ])
+
+let test_worst_no_wins () =
+  let row ok = [ Table.S "leader"; Table.I 1; Measure.ok_cell ok ] in
+  check "a NO in the middle wins" true
+    (Measure.worst [ row true; row false; row true ]
+    = [ Table.S "leader"; Table.I 1; Table.S "NO" ]);
+  check "NO over any label" true
+    (Measure.worst [ [ Table.S "NO" ]; [ Table.S "n/a" ] ] = [ Table.S "NO" ])
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let test_worst_rejects () =
+  check "label mismatch" true
+    (raises_invalid (fun () ->
+         Measure.worst
+           [ [ Table.S "ring"; Table.I 1 ]; [ Table.S "grid"; Table.I 1 ] ]));
+  check "int against text" true
+    (raises_invalid (fun () -> Measure.worst [ [ Table.I 1 ]; [ Table.S "1" ] ]));
+  check "ragged rows" true
+    (raises_invalid (fun () ->
+         Measure.worst [ [ Table.I 1 ]; [ Table.I 1; Table.I 2 ] ]));
+  check "no rows" true (raises_invalid (fun () -> Measure.worst []))
+
+(* ------------------------------------------------------------------ *)
+(* Sections                                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Sections = Ss_expt.Sections
+
+let section ok_cells =
+  {
+    Sections.name = "fake";
+    title = "fake";
+    run =
+      (fun ~seeds:_ _ ->
+        let t = Table.create [ "label"; "ok" ] in
+        List.iter (fun c -> Table.add t [ Table.S "row"; c ]) ok_cells;
+        t);
+  }
+
+let exit_code ~json sections =
+  Sections.run
+    (Format.make_formatter (fun _ _ _ -> ()) ignore)
+    ~json ~seed:1 ~seeds:[ 1 ] sections
+
+(* A command built from sections exits 1 when one printed cell reads
+   NO, whichever section holds it. *)
+let test_sections_exit_code () =
+  let good = section [ Table.S "yes"; Table.I 3 ]
+  and bad = section [ Table.S "yes"; Table.S "NO"; Table.S "yes" ] in
+  List.iter
+    (fun json ->
+      check_int "all cells ok: exit 0" 0 (exit_code ~json [ good; good ]);
+      check_int "one NO cell: exit 1" 1 (exit_code ~json [ good; bad ]);
+      check_int "NO in the first section" 1 (exit_code ~json [ bad; good ]))
+    [ false; true ]
+
+let test_sections_names () =
+  let names l = List.map (fun s -> s.Sections.name) l in
+  check "WHICH values are unique per command" true
+    (List.for_all
+       (fun l -> List.length (List.sort_uniq compare (names l)) = List.length l)
+       [ Sections.table1; Sections.instances; Sections.baselines ]);
+  check_int "fasst all: 4 + 4 + 4 + 2 + 1 sections" 15
+    (List.length Sections.all)
+
+(* ------------------------------------------------------------------ *)
+(* Topology specs from the command line                                 *)
+(* ------------------------------------------------------------------ *)
+
+module Catalog = Ss_expt.Catalog
+
+(* Specs built from the real family names with sizes kept small (every
+   accepted spec builds a graph of at most a few thousand nodes), mixed
+   with junk that carries no digits at all. *)
+let topology_spec_gen =
+  let open QCheck.Gen in
+  let families =
+    List.map
+      (fun syntax -> List.hd (String.split_on_char ':' syntax))
+      (Catalog.topology_syntax ())
+  in
+  let junk =
+    string_size ~gen:(oneofl [ 'x'; 'a'; '-'; ':'; ' '; '_' ]) (int_range 0 4)
+  in
+  let size = map string_of_int (int_range (-2) 10) in
+  let tail =
+    oneof
+      [
+        size;
+        map2 (fun a b -> a ^ "x" ^ b) size size;
+        map3 (fun a b c -> a ^ "x" ^ b ^ "x" ^ c) size size size;
+        junk;
+        map2 ( ^ ) size junk;
+      ]
+  in
+  let family = oneof [ oneofl families; junk ] in
+  let sep = frequency [ (8, return ":"); (1, return ""); (1, return "x") ] in
+  map3 (fun f s t -> f ^ s ^ t) family sep tail
+
+let qcheck_topology_specs =
+  QCheck.Test.make ~count:1000
+    ~name:"check_topology is Ok exactly when parse_topology builds"
+    (QCheck.make ~print:Fun.id topology_spec_gen)
+    (fun spec ->
+      let builds =
+        match Catalog.parse_topology (Rng.create 3) spec with
+        | _ -> true
+        | exception Failure _ -> false
+      in
+      Catalog.check_topology spec = Ok () = builds)
+
 let test_clean_run () =
   let sc = scenario () in
   let r =
@@ -216,7 +345,17 @@ let () =
           Alcotest.test_case "spec violation" `Quick
             test_worst_case_spec_detects_violation;
           Alcotest.test_case "clean run" `Quick test_clean_run;
+          Alcotest.test_case "worst takes the max" `Quick test_worst_takes_max;
+          Alcotest.test_case "worst: NO wins" `Quick test_worst_no_wins;
+          Alcotest.test_case "worst rejects mismatches" `Quick
+            test_worst_rejects;
         ] );
+      ( "sections",
+        [
+          Alcotest.test_case "a NO cell exits 1" `Quick test_sections_exit_code;
+          Alcotest.test_case "names" `Quick test_sections_names;
+        ] );
+      ("topology-fuzz", [ QCheck_alcotest.to_alcotest qcheck_topology_specs ]);
       ( "tables",
         [
           Alcotest.test_case "space rows" `Quick test_space_rows_smoke;

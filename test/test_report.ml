@@ -525,7 +525,128 @@ let test_trace_csv_sink () =
 
 (* ------------------------------------------------------------------ *)
 
-let qcheck_tests = [ qcheck_table_equivalence; qcheck_budget_no_overshoot ]
+(* ------------------------------------------------------------------ *)
+(* External inputs: the parsers return Error, never raise               *)
+(* ------------------------------------------------------------------ *)
+
+let report_texts =
+  List.map (fun r -> Json.to_string (Run_report.to_json r)) reports
+
+let json_bytes = List.of_seq (String.to_seq "{}[]:,\"0123456789.-eE+ntfalsru\\ ")
+
+(* Up to four single-byte edits (replace, insert, delete) of [s]. *)
+let mutate_gen s =
+  let open QCheck.Gen in
+  let byte = oneof [ oneofl json_bytes; char ] in
+  let edit s =
+    int_range 0 (String.length s) >>= fun i ->
+    byte >>= fun c ->
+    oneofl [ `Replace; `Insert; `Delete ] >|= fun kind ->
+    let n = String.length s in
+    match kind with
+    | `Replace when i < n ->
+        String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (n - i - 1)
+    | `Delete when i < n -> String.sub s 0 i ^ String.sub s (i + 1) (n - i - 1)
+    | _ -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i)
+  in
+  int_range 1 4 >>= fun k ->
+  let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+  go k s
+
+let json_text_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      string_size ~gen:(oneofl json_bytes) (int_range 0 64);
+      string_size (int_range 0 32);
+      oneofl report_texts >>= mutate_gen;
+    ]
+
+let qcheck_json_of_string =
+  QCheck.Test.make ~count:2000 ~name:"Json.of_string never raises"
+    (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
+    (fun text -> match Json.of_string text with Ok _ | Error _ -> true)
+
+(* Every object key the serialized reports use, so random values land
+   under names [of_json] actually reads. *)
+let report_keys =
+  let rec keys acc = function
+    | Json.Obj fields ->
+        List.fold_left (fun acc (k, v) -> keys (k :: acc) v) acc fields
+    | Json.List vs -> List.fold_left keys acc vs
+    | _ -> acc
+  in
+  List.sort_uniq compare
+    (List.fold_left (fun acc r -> keys acc (Run_report.to_json r)) [] reports)
+
+let rec json_gen depth =
+  let open QCheck.Gen in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
+        map (fun f -> Json.Float f) float;
+        map
+          (fun s -> Json.String s)
+          (oneof [ oneofl report_keys; string_size (int_range 0 8) ]);
+      ]
+  in
+  if depth = 0 then leaf
+  else
+    frequency
+      [
+        (3, leaf);
+        ( 1,
+          map
+            (fun l -> Json.List l)
+            (list_size (int_range 0 3) (json_gen (depth - 1))) );
+        ( 2,
+          map
+            (fun l -> Json.Obj l)
+            (list_size (int_range 0 4)
+               (pair (oneofl report_keys) (json_gen (depth - 1)))) );
+      ]
+
+(* A report's JSON with one field replaced by a random value, dropped,
+   or duplicated, at any depth. *)
+let rec edit_json_gen j =
+  let open QCheck.Gen in
+  match j with
+  | Json.Obj fields when fields <> [] ->
+      int_range 0 (List.length fields - 1) >>= fun i ->
+      oneofl [ `Replace; `Drop; `Recurse ] >>= fun kind ->
+      let k, v = List.nth fields i in
+      let others = List.filteri (fun j _ -> j <> i) fields in
+      (match kind with
+      | `Replace -> json_gen 2 >|= fun v' -> (k, v') :: others
+      | `Drop -> return others
+      | `Recurse ->
+          edit_json_gen v >|= fun v' ->
+          List.mapi (fun j f -> if j = i then (k, v') else f) fields)
+      >|= fun fields -> Json.Obj fields
+  | _ -> json_gen 2
+
+let qcheck_run_report_of_json =
+  QCheck.Test.make ~count:2000 ~name:"Run_report.of_json never raises"
+    (QCheck.make ~print:Json.to_string
+       QCheck.Gen.(
+         oneof
+           [
+             json_gen 3;
+             oneofl reports >>= fun r -> edit_json_gen (Run_report.to_json r);
+           ]))
+    (fun j -> match Run_report.of_json j with Ok _ | Error _ -> true)
+
+let qcheck_tests =
+  [
+    qcheck_table_equivalence;
+    qcheck_budget_no_overshoot;
+    qcheck_json_of_string;
+    qcheck_run_report_of_json;
+  ]
+
 
 let () =
   Alcotest.run "report"
