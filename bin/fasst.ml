@@ -459,8 +459,9 @@ let instances_cmd =
   tables_cmd "instances" ~doc:"Reproduce the §5 instance experiments." seeded
     (which Sections.instances)
 
-(* Γ_k is one fixed schedule on one fixed configuration: neither
-   --seed nor --seeds enters. *)
+(* Γ_k is one fixed schedule on one fixed configuration, so the
+   subcommand takes no seed options: its transformer column runs the
+   portfolio of seed 1. *)
 let rollback_cmd =
   let max_k =
     Arg.(

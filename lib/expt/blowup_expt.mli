@@ -8,8 +8,10 @@
     portfolio.  The rollback column doubles with [k]; the transformer
     column stays polynomial — the paper's headline separation. *)
 
-val rows : ?max_k:int -> ?seeds:int list -> unit -> Ss_prelude.Table.t
-(** The comparison table for [k = 1 .. max_k] (default 9). *)
+val rows : max_k:int -> seeds:int list -> Ss_prelude.Rng.t -> Ss_prelude.Table.t
+(** The comparison table for [k = 1 .. max_k], the transformer column
+    worst over the portfolios of [seeds].  The generator is unused:
+    [Γ_k] is one fixed schedule on one fixed configuration. *)
 
 val transformer_on_fig1 :
   k:int -> daemon:Ss_sim.Daemon.t -> int * bool

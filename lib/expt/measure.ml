@@ -74,21 +74,17 @@ let instance ?greedy ~seeds (Catalog.Inst { sync; inputs; spec; codec = _ })
     graph =
   let hist = Sync_runner.run sync graph ~inputs in
   let t = hist.Sync_runner.t in
-  let mode, bound, max_height =
+  let mode, bound, b, max_height =
     match greedy with
-    | None -> (P.Lazy, 0, t + 4)
+    | None -> (P.Lazy, P.Infinite, 0, t + 4)
     | Some f ->
         let b = f (max 1 t) in
-        (P.Greedy, b, b)
+        (P.Greedy, P.Finite b, b, b)
   in
-  let params =
-    Transformer.params ~mode
-      ~bound:(if bound = 0 then P.Infinite else P.Finite bound)
-      sync
-  in
+  let params = Transformer.params ~mode ~bound sync in
   {
     t;
-    bound;
+    bound = b;
     state_bits = Sync_runner.max_state_bits sync hist;
     agg =
       worst_case ~spec ~seeds ~max_height

@@ -28,7 +28,7 @@ let instances =
 
 let rollback ~max_k =
   v "rollback" "§7 / Figure 1: rollback blow-up vs transformer"
-    (fun ~seeds:_ _ -> Blowup_expt.rows ~max_k ())
+    (Blowup_expt.rows ~max_k)
 
 let energy = v "energy" "§6 message/energy accounting" Energy_expt.rows
 

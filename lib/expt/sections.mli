@@ -21,9 +21,7 @@ val instances : t list
 (** The §5 instances: leader, bfs, cv and sp. *)
 
 val rollback : max_k:int -> t
-(** §7 / Figure 1 for [k = 1 .. max_k].  [Γ_k] is one fixed schedule
-    on one fixed configuration, and the transformer column runs the
-    portfolio of seed 1: neither the generator nor [seeds] enters. *)
+(** §7 / Figure 1 for [k = 1 .. max_k]. *)
 
 val energy : t
 val msgnet : t

@@ -1,12 +1,9 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
-module Par = Ss_par.Par
 module G = Ss_graph
 module Sim = Ss_sim
 module P = Ss_core.Predicates
 module Registry = Ss_core.Registry
-module Transformer = Ss_core.Registry.Trans
-module Sync_runner = Ss_sync.Sync_runner
 
 let headers =
   [
