@@ -7,7 +7,8 @@
 
    Run with: dune exec bench/main.exe
    (--bigrun and --msgnet-bigrun run the big-n recovery smokes; add
-   --profile to either for a sampled line profile of the run). *)
+   --profile to either for a sampled line profile of the run; --help
+   lists the flags, and any other argument is a usage error). *)
 
 module Rng = Ss_prelude.Rng
 module Table = Ss_prelude.Table
@@ -802,9 +803,33 @@ let micro_benchmarks () =
   emit_json "BENCH_engine.json" "engine micro-benchmarks" engine_table;
   emit_json "BENCH_msgnet.json" "msgnet micro-benchmarks" msgnet_table
 
+let usage =
+  "usage: main.exe [--bigrun | --msgnet-bigrun] [--profile] [--help]\n\
+  \  (no flag)        micro-benchmarks; writes BENCH_engine.json and\n\
+  \                   BENCH_msgnet.json in the working directory\n\
+  \  --bigrun         leader election on an n=100000 torus\n\
+  \  --msgnet-bigrun  Cole-Vishkin over msgnet on an n=100000 ring\n\
+  \  --profile        with either smoke: a SIGPROF line profile"
+
 let () =
   let t0 = Unix.gettimeofday () in
-  let has flag = Array.exists (fun a -> a = flag) Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  if List.mem "--help" args then (
+    print_endline usage;
+    exit 0);
+  (* An unknown argument must not fall through to the micro suite,
+     which takes minutes and rewrites both BENCH files. *)
+  (match
+     List.find_opt
+       (fun a -> not (List.mem a [ "--bigrun"; "--msgnet-bigrun"; "--profile" ]))
+       args
+   with
+  | Some a ->
+      prerr_endline ("main.exe: unknown argument " ^ a);
+      prerr_endline usage;
+      exit 2
+  | None -> ());
+  let has flag = List.mem flag args in
   let smoke f = if has "--profile" then profile f else f () in
   if has "--bigrun" then smoke bigrun
   else if has "--msgnet-bigrun" then smoke msgnet_bigrun

@@ -292,6 +292,16 @@ let equal eq a b =
          let rec go i = i > a.len || (eq (cell a i) (cell b i) && go (i + 1)) in
          go 1)
 
+let slab codec st =
+  match st.backend with
+  | Packed { arena; _ } when arena.Cellpack.codec == codec -> arena.Cellpack.data
+  | Packed _ | Boxed _ -> [||]
+
+let slab_offset st i =
+  match st.backend with
+  | Packed { arena; node; _ } -> Cellpack.slot arena node (i - 1)
+  | Boxed _ -> invalid_arg "Trans_state.slab_offset: boxed state"
+
 let cells st =
   match st.backend with
   | Boxed b -> Array.sub b.data 0 st.len

@@ -171,6 +171,20 @@ val backing_arena : 's t -> 's Cellpack.arena option
 (** The arena a packed state lives in ([None] for boxed states) —
     for memory accounting in benchmarks. *)
 
+val slab : 's Cellpack.codec -> 's t -> int array
+(** [slab codec st] is the payload array of the arena holding [st]'s
+    cells when [st] is packed and that arena lays its cells out with
+    [codec] itself (physically), and [[||]] otherwise.  Cell [i]
+    ([1 <= i <= height st]) is then the [codec.words] words from
+    {!slab_offset}[ st i]: the image [codec.pack] wrote, so a fold
+    over them reads what packing [cell st i] again would write, with
+    no [unpack].  Allocation-free. *)
+
+val slab_offset : 's t -> int -> int
+(** [slab_offset st i] is the word offset of cell [i] in the slab of
+    a packed [st] (see {!slab}).  No range check on [i].
+    @raise Invalid_argument when [st] is boxed. *)
+
 val cells : 's t -> 's array
 (** Fresh copy of the logical list [L(1..h)] (never exposes backing
     capacity). *)

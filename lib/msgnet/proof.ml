@@ -72,13 +72,18 @@ let mix acc w =
 
 let seed = 0x0bf29ce484222325
 
-let mix_state p acc s =
-  p.codec.Cellpack.pack p.words 0 s;
+(* The fold over one cell's word image: [n] words of [data] from
+   [off]. *)
+let mix_words acc data off n =
   let acc = ref acc in
-  for w = 0 to Array.length p.words - 1 do
-    acc := mix !acc (Array.unsafe_get p.words w)
+  for w = off to off + n - 1 do
+    acc := mix !acc data.(w)
   done;
   !acc
+
+let mix_state p acc s =
+  p.codec.Cellpack.pack p.words 0 s;
+  mix_words acc p.words 0 p.codec.Cellpack.words
 
 (* [prefix.(s)] with room for index [h], keeping its [valid + 1]
    valid values. *)
@@ -108,9 +113,17 @@ let digest_incremental p s st =
     let valid = m.(at + m_valid) in
     let h = St.height st in
     let pre = prefix_for p s h valid in
-    for i = valid + 1 to h do
-      pre.(i) <- mix_state p pre.(i - 1) (St.cell st i)
-    done;
+    (* A state packed by this codec folds its cells straight from the
+       slab: the words there are what [mix_state] would pack again. *)
+    let slab = St.slab p.codec st and nw = p.codec.Cellpack.words in
+    if Array.length slab > 0 then
+      for i = valid + 1 to h do
+        pre.(i) <- mix_words pre.(i - 1) slab (St.slab_offset st i) nw
+      done
+    else
+      for i = valid + 1 to h do
+        pre.(i) <- mix_state p pre.(i - 1) (St.cell st i)
+      done;
     if h > valid then m.(at + m_valid) <- h;
     let status = match St.status st with St.C -> 0x43 | St.E -> 0x45 in
     let d = mix (mix_state p (mix pre.(h) h) (St.init st)) status in

@@ -26,6 +26,10 @@
       miss resumes the fold from the longest prefix still valid for
       the state's lineage: an extension by [Δ] cells costs
       [O(Δ · words)], with no buffer, string or [Marshal] involved.
+      A state packed in an arena laid out by the layer's own codec
+      folds its cells straight from the slab's words
+      ({!Ss_core.Trans_state.slab}), which are the same word stream,
+      so it is never unpacked; only [init] goes through [pack].
       Only a lineage change (a wipe, a rebuild, a copy-on-write
       divergence, a full-state install) refolds the whole list. *)
 

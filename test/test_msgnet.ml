@@ -741,6 +741,40 @@ let test_proof_no_stale_prefix () =
   agrees "packed rebuild" p;
   agrees "packed wipe then regrow" (grow (St.wipe p) (cells 40))
 
+(* A packed list is proved from its slab's words: through a codec that
+   counts its calls, proving it unpacks nothing and packs only [init],
+   and the digest equals its boxed twin's. *)
+let test_proof_packed_no_unpack () =
+  let unpacks = ref 0 and packs = ref 0 in
+  let codec =
+    {
+      Cellpack.words = Cv.codec.Cellpack.words;
+      pack =
+        (fun d off s ->
+          incr packs;
+          Cv.codec.Cellpack.pack d off s);
+      unpack =
+        (fun d off ->
+          incr unpacks;
+          Cv.codec.Cellpack.unpack d off);
+    }
+  in
+  let cells = Array.init 6 (fun i -> cv_cell (20 + i)) in
+  let arena = Cellpack.arena ~codec ~n:2 ~cap:8 in
+  let packed =
+    Array.fold_left St.extend
+      (St.packed_clean arena ~node:1 ~init:(cv_cell 3))
+      cells
+  in
+  let boxed = St.make ~init:(cv_cell 3) ~status:St.C ~cells in
+  let layer = Proof.incremental codec ~slots:2 ~bound:(Core.Predicates.Finite 8) in
+  unpacks := 0;
+  packs := 0;
+  let d = Proof.digest layer 0 packed in
+  check_int "no unpack" 0 !unpacks;
+  check_int "one pack: init" 1 !packs;
+  check "the boxed twin proves alike" true (d = Proof.digest layer 1 boxed)
+
 (* Allocation tripwire for the event path: leader election on a ring
    of 64 (lists ~36 cells deep) with incremental codec digests
    allocates ~32 words per delivery (read exactly with Gc.minor_words;
@@ -1309,6 +1343,8 @@ let () =
         List.map QCheck_alcotest.to_alcotest proof_qcheck_tests
         @ [
             Alcotest.test_case "no stale prefix" `Quick test_proof_no_stale_prefix;
+            Alcotest.test_case "packed list: no unpack" `Quick
+              test_proof_packed_no_unpack;
             Alcotest.test_case "allocation per delivery" `Quick
               test_proof_allocation;
           ] );
