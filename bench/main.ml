@@ -524,6 +524,19 @@ let msgnet_scale_rows () =
   @ wire_memory "ring100000" s_100k 100_000
   @ wire_memory "torus48x48-leader" s_torus 2304
 
+(* [f ()] and the minor and promoted words it allocated per [events r]
+   of its result [r], from [Gc.quick_stat] deltas: those count every
+   domain of a sharded run, and their minor count moving a whole minor
+   heap at a time is noise at this size. *)
+let gc_per events f =
+  let s0 = Gc.quick_stat () in
+  let r = f () in
+  let s1 = Gc.quick_stat () in
+  let per x = x /. float_of_int (max 1 (events r)) in
+  ( r,
+    per (s1.Gc.minor_words -. s0.Gc.minor_words),
+    per (s1.Gc.promoted_words -. s0.Gc.promoted_words) )
+
 (* The @msgnet-bigrun CI smoke, mirroring @bigrun on the message
    plane: full §6 recovery of Cole-Vishkin coloring on an n=100000
    ring from a corrupted start, in the production configuration —
@@ -538,16 +551,20 @@ let msgnet_bigrun () =
   let heartbeat_every = msgnet_heartbeat ~regime:`Adaptive g in
   let budget = msgnet_budget ~deadline_s:240.0 () in
   let rng = Rng.create 23 in
-  let final, stats =
-    M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every ~budget ~rng
-      params start
+  let (final, stats), minor, promoted =
+    gc_per
+      (fun (_, stats) -> stats.M.deliveries)
+      (fun () ->
+        M.run ~codec:Ss_algos.Cole_vishkin.codec ~heartbeat_every ~budget ~rng
+          params start)
   in
   let legitimate = Core.Checker.legitimate_terminal params hist final = Ok () in
   Printf.printf
     "msgnet-bigrun: n=%d deliveries=%d waves=%d peak-wire-bits=%d \
-     mirror-bytes=%d quiescent=%b legitimate=%b (%.1fs)\n%!"
+     mirror-bytes=%d minor-words/delivery=%.1f \
+     promoted-words/delivery=%.2f quiescent=%b legitimate=%b (%.1fs)\n%!"
     n stats.M.deliveries stats.M.proof_waves stats.M.peak_queued_bits
-    stats.M.mirror_bytes stats.M.quiescent legitimate
+    stats.M.mirror_bytes minor promoted stats.M.quiescent legitimate
     (Unix.gettimeofday () -. t0);
   if not (stats.M.quiescent && legitimate) then (
     prerr_endline
@@ -572,13 +589,17 @@ let bigrun () =
       ~codec:Ss_algos.Leader_election.codec ~max_height:8 sc
   in
   let budget = Ss_report.Budget.v ~deadline_s:120.0 () in
-  let report =
-    Ss_verify.Stabilization.run ~budget ~sharded:true sc
-      ~daemon:Sim.Daemon.synchronous ~start
+  let report, minor, promoted =
+    gc_per
+      (fun r -> r.Ss_verify.Stabilization.moves)
+      (fun () ->
+        Ss_verify.Stabilization.run ~budget ~sharded:true sc
+          ~daemon:Sim.Daemon.synchronous ~start)
   in
   Printf.printf
-    "bigrun: n=%d moves=%d rounds=%d terminated=%b legitimate=%b (%.1fs)\n%!"
-    (G.Graph.n g) report.moves report.rounds report.terminated
+    "bigrun: n=%d moves=%d rounds=%d minor-words/move=%.1f \
+     promoted-words/move=%.2f terminated=%b legitimate=%b (%.1fs)\n%!"
+    (G.Graph.n g) report.moves report.rounds minor promoted report.terminated
     report.legitimate
     (Unix.gettimeofday () -. t0);
   if not (report.terminated && report.legitimate) then (

@@ -29,7 +29,15 @@ let pair ca cb =
       (fun data off -> (ca.unpack data off, cb.unpack data (off + ca.words)));
   }
 
-type 's arena = {
+(* Where a {!Trans_state} handle keeps its cells.  A boxed lineage
+   owns one [Buffer]: a capacity-doubling array whose committed prefix
+   is write-once.  A packed handle points at its arena's [Slab], the
+   one block every handle on that arena shares. *)
+type 's store =
+  | Buffer of { mutable cells : 's array; mutable frontier : int }
+  | Slab of 's arena
+
+and 's arena = {
   codec : 's codec;
   a_n : int;
   a_cap : int;
@@ -38,20 +46,17 @@ type 's arena = {
   rep : int array;
       (* per node: current lineage id, minted by Trans_state from the
          same global counter as boxed buffer ids (0 = no handle yet) *)
+  store : 's store;  (* [Slab] of this arena *)
 }
 
 let arena ~codec ~n ~cap =
   if n < 1 then invalid_arg "Cellpack.arena: n must be >= 1";
   if cap < 0 then invalid_arg "Cellpack.arena: cap must be >= 0";
   if codec.words < 1 then invalid_arg "Cellpack.arena: codec.words must be >= 1";
-  {
-    codec;
-    a_n = n;
-    a_cap = cap;
-    data = Array.make (max 1 (n * cap * codec.words)) 0;
-    committed = Array.make n 0;
-    rep = Array.make n 0;
-  }
+  let data = Array.make (max 1 (n * cap * codec.words)) 0 in
+  let committed = Array.make n 0 and rep = Array.make n 0 in
+  let rec a = { codec; a_n = n; a_cap = cap; data; committed; rep; store = Slab a } in
+  a
 
 let n a = a.a_n
 let cap a = a.a_cap

@@ -36,7 +36,16 @@ val map : inj:('s -> 't) -> prj:('t -> 's) -> 't codec -> 's codec
 val pair : 'a codec -> 'b codec -> ('a * 'b) codec
 (** Product layout: the two components side by side. *)
 
-type 's arena = {
+type 's store =
+  | Buffer of { mutable cells : 's array; mutable frontier : int }
+      (** A boxed lineage's capacity-doubling buffer: cells
+          [0 .. frontier-1] are committed and write-once. *)
+  | Slab of 's arena  (** Built once per arena: its [store] field. *)
+(** Where a {!Trans_state} handle keeps its cells.  Every packed handle
+    on an arena points at that arena's one [Slab] block, so a handle
+    needs no backend block of its own. *)
+
+and 's arena = {
   codec : 's codec;
   a_n : int;  (** Number of node slots. *)
   a_cap : int;  (** Max cells per node (the transformer bound [B]). *)
@@ -50,6 +59,7 @@ type 's arena = {
           minted by {!Trans_state} from the same global counter as
           boxed buffer ids — so [Trans_state.rep_id] is globally
           unique across both backends. *)
+  store : 's store;  (** [Slab] of this arena itself. *)
 }
 
 val arena : codec:'s codec -> n:int -> cap:int -> 's arena

@@ -88,95 +88,138 @@ let algo_err params (v : ('s, 'i) view) =
    costs O(deg) stamp comparisons plus one [step] per cell appended or
    repaired since the previous evaluation — O(Δ·deg) instead of the
    naive O(h·deg) full-prefix re-verification.  The node index only
-   locates the entry; the tokens below decide whether it applies, so a
-   view whose index names another node's entry costs a miss, never a
-   wrong answer. *)
-type entry = {
-  mutable input : Obj.t;
-      (* Physical token of the view's input: one state aliased at two
-         nodes with different inputs verifies differently at each. *)
-  mutable self_rep : int;
-  mutable self_stamp : int;
-  mutable nb_stamps : int array;
-  mutable nb_reps : int array;
-  mutable verified : int;  (* cells 1 .. verified are algo-correct *)
-  mutable top : int;  (* top_checkable at the last evaluation *)
-  mutable result : bool;
+   locates the row; the tokens below decide whether it applies, so a
+   view whose index names another node's row costs a miss, never a
+   wrong answer.
+
+   Node p's watermark is one row of [stride = 6 + 2 * width] ints:
+   the six words at [r_self_rep .. r_deg], then the stamps of its
+   [deg] neighbours from [r_nbs] and their lineage ids after those.
+   The rows live in pages of [page_rows] rows, so the table grows a
+   page at a time and leaves no regrowth garbage; each page has a
+   parallel page of physical input tokens (one state aliased at two
+   nodes with different inputs verifies differently at each).  A
+   zeroed row with a {!private_token} is blank: stamps and lineage ids
+   count from 1 and no view carries that token, so a blank row only
+   ever misses. *)
+let r_self_rep = 0
+let r_self_stamp = 1
+let r_verified = 2 (* cells 1 .. verified are algo-correct *)
+let r_top = 3 (* top_checkable at the last evaluation *)
+let r_result = 4 (* 1 when the last evaluation found an error *)
+let r_deg = 5
+let r_nbs = 6
+let page_bits = 6
+let page_rows = 1 lsl page_bits
+
+(* A token no view carries. *)
+let private_token = Obj.repr (ref ())
+
+(* The pages of a table.  [rows.(j)] and [tokens.(j)] exist for
+   [j < pages]; the spines may be longer. *)
+type table = {
+  width : int;  (* the widest degree a row holds *)
+  rows : int array array;
+  tokens : Obj.t array array;
+  pages : int;
 }
 
+let no_table = { width = 0; rows = [||]; tokens = [||]; pages = 0 }
+
 type ('s, 'i) cache = {
-  mutable entries : entry array;
-      (* [entries.(p)] is node [p]'s watermark, {!no_entry} until its
-         first evaluation; grown on demand, overwritten in place. *)
+  mutable width : int;
+  mutable stride : int;  (* r_nbs + 2 * width *)
+  mutable rows : int array array;
+  mutable tokens : Obj.t array array;
+  mutable pages : int;
+  mutable blank : int;
+      (* Pages [0 .. blank-1] hold this cache's rows; a later page,
+         adopted from a finalised cache, is blanked when first
+         claimed. *)
   scratch : 's Ss_prelude.Scratch.t;
       (* The dependency arrays {!scan} and {!algo_hat_cached} refill,
          one per node degree. *)
-  home : entry array Atomic.t;
+  home : table Atomic.t;
       (* The spare of the domain that made the cache (below). *)
 }
 
-(* An entry that matches no view: its input token is private. *)
-let private_token = Obj.repr (ref ())
+(* The pages of the largest table whose cache, made on this domain,
+   was finalised, for the next cache the domain makes, which blanks
+   each page as it claims it.  Rows are not typed by the algorithm, so
+   any cache can adopt any table.  Keeping one table alive across runs
+   keeps the allocator from returning the freed heap to the OS between
+   back-to-back runs, which made the next set-up fault its pages in
+   again (DESIGN.md §10).  The finaliser reaches the spare through the
+   cache's [home] cell, never through [Domain.DLS]: a finaliser may run
+   on another domain, or while its own domain terminates, and reading
+   domain-local state there crashed the OCaml 5.1 runtime once pool
+   domains came and went. *)
+let spare = Domain.DLS.new_key (fun () -> Atomic.make no_table)
 
-let blank () =
-  {
-    input = private_token;
-    self_rep = -1;
-    self_stamp = -1;
-    nb_stamps = [||];
-    nb_reps = [||];
-    verified = 0;
-    top = -1;
-    result = false;
-  }
-
-(* Stand-in for "no entry yet"; never written. *)
-let no_entry = blank ()
-
-(* The spine of the largest table whose cache, made on this domain,
-   was finalised, for the next cache the domain makes, which blanks it.
-   Entries are not typed by the algorithm, so any cache can adopt any
-   spine; the entry records themselves die with their cache.  Keeping
-   one spine alive across runs keeps the allocator from returning the
-   freed heap to the OS between back-to-back runs, which made the next
-   set-up fault its pages in again (DESIGN.md §10).  The finaliser
-   reaches the spare through the cache's [home] cell, never through
-   [Domain.DLS]: a finaliser may run on another domain, or while its
-   own domain terminates, and reading domain-local state there crashed
-   the OCaml 5.1 runtime once pool domains came and went. *)
-let spare = Domain.DLS.new_key (fun () -> Atomic.make [||])
+let table_words (t : table) = t.pages * (r_nbs + (2 * t.width))
 
 let rec retire (c : (_, _) cache) =
   let s = Atomic.get c.home in
-  if
-    Array.length c.entries > Array.length s
-    && not (Atomic.compare_and_set c.home s c.entries)
+  let t =
+    { width = c.width; rows = c.rows; tokens = c.tokens; pages = c.pages }
+  in
+  if table_words t > table_words s && not (Atomic.compare_and_set c.home s t)
   then retire c
 
 let make_cache () : ('s, 'i) cache =
   let home = Domain.DLS.get spare in
-  let entries = Atomic.exchange home [||] in
-  Array.fill entries 0 (Array.length entries) no_entry;
-  let c = { entries; scratch = Ss_prelude.Scratch.create (); home } in
+  let t = Atomic.exchange home no_table in
+  let c =
+    {
+      width = t.width;
+      stride = r_nbs + (2 * t.width);
+      rows = t.rows;
+      tokens = t.tokens;
+      pages = t.pages;
+      blank = 0;
+      scratch = Ss_prelude.Scratch.create ();
+      home;
+    }
+  in
   Gc.finalise retire c;
   c
 
-(* Node [node]'s entry, created (and the table grown, at least
-   doubling) on its first evaluation. *)
-let entry_for c node =
-  let len = Array.length c.entries in
-  if node >= len then begin
-    let grown = Array.make (max (node + 1) (2 * len)) no_entry in
-    Array.blit c.entries 0 grown 0 len;
-    c.entries <- grown
-  end;
-  let e = c.entries.(node) in
-  if e != no_entry then e
-  else begin
-    let e = blank () in
-    c.entries.(node) <- e;
-    e
-  end
+(* Room for rows of degree [deg]: a wider table, blank.  The old
+   pages are the wrong size for it, so they go. *)
+let widen c deg =
+  c.width <- deg;
+  c.stride <- r_nbs + (2 * deg);
+  c.rows <- [||];
+  c.tokens <- [||];
+  c.pages <- 0;
+  c.blank <- 0
+
+(* Make pages [blank .. page] blank rows of this cache: an adopted page
+   is cleared, a missing one allocated (a spine grows at least
+   doubling; its pages are never copied). *)
+let claim c page =
+  let words = page_rows * c.stride in
+  for j = c.blank to page do
+    if j < c.pages then begin
+      Array.fill c.rows.(j) 0 words 0;
+      Array.fill c.tokens.(j) 0 page_rows private_token
+    end
+    else begin
+      let len = Array.length c.rows in
+      if j >= len then begin
+        let len' = max (j + 1) (2 * len) in
+        let rows = Array.make len' [||] and tokens = Array.make len' [||] in
+        Array.blit c.rows 0 rows 0 c.pages;
+        Array.blit c.tokens 0 tokens 0 c.pages;
+        c.rows <- rows;
+        c.tokens <- tokens
+      end;
+      c.rows.(j) <- Array.make words 0;
+      c.tokens.(j) <- Array.make page_rows private_token;
+      c.pages <- j + 1
+    end
+  done;
+  c.blank <- page + 1
 
 (* Global count of guard evaluations answered (fully or partially)
    from a watermark instead of a full-prefix rescan.  The caches
@@ -186,24 +229,19 @@ let entry_for c node =
 let hits = Atomic.make 0
 let cache_hits () = Atomic.get hits
 
-let rec same_stamps stamps nbs k =
+(* Neighbour [k]'s stamps at [row.(at + k)], lineage ids at
+   [row.(at + deg + k)]. *)
+let rec same_stamps row at nbs k =
   k >= Array.length nbs
-  || (stamps.(k) = St.stamp nbs.(k) && same_stamps stamps nbs (k + 1))
+  || (row.(at + k) = St.stamp nbs.(k) && same_stamps row at nbs (k + 1))
 
-let rec same_reps reps nbs k =
+let rec same_reps row at nbs k =
   k >= Array.length nbs
-  || (reps.(k) = St.rep_id nbs.(k) && same_reps reps nbs (k + 1))
+  || (row.(at + k) = St.rep_id nbs.(k) && same_reps row at nbs (k + 1))
 
-let record_neighbors e nbs =
-  let deg = Array.length nbs in
-  if Array.length e.nb_stamps <> deg then begin
-    e.nb_stamps <- Array.make deg 0;
-    e.nb_reps <- Array.make deg 0
-  end;
-  for k = 0 to deg - 1 do
-    e.nb_stamps.(k) <- St.stamp nbs.(k);
-    e.nb_reps.(k) <- St.rep_id nbs.(k)
-  done
+(* An empty page for nodes past the claimed ones: every lookup there
+   misses on its length. *)
+let no_rows : int array = [||]
 
 let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
   let top = top_checkable v in
@@ -215,38 +253,48 @@ let algo_err_cached (c : ('s, 'i) cache) params (v : ('s, 'i) view) =
     let input = Obj.repr v.Algorithm.input in
     let rep = St.rep_id self in
     let node = v.Algorithm.node in
-    let e =
-      if node < Array.length c.entries then c.entries.(node) else no_entry
+    if deg > c.width then widen c deg;
+    let page = node lsr page_bits and slot = node land (page_rows - 1) in
+    let row = if page < c.blank then c.rows.(page) else no_rows in
+    let at = slot * c.stride in
+    let same_lineage =
+      Array.length row > 0
+      && c.tokens.(page).(slot) == input
+      && row.(at + r_self_rep) = rep
+      && row.(at + r_deg) = deg
     in
-    let same_lineage = e.input == input && e.self_rep = rep in
     if
       same_lineage
-      && e.self_stamp = St.stamp self
-      && e.top = top
-      && Array.length e.nb_stamps = deg
-      && same_stamps e.nb_stamps nbs 0
+      && row.(at + r_self_stamp) = St.stamp self
+      && row.(at + r_top) = top
+      && same_stamps row (at + r_nbs) nbs 0
     then begin
       Atomic.incr hits;
-      e.result
+      row.(at + r_result) = 1
     end
     else begin
       let base =
-        if same_lineage && Array.length e.nb_reps = deg && same_reps e.nb_reps nbs 0
-        then if e.verified < top then e.verified else top
+        if same_lineage && same_reps row (at + r_nbs + deg) nbs 0 then
+          if row.(at + r_verified) < top then row.(at + r_verified) else top
         else 0
       in
       if base > 0 then Atomic.incr hits;
       let deps = Ss_prelude.Scratch.get c.scratch deg (St.cell self 0) in
       let i = scan params v deps ~base ~top in
       let result = i <= top in
-      let e = if e != no_entry then e else entry_for c node in
-      e.input <- input;
-      e.self_rep <- rep;
-      e.self_stamp <- St.stamp self;
-      record_neighbors e nbs;
-      e.verified <- (if result then i - 1 else top);
-      e.top <- top;
-      e.result <- result;
+      if page >= c.blank then claim c page;
+      let row = c.rows.(page) in
+      c.tokens.(page).(slot) <- input;
+      row.(at + r_self_rep) <- rep;
+      row.(at + r_self_stamp) <- St.stamp self;
+      row.(at + r_verified) <- (if result then i - 1 else top);
+      row.(at + r_top) <- top;
+      row.(at + r_result) <- (if result then 1 else 0);
+      row.(at + r_deg) <- deg;
+      for k = 0 to deg - 1 do
+        row.(at + r_nbs + k) <- St.stamp nbs.(k);
+        row.(at + r_nbs + deg + k) <- St.rep_id nbs.(k)
+      done;
       result
     end
   end

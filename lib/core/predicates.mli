@@ -75,13 +75,16 @@ type ('s, 'i) cache
     lineage — a miss, never a stale hit. *)
 
 val make_cache : unit -> ('s, 'i) cache
-(** A fresh, empty cache.  Its table grows to the largest node index
-    it has seen (about 20 words per evaluated node of degree 4) and a
-    miss overwrites the node's entry in place.  One cache serves one
-    (algorithm, domain) pair; it may see several configurations and
-    graphs, which only cost misses.  When a cache is finalised, the
-    spine of its table (one word per node) is kept, blank, for the
-    next cache the calling domain makes (DESIGN.md §10). *)
+(** A fresh, empty cache.  Its table holds one row of [6 + 2w] ints
+    per node, [w] the widest degree it has seen (14 words at degree
+    4), plus one input token word, in pages of 64 rows added as the
+    node indices grow; a miss overwrites the node's row in place, and
+    a view wider than [w] widens the table and blanks it.  One cache
+    serves one (algorithm, domain) pair; it may see several
+    configurations and graphs, which only cost misses.  When a cache
+    is finalised, its pages are kept for the next cache the calling
+    domain makes, which blanks each page as it claims it
+    (DESIGN.md §10). *)
 
 val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
 (** Same result as {!algo_err}, but O(deg) on a stamp-exact hit and

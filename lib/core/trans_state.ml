@@ -1,43 +1,38 @@
 type status = C | E
 
-(* Backing buffer shared by a whole lineage of boxed states.  The
-   committed prefix [data.(0 .. committed-1)] is write-once: [extend]
-   only ever writes at index [committed], so any two states sharing a
-   buffer agree (physically) on their common logical prefix — the
-   invariant both the O(1) [equal] fast paths and the
-   prefix-verification cache in {!Predicates} rest on. *)
-type 's buffer = {
-  id : int;  (* globally unique; Predicates keys its memo on it *)
-  mutable data : 's array;
-  mutable committed : int;
-}
+(* Two storage backends behind one value-semantics API, told apart by
+   the handle's [store] ({!Cellpack.store}):
 
-(* Two storage backends behind one value-semantics API:
+   - [Buffer]: the copy-on-write buffer of a boxed lineage.  Its
+     committed prefix [cells.(0 .. frontier-1)] is write-once:
+     [extend] only ever writes at index [frontier], so any two states
+     sharing a buffer agree (physically) on their common logical
+     prefix — the invariant both the O(1) [equal] fast paths and the
+     prefix-verification cache in {!Predicates} rest on.  Fully
+     persistent: any number of states may share and diverge from a
+     prefix.
 
-   - [Boxed]: the historical copy-on-write buffer.  Fully persistent —
-     any number of states may share and diverge from a prefix.
+   - [Slab]: the state's cells live in node slot [node] of a
+     {!Cellpack} arena, laid out flat with no per-cell boxing.  Every
+     handle on the arena points at the arena's one [Slab] block, so
+     the slot and the lineage id are plain int fields of the handle
+     and a lineage change writes two ints instead of building a
+     block.  Packed states obey a {e linear-history} discipline: each
+     node slot holds one live timeline, and constructing a new state
+     by writing {e below} the slab's committed frontier
+     (overwrite-extend after a truncate, [wipe], [rebuild])
+     invalidates every older handle on that slot — reading a stale
+     handle's cells is unspecified.  The engine's per-node
+     single-timeline usage satisfies this by construction; anything
+     needing persistence (naive reference twins, traces) stays boxed.
 
-   - [Packed]: the state's cells live in a slab of a {!Cellpack}
-     arena, laid out flat with no per-cell boxing.  Packed states obey
-     a {e linear-history} discipline: each node slot holds one live
-     timeline, and constructing a new state by writing {e below} the
-     slab's committed frontier (overwrite-extend after a truncate,
-     [wipe], [rebuild]) invalidates every older handle on that slot —
-     reading a stale handle's cells is unspecified.  The engine's
-     per-node single-timeline usage satisfies this by construction;
-     anything needing persistence (naive reference twins, traces)
-     stays boxed.
-
-   The watermark soundness contract of {!Predicates} — equal [rep_id]
+   The watermark soundness contract of {!Predicates} — equal [rep]
    implies the committed prefix is physically unchanged — holds for
-   both: boxed buffers never overwrite below [committed], and every
-   packed write below the frontier mints a fresh lineage id into
-   [arena.rep.(node)], so surviving handles with the old id are
-   exactly the (unreadable) stale ones that the discipline already
-   rules out of circulation. *)
-type 's backend =
-  | Boxed of 's buffer
-  | Packed of { arena : 's Cellpack.arena; node : int; rep : int }
+   both: a boxed lineage is one buffer, which never overwrites below
+   its frontier, and every packed write below the frontier mints a
+   fresh lineage id into [arena.rep.(node)], so surviving handles with
+   the old id are exactly the (unreadable) stale ones that the
+   discipline already rules out of circulation. *)
 
 (* The fields are mutable for {!assign} alone: every other function
    builds a new record and never writes an existing one. *)
@@ -49,7 +44,11 @@ type 's t = {
       (* Monotone version stamp, fresh on every construction: equal
          stamps imply the two values are the same construction, hence
          logically equal. *)
-  mutable backend : 's backend;
+  mutable rep : int;
+      (* Lineage id, globally unique: one per boxed buffer, one per
+         packed timeline.  Predicates keys its memo on it. *)
+  mutable node : int;  (* packed: the arena slot; boxed: 0 *)
+  mutable store : 's Cellpack.store;
 }
 
 (* Atomic: states are constructed concurrently by campaign pool tasks
@@ -58,36 +57,45 @@ type 's t = {
    are globally unique — a racy [incr] could mint duplicates.  Packed
    lineage ids come from the same counter as boxed buffer ids, so
    [rep_id] is unique across backends. *)
-let buffer_counter = Atomic.make 0
+let rep_counter = Atomic.make 0
 let stamp_counter = Atomic.make 0
 
 let fresh_stamp () = 1 + Atomic.fetch_and_add stamp_counter 1
-let fresh_rep () = 1 + Atomic.fetch_and_add buffer_counter 1
-let fresh_buffer data committed = { id = fresh_rep (); data; committed }
+let fresh_rep () = 1 + Atomic.fetch_and_add rep_counter 1
 
-let make ~init ~status ~cells =
-  (* Defensive copy: the caller keeps ownership of [cells]. *)
-  let cells = Array.copy cells in
+let boxed ~init ~status cells len =
   {
     init;
     status;
-    len = Array.length cells;
+    len;
     stamp = fresh_stamp ();
-    backend = Boxed (fresh_buffer cells (Array.length cells));
+    rep = fresh_rep ();
+    node = 0;
+    store = Cellpack.Buffer { cells; frontier = len };
   }
+
+let make ~init ~status ~cells =
+  (* Defensive copy: the caller keeps ownership of [cells]. *)
+  boxed ~init ~status (Array.copy cells) (Array.length cells)
 
 let clean init = make ~init ~status:C ~cells:[||]
 
-let packed_clean arena ~node ~init =
+(* A fresh timeline in [arena]'s slot [node]: mints its lineage id. *)
+let new_lineage arena node committed =
   let rep = fresh_rep () in
   arena.Cellpack.rep.(node) <- rep;
-  arena.Cellpack.committed.(node) <- 0;
+  arena.Cellpack.committed.(node) <- committed;
+  rep
+
+let packed_clean arena ~node ~init =
   {
     init;
     status = C;
     len = 0;
     stamp = fresh_stamp ();
-    backend = Packed { arena; node; rep };
+    rep = new_lineage arena node 0;
+    node;
+    store = arena.Cellpack.store;
   }
 
 let height st = st.len
@@ -95,20 +103,19 @@ let init st = st.init
 let status st = st.status
 let stamp st = st.stamp
 
-let rep_id st =
-  match st.backend with Boxed b -> b.id | Packed p -> p.rep
+let rep_id st = st.rep
 
 let backing_arena st =
-  match st.backend with Boxed _ -> None | Packed p -> Some p.arena
+  match st.store with Cellpack.Buffer _ -> None | Cellpack.Slab a -> Some a
 
 let cell st i =
   if i = 0 then st.init
   else if i >= 1 && i <= st.len then
-    match st.backend with
-    | Boxed b -> b.data.(i - 1)
-    | Packed { arena; node; _ } ->
+    match st.store with
+    | Cellpack.Buffer b -> b.cells.(i - 1)
+    | Cellpack.Slab arena ->
         arena.Cellpack.codec.Cellpack.unpack arena.Cellpack.data
-          (Cellpack.slot arena node (i - 1))
+          (Cellpack.slot arena st.node (i - 1))
   else
     invalid_arg (Printf.sprintf "Trans_state.cell: index %d, height %d" i st.len)
 
@@ -123,22 +130,22 @@ let truncate st i =
   if i = st.len then st else { st with len = i; stamp = fresh_stamp () }
 
 let extend st s =
-  match st.backend with
-  | Boxed b ->
-      if st.len = b.committed then begin
+  match st.store with
+  | Cellpack.Buffer b ->
+      if st.len = b.frontier then begin
         (* Unique extension: this state owns the frontier, write in
            place (amortized O(1) with capacity doubling). *)
-        let cap = Array.length b.data in
+        let cap = Array.length b.cells in
         if st.len = cap then begin
-          let data = Array.make (max 4 (2 * cap)) s in
-          Array.blit b.data 0 data 0 cap;
-          b.data <- data
+          let cells = Array.make (max 4 (2 * cap)) s in
+          Array.blit b.cells 0 cells 0 cap;
+          b.cells <- cells
         end;
-        b.data.(st.len) <- s;
-        b.committed <- st.len + 1;
+        b.cells.(st.len) <- s;
+        b.frontier <- st.len + 1;
         { st with len = st.len + 1; stamp = fresh_stamp () }
       end
-      else if b.data.(st.len) == s then
+      else if b.cells.(st.len) == s then
         (* Aliased re-extension: the committed cell already IS [s] (the
            message-network mirrors replay exactly the cells their
            origin appended), so just re-adopt it — no copy, prefix
@@ -146,106 +153,83 @@ let extend st s =
         { st with len = st.len + 1; stamp = fresh_stamp () }
       else begin
         (* Divergence from a shared prefix: copy-on-write. *)
-        let data = Array.make (max 4 (2 * (st.len + 1))) s in
-        Array.blit b.data 0 data 0 st.len;
-        {
-          st with
-          backend = Boxed (fresh_buffer data (st.len + 1));
-          len = st.len + 1;
-          stamp = fresh_stamp ();
-        }
+        let cells = Array.make (max 4 (2 * (st.len + 1))) s in
+        Array.blit b.cells 0 cells 0 st.len;
+        boxed ~init:st.init ~status:st.status cells (st.len + 1)
       end
-  | Packed { arena; node; _ } ->
+  | Cellpack.Slab arena ->
       if st.len >= arena.Cellpack.a_cap then
         invalid_arg
           (Printf.sprintf
              "Trans_state.extend: packed arena capacity %d exceeded"
              arena.Cellpack.a_cap);
+      let node = st.node in
       arena.Cellpack.codec.Cellpack.pack arena.Cellpack.data
         (Cellpack.slot arena node st.len)
         s;
-      let frontier = st.len = arena.Cellpack.committed.(node) in
-      arena.Cellpack.committed.(node) <- st.len + 1;
-      if frontier then
+      if st.len = arena.Cellpack.committed.(node) then begin
         (* Frontier extension: committed prefix untouched, the lineage
            continues — watermarks keyed on [rep] stay valid and
-           verification resumes above them.  Same arena, node and rep:
-           the backend block is shared, not rebuilt. *)
+           verification resumes above them. *)
+        arena.Cellpack.committed.(node) <- st.len + 1;
         { st with len = st.len + 1; stamp = fresh_stamp () }
-      else begin
+      end
+      else
         (* Write below (or, for a stale handle, beyond) the committed
            frontier: the slab's history changed, mint a fresh lineage
            id so every cache keyed on the old one misses. *)
-        let rep = fresh_rep () in
-        arena.Cellpack.rep.(node) <- rep;
         {
           st with
           len = st.len + 1;
           stamp = fresh_stamp ();
-          backend = Packed { arena; node; rep };
+          rep = new_lineage arena node (st.len + 1);
         }
-      end
 
 let at_capacity st =
-  match st.backend with
-  | Boxed _ -> false
-  | Packed { arena; _ } -> st.len >= arena.Cellpack.a_cap
+  match st.store with
+  | Cellpack.Buffer _ -> false
+  | Cellpack.Slab arena -> st.len >= arena.Cellpack.a_cap
 
-let in_arena arena st =
-  match st.backend with Boxed _ -> false | Packed p -> p.arena == arena
+let in_arena arena st = st.store == arena.Cellpack.store
 
-let copy st =
-  {
-    init = st.init;
-    status = st.status;
-    len = st.len;
-    stamp = st.stamp;
-    backend = st.backend;
-  }
+let copy st = { st with stamp = st.stamp }
 
-(* The pointer fields are compared before they are written: a node's
-   [init] never changes, and a frontier extend keeps its backend block,
-   so most writes skip both write barriers. *)
+(* Only ints change on most writes: a node's [init] never changes, and
+   every handle on an arena shares its store, so the two pointer
+   fields are compared before they are written and most writes skip
+   both write barriers. *)
 let assign dst src =
   if dst != src then begin
     if dst.init != src.init then dst.init <- src.init;
     dst.status <- src.status;
     dst.len <- src.len;
     dst.stamp <- src.stamp;
-    if dst.backend != src.backend then dst.backend <- src.backend
+    dst.rep <- src.rep;
+    dst.node <- src.node;
+    if dst.store != src.store then dst.store <- src.store
   end
 
 let with_status st status =
   if st.status = status then st else { st with status; stamp = fresh_stamp () }
 
 let wipe st =
-  match st.backend with
-  | Boxed _ ->
-      {
-        init = st.init;
-        status = E;
-        len = 0;
-        stamp = fresh_stamp ();
-        backend = Boxed (fresh_buffer [||] 0);
-      }
-  | Packed { arena; node; _ } ->
+  match st.store with
+  | Cellpack.Buffer _ -> boxed ~init:st.init ~status:E [||] 0
+  | Cellpack.Slab arena ->
       (* Resetting the slab rewrites history below the frontier:
          fresh lineage. *)
-      let rep = fresh_rep () in
-      arena.Cellpack.rep.(node) <- rep;
-      arena.Cellpack.committed.(node) <- 0;
       {
-        init = st.init;
+        st with
         status = E;
         len = 0;
         stamp = fresh_stamp ();
-        backend = Packed { arena; node; rep };
+        rep = new_lineage arena st.node 0;
       }
 
 let rebuild st ~status ~cells =
-  match st.backend with
-  | Boxed _ -> make ~init:st.init ~status ~cells
-  | Packed { arena; node; _ } ->
+  match st.store with
+  | Cellpack.Buffer _ -> make ~init:st.init ~status ~cells
+  | Cellpack.Slab arena ->
       let len = Array.length cells in
       if len > arena.Cellpack.a_cap then
         invalid_arg
@@ -254,58 +238,47 @@ let rebuild st ~status ~cells =
              len arena.Cellpack.a_cap);
       for i = 0 to len - 1 do
         arena.Cellpack.codec.Cellpack.pack arena.Cellpack.data
-          (Cellpack.slot arena node i)
+          (Cellpack.slot arena st.node i)
           cells.(i)
       done;
       (* Arbitrary rewrite (fault injection): fresh lineage. *)
-      let rep = fresh_rep () in
-      arena.Cellpack.rep.(node) <- rep;
-      arena.Cellpack.committed.(node) <- len;
       {
-        init = st.init;
+        st with
         status;
         len;
         stamp = fresh_stamp ();
-        backend = Packed { arena; node; rep };
+        rep = new_lineage arena st.node len;
       }
 
 let in_error st = st.status = E
 
 let equal eq a b =
   (* Stamp fast path (O(1)): equal stamps only arise by aliasing a
-     construction, so the logical values coincide.  Backend fast
-     paths: boxed states sharing a buffer agree on the committed
-     prefix, so equal lengths mean equal cells; packed states on the
-     same slab with the same lineage id likewise — every write since
-     either handle was built was a frontier extension. *)
+     construction, so the logical values coincide.  Lineage fast path:
+     equal [rep]s mean one boxed buffer or one packed timeline, whose
+     committed prefix both handles read, so equal lengths mean equal
+     cells. *)
   a.stamp = b.stamp
-  || (a.status = b.status && a.len = b.len && eq a.init b.init
-     &&
-     match (a.backend, b.backend) with
-     | Boxed x, Boxed y when x == y -> true
-     | Packed x, Packed y when x.arena == y.arena && x.node = y.node ->
-         x.rep = y.rep
-         ||
-         let rec go i = i > a.len || (eq (cell a i) (cell b i) && go (i + 1)) in
-         go 1
-     | _ ->
-         let rec go i = i > a.len || (eq (cell a i) (cell b i) && go (i + 1)) in
-         go 1)
+  || a.status = b.status && a.len = b.len && eq a.init b.init
+     && (a.rep = b.rep
+        ||
+        let rec go i = i > a.len || (eq (cell a i) (cell b i) && go (i + 1)) in
+        go 1)
 
 let slab codec st =
-  match st.backend with
-  | Packed { arena; _ } when arena.Cellpack.codec == codec -> arena.Cellpack.data
-  | Packed _ | Boxed _ -> [||]
+  match st.store with
+  | Cellpack.Slab arena when arena.Cellpack.codec == codec -> arena.Cellpack.data
+  | Cellpack.Slab _ | Cellpack.Buffer _ -> [||]
 
 let slab_offset st i =
-  match st.backend with
-  | Packed { arena; node; _ } -> Cellpack.slot arena node (i - 1)
-  | Boxed _ -> invalid_arg "Trans_state.slab_offset: boxed state"
+  match st.store with
+  | Cellpack.Slab arena -> Cellpack.slot arena st.node (i - 1)
+  | Cellpack.Buffer _ -> invalid_arg "Trans_state.slab_offset: boxed state"
 
 let cells st =
-  match st.backend with
-  | Boxed b -> Array.sub b.data 0 st.len
-  | Packed _ -> Array.init st.len (fun i -> cell st (i + 1))
+  match st.store with
+  | Cellpack.Buffer b -> Array.sub b.cells 0 st.len
+  | Cellpack.Slab _ -> Array.init st.len (fun i -> cell st (i + 1))
 
 let fold_cells f acc st =
   let acc = ref acc in

@@ -20,8 +20,8 @@
       (the overwhelmingly common case: a node appending to its own
       list), and copies on divergence from a shared prefix;
     - [truncate] is O(1) (a logical length drop);
-    - [equal] has two O(1) fast paths: equal version {!stamp}s, and a
-      physically shared buffer at equal heights;
+    - [equal] has two O(1) fast paths: equal version {!stamp}s, and
+      an equal lineage ({!rep_id}, a shared buffer) at equal heights;
     - two states sharing a buffer agree {e physically} on their common
       logical prefix — the invariant behind the incremental
       prefix-verification cache of {!Predicates}.
@@ -29,7 +29,10 @@
     {b Packed backend} (DESIGN.md §12).  A state may instead keep its
     cells in a node slot of a flat {!Cellpack} arena — no per-cell
     boxing, no GC-scanned payload — created with {!packed_clean}.
-    The API is identical, with two restrictions:
+    A packed handle holds its slot and lineage id as ints and reaches
+    the slab through the one block its whole arena shares, so every
+    packed operation allocates at most the new handle.  The API is
+    identical, with two restrictions:
     - {e capacity}: a packed list can never exceed the arena's [cap]
       (the transformer bound [B]); [extend] beyond it raises;
     - {e linear history}: each arena slot holds one live timeline.
@@ -105,8 +108,9 @@ val extend : 's t -> 's -> 's t
     copy-on-write when diverging from a prefix another state extended
     differently (re-appending the {e physically} identical cell
     re-adopts it without copying).  Packed: O(1) slab write — keeps
-    the lineage id (and shares the backend block) when extending the
-    committed frontier, mints a fresh one when overwriting below it.
+    the lineage id when extending the committed frontier, mints a
+    fresh one when overwriting below it; neither allocates more than
+    the new handle.
     @raise Invalid_argument when a packed list would exceed the
     arena's capacity. *)
 

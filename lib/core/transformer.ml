@@ -91,7 +91,7 @@ let algorithm_gen ~algo_err ~algo_hat p =
   }
 
 (* One watermark cache per (algorithm instantiation × domain): the
-   cache is a plain mutable array, so sharded runs — whose guard
+   cache is a plain mutable table, so sharded runs — whose guard
    sweeps execute on the Ss_par pool's domains — get a lazily created
    private instance instead of racing on one table.  The cache is a
    pure memo (it never changes results), so per-domain instances

@@ -1139,7 +1139,9 @@ let cv_ring ~seed ~n =
    made the long-lived arrays promote every one of them.  Exact
    readings (promoted words per delivery, ring of 3000): 9.3 while
    every write stored a fresh handle, 5.7 with owned handles, 4.2 with
-   node states in the run's own arena and rings that rarely grow. *)
+   node states in the run's own arena and rings that rarely grow, 3.5
+   before packed handles and the watermark memo were flattened, 2.7
+   after. *)
 let test_promotion_per_delivery () =
   let params, start = cv_ring ~seed:11 ~n:3000 in
   let (_, stats), promoted =
@@ -1149,8 +1151,8 @@ let test_promotion_per_delivery () =
   check "quiescent" true stats.M.quiescent;
   let per_delivery = promoted /. float_of_int stats.M.deliveries in
   check
-    (Printf.sprintf "%.1f promoted words per delivery < 5" per_delivery)
-    true (per_delivery < 5.)
+    (Printf.sprintf "%.1f promoted words per delivery < 3" per_delivery)
+    true (per_delivery < 3.)
 
 (* Ownership: [run] writes only the handles it owns.  The caller's
    start configuration keeps every stamp, status, height and cell, and

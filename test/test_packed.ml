@@ -161,6 +161,97 @@ let qcheck_tests =
         true);
   ]
 
+(* Owned handles, as the run loops keep them: in each slot of a
+   two-node arena, a packed handle and its boxed twin are overwritten
+   in place ([assign]) with the result of the same random operation.
+   A model of each slot's committed frontier says when its lineage id
+   must change: exactly on a write below the frontier ([extend] under
+   it, [wipe], [rebuild]).  [equal] is compared with a cell-by-cell
+   comparison on every pair of live handles and snapshots ([copy]),
+   the two slots' included, and a snapshot that shares a handle's
+   lineage must still read the cells it had. *)
+let handle_differential =
+  QCheck.Test.make ~count:300
+    ~name:"owned packed handle ≡ boxed twin: lineage, equal, assign"
+    QCheck.(pair small_int (int_range 1 8))
+    (fun (seed, cap) ->
+      let rng = Rng.create seed in
+      let arena = Cellpack.arena ~codec:Cellpack.int_codec ~n:2 ~cap in
+      let init = Rng.int rng 3 in
+      let packed = Array.init 2 (fun node -> St.packed_clean arena ~node ~init) in
+      let boxed = Array.init 2 (fun _ -> St.clean init) in
+      let frontier = Array.make 2 0 in
+      let snapshots = ref [] in
+      let cellwise x y =
+        St.status x = St.status y
+        && St.height x = St.height y
+        && St.init x = St.init y
+        &&
+        let rec go i = i > St.height x || (St.cell x i = St.cell y i && go (i + 1)) in
+        go 1
+      in
+      for step = 1 to 60 do
+        let node = Rng.int rng 2 in
+        let h = packed.(node) and b = boxed.(node) in
+        let len = St.height h in
+        let status = if Rng.bool rng then St.C else St.E in
+        (* The operation, whether it writes below the frontier, and
+           the frontier after it. *)
+        let op, below, frontier' =
+          match Rng.int rng 7 with
+          | 0 when len < cap ->
+              let v = Rng.int rng 3 in
+              ((fun s -> St.extend s v), len < frontier.(node), len + 1)
+          | 1 ->
+              let i = Rng.int rng (len + 1) in
+              ((fun s -> St.truncate s i), false, frontier.(node))
+          | 2 -> ((fun s -> St.with_status s status), false, frontier.(node))
+          | 3 -> (St.wipe, true, 0)
+          | 4 ->
+              let cells = Array.init (Rng.int rng (cap + 1)) (fun _ -> Rng.int rng 3) in
+              ((fun s -> St.rebuild s ~status ~cells), true, Array.length cells)
+          | 5 -> (St.copy, false, frontier.(node))
+          | _ when len > 0 ->
+              let i = Rng.int rng len and v = Rng.int rng 3 in
+              ((fun s -> St.extend (St.truncate s i) v), true, i + 1)
+          | _ -> (St.copy, false, frontier.(node))
+        in
+        let rep = St.rep_id h in
+        let r = op h and rb = op b in
+        (* An empty minor heap: no collection inside the readings. *)
+        Gc.minor ();
+        let (), words = Alloc.words (fun () -> St.assign h r) in
+        let (), boxed_words = Alloc.words (fun () -> St.assign b rb) in
+        frontier.(node) <- frontier';
+        if words <> 0. || boxed_words <> 0. then
+          QCheck.Test.fail_reportf "step %d: assign allocated %.0f + %.0f words"
+            step words boxed_words;
+        if St.rep_id h <> rep <> below then
+          QCheck.Test.fail_reportf "step %d: rep_id %d -> %d, below frontier %b"
+            step rep (St.rep_id h) below;
+        if not (cellwise h b && St.equal Int.equal h b) then
+          QCheck.Test.fail_reportf "step %d: packed and boxed twins differ" step;
+        let live = Array.to_list (Array.append packed boxed) in
+        List.iter
+          (fun x ->
+            List.iter
+              (fun (y, cells) ->
+                if St.equal Int.equal x y <> cellwise x y then
+                  QCheck.Test.fail_reportf
+                    "step %d: equal disagrees with the cells" step;
+                if St.rep_id x = St.rep_id y then
+                  for i = 1 to min (Array.length cells) (St.height x) do
+                    if St.cell x i <> cells.(i - 1) then
+                      QCheck.Test.fail_reportf
+                        "step %d: lineage %d kept but cell %d changed" step
+                        (St.rep_id x) i
+                  done)
+              ((h, St.cells h) :: !snapshots))
+          live;
+        if Rng.int rng 3 = 0 then snapshots := (St.copy h, St.cells h) :: !snapshots
+      done;
+      true)
+
 (* [Cole_vishkin.codec] writes its two ints directly.  It must lay out
    exactly the words of the composed codec it replaced, so packed
    arenas, proof digests and mirrors stay unchanged, and round-trip. *)
@@ -388,6 +479,6 @@ let () =
             test_sharded_merge_at_scale;
         ] );
       ( "qcheck",
-        List.map QCheck_alcotest.to_alcotest (qcheck_tests @ [ cv_codec_test ])
+        List.map QCheck_alcotest.to_alcotest (qcheck_tests @ [ handle_differential; cv_codec_test ])
       );
     ]

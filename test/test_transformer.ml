@@ -740,12 +740,10 @@ let qcheck_owned_handle =
    the frontier, views whose node index lies past the table or names
    another node's entry, and the same instance reused on a second,
    larger graph.  Min-flood ignores its input and the clock reads it,
-   so the input token is exercised too. *)
-let qcheck_memo_differential =
-  QCheck.Test.make ~count:150
-    ~name:"cached predicates = uncached, node by node, boxed and packed"
-    QCheck.small_int
-    (fun seed ->
+   so the input token is exercised too.  [graph rng n] draws each
+   trial's graph on [n] nodes. *)
+let memo_differential ~name graph =
+  QCheck.Test.make ~count:150 ~name QCheck.small_int (fun seed ->
       let rng = Rng.create (seed + 1) in
       let cap = 6 in
       let sync = if Rng.bool rng then Min_flood.algo else Ss_algos.Toy.clock in
@@ -771,7 +769,7 @@ let qcheck_memo_differential =
         then ok := false
       in
       let trial n =
-        let g = Builders.random_connected rng ~n ~extra_edges:(Rng.int rng 4) in
+        let g = graph rng n in
         let inputs_arr = Array.init n (fun _ -> Rng.int rng 8) in
         let inputs p = inputs_arr.(p) in
         let clean =
@@ -826,6 +824,25 @@ let qcheck_memo_differential =
       trial n1;
       trial (n1 + 1 + Rng.int rng 8);
       !ok)
+
+let qcheck_memo_differential =
+  memo_differential
+    ~name:"cached predicates = uncached, node by node, boxed and packed"
+    (fun rng n -> Builders.random_connected rng ~n ~extra_edges:(Rng.int rng 4))
+
+(* Mixed degrees: a path [0 .. k-1] whose last node is joined to the
+   hub [k] of a star, so each sweep evaluates the low-degree path
+   before the hub, whose view is wider than every row the memo holds
+   so far; a second, larger trial with a wider hub widens a filled
+   table. *)
+let qcheck_memo_widening =
+  memo_differential
+    ~name:"cached predicates = uncached on a star joined to a path"
+    (fun rng n ->
+      let k = 1 + Rng.int rng (n / 2) in
+      let path = List.init (k - 1) (fun i -> (i, i + 1)) in
+      let leaves = List.init (n - k - 1) (fun j -> (k, k + 1 + j)) in
+      Graph.of_edges ~n (((k - 1, k) :: path) @ leaves))
 
 (* The verdict [Checker.legitimate_terminal] gave as a composition of
    whole-configuration scans, before it became one pass: terminal, then
@@ -969,6 +986,7 @@ let qcheck_tests =
     qcheck_state_model;
     qcheck_owned_handle;
     qcheck_memo_differential;
+    qcheck_memo_widening;
     qcheck_legitimate_one_pass;
     Test.make ~count:500 ~name:"RC and RU guards are mutually exclusive"
       small_int
