@@ -374,9 +374,16 @@ let memory_rows () =
   (* [live_words] (a full-collection stat) rather than heap size:
      construction churns transient pools (e.g. the id-draw pool) whose
      freed space stays inside the heap chunks and would otherwise be
-     billed to the configuration. *)
+     billed to the configuration.  [live_words] counts unreachable
+     blocks the collector has not swept yet, so each reading follows a
+     full major collection: without it, garbage left by the earlier
+     benchmarks is billed to [before] and freed during the build. *)
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
   let measure ~rows ~cols =
-    let before = (Gc.stat ()).Gc.live_words in
+    let before = live_words () in
     let g = G.Builders.torus ~rows ~cols in
     let rng = Rng.create 5 in
     let inputs = Ss_algos.Leader_election.random_ids rng g in
@@ -388,7 +395,7 @@ let memory_rows () =
       Core.Transformer.packed_config params
         ~codec:Ss_algos.Leader_election.codec g ~inputs
     in
-    let after = (Gc.stat ()).Gc.live_words in
+    let after = live_words () in
     let arena =
       match Core.Trans_state.backing_arena (Sim.Config.state config 0) with
       | Some a -> Core.Cellpack.bytes a
@@ -671,7 +678,7 @@ let profile f =
 (* Machine-readable results, written next to the printed tables so the
    perf trajectory is trackable across PRs.  Both renderings read the
    same typed Table.t — the text via Table.print, the JSON via the
-   shared Ss_report.Run_report.of_table serializer — so the file
+   shared Ss_report.Json.of_table serializer — so the file
    content cannot drift from what was printed. *)
 let bench_table label rows =
   let table = Table.create [ "benchmark"; "ns/run" ] in
@@ -691,7 +698,7 @@ let bench_table label rows =
 let emit_json path label table =
   let oc = open_out path in
   output_string oc
-    (Ss_report.Json.to_string (Ss_report.Run_report.of_table ~label table));
+    (Ss_report.Json.to_string (Ss_report.Json.of_table ~label table));
   output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d rows)\n%!" path

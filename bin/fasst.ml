@@ -13,7 +13,6 @@ module Stabilization = Ss_verify.Stabilization
 module Rng = Ss_prelude.Rng
 module Table = Ss_prelude.Table
 module Json = Ss_report.Json
-module Run_report = Ss_report.Run_report
 open Cmdliner
 
 (* ------------------------------------------------------------------ *)
@@ -212,73 +211,32 @@ let jobs_arg =
 (* run: one transformed algorithm under one adversary                   *)
 (* ------------------------------------------------------------------ *)
 
-let json_report name ~seed ~spec (r : _ Stabilization.report) =
-  let base =
-    Run_report.v ~seed ~outcome:r.Stabilization.outcome name
-      (Run_report.Engine
-         {
-           Run_report.steps = r.Stabilization.steps;
-           moves = r.Stabilization.moves;
-           rounds = r.Stabilization.rounds;
-           moves_per_rule = r.Stabilization.moves_per_rule;
-         })
-  in
-  match Run_report.to_json base with
-  | Json.Obj fields ->
-      Json.Obj
-        (fields
-        @ [
-            ("recovery_moves", Json.Int r.Stabilization.recovery_moves);
-            ("recovery_rounds", Json.Int r.Stabilization.recovery_rounds);
-            ("space_bits", Json.Int r.Stabilization.space_bits);
-            ("legitimate", Json.Bool r.Stabilization.legitimate);
-            ("specification", Json.Bool spec);
-          ])
-  | j -> j
-
-let print_report name (r : _ Stabilization.report) =
-  Printf.printf "algorithm      : %s\n" name;
-  Printf.printf "terminated     : %b\n" r.Stabilization.terminated;
-  Printf.printf "outcome        : %s\n"
-    (Ss_report.Budget.outcome_to_string r.Stabilization.outcome);
-  Printf.printf "moves          : %d\n" r.Stabilization.moves;
-  Printf.printf "rounds         : %d\n" r.Stabilization.rounds;
-  Printf.printf "steps          : %d\n" r.Stabilization.steps;
-  Printf.printf "recovery moves : %d\n" r.Stabilization.recovery_moves;
-  Printf.printf "recovery rounds: %d\n" r.Stabilization.recovery_rounds;
-  Printf.printf "space (bits)   : %d\n" r.Stabilization.space_bits;
-  List.iter
-    (fun (rule, n) -> Printf.printf "  %s moves: %d\n" rule n)
-    r.Stabilization.moves_per_rule;
-  Printf.printf "legitimate     : %b\n" r.Stabilization.legitimate
-
 (* Both renderings read the same typed Table.t: the text goes through
-   Table.render, the JSON through Run_report.of_table — content-identical
-   by construction (pinned by the test suite). *)
+   Table.render, the JSON through Json.of_table — content-identical by
+   construction (pinned by the test suite). *)
 let section ~json title table =
   Ss_expt.Sections.print Format.std_formatter ~json title table
 
-(* Non-trans transformers run through the registry's generic
-   [measure]; the report is a metric/value table through [section], so
-   --json stays content-identical to the text. *)
-let run_outcome ~json name (o : Core.Registry.outcome) =
-  let table = Table.create [ "metric"; "value" ] in
-  let s k v = Table.add table [ Table.S k; Table.S v ] in
-  let i k v = Table.add table [ Table.S k; Table.I v ] in
-  s "transformer" o.Core.Registry.transformer;
-  s "terminated" (string_of_bool o.Core.Registry.terminated);
-  s "outcome" (Ss_report.Budget.outcome_to_string o.Core.Registry.outcome);
-  i "moves" o.Core.Registry.moves;
-  i "rounds" o.Core.Registry.rounds;
-  i "steps" o.Core.Registry.steps;
-  i "energy-bits" o.Core.Registry.energy_bits;
-  i "space-bits" o.Core.Registry.space_bits;
-  List.iter
-    (fun (rule, n) -> i (rule ^ " moves") n)
-    o.Core.Registry.moves_per_rule;
-  s "legitimate" (string_of_bool o.Core.Registry.legitimate);
-  s "specification" (string_of_bool o.Core.Registry.spec_ok);
-  section ~json name table
+(* The metric/value rows every transformer reports, with the
+   transformer's own [extra] rows after the step count. *)
+let run_rows ~transformer ~terminated ~outcome ~moves ~rounds ~steps ~extra
+    ~space_bits ~moves_per_rule ~legitimate ~spec =
+  let s k v = (k, Table.S v) and i k v = (k, Table.I v) in
+  [
+    s "transformer" transformer;
+    s "terminated" (string_of_bool terminated);
+    s "outcome" (Ss_report.Budget.outcome_to_string outcome);
+    i "moves" moves;
+    i "rounds" rounds;
+    i "steps" steps;
+  ]
+  @ extra
+  @ [ i "space-bits" space_bits ]
+  @ List.map (fun (rule, n) -> i (rule ^ " moves") n) moves_per_rule
+  @ [
+      s "legitimate" (string_of_bool legitimate);
+      s "specification" (string_of_bool spec);
+    ]
 
 (* Option values that each parse but that the chosen algorithm or
    transformer cannot run together: a usage error naming [opt] (exit
@@ -305,73 +263,91 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
       (sync : (s, i) Ss_sync.Sync_algo.t) (inputs : int -> i)
       (spec : s array -> bool) =
     let params = Core.Registry.Trans.params ~mode ~bound sync in
-    if transformer <> "trans" then begin
-      (* The rollback and adaptive transformers have no
-         Stabilization-style recovery phases; the registry's measure
-         covers them uniformly. *)
-      let entry = Catalog.find_transformer transformer in
-      match Core.Registry.supports entry params with
-      | Error e -> usage_error "-b" e
-      | Ok () ->
-          let budget =
-            Option.map
-              (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
-              deadline
-          in
-          let outcome =
-            Core.Registry.measure entry ?budget ~p ~rng:(Rng.split rng)
-              ~daemon
-              ~max_height:(min (P.bound_to_int bound) 1_000_000)
-              ~spec params graph ~inputs
-          in
-          run_outcome ~json sync.Ss_sync.Sync_algo.sync_name outcome;
-          `Ok 0
-    end
-    else
-      match (layout, codec, bound) with
-      | `Packed, None, _ ->
-          usage_error "--layout" ("no packed codec for algorithm " ^ algo_name)
-      | `Packed, Some _, P.Infinite ->
-          usage_error "-b" "--layout packed requires a finite bound B"
-      | _ ->
-          let codec =
-            match (layout, bound) with
-            | `Boxed, _ | `Auto, P.Infinite -> None
-            | _ -> codec
-          in
-          let sc = { Stabilization.params; graph; inputs } in
-          (* The corruption ceiling tracks the synchronous execution
-             time.  Under a finite bound the ground truth is cut at B
-             rounds — the only part a B-bounded run can ever reference
-             — so the pre-run history is O(B·n) instead of O(T·n): the
-             million-node path never materializes the full fixpoint
-             history. *)
-          let t =
-            let rounds =
-              match bound with P.Finite b -> Some b | P.Infinite -> None
+    let rows =
+      if transformer <> "trans" then begin
+        (* The rollback and adaptive transformers have no
+           Stabilization-style recovery phases; the registry's measure
+           covers them uniformly. *)
+        let entry = Catalog.find_transformer transformer in
+        match Core.Registry.supports entry params with
+        | Error e -> Error (usage_error "-b" e)
+        | Ok () ->
+            let budget =
+              Option.map
+                (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
+                deadline
             in
-            (Stabilization.history ?rounds sc).Ss_sync.Sync_runner.t
-          in
-          let max_height = min (P.bound_to_int bound) (t + 6) in
-          let start =
-            Stabilization.corrupted_start (Rng.split rng) ~p ?codec
-              ~max_height sc
-          in
-          let budget =
-            Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
-          in
-          let report =
-            Stabilization.run ?budget ~sharded:(jobs > 1) sc ~daemon ~start
-          in
-          let name = sync.Ss_sync.Sync_algo.sync_name in
-          let spec = spec report.Stabilization.outputs in
-          if json then
-            print_endline (Json.to_string (json_report name ~seed ~spec report))
-          else begin
-            print_report name report;
-            Printf.printf "specification  : %b\n" spec
-          end;
-          `Ok 0
+            let (o : Core.Registry.outcome) =
+              Core.Registry.measure entry ?budget ~p ~rng:(Rng.split rng)
+                ~daemon
+                ~max_height:(min (P.bound_to_int bound) 1_000_000)
+                ~spec params graph ~inputs
+            in
+            Ok
+              (run_rows ~transformer:o.transformer ~terminated:o.terminated
+                 ~outcome:o.outcome ~moves:o.moves ~rounds:o.rounds
+                 ~steps:o.steps
+                 ~extra:[ ("energy-bits", Table.I o.energy_bits) ]
+                 ~space_bits:o.space_bits ~moves_per_rule:o.moves_per_rule
+                 ~legitimate:o.legitimate ~spec:o.spec_ok)
+      end
+      else
+        match (layout, codec, bound) with
+        | `Packed, None, _ ->
+            Error
+              (usage_error "--layout"
+                 ("no packed codec for algorithm " ^ algo_name))
+        | `Packed, Some _, P.Infinite ->
+            Error (usage_error "-b" "--layout packed requires a finite bound B")
+        | _ ->
+            let codec =
+              match (layout, bound) with
+              | `Boxed, _ | `Auto, P.Infinite -> None
+              | _ -> codec
+            in
+            let sc = { Stabilization.params; graph; inputs } in
+            (* The corruption ceiling tracks the synchronous execution
+               time.  Under a finite bound the ground truth is cut at B
+               rounds — the only part a B-bounded run can ever
+               reference — so the pre-run history is O(B·n) instead of
+               O(T·n): the million-node path never materializes the
+               full fixpoint history. *)
+            let t =
+              let rounds =
+                match bound with P.Finite b -> Some b | P.Infinite -> None
+              in
+              (Stabilization.history ?rounds sc).Ss_sync.Sync_runner.t
+            in
+            let max_height = min (P.bound_to_int bound) (t + 6) in
+            let start =
+              Stabilization.corrupted_start (Rng.split rng) ~p ?codec
+                ~max_height sc
+            in
+            let budget =
+              Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
+            in
+            let (r : _ Stabilization.report) =
+              Stabilization.run ?budget ~sharded:(jobs > 1) sc ~daemon ~start
+            in
+            Ok
+              (run_rows ~transformer ~terminated:r.terminated
+                 ~outcome:r.outcome ~moves:r.moves ~rounds:r.rounds
+                 ~steps:r.steps
+                 ~extra:
+                   [
+                     ("recovery-moves", Table.I r.recovery_moves);
+                     ("recovery-rounds", Table.I r.recovery_rounds);
+                   ]
+                 ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
+                 ~legitimate:r.legitimate ~spec:(spec r.outputs))
+    in
+    match rows with
+    | Error e -> e
+    | Ok rows ->
+        let table = Table.create [ "metric"; "value" ] in
+        List.iter (fun (k, v) -> Table.add table [ Table.S k; v ]) rows;
+        section ~json sync.Ss_sync.Sync_algo.sync_name table;
+        `Ok 0
   in
   let a = Catalog.find_algo algo_name in
   match Catalog.validate_topology a graph with
@@ -566,7 +542,7 @@ let sim_grid ~json ~scenarios ~seeds ~out workloads =
   section ~json title table;
   Option.iter
     (fun (path, oc) ->
-      output_string oc (Json.to_string (Run_report.of_table ~label:title table));
+      output_string oc (Json.to_string (Json.of_table ~label:title table));
       output_char oc '\n';
       close_out oc;
       Printf.eprintf "grid written to %s\n" path)
@@ -651,7 +627,7 @@ let sim_cmd =
       value
       & opt (some string) None
       & info [ "o"; "output" ]
-          ~doc:"Also write the grid as JSON (Run_report.of_table) to a file.")
+          ~doc:"Also write the grid as JSON (Json.of_table) to a file.")
   in
   let term =
     Term.(

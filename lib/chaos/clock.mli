@@ -2,15 +2,15 @@
 
     Simulated runs must not read the machine clock: wall time makes
     deadline budgets racy (a GC pause or an NTP step trips them
-    non-deterministically) and leaks into [Run_report.wall_s], which
-    then differs between two byte-identical executions.  A [Clock.t]
-    is a plain counter advanced by the simulation itself — one
-    {!tick} per event — so "time" is a pure function of the event
-    sequence: same scenario, same virtual timestamps, always.
+    non-deterministically), so two byte-identical executions could
+    report different outcomes.  A [Clock.t] is a plain counter
+    advanced by the simulation itself — one {!tick} per event — so
+    "time" is a pure function of the event sequence: same scenario,
+    same virtual timestamps, always.
 
     Inject it with {!now_fn}: {!Ss_report.Budget.deadline_check}
-    takes [?now], and the sim harness stamps its reports with
-    {!now} (reported under [timebase = Virtual]). *)
+    takes [?now], and the sim harness passes it to every run of its
+    grid. *)
 
 type t
 

@@ -62,7 +62,7 @@ let all =
 let print ppf ~json title table =
   if json then
     Format.fprintf ppf "%s@."
-      (Ss_report.Json.to_string (Ss_report.Run_report.of_table ~label:title table))
+      (Ss_report.Json.to_string (Ss_report.Json.of_table ~label:title table))
   else Format.fprintf ppf "== %s ==@.%a@." title Table.render table
 
 let run ppf ~json ~seed ~seeds sections =

@@ -40,7 +40,7 @@ val all : t list
 
 val print : Format.formatter -> json:bool -> string -> Ss_prelude.Table.t -> unit
 (** [print ppf ~json title table]: a ["== title =="] header and the
-    text table, or one line of {!Ss_report.Run_report.of_table} JSON.
+    text table, or one line of {!Ss_report.Json.of_table} JSON.
     Both read the same typed cells. *)
 
 val run :

@@ -7,7 +7,6 @@ module Transformer = Ss_core.Registry.Trans
 module Energy = Ss_energy.Energy
 module Rng = Ss_prelude.Rng
 module Budget = Ss_report.Budget
-module Run_report = Ss_report.Run_report
 
 type encoding = Full_state | Delta
 
@@ -233,8 +232,7 @@ let port_scan g ~src ~dst id = Graph.port_of g dst.(id) src.(id)
    drained-channel node pick ([picker]) and the receiver-port lookup
    ([port]).  Mirrors, proofs and waves are the same for both. *)
 let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
-    ?(budget = Budget.unlimited) ?max_events
-    ?(proof = Energy.default_proof_cost) ?heartbeat_every ?now ?chaos ~rng
+    ?(budget = Budget.unlimited) ?max_events ?heartbeat_every ?now ?chaos ~rng
     ?(corrupt_mirrors = true) ?(sinks = []) params config =
   (match heartbeat_every with
   | Some h when h < 1 -> invalid_arg "Msgnet.run: heartbeat_every must be >= 1"
@@ -253,7 +251,7 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let deadline = Budget.deadline_check ?now budget in
   let observing = sinks <> [] in
   let emit ev = List.iter (fun s -> s ev) sinks in
-  let proof_msg_bits = Energy.proof_message_bits proof in
+  let proof_msg_bits = Energy.proof_message_bits Energy.default_proof_cost in
   (* Each wave enqueues one proof per directed link (2m messages) while
      the timer fires every [heartbeat_every] *deliveries*: a period at
      or below 2m refills waves faster than they can drain, so channels
@@ -781,38 +779,13 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   in
   (Config.with_states config states, stats)
 
-let run ?codec ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every
-    ?now ?chaos ~rng ?corrupt_mirrors ?sinks params config =
+let run ?codec ?layout ?encoding ?budget ?max_events ?heartbeat_every ?now
+    ?chaos ~rng ?corrupt_mirrors ?sinks params config =
   drive ~channels:Channel.rings ~picker:candidates ~port:port_table ?codec
-    ?layout ?encoding ?budget ?max_events ?proof ?heartbeat_every ?now ?chaos
-    ~rng ?corrupt_mirrors ?sinks params config
+    ?layout ?encoding ?budget ?max_events ?heartbeat_every ?now ?chaos ~rng
+    ?corrupt_mirrors ?sinks params config
 
-let run_naive ?encoding ?budget ?proof ?heartbeat_every ?now ~rng
-    ?corrupt_mirrors ?sinks params config =
+let run_naive ?encoding ?budget ?heartbeat_every ?now ~rng ?corrupt_mirrors
+    ?sinks params config =
   drive ~channels:Channel.queues ~picker:guard_scan ~port:port_scan ?encoding
-    ?budget ?proof ?heartbeat_every ?now ~rng ?corrupt_mirrors ?sinks params
-    config
-
-let report ?(label = "msgnet-run") ?seed ?wall_s ?timebase (s : stats) =
-  Run_report.v ?seed ?wall_s ?timebase ~outcome:s.outcome label
-    (Run_report.Msgnet
-       {
-         Run_report.deliveries = s.deliveries;
-         rule_executions = s.rule_executions;
-         update_messages = s.update_messages;
-         update_bits = s.update_bits;
-         proof_messages = s.proof_messages;
-         proof_bits = s.proof_bits;
-         stale_proof_messages = s.stale_proof_messages;
-         request_messages = s.request_messages;
-         full_copy_messages = s.full_copy_messages;
-         full_copy_bits = s.full_copy_bits;
-         proof_waves = s.proof_waves;
-         dropped_messages = s.dropped_messages;
-         reordered_messages = s.reordered_messages;
-         duplicated_messages = s.duplicated_messages;
-         corruption_events = s.corruption_events;
-         peak_queued_bits = s.peak_queued_bits;
-         mirror_bytes = s.mirror_bytes;
-         total_bits = total_bits s;
-       })
+    ?budget ?heartbeat_every ?now ~rng ?corrupt_mirrors ?sinks params config

@@ -157,7 +157,6 @@ val run :
   ?encoding:encoding ->
   ?budget:Ss_report.Budget.t ->
   ?max_events:int ->
-  ?proof:Ss_energy.Energy.proof_cost ->
   ?heartbeat_every:int ->
   ?now:(unit -> float) ->
   ?chaos:'s chaos ->
@@ -189,8 +188,9 @@ val run :
     otherwise — and re-checked on the channels-drained exit path, so a
     run that drains past its time budget reports [Tripped Deadline]
     rather than [Completed].
-    Defaults: [encoding = Delta], event cap [2_000_000],
-    [proof = Energy.default_proof_cost] (64-bit hash + 64-bit nonce).
+    Defaults: [encoding = Delta], event cap [2_000_000].  Every proof
+    costs {!Ss_energy.Energy.default_proof_cost} (64-bit hash + 64-bit
+    nonce).
     Returns the final true states and the traffic/work accounting.
     The states in [config], boxed or packed, are only read: the run
     works on its own copies and overwrites those in place (see
@@ -248,7 +248,6 @@ val run :
 val run_naive :
   ?encoding:encoding ->
   ?budget:Ss_report.Budget.t ->
-  ?proof:Ss_energy.Energy.proof_cost ->
   ?heartbeat_every:int ->
   ?now:(unit -> float) ->
   rng:Ss_prelude.Rng.t ->
@@ -275,13 +274,3 @@ val run_naive :
     are differentially checked against.
 
     @raise Invalid_argument when [heartbeat_every < 1]. *)
-
-val report :
-  ?label:string ->
-  ?seed:int ->
-  ?wall_s:float ->
-  ?timebase:Ss_report.Run_report.timebase ->
-  stats ->
-  Ss_report.Run_report.t
-(** The run's summary as a structured {!Ss_report.Run_report.t} (kind
-    ["msgnet"]): the full traffic accounting plus {!total_bits}. *)

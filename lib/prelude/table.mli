@@ -6,7 +6,7 @@
     Cells are {e typed} ({!cell}): a row keeps integers as integers
     rather than pre-rendered strings, so the same table value can be
     rendered as text and serialized to machine-readable JSON (see
-    [Ss_report.Run_report.of_table]) with guaranteed-identical
+    [Ss_report.Json.of_table]) with guaranteed-identical
     content — the text emitter and the JSON emitter read one record. *)
 
 type cell =

@@ -47,11 +47,3 @@ let limit_to_string = function
 let outcome_to_string = function
   | Completed -> "completed"
   | Tripped l -> limit_to_string l
-
-let outcome_of_string = function
-  | "completed" -> Ok Completed
-  | "steps" -> Ok (Tripped Steps)
-  | "moves" -> Ok (Tripped Moves)
-  | "deliveries" -> Ok (Tripped Deliveries)
-  | "deadline" -> Ok (Tripped Deadline)
-  | s -> Error ("unknown outcome: " ^ s)

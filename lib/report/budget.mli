@@ -67,6 +67,4 @@ val deadline_check : ?now:(unit -> float) -> t -> unit -> bool
 val limit_to_string : limit -> string
 val outcome_to_string : outcome -> string
 (** ["completed"], ["steps"], ["moves"], ["deliveries"], ["deadline"] —
-    the wire encoding used by {!Run_report}. *)
-
-val outcome_of_string : string -> (outcome, string) result
+    the [outcome] row of [fasst run]. *)

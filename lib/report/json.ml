@@ -280,3 +280,30 @@ let to_int = function
 let to_str = function
   | String s -> Ok s
   | v -> Error ("expected string, got " ^ to_string v)
+
+let of_table ?label table =
+  let module T = Ss_prelude.Table in
+  let headers = T.headers table in
+  let cell = function T.S s -> String s | T.I i -> Int i in
+  let row cells =
+    (* Shorter rows are padded with empty cells and longer rows extend
+       the width, mirroring the text renderer. *)
+    let ncols = max (List.length headers) (List.length cells) in
+    let key i =
+      match List.nth_opt headers i with
+      | Some h -> h
+      | None -> Printf.sprintf "col%d" i
+    in
+    Obj
+      (List.init ncols (fun i ->
+           ( key i,
+             match List.nth_opt cells i with
+             | Some c -> cell c
+             | None -> String "" )))
+  in
+  Obj
+    ((match label with Some l -> [ ("table", String l) ] | None -> [])
+    @ [
+        ("headers", List (List.map (fun h -> String h) headers));
+        ("rows", List (List.map row (T.rows table)));
+      ])

@@ -2,7 +2,7 @@
     reporting pipeline.
 
     Every machine-readable artefact of the repo (experiment tables,
-    bench results, run reports, traces) is emitted through this one
+    bench results, traces) is emitted through this one
     type, so a single emitter/parser pair defines the wire format.
     The emitter is deterministic (object fields keep their insertion
     order) and the parser accepts exactly RFC-8259 JSON, which makes
@@ -40,3 +40,11 @@ val to_int : t -> (int, string) result
 
 val to_str : t -> (string, string) result
 (** [String s] as [s]; anything else is an error. *)
+
+val of_table : ?label:string -> Ss_prelude.Table.t -> t
+(** The one table serializer: a JSON object
+    [{"table": label?, "headers": [...], "rows": [{col: cell}, ...]}]
+    whose rows are keyed by header and whose cells come from the same
+    typed {!Ss_prelude.Table.cell}s the text renderer prints —
+    integer cells become JSON ints, text cells JSON strings, so
+    rendered content is byte-identical between the two emitters. *)

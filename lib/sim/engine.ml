@@ -1,5 +1,4 @@
 module Budget = Ss_report.Budget
-module Run_report = Ss_report.Run_report
 
 exception Invalid_selection of string
 exception Divergence of string
@@ -349,13 +348,3 @@ let run_naive ?budget ?now ?observer ?sinks algo daemon config =
   let tracker = Rounds.create ~enabled:(Config.enabled_nodes algo config) in
   emit ~step:0 ~rounds:0 ~moved:[] config;
   finish tracker (loop config 0 0 tracker)
-
-let report ?(label = "engine-run") ?seed ?wall_s ?timebase stats =
-  Run_report.v ?seed ?wall_s ?timebase ~outcome:stats.outcome label
-    (Run_report.Engine
-       {
-         Run_report.steps = stats.steps;
-         moves = stats.moves;
-         rounds = stats.rounds;
-         moves_per_rule = stats.moves_per_rule;
-       })

@@ -190,13 +190,3 @@ val step :
     exactly [selected]: returns the new configuration and the (node,
     rule) moves.  Validates the selection.
     @raise Invalid_selection on malformed selections. *)
-
-val report :
-  ?label:string ->
-  ?seed:int ->
-  ?wall_s:float ->
-  ?timebase:Ss_report.Run_report.timebase ->
-  ('s, 'i) stats ->
-  Ss_report.Run_report.t
-(** The engine's statistics as a structured {!Ss_report.Run_report.t}
-    (kind ["engine"]), ready for JSON emission. *)

@@ -1,6 +1,5 @@
 module Graph = Ss_graph.Graph
 module Budget = Ss_report.Budget
-module Run_report = Ss_report.Run_report
 
 type ('s, 'i) history = {
   graph : Graph.t;
@@ -101,7 +100,3 @@ let max_state_bits algo h =
     (fun acc row ->
       Array.fold_left (fun acc s -> max acc (algo.Sync_algo.state_bits s)) acc row)
     0 h.states_by_round
-
-let report ?(label = "sync-run") ?seed ?wall_s h =
-  Run_report.v ?seed ?wall_s ~outcome:Budget.Completed label
-    (Run_report.Sync { Run_report.sync_rounds = h.t; nodes = Graph.n h.graph })

@@ -56,12 +56,3 @@ val execution_time : ('s, 'i) history -> int
 
 val max_state_bits : ('s, 'i) Sync_algo.t -> ('s, 'i) history -> int
 (** Largest [state_bits] over all rounds and nodes — the measured [S]. *)
-
-val report :
-  ?label:string ->
-  ?seed:int ->
-  ?wall_s:float ->
-  ('s, 'i) history ->
-  Ss_report.Run_report.t
-(** The history's summary as a structured {!Ss_report.Run_report.t}
-    (kind ["sync"]): execution time [T] and network size. *)

@@ -9,7 +9,7 @@
       probabilities and node ids are Invalid_argument; duplicated node
       lists cannot shift the draw sequence.
    4. Replay determinism: one seed, any [-j], byte-identical
-      Run_report JSON of the scenario grid (qcheck over seeds).  The
+      table JSON of the scenario grid (qcheck over seeds).  The
       two-process variant of this contract is the root @sim-chaos
       alias, which diffs two separate `fasst sim` invocations.
    5. The differential suite: leader / BFS / Cole-Vishkin through the
@@ -42,7 +42,6 @@ module Fault_plan = Ss_chaos.Fault_plan
 module Clock = Ss_chaos.Clock
 module Scenario = Ss_chaos.Scenario
 module Budget = Ss_report.Budget
-module Run_report = Ss_report.Run_report
 module Json = Ss_report.Json
 
 let check = Alcotest.(check bool)
@@ -284,7 +283,7 @@ let grid_json ~jobs ~seed =
   in
   Par.set_jobs 1;
   check "standard grid cell stabilizes" true (Ss_expt.Measure.ok table);
-  Json.to_string (Run_report.of_table ~label:"sim" table)
+  Json.to_string (Json.of_table ~label:"sim" table)
 
 let test_grid_jobs_determinism () =
   QCheck.Test.check_exn

@@ -8,7 +8,6 @@ module Pool = Ss_par.Pool
 module Par = Ss_par.Par
 module Rng = Ss_prelude.Rng
 module Json = Ss_report.Json
-module Run_report = Ss_report.Run_report
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -117,7 +116,7 @@ let test_par_knob () =
    all sit on this path. *)
 let render_campaign () =
   Json.to_string
-    (Run_report.of_table ~label:"t1-lazy"
+    (Json.of_table ~label:"t1-lazy"
        (Ss_expt.Table1.lazy_rows ~seeds:[ 1 ] (Rng.create 5)))
 
 let test_j1_equals_j4 () =

@@ -1,11 +1,10 @@
 (* Tests for the unified reporting pipeline (Ss_report): the JSON
    value type, the Budget record and its never-overshoot guarantee
-   across all three run loops, Run_report round-trips, and the
-   text-table / JSON-table content identity. *)
+   across all three run loops, and the text-table / JSON-table content
+   identity. *)
 
 module Json = Ss_report.Json
 module Budget = Ss_report.Budget
-module Run_report = Ss_report.Run_report
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
 module G = Ss_graph
@@ -116,21 +115,17 @@ let test_budget_resolve () =
   check_int "tightest wins (budget)" 2
     (Budget.resolve ~default:7 (Some 9) (Some 2))
 
+(* The [outcome] row of [fasst run] prints these names. *)
 let test_budget_outcome_strings () =
   List.iter
-    (fun o ->
-      match Budget.outcome_of_string (Budget.outcome_to_string o) with
-      | Ok o' -> check "outcome string round-trip" true (o = o')
-      | Error e -> Alcotest.fail e)
+    (fun (o, name) -> check_str "outcome name" name (Budget.outcome_to_string o))
     [
-      Budget.Completed;
-      Budget.Tripped Budget.Steps;
-      Budget.Tripped Budget.Moves;
-      Budget.Tripped Budget.Deliveries;
-      Budget.Tripped Budget.Deadline;
-    ];
-  check "unknown outcome rejected" true
-    (Result.is_error (Budget.outcome_of_string "zap"))
+      (Budget.Completed, "completed");
+      (Budget.Tripped Budget.Steps, "steps");
+      (Budget.Tripped Budget.Moves, "moves");
+      (Budget.Tripped Budget.Deliveries, "deliveries");
+      (Budget.Tripped Budget.Deadline, "deadline");
+    ]
 
 let test_deadline_check () =
   let never = Budget.deadline_check Budget.unlimited in
@@ -156,88 +151,6 @@ let test_deadline_monotonic () =
     ignore (Sys.opaque_identity 0)
   done;
   check "deadline fires after allowance elapses" true (trip ())
-
-(* ------------------------------------------------------------------ *)
-(* Run_report round-trips                                               *)
-(* ------------------------------------------------------------------ *)
-
-let reports =
-  [
-    Run_report.v ~seed:42 ~wall_s:0.25 "engine-run"
-      (Run_report.Engine
-         {
-           Run_report.steps = 10;
-           moves = 20;
-           rounds = 3;
-           moves_per_rule = [ ("RR", 1); ("RP", 0); ("RC", 4); ("RU", 15) ];
-         });
-    Run_report.v ~outcome:(Budget.Tripped Budget.Moves) "capped"
-      (Run_report.Engine
-         { Run_report.steps = 1; moves = 5; rounds = 0; moves_per_rule = [] });
-    Run_report.v "sync-run" (Run_report.Sync { Run_report.sync_rounds = 4; nodes = 16 });
-    Run_report.v ~seed:1 ~wall_s:1.5
-      ~outcome:(Budget.Tripped Budget.Deliveries) "msgnet-run"
-      (Run_report.Msgnet
-         {
-           Run_report.deliveries = 100;
-           rule_executions = 12;
-           update_messages = 30;
-           update_bits = 400;
-           proof_messages = 16;
-           proof_bits = 2048;
-           stale_proof_messages = 2;
-           request_messages = 1;
-           full_copy_messages = 1;
-           full_copy_bits = 64;
-           proof_waves = 2;
-           dropped_messages = 0;
-           reordered_messages = 0;
-           duplicated_messages = 0;
-           corruption_events = 0;
-           peak_queued_bits = 512;
-           mirror_bytes = 4096;
-           total_bits = 2600;
-         });
-    (* A chaos-mode report: non-zero fault counters and virtual time. *)
-    Run_report.v ~seed:7 ~wall_s:0.031 ~timebase:Run_report.Virtual
-      "msgnet-chaos"
-      (Run_report.Msgnet
-         {
-           Run_report.deliveries = 3100;
-           rule_executions = 140;
-           update_messages = 620;
-           update_bits = 9800;
-           proof_messages = 256;
-           proof_bits = 32768;
-           stale_proof_messages = 31;
-           request_messages = 9;
-           full_copy_messages = 9;
-           full_copy_bits = 1152;
-           proof_waves = 8;
-           dropped_messages = 64;
-           reordered_messages = 33;
-           duplicated_messages = 29;
-           corruption_events = 3;
-           peak_queued_bits = 70944;
-           mirror_bytes = 52000;
-           total_bits = 44000;
-         });
-  ]
-
-let test_run_report_roundtrip () =
-  List.iter
-    (fun r ->
-      match Run_report.of_json (Run_report.to_json r) with
-      | Ok r' -> check "to_json/of_json inverse" true (r = r')
-      | Error e -> Alcotest.fail e)
-    reports;
-  (* And through the wire: emit, parse, decode. *)
-  List.iter
-    (fun r ->
-      match Json.of_string (Json.to_string (Run_report.to_json r)) with
-      | Ok j -> check "through text" true (Run_report.of_json j = Ok r)
-      | Error e -> Alcotest.fail e)
-    reports
 
 (* ------------------------------------------------------------------ *)
 (* Text table vs JSON table: same content                               *)
@@ -300,7 +213,7 @@ let json_table_rows j =
 let table_contents_agree table =
   let text = Format.asprintf "%a" Table.render table in
   let from_text = parse_text_table text in
-  let from_json = json_table_rows (Run_report.of_table table) in
+  let from_json = json_table_rows (Json.of_table table) in
   from_text = from_json
 
 let test_table_equivalence_real () =
@@ -420,25 +333,8 @@ let test_sync_runner_budget () =
            ~inputs))
 
 (* ------------------------------------------------------------------ *)
-(* Loop reports and sinks                                               *)
+(* Sinks                                                                *)
 (* ------------------------------------------------------------------ *)
-
-let test_loop_reports () =
-  let params, algo, start = leader_workload 9 in
-  let stats = Engine.run algo Sim.Daemon.synchronous start in
-  let er = Engine.report ~label:"t" ~seed:9 stats in
-  check "engine report round-trips" true
-    (Run_report.of_json (Run_report.to_json er) = Ok er);
-  let g = G.Builders.cycle 8 in
-  let inputs = Leader.random_ids (Rng.create 2) g in
-  let h = Ss_sync.Sync_runner.run Leader.algo g ~inputs in
-  let sr = Ss_sync.Sync_runner.report h in
-  check "sync report round-trips" true
-    (Run_report.of_json (Run_report.to_json sr) = Ok sr);
-  let _, ms = M.run ~rng:(Rng.create 3) params start in
-  let mr = M.report ~seed:3 ms in
-  check "msgnet report round-trips" true
-    (Run_report.of_json (Run_report.to_json mr) = Ok mr)
 
 let test_msgnet_sinks () =
   (* The event hooks must agree with the counters: one Sent per
@@ -529,8 +425,30 @@ let test_trace_csv_sink () =
 (* External inputs: the parsers return Error, never raise               *)
 (* ------------------------------------------------------------------ *)
 
-let report_texts =
-  List.map (fun r -> Json.to_string (Run_report.to_json r)) reports
+(* The JSON the repo parses back: a [fasst] table line and a bench
+   suite child's result line, the one the parent's summary reads. *)
+let corpus =
+  [
+    Json.to_string
+      (Json.of_table ~label:"transformers"
+         (Ss_expt.Transformers_expt.rows ~algos:[ "leader" ]
+            ~graphs:[ ("ring:8", Ss_graph.Builders.cycle 8) ]
+            ~seeds:[ 1 ] (Rng.create 7)));
+    Json.to_string
+      (Json.Obj
+         [
+           ("workload", Json.String "engine-central-ring");
+           ("attempted", Json.Int 3);
+           ("failed", Json.Int 0);
+           ("errors", Json.List []);
+           ( "metrics",
+             Json.Obj
+               [
+                 ("setup_s", Json.List [ Json.Float 0.0012; Json.Float 0.0013 ]);
+                 ("moves", Json.List [ Json.Int 4512; Json.Int 4512 ]);
+               ] );
+         ]);
+  ]
 
 let json_bytes = List.of_seq (String.to_seq "{}[]:,\"0123456789.-eE+ntfalsru\\ ")
 
@@ -559,7 +477,7 @@ let json_text_gen =
     [
       string_size ~gen:(oneofl json_bytes) (int_range 0 64);
       string_size (int_range 0 32);
-      oneofl report_texts >>= mutate_gen;
+      oneofl corpus >>= mutate_gen;
     ]
 
 let qcheck_json_of_string =
@@ -567,84 +485,11 @@ let qcheck_json_of_string =
     (QCheck.make ~print:(Printf.sprintf "%S") json_text_gen)
     (fun text -> match Json.of_string text with Ok _ | Error _ -> true)
 
-(* Every object key the serialized reports use, so random values land
-   under names [of_json] actually reads. *)
-let report_keys =
-  let rec keys acc = function
-    | Json.Obj fields ->
-        List.fold_left (fun acc (k, v) -> keys (k :: acc) v) acc fields
-    | Json.List vs -> List.fold_left keys acc vs
-    | _ -> acc
-  in
-  List.sort_uniq compare
-    (List.fold_left (fun acc r -> keys acc (Run_report.to_json r)) [] reports)
-
-let rec json_gen depth =
-  let open QCheck.Gen in
-  let leaf =
-    oneof
-      [
-        return Json.Null;
-        map (fun b -> Json.Bool b) bool;
-        map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
-        map (fun f -> Json.Float f) float;
-        map
-          (fun s -> Json.String s)
-          (oneof [ oneofl report_keys; string_size (int_range 0 8) ]);
-      ]
-  in
-  if depth = 0 then leaf
-  else
-    frequency
-      [
-        (3, leaf);
-        ( 1,
-          map
-            (fun l -> Json.List l)
-            (list_size (int_range 0 3) (json_gen (depth - 1))) );
-        ( 2,
-          map
-            (fun l -> Json.Obj l)
-            (list_size (int_range 0 4)
-               (pair (oneofl report_keys) (json_gen (depth - 1)))) );
-      ]
-
-(* A report's JSON with one field replaced by a random value, dropped,
-   or duplicated, at any depth. *)
-let rec edit_json_gen j =
-  let open QCheck.Gen in
-  match j with
-  | Json.Obj fields when fields <> [] ->
-      int_range 0 (List.length fields - 1) >>= fun i ->
-      oneofl [ `Replace; `Drop; `Recurse ] >>= fun kind ->
-      let k, v = List.nth fields i in
-      let others = List.filteri (fun j _ -> j <> i) fields in
-      (match kind with
-      | `Replace -> json_gen 2 >|= fun v' -> (k, v') :: others
-      | `Drop -> return others
-      | `Recurse ->
-          edit_json_gen v >|= fun v' ->
-          List.mapi (fun j f -> if j = i then (k, v') else f) fields)
-      >|= fun fields -> Json.Obj fields
-  | _ -> json_gen 2
-
-let qcheck_run_report_of_json =
-  QCheck.Test.make ~count:2000 ~name:"Run_report.of_json never raises"
-    (QCheck.make ~print:Json.to_string
-       QCheck.Gen.(
-         oneof
-           [
-             json_gen 3;
-             oneofl reports >>= fun r -> edit_json_gen (Run_report.to_json r);
-           ]))
-    (fun j -> match Run_report.of_json j with Ok _ | Error _ -> true)
-
 let qcheck_tests =
   [
     qcheck_table_equivalence;
     qcheck_budget_no_overshoot;
     qcheck_json_of_string;
-    qcheck_run_report_of_json;
   ]
 
 
@@ -667,11 +512,6 @@ let () =
           Alcotest.test_case "deadline check" `Quick test_deadline_check;
           Alcotest.test_case "deadline monotonic" `Quick
             test_deadline_monotonic;
-        ] );
-      ( "run_report",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_run_report_roundtrip;
-          Alcotest.test_case "loop reports" `Quick test_loop_reports;
         ] );
       ( "tables",
         [
