@@ -259,102 +259,101 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
   let rng = Rng.create seed in
   let graph = parse_topology rng topology in
   let daemon = parse_daemon (Rng.split rng) daemon in
-  let go (type s i) ?(codec : s Core.Cellpack.codec option)
-      (sync : (s, i) Ss_sync.Sync_algo.t) (inputs : int -> i)
-      (spec : s array -> bool) =
-    let params = Core.Registry.Trans.params ~mode ~bound sync in
-    let rows =
-      if transformer <> "trans" then begin
-        (* The rollback and adaptive transformers have no
-           Stabilization-style recovery phases; the registry's measure
-           covers them uniformly. *)
-        let entry = Catalog.find_transformer transformer in
-        match Core.Registry.supports entry params with
-        | Error e -> Error (usage_error "-b" e)
-        | Ok () ->
-            let budget =
-              Option.map
-                (fun s -> Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
-                deadline
-            in
-            let (o : Core.Registry.outcome) =
-              Core.Registry.measure entry ?budget ~p ~rng:(Rng.split rng)
-                ~daemon
-                ~max_height:(min (P.bound_to_int bound) 1_000_000)
-                ~spec params graph ~inputs
-            in
-            Ok
-              (run_rows ~transformer:o.transformer ~terminated:o.terminated
-                 ~outcome:o.outcome ~moves:o.moves ~rounds:o.rounds
-                 ~steps:o.steps
-                 ~extra:[ ("energy-bits", Table.I o.energy_bits) ]
-                 ~space_bits:o.space_bits ~moves_per_rule:o.moves_per_rule
-                 ~legitimate:o.legitimate ~spec:o.spec_ok)
-      end
-      else
-        match (layout, codec, bound) with
-        | `Packed, None, _ ->
-            Error
-              (usage_error "--layout"
-                 ("no packed codec for algorithm " ^ algo_name))
-        | `Packed, Some _, P.Infinite ->
-            Error (usage_error "-b" "--layout packed requires a finite bound B")
-        | _ ->
-            let codec =
-              match (layout, bound) with
-              | `Boxed, _ | `Auto, P.Infinite -> None
-              | _ -> codec
-            in
-            let sc = { Stabilization.params; graph; inputs } in
-            (* The corruption ceiling tracks the synchronous execution
-               time.  Under a finite bound the ground truth is cut at B
-               rounds — the only part a B-bounded run can ever
-               reference — so the pre-run history is O(B·n) instead of
-               O(T·n): the million-node path never materializes the
-               full fixpoint history. *)
-            let t =
-              let rounds =
-                match bound with P.Finite b -> Some b | P.Infinite -> None
-              in
-              (Stabilization.history ?rounds sc).Ss_sync.Sync_runner.t
-            in
-            let max_height = min (P.bound_to_int bound) (t + 6) in
-            let start =
-              Stabilization.corrupted_start (Rng.split rng) ~p ?codec
-                ~max_height sc
-            in
-            let budget =
-              Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
-            in
-            let (r : _ Stabilization.report) =
-              Stabilization.run ?budget ~sharded:(jobs > 1) sc ~daemon ~start
-            in
-            Ok
-              (run_rows ~transformer ~terminated:r.terminated
-                 ~outcome:r.outcome ~moves:r.moves ~rounds:r.rounds
-                 ~steps:r.steps
-                 ~extra:
-                   [
-                     ("recovery-moves", Table.I r.recovery_moves);
-                     ("recovery-rounds", Table.I r.recovery_rounds);
-                   ]
-                 ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
-                 ~legitimate:r.legitimate ~spec:(spec r.outputs))
-    in
-    match rows with
-    | Error e -> e
-    | Ok rows ->
-        let table = Table.create [ "metric"; "value" ] in
-        List.iter (fun (k, v) -> Table.add table [ Table.S k; v ]) rows;
-        section ~json sync.Ss_sync.Sync_algo.sync_name table;
-        `Ok 0
-  in
   let a = Catalog.find_algo algo_name in
   match Catalog.validate_topology a graph with
   | Error e -> usage_error "-t" e
   | Ok () -> (
-      match a.Catalog.instantiate (Rng.split rng) graph with
-      | Catalog.Inst { sync; inputs; spec; codec } -> go ?codec sync inputs spec)
+      let (Catalog.Inst { sync; codec; _ } as inst) =
+        a.Catalog.instantiate (Rng.split rng) graph
+      in
+      let entry = Catalog.find_transformer transformer in
+      (* Refused before the ground truth is built. *)
+      let unfit =
+        match (transformer, layout, codec, bound) with
+        | "trans", `Packed, None, _ ->
+            Error
+              (usage_error "--layout"
+                 ("no packed codec for algorithm " ^ algo_name))
+        | "trans", `Packed, Some _, P.Infinite ->
+            Error (usage_error "-b" "--layout packed requires a finite bound B")
+        | "trans", _, _, _ -> Ok ()
+        | _ ->
+            Result.map_error (usage_error "-b")
+              (Core.Registry.supports entry
+                 (Core.Registry.Trans.params ~mode ~bound sync))
+      in
+      match unfit with
+      | Error e -> e
+      | Ok () ->
+          let (Catalog.Instance { sc; spec; hist; codec }) =
+            Catalog.instance { Catalog.mode; bound = Catalog.Fixed bound } inst
+              graph
+          in
+          let rows =
+            if transformer <> "trans" then begin
+              (* The rollback and adaptive transformers have no
+                 Stabilization-style recovery phases; the registry's
+                 measure covers them uniformly. *)
+              let budget =
+                Option.map
+                  (fun s ->
+                    Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
+                  deadline
+              in
+              let (r : _ Core.Registry.summary), energy_bits =
+                Core.Registry.measure entry ?budget ~p ~hist
+                  ~rng:(Rng.split rng) ~daemon
+                  ~max_height:(min (P.bound_to_int bound) 1_000_000)
+                  sc.params graph ~inputs:sc.inputs
+              in
+              run_rows ~transformer:(Core.Registry.name entry)
+                ~terminated:r.terminated ~outcome:r.outcome ~moves:r.moves
+                ~rounds:r.rounds ~steps:r.steps
+                ~extra:[ ("energy-bits", Table.I energy_bits) ]
+                ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
+                ~legitimate:r.legitimate ~spec:(spec r.outputs)
+            end
+            else
+              let codec =
+                match (layout, bound) with
+                | `Boxed, _ | `Auto, P.Infinite -> None
+                | _ -> codec
+              in
+              (* The corruption ceiling tracks the synchronous execution
+                 time; under a finite bound the instance's ground truth
+                 is cut at B rounds, so the million-node path never
+                 materializes the full fixpoint history. *)
+              let max_height =
+                min (P.bound_to_int bound) (hist.Ss_sync.Sync_runner.t + 6)
+              in
+              let start =
+                Stabilization.corrupted_start (Rng.split rng) ~p ?codec
+                  ~max_height sc
+              in
+              let budget =
+                Option.map
+                  (fun s -> Ss_report.Budget.v ~deadline_s:s ())
+                  deadline
+              in
+              let (r : _ Stabilization.report) =
+                Stabilization.run ?budget ~sharded:(jobs > 1) ~hist sc ~daemon
+                  ~start
+              in
+              run_rows ~transformer ~terminated:r.terminated
+                ~outcome:r.outcome ~moves:r.moves ~rounds:r.rounds
+                ~steps:r.steps
+                ~extra:
+                  [
+                    ("recovery-moves", Table.I r.recovery_moves);
+                    ("recovery-rounds", Table.I r.recovery_rounds);
+                  ]
+                ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
+                ~legitimate:r.legitimate ~spec:(spec r.outputs)
+          in
+          let table = Table.create [ "metric"; "value" ] in
+          List.iter (fun (k, v) -> Table.add table [ Table.S k; v ]) rows;
+          section ~json sync.Ss_sync.Sync_algo.sync_name table;
+          `Ok 0)
 
 let run_cmd =
   let algo =
@@ -656,15 +655,18 @@ let trace_run json topology daemon seed out =
   let rng = Rng.create seed in
   let graph = parse_topology rng topology in
   let daemon = parse_daemon (Rng.split rng) daemon in
-  let inputs = Ss_algos.Leader_election.random_ids (Rng.split rng) graph in
-  let params = Core.Registry.Trans.params Ss_algos.Leader_election.algo in
-  let sc = { Stabilization.params; graph; inputs } in
-  let t = (Stabilization.history sc).Ss_sync.Sync_runner.t in
-  let start =
-    Stabilization.corrupted_start (Rng.split rng) ~max_height:(t + 4) sc
+  let inst =
+    Catalog.instance Catalog.lazy_infinite
+      (Catalog.instantiate "leader" (Rng.split rng) graph)
+      graph
   in
+  let max_height = Catalog.max_height inst in
+  let (Catalog.Instance { sc; _ }) = inst in
+  let start = Stabilization.corrupted_start (Rng.split rng) ~max_height sc in
   let observer, events = Ss_sim.Trace.make () in
-  let stats = Core.Registry.Trans.run ~sinks:[ observer ] params daemon start in
+  let stats =
+    Core.Registry.Trans.run ~sinks:[ observer ] sc.params daemon start
+  in
   let payload =
     if json then Json.to_string (Ss_sim.Trace.to_json (events ())) ^ "\n"
     else Ss_sim.Trace.to_csv (events ())

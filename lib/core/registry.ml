@@ -211,24 +211,9 @@ let () = register trans
 (* First-class measured runs                                            *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = {
-  transformer : string;
-  moves : int;
-  steps : int;
-  rounds : int;
-  terminated : bool;
-  outcome : Ss_report.Budget.outcome;
-  legitimate : bool;
-  spec_ok : bool;
-  space_bits : int;
-  energy_bits : int;
-  moves_per_rule : (string * int) list;
-}
-
 let measure (type s i) (entry : entry)
     ?(budget = Ss_report.Budget.v ~steps:2_000_000 ()) ?p ?hist ~rng ~daemon
-    ~max_height ~(spec : s array -> bool) (params : (s, i) P.params) graph
-    ~inputs =
+    ~max_height (params : (s, i) P.params) graph ~inputs =
   let module T = (val entry) in
   let module R = Make (T) in
   (match T.supports params with
@@ -249,19 +234,7 @@ let measure (type s i) (entry : entry)
             * T.move_bits params ~rule (Config.state after v))
       moved
   in
-  let r =
+  let summary =
     R.measure ~budget ~sinks:[ energy_sink ] ?hist params ~daemon ~start
   in
-  {
-    transformer = T.name;
-    moves = r.moves;
-    steps = r.steps;
-    rounds = r.rounds;
-    terminated = r.terminated;
-    outcome = r.outcome;
-    legitimate = r.legitimate;
-    spec_ok = spec r.outputs;
-    space_bits = r.space_bits;
-    energy_bits = !energy;
-    moves_per_rule = r.moves_per_rule;
-  }
+  (summary, !energy)

@@ -217,23 +217,6 @@ val trans : entry
 (* First-class measured runs                                            *)
 (* ------------------------------------------------------------------ *)
 
-type outcome = {
-  transformer : string;
-  moves : int;
-  steps : int;
-  rounds : int;
-  terminated : bool;
-  outcome : Ss_report.Budget.outcome;
-      (** [Completed], or which budget limit stopped the run. *)
-  legitimate : bool;  (** Terminated into a legitimate configuration. *)
-  spec_ok : bool;  (** The caller's output specification held. *)
-  space_bits : int;
-  energy_bits : int;
-      (** [Σ deg(p) · move_bits] over the execution's moves — the
-          transformer-comparison energy column. *)
-  moves_per_rule : (string * int) list;
-}
-
 val measure :
   entry ->
   ?budget:Ss_report.Budget.t ->
@@ -242,19 +225,20 @@ val measure :
   rng:Ss_prelude.Rng.t ->
   daemon:Ss_sim.Daemon.t ->
   max_height:int ->
-  spec:('s array -> bool) ->
   ('s, 'i) Predicates.params ->
   Ss_graph.Graph.t ->
   inputs:(int -> 'i) ->
-  outcome
+  's summary * int
 (** One measured run of any registered transformer, entirely behind
     the interface: build the clean configuration, hit each node with
     probability [p] (default 1) through {!Ss_sim.Fault.corrupt} and
-    the entry's [corrupt_state], then {!RUN.measure} it with a
-    move-bits energy sink, and check the outputs against the caller's
-    [spec].  [budget] defaults to [Budget.v ~steps:2_000_000 ()]; a
-    given budget replaces it whole, so a caller that adds a deadline
-    sets the step cap too.
+    the entry's [corrupt_state], then {!RUN.measure} it ([hist]
+    passes through) with a move-bits energy sink.  Returns the run's
+    summary and its energy: [Σ deg(p) · move_bits] over the
+    execution's moves, the transformer-comparison energy column.
+    [budget] defaults to [Budget.v ~steps:2_000_000 ()]; a given
+    budget replaces it whole, so a caller that adds a deadline sets
+    the step cap too.
     @raise Invalid_argument when the transformer does not support the
     parameters ({!supports}) or on a corruption probability outside
     [[0, 1]]. *)

@@ -3,6 +3,9 @@ module Rng = Ss_prelude.Rng
 module Util = Ss_prelude.Util
 module Sync_algo = Ss_sync.Sync_algo
 module Registry = Ss_core.Registry
+module P = Ss_core.Predicates
+module Sync_runner = Ss_sync.Sync_runner
+module Stabilization = Ss_verify.Stabilization
 
 (* ------------------------------------------------------------------ *)
 (* Transformers                                                         *)
@@ -237,18 +240,6 @@ let find_algo name =
 
 let instantiate name = (find_algo name).instantiate
 
-type instance =
-  | Instance : {
-      algo_name : string;
-      graph : G.Graph.t;
-      params : ('s, 'i) Ss_core.Predicates.params;
-      inputs : int -> 'i;
-      spec : 's array -> bool;
-      hist : ('s, 'i) Ss_sync.Sync_runner.history;
-      codec : 's Ss_core.Cellpack.codec option;
-    }
-      -> instance
-
 let is_ring g =
   G.Graph.m g = G.Graph.n g
   && G.Graph.fold_nodes g ~init:true ~f:(fun acc v ->
@@ -261,20 +252,40 @@ let validate_topology a g =
          a.algo_name)
   else Ok ()
 
-let greedy_instance rng algo_name graph =
-  let a = find_algo algo_name in
-  Result.map
-    (fun () ->
-      match a.instantiate (Rng.split rng) graph with
-      | Inst { sync; inputs; spec; codec } ->
-          let hist = Ss_sync.Sync_runner.run sync graph ~inputs in
-          let b = max 1 hist.Ss_sync.Sync_runner.t in
-          let params =
-            Registry.Trans.params ~mode:Ss_core.Predicates.Greedy
-              ~bound:(Ss_core.Predicates.Finite b) sync
-          in
-          Instance { algo_name; graph; params; inputs; spec; hist; codec })
-    (validate_topology a graph)
+type bound = Fixed of P.bound | Of_t of (int -> int)
+type policy = { mode : P.mode; bound : bound }
+
+let lazy_infinite = { mode = P.Lazy; bound = Fixed P.Infinite }
+let greedy_t = { mode = P.Greedy; bound = Of_t (max 1) }
+
+type instance =
+  | Instance : {
+      sc : ('s, 'i) Stabilization.scenario;
+      spec : 's array -> bool;
+      hist : ('s, 'i) Sync_runner.history;
+      codec : 's Ss_core.Cellpack.codec option;
+    }
+      -> instance
+
+let instance { mode; bound } (Inst { sync; inputs; spec; codec }) graph =
+  (* A B fixed up front cuts the ground truth at B rounds, the only
+     part a B-bounded run can reference: O(B·n) instead of O(T·n). *)
+  let stop_after =
+    match bound with
+    | Fixed (P.Finite b) -> Some b
+    | Fixed P.Infinite | Of_t _ -> None
+  in
+  let hist = Sync_runner.run ?stop_after sync graph ~inputs in
+  let bound =
+    match bound with Fixed b -> b | Of_t f -> P.Finite (f hist.Sync_runner.t)
+  in
+  let params = Registry.Trans.params ~mode ~bound sync in
+  Instance { sc = { Stabilization.params; graph; inputs }; spec; hist; codec }
+
+let max_height (Instance { sc; hist; _ }) =
+  match sc.params.P.bound with
+  | P.Finite b -> b
+  | P.Infinite -> hist.Sync_runner.t + 4
 
 (* ------------------------------------------------------------------ *)
 (* Topologies                                                           *)

@@ -1,5 +1,6 @@
 (** The campaign layer's single source of truth: which transformers,
-    workload algorithms and graph families exist.
+    workload algorithms and graph families exist, and how a workload
+    instance is built.
 
     Loading this module registers the out-of-core transformers
     ([Ss_rollback], [Ss_adaptive]) into {!Ss_core.Registry} — the §3
@@ -59,28 +60,50 @@ val instantiate : string -> Ss_prelude.Rng.t -> Ss_graph.Graph.t -> algo_inst
 (** [instantiate name] is [(find_algo name).instantiate].
     @raise Failure on an unknown name. *)
 
+(** {1 Workload instances} *)
+
+type bound =
+  | Fixed of Ss_core.Predicates.bound
+      (** Given up front; a finite [B] cuts the ground truth at [B]
+          rounds ({!Ss_sync.Sync_runner.run}'s [stop_after]). *)
+  | Of_t of (int -> int)
+      (** [B = f T], from the full ground truth's measured time [T]. *)
+
+type policy = { mode : Ss_core.Predicates.mode; bound : bound }
+(** How an instance's transformer parameters follow from its
+    synchronous execution. *)
+
+val lazy_infinite : policy
+(** Lazy mode, [B = ∞]. *)
+
+val greedy_t : policy
+(** Greedy mode, [B = max 1 T]: the uniform policy of the transformer
+    and sim grids. *)
+
 type instance =
   | Instance : {
-      algo_name : string;
-      graph : Ss_graph.Graph.t;
-      params : ('s, 'i) Ss_core.Predicates.params;
-      inputs : int -> 'i;
+      sc : ('s, 'i) Ss_verify.Stabilization.scenario;
+          (** The transformer parameters, graph and inputs. *)
       spec : 's array -> bool;
       hist : ('s, 'i) Ss_sync.Sync_runner.history;
-          (** The synchronous ground truth. *)
+          (** The synchronous ground truth, run once; every run of the
+              instance checks its terminal configuration against it. *)
       codec : 's Ss_core.Cellpack.codec option;
     }
       -> instance
-(** An algorithm instantiated on a graph under the grids' uniform
-    policy: greedy mode, [B = max 1 T]. *)
+(** One algorithm instantiated on one graph under a {!policy}: the
+    unit every experiment section and [fasst run] measure.  A
+    corrupted start is
+    [Ss_verify.Stabilization.corrupted_start rng ~max_height sc]. *)
 
-val greedy_instance :
-  Ss_prelude.Rng.t -> string -> Ss_graph.Graph.t -> (instance, string) result
-(** [greedy_instance rng algo g]: find, validate the topology, draw
-    the inputs from one split of [rng], run the synchronous ground
-    truth and set [B] to its time (at least 1).  [Error] (drawing
-    nothing) when a ring-only algorithm meets a non-ring graph.
-    @raise Failure on an unknown algorithm. *)
+val instance : policy -> algo_inst -> Ss_graph.Graph.t -> instance
+(** [instance policy inst g]: run the synchronous ground truth of
+    [inst] on [g] once and set the mode and bound from [policy].  The
+    clock, Cole–Vishkin and locality rows pass a literal {!Inst}. *)
+
+val max_height : instance -> int
+(** The corruption ceiling of the experiment sections: [B] under a
+    finite bound, [T + 4] under [B = ∞]. *)
 
 val is_ring : Ss_graph.Graph.t -> bool
 (** [n = m] and every degree is 2 (the builders only make connected

@@ -6,32 +6,22 @@ module Daemon = Ss_sim.Daemon
 module P = Ss_core.Predicates
 module Transformer = Ss_core.Registry.Trans
 module Energy = Ss_energy.Energy
-module Leader = Ss_algos.Leader_election
 module Stabilization = Ss_verify.Stabilization
 module Sync_runner = Ss_sync.Sync_runner
 
 let rows ~seeds rng =
-  (* One row per (n, seed): the per-n setup (graph, ids, history) is
-     derived sequentially — consuming the parent stream in the
-     historical order — then each (n × seed) row draws only from
-     [Rng.create seed]. *)
-  let contexts =
+  (* One row per (n, seed): the per-n instance (graph, ids, ground
+     truth, B = T + 2) is built sequentially — consuming the parent
+     stream in the historical order — then each (n × seed) row draws
+     only from [Rng.create seed]. *)
+  let instances =
     List.map
       (fun (n, rng) ->
         let g = G.Builders.cycle n in
-        let inputs = Leader.random_ids rng g in
-        let sc =
-          {
-            Stabilization.params = Transformer.params Leader.algo;
-            graph = g;
-            inputs;
-          }
-        in
-        let hist = Stabilization.history sc in
-        let t = hist.Sync_runner.t in
-        let b = t + 2 in
-        let s = Sync_runner.max_state_bits Leader.algo hist in
-        (n, g, inputs, b, s))
+        Catalog.instance
+          { Catalog.mode = P.Lazy; bound = Catalog.Of_t (fun t -> t + 2) }
+          (Catalog.instantiate "leader" rng g)
+          g)
       (Rng.split_per rng [ 8; 16; 32; 64 ])
   in
   Measure.table
@@ -40,17 +30,21 @@ let rows ~seeds rng =
       "predicted"; "hb-bits";
     ]
     (List.concat_map
-       (fun (n, g, inputs, b, s) ->
+       (fun inst ->
          List.map
            (fun seed () ->
-             let params = Transformer.params ~bound:(P.Finite b) Leader.algo in
+             let (Catalog.Instance
+                   { sc = { params; graph; _ } as sc; hist; _ }) =
+               inst
+             in
+             let b = P.bound_to_int params.P.bound
+             and s = Sync_runner.max_state_bits params.P.sync hist in
              let rng' = Rng.create seed in
              let start =
-               Transformer.corrupt (Rng.split rng') ~max_height:b params
-                 (Transformer.clean_config params g ~inputs)
+               Stabilization.corrupted_start (Rng.split rng') ~max_height:b sc
              in
              let daemon = Daemon.distributed_random (Rng.split rng') ~p:0.5 in
-             let sink, cost = Energy.sink params g in
+             let sink, cost = Energy.sink params graph in
              let cost =
                cost (Transformer.run ~sinks:[ sink ] params daemon start)
              in
@@ -62,7 +56,7 @@ let rows ~seeds rng =
                float_of_int (b * s) /. float_of_int (s + Util.bit_width b)
              in
              [
-               Table.I n;
+               Table.I (G.Graph.n graph);
                Table.I b;
                Table.I cost.Energy.moves;
                Table.I cost.Energy.messages;
@@ -73,4 +67,4 @@ let rows ~seeds rng =
                Table.I cost.Energy.heartbeat_bits;
              ])
            seeds)
-       contexts)
+       instances)

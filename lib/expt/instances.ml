@@ -3,13 +3,14 @@ module Rng = Ss_prelude.Rng
 module Util = Ss_prelude.Util
 module G = Ss_graph
 module P = Ss_core.Predicates
-module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
+module Sync_runner = Ss_sync.Sync_runner
 module Cv = Ss_algos.Cole_vishkin
 
-(* Lazy mode with the algorithm's specification checked on every run. *)
-let measure algo ~seeds rng (w : Workloads.t) =
-  Measure.instance ~seeds
+(* Lazy mode; every row checks the algorithm's specification on
+   every run. *)
+let measure algo rng (w : Workloads.t) =
+  Catalog.instance Catalog.lazy_infinite
     (Catalog.instantiate algo rng w.Workloads.graph)
     w.Workloads.graph
 
@@ -18,19 +19,25 @@ let rounds_rows algo ~seeds workloads =
     [ "family"; "n"; "D"; "rounds"; "D+T"; "moves"; "n^3"; "spec"; "legit" ]
     (List.map
        (fun ((w : Workloads.t), rng) () ->
-         let m = measure algo ~seeds rng w in
-         let agg = m.Measure.agg and n = w.Workloads.n in
-         [
-           Table.S w.Workloads.family;
-           Table.I n;
-           Table.I w.Workloads.diameter;
-           Table.I agg.Measure.max_rounds;
-           Table.I (w.Workloads.diameter + m.Measure.t);
-           Table.I agg.Measure.max_moves;
-           Table.I (n * n * n);
-           Measure.ok_cell agg.Measure.all_spec;
-           Measure.ok_cell agg.Measure.all_legitimate;
-         ])
+         let inst = measure algo rng w in
+         let max_height = Catalog.max_height inst in
+         let (Catalog.Instance { sc; spec; hist; _ }) = inst in
+         let n = w.Workloads.n in
+         Measure.worst
+           (List.map
+              (fun (r : _ Stabilization.report) ->
+                [
+                  Table.S w.Workloads.family;
+                  Table.I n;
+                  Table.I w.Workloads.diameter;
+                  Table.I r.rounds;
+                  Table.I (w.Workloads.diameter + hist.Sync_runner.t);
+                  Table.I r.moves;
+                  Table.I (n * n * n);
+                  Measure.ok_cell (spec r.outputs);
+                  Measure.ok_cell r.legitimate;
+                ])
+              (Measure.worst_case ~seeds ~max_height ~hist sc)))
        workloads)
 
 let leader_rows ~seeds rng =
@@ -52,31 +59,36 @@ let cv_rows ~seeds rng =
        (fun ((n, width), rng) () ->
          let g = G.Builders.cycle n in
          let ids = Cv.random_ring_ids rng ~n ~width in
-         let inputs = Cv.inputs ~ids ~width g in
          let t = Cv.schedule_length width in
          let b = t in
-         let sc =
-           {
-             Stabilization.params =
-               Transformer.params ~mode:P.Greedy ~bound:(P.Finite b) Cv.algo;
-             graph = g;
-             inputs;
-           }
+         let (Catalog.Instance { sc; spec; hist; _ }) =
+           Catalog.instance
+             { Catalog.mode = P.Greedy; bound = Catalog.Fixed (P.Finite b) }
+             (Catalog.Inst
+                {
+                  sync = Cv.algo;
+                  inputs = Cv.inputs ~ids ~width g;
+                  spec = (fun final -> Cv.spec_holds g ~final);
+                  codec = None;
+                })
+             g
          in
-         let spec final = Cv.spec_holds g ~final in
-         let agg = Measure.worst_case ~seeds ~max_height:b ~spec sc in
-         [
-           Table.I n;
-           Table.I width;
-           Table.I (Util.log_star n);
-           Table.I t;
-           Table.I b;
-           Table.I agg.Measure.max_rounds;
-           Table.I agg.Measure.max_moves;
-           Table.I (n * n * b);
-           Measure.ok_cell agg.Measure.all_spec;
-           Measure.ok_cell agg.Measure.all_legitimate;
-         ])
+         Measure.worst
+           (List.map
+              (fun (r : _ Stabilization.report) ->
+                [
+                  Table.I n;
+                  Table.I width;
+                  Table.I (Util.log_star n);
+                  Table.I t;
+                  Table.I b;
+                  Table.I r.rounds;
+                  Table.I r.moves;
+                  Table.I (n * n * b);
+                  Measure.ok_cell (spec r.outputs);
+                  Measure.ok_cell r.legitimate;
+                ])
+              (Measure.worst_case ~seeds ~max_height:b ~hist sc)))
        (Rng.split_per rng [ (8, 6); (16, 8); (64, 10); (128, 16); (256, 16) ]))
 
 let shortest_path_rows ~seeds rng =
@@ -84,18 +96,23 @@ let shortest_path_rows ~seeds rng =
     [ "family"; "n"; "D"; "T"; "rounds"; "moves"; "spec"; "legit" ]
     (List.map
        (fun ((w : Workloads.t), rng) () ->
-         let m = measure "sp" ~seeds rng w in
-         let agg = m.Measure.agg in
-         [
-           Table.S w.Workloads.family;
-           Table.I w.Workloads.n;
-           Table.I w.Workloads.diameter;
-           Table.I m.Measure.t;
-           Table.I agg.Measure.max_rounds;
-           Table.I agg.Measure.max_moves;
-           Measure.ok_cell agg.Measure.all_spec;
-           Measure.ok_cell agg.Measure.all_legitimate;
-         ])
+         let inst = measure "sp" rng w in
+         let max_height = Catalog.max_height inst in
+         let (Catalog.Instance { sc; spec; hist; _ }) = inst in
+         Measure.worst
+           (List.map
+              (fun (r : _ Stabilization.report) ->
+                [
+                  Table.S w.Workloads.family;
+                  Table.I w.Workloads.n;
+                  Table.I w.Workloads.diameter;
+                  Table.I hist.Sync_runner.t;
+                  Table.I r.rounds;
+                  Table.I r.moves;
+                  Measure.ok_cell (spec r.outputs);
+                  Measure.ok_cell r.legitimate;
+                ])
+              (Measure.worst_case ~seeds ~max_height ~hist sc)))
        (Rng.split_per rng
           [
             Workloads.make "path" (G.Builders.path 16);

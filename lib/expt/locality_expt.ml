@@ -2,7 +2,6 @@ module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
 module Util = Ss_prelude.Util
 module G = Ss_graph
-module Transformer = Ss_core.Registry.Trans
 module Stabilization = Ss_verify.Stabilization
 module Sync_runner = Ss_sync.Sync_runner
 module Lv = Ss_algos.Local_views
@@ -28,29 +27,34 @@ let rows ~seeds _ =
          List.map
            (fun radius () ->
              let base p = (p * 13) mod 31 in
-             let inputs p = { Lv.self_input = base p; radius } in
-             let sc =
-               {
-                 Stabilization.params = Transformer.params int_views;
-                 graph = g;
-                 inputs;
-               }
+             let (Catalog.Instance { sc; hist; _ }) =
+               Catalog.instance Catalog.lazy_infinite
+                 (Catalog.Inst
+                    {
+                      sync = int_views;
+                      inputs = (fun p -> { Lv.self_input = base p; radius });
+                      spec = (fun _ -> true);
+                      codec = None;
+                    })
+                 g
              in
-             let hist = Stabilization.history sc in
              let t = hist.Sync_runner.t in
-             let s = Sync_runner.max_state_bits int_views hist in
-             let agg = Measure.worst_case ~seeds ~max_height:(t + 2) sc in
-             [
-               Table.S name;
-               Table.I (G.Graph.n g);
-               Table.I radius;
-               Table.I t;
-               Table.I s;
-               Table.I ((t + 2) * s);
-               Table.I agg.Measure.max_space_bits;
-               Table.I agg.Measure.max_moves;
-               Table.I agg.Measure.max_rounds;
-               Measure.ok_cell agg.Measure.all_legitimate;
-             ])
+             let s = Sync_runner.max_state_bits sc.params.sync hist in
+             Measure.worst
+               (List.map
+                  (fun (r : _ Stabilization.report) ->
+                    [
+                      Table.S name;
+                      Table.I (G.Graph.n g);
+                      Table.I radius;
+                      Table.I t;
+                      Table.I s;
+                      Table.I ((t + 2) * s);
+                      Table.I r.space_bits;
+                      Table.I r.moves;
+                      Table.I r.rounds;
+                      Measure.ok_cell r.legitimate;
+                    ])
+                  (Measure.worst_case ~seeds ~max_height:(t + 2) ~hist sc)))
            [ 1; 2; 3; 4 ])
        workloads)

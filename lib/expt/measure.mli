@@ -8,42 +8,25 @@
     for every member of the portfolio, and the scripted §7 adversary
     (handled separately in {!Blowup_expt}) achieves the lower bound. *)
 
-type agg = {
-  runs : int;
-  max_moves : int;
-  max_rounds : int;
-  max_recovery_moves : int;
-  max_recovery_rounds : int;
-  max_space_bits : int;
-  all_legitimate : bool;  (** Every run reached a legitimate terminal
-      configuration. *)
-  all_spec : bool;  (** Every run's outputs satisfied [spec]. *)
-}
+val replicas :
+  seeds:int list -> (Ss_prelude.Rng.t -> Ss_sim.Daemon.t -> 'a) -> 'a list
+(** [replicas ~seeds run]: [run rng daemon] for every seed and every
+    {!Ss_verify.Stabilization.daemon_portfolio} member of that seed's
+    generator, each with its own split generator, on the shared
+    {!Ss_par.Par} pool; results in (seed, portfolio) order. *)
 
 val worst_case :
-  ?spec:('s array -> bool) ->
   seeds:int list ->
   max_height:int ->
+  hist:('s, 'i) Ss_sync.Sync_runner.history ->
   ('s, 'i) Ss_verify.Stabilization.scenario ->
-  agg
-(** For each seed, corrupt every node of the clean start and run under
-    every portfolio daemon; aggregate the maxima.  [spec] (default: always
-    true) is checked on each run's final outputs. *)
-
-type instance = {
-  t : int;  (** The synchronous time [T] of the instance. *)
-  bound : int;  (** The greedy bound [B]; [0] in lazy mode ([B = ∞]). *)
-  state_bits : int;  (** Largest synchronous state over the history. *)
-  agg : agg;  (** {!worst_case} under the output specification. *)
-}
-
-val instance :
-  ?greedy:(int -> int) -> seeds:int list -> Catalog.algo_inst ->
-  Ss_graph.Graph.t -> instance
-(** [instance ~seeds inst g] measures a {!Catalog} algorithm
-    instantiated on [g]: lazy mode, [B = ∞], corruption heights up to
-    [T + 4].  With [greedy f]: greedy mode with [B = f (max 1 T)] and
-    heights up to [B]. *)
+  's Ss_verify.Stabilization.report list
+(** The {!replicas} reports of a {!Catalog.instance}'s scenario: each
+    replica corrupts every node of the clean start (heights up to
+    [max_height]) and runs it under its daemon, checking the terminal
+    configuration against the instance's ground truth [hist].  Each
+    section projects a report to its cells and folds them with
+    {!worst}. *)
 
 val table :
   string list -> (unit -> Ss_prelude.Table.cell list) list -> Ss_prelude.Table.t

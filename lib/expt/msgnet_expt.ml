@@ -1,11 +1,9 @@
 module Table = Ss_prelude.Table
 module Rng = Ss_prelude.Rng
 module G = Ss_graph
-module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
-module Leader = Ss_algos.Leader_election
-module Sync_runner = Ss_sync.Sync_runner
+module Stabilization = Ss_verify.Stabilization
 
 let rows ~seeds rng =
   let workloads =
@@ -17,36 +15,35 @@ let rows ~seeds rng =
       ("random", G.Builders.random_connected (Rng.split rng) ~n:32 ~extra_edges:16);
     ]
   in
-  (* Per-workload setup consumes the parent stream sequentially (one
-     split per workload, as ever); every (workload × encoding) row then
-     draws only from [Rng.create (seed * 101)] and owns its protocol
-     state. *)
-  let contexts =
+  (* Per-workload instances consume the parent stream sequentially
+     (one split per workload, as ever); every (workload × encoding) row
+     then draws only from [Rng.create (seed * 101)] and owns its
+     protocol state. *)
+  let instances =
     List.map
       (fun ((name, g), rng) ->
-        let inputs = Leader.random_ids rng g in
-        let params = Transformer.params Leader.algo in
-        let hist = Sync_runner.run Leader.algo g ~inputs in
-        (name, g, inputs, params, hist))
+        ( name,
+          Catalog.instance Catalog.lazy_infinite
+            (Catalog.instantiate "leader" rng g)
+            g ))
       (Rng.split_per rng workloads)
   in
-  let run_seed (name, g, inputs, params, hist) (enc_name, encoding) seed =
+  let run_seed (name, inst) (enc_name, encoding) seed =
+    let max_height = Catalog.max_height inst in
+    let (Catalog.Instance { sc; hist; codec; _ }) = inst in
     let seed_rng = Rng.create (seed * 101) in
     let start =
-      Transformer.corrupt (Rng.split seed_rng)
-        ~max_height:(hist.Sync_runner.t + 4)
-        params
-        (Transformer.clean_config params g ~inputs)
+      Stabilization.corrupted_start (Rng.split seed_rng) ~max_height sc
     in
     (* Leader's codec switches the proof pre-images to the packed
        encoder; the infinite bound keeps the mirrors boxed, so the
        traffic columns are unchanged. *)
     let final, stats =
-      M.run ~codec:Leader.codec ~encoding ~rng:seed_rng params start
+      M.run ?codec ~encoding ~rng:seed_rng sc.params start
     in
     [
       Table.S name;
-      Table.I (G.Graph.n g);
+      Table.I (G.Graph.n sc.graph);
       Table.S enc_name;
       Table.I stats.M.rule_executions;
       Table.I stats.M.deliveries;
@@ -61,7 +58,7 @@ let rows ~seeds rng =
       Table.I stats.M.mirror_bytes;
       Measure.ok_cell
         (stats.M.quiescent
-        && Checker.legitimate_terminal params hist final = Ok ());
+        && Checker.legitimate_terminal sc.params hist final = Ok ());
     ]
   in
   (* total-bits = update-bits + proof-bits + request-bits + repair-bits
@@ -78,8 +75,8 @@ let rows ~seeds rng =
       "wire-peak-bits"; "mirror-bytes"; "ok";
     ]
     (List.concat_map
-       (fun ctx ->
+       (fun inst ->
          List.map
-           (fun enc () -> Measure.worst (List.map (run_seed ctx enc) seeds))
+           (fun enc () -> Measure.worst (List.map (run_seed inst enc) seeds))
            [ ("full", M.Full_state); ("delta", M.Delta) ])
-       contexts)
+       instances)

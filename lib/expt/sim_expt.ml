@@ -3,12 +3,12 @@ module Rng = Ss_prelude.Rng
 module G = Ss_graph
 module Sim = Ss_sim
 module Config = Ss_sim.Config
-module P = Ss_core.Predicates
 module St = Ss_core.Trans_state
 module Transformer = Ss_core.Registry.Trans
 module Checker = Ss_core.Checker
 module M = Ss_msgnet.Msgnet
 module Sync_runner = Ss_sync.Sync_runner
+module Stabilization = Ss_verify.Stabilization
 module Scenario = Ss_chaos.Scenario
 module Clock = Ss_chaos.Clock
 module Budget = Ss_report.Budget
@@ -20,7 +20,11 @@ exception Invariant_violation of string
    time).  When the algorithm exports a codec, the msgnet leg runs
    with codec proof pre-images and (the grid bound being finite)
    packed mirrors — the production configuration. *)
-type workload = { graph_name : string; inst : Catalog.instance }
+type workload = {
+  graph_name : string;
+  algo_name : string;
+  inst : Catalog.instance;
+}
 
 let algo_names = Catalog.sim_algo_names ()
 
@@ -161,15 +165,10 @@ let msgnet_leg (type s i) ~scenario ~seed ~(params : (s, i) Transformer.params)
    the cell seed alone — nothing is shared across pool tasks, so the
    grid is byte-identical for every job count.  Both legs start from
    the same corrupted configuration. *)
-let cell_rows ~seeds scenario
-    {
-      graph_name;
-      inst =
-        Catalog.Instance { algo_name; graph; params; inputs; hist; codec; _ };
-    } =
-  let max_height =
-    min (P.bound_to_int params.Transformer.bound) (hist.Sync_runner.t + 4)
-  in
+let cell_rows ~seeds scenario { graph_name; algo_name; inst } =
+  let max_height = Catalog.max_height inst in
+  let (Catalog.Instance { sc; hist; codec; _ }) = inst in
+  let { Stabilization.params; graph; inputs } = sc in
   let row loop moves events drops dups reorders corrupt stale wirepeak ok =
     [
       Table.S scenario.Scenario.name;
@@ -192,8 +191,7 @@ let cell_rows ~seeds scenario
   let draws seed =
     let seed_rng = Rng.create ((seed * 7919) + 97) in
     let start =
-      Transformer.corrupt (Rng.split seed_rng) ~max_height params
-        (Transformer.clean_config params graph ~inputs)
+      Stabilization.corrupted_start (Rng.split seed_rng) ~max_height sc
     in
     let daemon = Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5 in
     (* The naive twin's generator is split first, as ever. *)
@@ -230,18 +228,26 @@ let workloads_for ?(algos = algo_names) rng graphs =
     (fun ((graph_name, g), rng) ->
       List.filter_map
         (fun algo ->
+          let a = Catalog.find_algo algo in
           (* Ring-only members of a larger sweep are skipped on unfit
              topologies instead of failing the whole grid; an explicit
              single-algorithm request still fails loudly. *)
           if
-            (Catalog.find_algo algo).Catalog.ring_only
+            a.Catalog.ring_only
             && List.length algos > 1
             && not (Catalog.is_ring g)
           then None
           else
-            match Catalog.greedy_instance rng algo g with
-            | Ok inst -> Some { graph_name; inst }
-            | Error e -> failwith e)
+            match Catalog.validate_topology a g with
+            | Error e -> failwith e
+            | Ok () ->
+                let inst = a.instantiate (Rng.split rng) g in
+                Some
+                  {
+                    graph_name;
+                    algo_name = algo;
+                    inst = Catalog.instance Catalog.greedy_t inst g;
+                  })
         algos)
     (Rng.split_per rng graphs)
 

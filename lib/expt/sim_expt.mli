@@ -25,9 +25,9 @@ exception Invariant_violation of string
     instead of averaging into a table cell. *)
 
 type workload
-(** One {!Catalog} algorithm on one named graph, under
-    {!Catalog.greedy_instance}'s policy (greedy mode, bound = the
-    measured synchronous time), with its synchronous ground-truth
+(** One {!Catalog} algorithm on one named graph: a
+    {!Catalog.instance} under {!Catalog.greedy_t} (greedy mode, bound =
+    the measured synchronous time), with its synchronous ground-truth
     history precomputed outside the pool. *)
 
 val algo_names : string list

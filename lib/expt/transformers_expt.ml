@@ -24,8 +24,8 @@ let default_graphs rng =
    over the seeds.  The workload (inputs, ground-truth history,
    greedy/Finite-B params) is built once per (algo, graph) and shared
    by every transformer, so the comparison is apples-to-apples. *)
-let cell_row ~seeds
-    (Catalog.Instance { algo_name; graph; params; inputs; spec; hist; _ })
+let cell_row ~seeds algo
+    (Catalog.Instance { sc = { params; graph; inputs }; spec; hist; _ })
     graph_name entry () =
   let b = P.bound_to_int params.P.bound in
   Measure.worst
@@ -37,24 +37,22 @@ let cell_row ~seeds
          let daemon =
            Sim.Daemon.distributed_random (Rng.split seed_rng) ~p:0.5
          in
-         let o =
+         let (r : _ Registry.summary), energy_bits =
            Registry.measure entry ~hist ~rng:(Rng.split seed_rng) ~daemon
-             ~max_height:b ~spec params graph ~inputs
+             ~max_height:b params graph ~inputs
          in
          [
            Table.S (Registry.name entry);
-           Table.S algo_name;
+           Table.S algo;
            Table.S graph_name;
            Table.I (G.Graph.n graph);
            Table.I b;
-           Table.I o.Registry.moves;
-           Table.I o.Registry.rounds;
-           Table.I o.Registry.steps;
-           Table.I o.Registry.energy_bits;
-           Table.I o.Registry.space_bits;
-           Measure.ok_cell
-             (o.Registry.terminated && o.Registry.legitimate
-            && o.Registry.spec_ok);
+           Table.I r.moves;
+           Table.I r.rounds;
+           Table.I r.steps;
+           Table.I energy_bits;
+           Table.I r.space_bits;
+           Measure.ok_cell (r.terminated && r.legitimate && spec r.outputs);
          ])
        seeds)
 
@@ -78,11 +76,17 @@ let rows ?transformers ?(algos = default_algos) ?graphs ~seeds rng =
   let workloads =
     List.concat_map
       (fun algo ->
+        let a = Catalog.find_algo algo in
         List.map
           (fun (graph_name, graph) ->
-            match Catalog.greedy_instance rng algo graph with
+            match Catalog.validate_topology a graph with
             | Error _ -> unfit_row algo graph_name
-            | Ok inst -> cell_row ~seeds inst graph_name)
+            | Ok () ->
+                cell_row ~seeds algo
+                  (Catalog.instance Catalog.greedy_t
+                     (a.instantiate (Rng.split rng) graph)
+                     graph)
+                  graph_name)
           graphs)
       algos
   in

@@ -7,8 +7,9 @@
     to every transformer through {!Ss_core.Registry.measure}: clean
     configuration, every node corrupted, the dirty-set engine under a
     distributed random daemon, per-move energy accounting through the
-    transformer's own [move_bits] hook, and terminal legitimacy plus
-    the workload's output specification.
+    transformer's own [move_bits] hook, and terminal legitimacy against
+    the instance's ground truth; the row then checks the workload's
+    output specification on the run's outputs.
 
     The table is worst-over-seeds per cell ({!Measure.worst}); an
     illegitimate terminal configuration reads "NO" in the "ok" column,

@@ -67,10 +67,10 @@ let recovery_sink ?track_recovery params start =
   ( (if track_recovery then [ sink ] else []),
     fun () -> (!recovery_moves, !recovery_rounds) )
 
-let run ?track_recovery ?budget ?(sharded = false) sc ~daemon ~start =
+let run ?track_recovery ?budget ?(sharded = false) ?hist sc ~daemon ~start =
   let sinks, recovery = recovery_sink ?track_recovery sc.params start in
   let r =
-    Transformer.measure ?budget ~sharded ~sinks sc.params ~daemon ~start
+    Transformer.measure ?budget ~sharded ~sinks ?hist sc.params ~daemon ~start
   in
   let recovery_moves, recovery_rounds = recovery () in
   {

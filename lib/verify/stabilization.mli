@@ -67,6 +67,7 @@ val run :
   ?track_recovery:bool ->
   ?budget:Ss_report.Budget.t ->
   ?sharded:bool ->
+  ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
   ('s, 'i) scenario ->
   daemon:Ss_sim.Daemon.t ->
   start:('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
@@ -78,9 +79,10 @@ val run :
     scan would dominate a big run), and an untracked run attaches no
     sink at all.  [budget] (the engine's default cap when omitted) and
     [sharded] pass through to the run.
-    Under a finite bound [B] the legitimacy check uses a ground-truth
-    history cut at [B] rounds — exactly what terminal lists
-    (heights ≤ B) can reference. *)
+    The legitimacy check reads [hist], the scenario's {!history}, when
+    given; otherwise it builds one after the run, cut at [B] rounds
+    under a finite bound [B] — exactly what terminal lists
+    (heights ≤ B) can reference — so either gives the same report. *)
 
 val daemon_portfolio :
   Ss_prelude.Rng.t -> (string * Ss_sim.Daemon.t) list

@@ -237,7 +237,7 @@ let test_fault_p_validation () =
         (raises_invalid (fun () ->
              Ss_core.Registry.measure Ss_rollback.Rollback.transformer ~p
                ~rng:(Rng.create 1) ~daemon:Ss_sim.Daemon.synchronous
-               ~max_height:4 ~spec:(fun _ -> true)
+               ~max_height:4
                (Transformer.params ~bound:(P.Finite 4) Leader.algo)
                (Builders.cycle 6) ~inputs:(fun v -> v))))
     [ -0.1; 1.5; Float.nan ];

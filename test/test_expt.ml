@@ -117,6 +117,37 @@ let test_history_cached_values () =
   let h = Stabilization.history sc in
   check_int "T on an 8-ring with sequential ids" 4 h.Ss_sync.Sync_runner.t
 
+(* Passing the scenario's history changes nothing in the report: on a
+   boxed lazy start, and on a packed greedy start whose history is the
+   full one rather than the cut at B the run would build itself. *)
+let test_run_hist_same_report () =
+  let g = Builders.cycle 12 in
+  let inputs = Leader.random_ids (Rng.create 4) g in
+  List.iter
+    (fun (label, mode, bound, codec) ->
+      let sc =
+        {
+          Stabilization.params = Transformer.params ~mode ~bound Leader.algo;
+          graph = g;
+          inputs;
+        }
+      in
+      let hist = Stabilization.history sc in
+      let run ?hist () =
+        let rng = Rng.create 9 in
+        let start =
+          Stabilization.corrupted_start (Rng.split rng) ?codec ~max_height:6 sc
+        in
+        Stabilization.run ?hist sc ~daemon:(Daemon.central_random rng) ~start
+      in
+      let without = run () in
+      check (label ^ ": recovered") true without.Stabilization.legitimate;
+      check (label ^ ": same report") true (run ~hist () = without))
+    [
+      ("boxed lazy", P.Lazy, P.Infinite, None);
+      ("packed greedy", P.Greedy, P.Finite 4, Some Leader.codec);
+    ]
+
 let test_daemon_portfolio () =
   let rng = Rng.create 3 in
   let d = Stabilization.daemon_portfolio rng in
@@ -127,22 +158,43 @@ let test_daemon_portfolio () =
 (* Measure                                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A report's cells as the sections project them, under [spec]. *)
+let cells spec (r : _ Stabilization.report) =
+  [
+    Table.I r.Stabilization.moves;
+    Table.I r.Stabilization.recovery_moves;
+    Measure.ok_cell r.Stabilization.legitimate;
+    Measure.ok_cell (spec r.Stabilization.outputs);
+  ]
+
 let test_worst_case_aggregation () =
   let sc = scenario () in
-  let agg = Measure.worst_case ~seeds:[ 1; 2 ] ~max_height:8 sc in
-  check_int "runs = seeds x portfolio" (2 * 7) agg.Measure.runs;
-  check "legitimate everywhere" true agg.Measure.all_legitimate;
-  check "spec default true" true agg.Measure.all_spec;
-  check "max moves positive" true (agg.Measure.max_moves > 0);
-  check "recovery <= moves" true
-    (agg.Measure.max_recovery_moves <= agg.Measure.max_moves)
+  let reports =
+    Measure.worst_case ~seeds:[ 1; 2 ] ~max_height:8
+      ~hist:(Stabilization.history sc) sc
+  in
+  check_int "runs = seeds x portfolio" (2 * 7) (List.length reports);
+  match
+    ( Measure.worst (List.map (cells (fun _ -> true)) reports),
+      Measure.worst (List.map (cells (fun _ -> false)) reports) )
+  with
+  | [ Table.I moves; Table.I recovery_moves; legit; spec ], [ _; _; _; no ] ->
+      check "legitimate everywhere" true (legit = Table.S "yes");
+      check "a true spec renders yes" true (spec = Table.S "yes");
+      check "a false spec renders NO" true (no = Table.S "NO");
+      check "max moves positive" true (moves > 0);
+      check "recovery <= moves" true (recovery_moves <= moves)
+  | _ -> Alcotest.fail "unexpected row shape"
 
 let test_worst_case_spec_detects_violation () =
   let sc = scenario () in
-  let agg =
-    Measure.worst_case ~seeds:[ 1 ] ~max_height:8 ~spec:(fun _ -> false) sc
+  let reports =
+    Measure.worst_case ~seeds:[ 1 ] ~max_height:8
+      ~hist:(Stabilization.history sc) sc
   in
-  check "violations reported" false agg.Measure.all_spec
+  check "violations reported" true
+    (List.nth (Measure.worst (List.map (cells (fun _ -> false)) reports)) 3
+    = Table.S "NO")
 
 (* The worst-over-runs fold: [I] columns take the max, a "NO" wins,
    labels must agree. *)
@@ -336,6 +388,8 @@ let () =
             test_move_budget_outcome;
           Alcotest.test_case "history" `Quick test_history_cached_values;
           Alcotest.test_case "portfolio" `Quick test_daemon_portfolio;
+          Alcotest.test_case "run ~hist same report" `Quick
+            test_run_hist_same_report;
         ] );
       ( "measure",
         [

@@ -111,19 +111,35 @@ let test_par_knob () =
 (* End-to-end determinism of a real campaign                            *)
 (* ------------------------------------------------------------------ *)
 
-(* A small Table 1 campaign rendered exactly as `fasst table1 --json`
-   renders it; corruption, daemon portfolios and the predicate caches
-   all sit on this path. *)
-let render_campaign () =
-  Json.to_string
-    (Json.of_table ~label:"t1-lazy"
-       (Ss_expt.Table1.lazy_rows ~seeds:[ 1 ] (Rng.create 5)))
+module Sections = Ss_expt.Sections
 
+(* Small campaigns rendered exactly as `fasst <command> --json` renders
+   them; corruption, daemon portfolios and the predicate caches all sit
+   on this path. *)
+let render sections =
+  String.concat "\n"
+    (List.map
+       (fun (s : Sections.t) ->
+         Json.to_string
+           (Json.of_table ~label:s.title (s.run ~seeds:[ 1 ] (Rng.create 5))))
+       sections)
+
+(* Table 1's lazy rows. *)
+let render_campaign () = render [ List.hd Sections.table1 ]
+
+(* Every section whose runs go through the instance builder and the
+   replica map: Table 1's lazy rows, the ablation rows (one row per
+   variant over its workloads), the locality sweep and the §5
+   instances. *)
 let test_j1_equals_j4 () =
+  let sections =
+    (List.hd Sections.table1 :: Sections.ablation :: Sections.locality
+   :: Sections.instances)
+  in
   Par.set_jobs 1;
-  let sequential = render_campaign () in
+  let sequential = render sections in
   Par.set_jobs 4;
-  let parallel = render_campaign () in
+  let parallel = render sections in
   Par.set_jobs 1;
   Alcotest.(check string) "-j 1 ≡ -j 4 byte-identical" sequential parallel
 
