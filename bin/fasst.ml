@@ -115,7 +115,10 @@ let mode_arg =
   Arg.(
     value
     & opt (enum [ ("lazy", P.Lazy); ("greedy", P.Greedy) ]) P.Lazy
-    & info [ "m"; "mode" ] ~doc:"Transformer mode: lazy or greedy.")
+    & info [ "m"; "mode" ]
+        ~doc:
+          "Transformer mode: lazy or greedy (greedy needs a finite \
+           $(b,-b)).")
 
 let bound_conv =
   let parse = function
@@ -161,7 +164,8 @@ let layout_arg =
   let doc =
     "State layout: $(b,auto) (packed arena when the algorithm has a codec \
      and the bound is finite, else boxed), $(b,packed) (require the arena \
-     layout; fails without a codec or with an infinite bound), or \
+     layout; fails without a codec, with an infinite bound or under \
+     another transformer than $(b,trans)), or \
      $(b,boxed) (the historical copy-on-write buffers)."
   in
   Arg.(
@@ -270,6 +274,8 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
       (* Refused before the ground truth is built. *)
       let unfit =
         match (transformer, layout, codec, bound) with
+        | _ when mode = P.Greedy && bound = P.Infinite ->
+            Error (usage_error "-b" "-m greedy requires a finite bound B")
         | "trans", `Packed, None, _ ->
             Error
               (usage_error "--layout"
@@ -277,6 +283,9 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
         | "trans", `Packed, Some _, P.Infinite ->
             Error (usage_error "-b" "--layout packed requires a finite bound B")
         | "trans", _, _, _ -> Ok ()
+        | _, `Packed, _, _ ->
+            Error
+              (usage_error "--layout" "--layout packed runs only under -T trans")
         | _ ->
             Result.map_error (usage_error "-b")
               (Core.Registry.supports entry

@@ -8,7 +8,7 @@
     "time" is a pure function of the event sequence: same scenario,
     same virtual timestamps, always.
 
-    Inject it with {!now_fn}: {!Ss_report.Budget.deadline_check}
+    Inject it with {!now_fn}: {!Ss_report.Budget.deadline}
     takes [?now], and the sim harness passes it to every run of its
     grid. *)
 

@@ -244,11 +244,12 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
   let start = config.Config.states in
   (* The event cap (one delivery per event, so [stats.deliveries]
      never exceeds it) is the tighter of [budget.deliveries] and
-     [max_events]; the deadline is checked once per event. *)
+     [max_events]; the deadline is polled before every event, one
+     unit of work per event (see {!Budget.poll}). *)
   let max_events =
     Budget.resolve ~default:2_000_000 max_events budget.Budget.deliveries
   in
-  let deadline = Budget.deadline_check ?now budget in
+  let deadline = Budget.deadline ?now budget in
   let observing = sinks <> [] in
   let emit ev = List.iter (fun s -> s ev) sinks in
   let proof_msg_bits = Energy.proof_message_bits Energy.default_proof_cost in
@@ -669,9 +670,11 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
           chan_of.(v))
   in
 
-  let rec loop events =
+  (* [beat] is the event index of the next periodic heartbeat. *)
+  let rec loop events beat =
     if events >= max_events then Budget.Tripped Budget.Deliveries
-    else if deadline () then Budget.Tripped Budget.Deadline
+    else if Budget.poll deadline ~work:events then
+      Budget.Tripped Budget.Deadline
     else begin
       (* Scheduled transient corruption: mutate a victim's real state
          mid-run, exactly as §3's arbitrary-configuration premise
@@ -695,11 +698,13 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
          quiescence-driven).  Suppressed when the previous event already
          fired a quiescence-probe wave — stacking a second wave would
          supersede the probe's nonce before any of its proofs land. *)
-      if
-        events > 0
-        && events mod heartbeat_every = 0
-        && !last_wave_event < events - 1
-      then proof_wave ~at:events;
+      let beat =
+        if events < beat then beat
+        else begin
+          if !last_wave_event < events - 1 then proof_wave ~at:events;
+          beat + heartbeat_every
+        end
+      in
       match Channel.pick chans rng with
       | cid when cid >= 0 ->
           (match chaos with
@@ -710,12 +715,12 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
               | Ss_chaos.Fault_plan.Drop -> chaos_drop cid
               | Ss_chaos.Fault_plan.Duplicate -> chaos_duplicate cid
               | Ss_chaos.Fault_plan.Reorder -> chaos_reorder cid));
-          loop (events + 1)
+          loop (events + 1) beat
       | _ -> (
           match picker.pick () with
           | v when v >= 0 ->
               act v;
-              loop (events + 1)
+              loop (events + 1) beat
           | _ ->
               (* Local quiescence.  The last wave's proofs have all been
                  delivered (no channel is pending) and, being
@@ -729,14 +734,15 @@ let drive ~channels ~picker ~port ?codec ?(layout = `Auto) ?(encoding = Delta)
                  claiming [Completed]) on borrowed time. *)
               if c.proof_waves > 0 && c.requests_in_wave = 0 && !wave_intact
               then Budget.Completed
-              else if deadline () then Budget.Tripped Budget.Deadline
+              else if Budget.poll_now deadline then
+                Budget.Tripped Budget.Deadline
               else begin
                 proof_wave ~at:events;
-                loop (events + 1)
+                loop (events + 1) beat
               end)
     end
   in
-  let outcome = loop 0 in
+  let outcome = loop 0 heartbeat_every in
   (* Resident mirror accounting: the arena's flat arrays at their true
      size, plus an estimate for boxed mirrors (one word per cell plus
      a small per-state overhead) and the per-mirror handles. *)

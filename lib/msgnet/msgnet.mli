@@ -182,12 +182,14 @@ val run :
 
     Budget: [budget.deliveries] caps events (each event delivers at
     most one message, so [stats.deliveries] never exceeds it), and
-    [budget.deadline_s] is checked once per event — against [now] when
-    given (a virtual clock such as {!Ss_chaos.Clock.now_fn} makes
-    deadline budgets deterministic), the monotonic machine clock
-    otherwise — and re-checked on the channels-drained exit path, so a
-    run that drains past its time budget reports [Tripped Deadline]
-    rather than [Completed].
+    [budget.deadline_s] is polled before every event, one unit of
+    work per event ({!Ss_report.Budget.poll}) — against [now] on every
+    poll when given (a virtual clock such as {!Ss_chaos.Clock.now_fn}
+    makes deadline budgets deterministic), the monotonic machine clock
+    once per {!Ss_report.Budget.quantum} events otherwise — and
+    re-checked by a forced poll on the channels-drained exit path, so
+    a run that drains past its time budget reports [Tripped Deadline]
+    rather than [Completed] or another probe wave.
     Defaults: [encoding = Delta], event cap [2_000_000].  Every proof
     costs {!Ss_energy.Energy.default_proof_cost} (64-bit hash + 64-bit
     nonce).

@@ -31,12 +31,47 @@ let now_s =
     fun () -> Int64.to_float (Monotonic_clock.now ()) *. 1e-9
   else Unix.gettimeofday
 
-let deadline_check ?(now = now_s) t =
+(* The poll policy.  A clock read is a serialising vDSO call, so the
+   default monotonic clock is read on the first poll and then only once
+   [quantum] units of work have been reported since the last read; an
+   injected clock is a deterministic function of the run and is read on
+   every poll ([every = 0]), so a virtual deadline trips at the same
+   index as a per-poll check would. *)
+let quantum = 4096
+
+type deadline = {
+  armed : bool;  (* false without a deadline: no poll ever reads *)
+  read : unit -> float;
+  t0 : float;
+  allowance : float;
+  every : int;  (* work between two reads *)
+  mutable due : int;  (* the work count at which the next poll reads *)
+}
+
+let deadline ?now t =
   match t.deadline_s with
-  | None -> fun () -> false
+  | None ->
+      {
+        armed = false;
+        read = now_s;
+        t0 = 0.;
+        allowance = 0.;
+        every = 0;
+        due = max_int;
+      }
   | Some allowance ->
-      let t0 = now () in
-      fun () -> now () -. t0 >= allowance
+      let read, every =
+        match now with Some f -> (f, 0) | None -> (now_s, quantum)
+      in
+      { armed = true; read; t0 = read (); allowance; every; due = 0 }
+
+let poll_now d = d.armed && d.read () -. d.t0 >= d.allowance
+
+let read_at d work =
+  d.due <- work + d.every;
+  d.read () -. d.t0 >= d.allowance
+
+let[@inline] poll d ~work = work >= d.due && read_at d work
 
 let limit_to_string = function
   | Steps -> "steps"

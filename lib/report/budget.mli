@@ -25,7 +25,9 @@ type t = {
       (** Wall-clock allowance in seconds, measured against the
           monotonic clock ({!now_s}) — immune to NTP steps, unlike
           [Unix.gettimeofday], and to blocked-process undershoot,
-          unlike [Sys.time]. *)
+          unlike [Sys.time].  Polled as {!deadline} describes: not a
+          hard bound, it may be overshot by up to one {!quantum} of
+          work. *)
 }
 
 val unlimited : t
@@ -53,16 +55,52 @@ val now_s : unit -> float
     [bechamel.monotonic_clock], falling back to [Unix.gettimeofday]
     where unavailable).  Only differences are meaningful. *)
 
-val deadline_check : ?now:(unit -> float) -> t -> unit -> bool
-(** [deadline_check t] starts the clock now and returns a predicate
-    that turns [true] once the deadline has passed.  Constant [false]
-    (and free of clock reads) when no deadline is set.
+(** {2 Deadline polls}
 
-    [now] injects the time source (default {!now_s}).  Deterministic
-    simulations pass a virtual clock ([Ss_chaos.Clock.now_fn]) so
-    deadline budgets depend only on simulated time — wall-clock jumps,
-    GC pauses and machine load can never trip a deadline mid-scenario,
-    and replays are exact. *)
+    A run loop polls its deadline before each unit of its iteration
+    (an engine step, a synchronous round, a message event), passing
+    its cumulative work so far: the movers of every engine step, the
+    nodes evaluated in every synchronous round, 1 per message event.
+
+    The default monotonic clock ({!now_s}) is read on the first poll,
+    on every {!poll_now}, and otherwise only once {!quantum} units of
+    work have been reported since the last read.  A run therefore
+    overshoots an expired deadline by fewer than {!quantum} units of
+    work plus the one step or round that crosses the quantum, and a
+    loop whose every step does at least {!quantum} units of work (a
+    synchronous step at n = 10^6) still reads the clock every step.
+
+    An injected clock ([?now]) is read on every poll, so a deadline
+    measured on a virtual clock ([Ss_chaos.Clock.now_fn]) trips at
+    the same step, round or event index as a per-poll check, and a
+    tracer passed as [?now] still sees every poll.  Without a
+    deadline no clock is ever read. *)
+
+type deadline
+(** A running deadline: its start time, allowance and poll state. *)
+
+val quantum : int
+(** Units of work between two reads of the default clock (4096). *)
+
+val deadline : ?now:(unit -> float) -> t -> deadline
+(** [deadline ?now t] starts [t]'s deadline: it reads the clock once
+    now when [t.deadline_s] is set, and never otherwise.  [now]
+    injects the time source (default {!now_s}); deterministic
+    simulations pass a virtual clock so that deadline budgets depend
+    only on simulated time and replays are exact. *)
+
+val poll : deadline -> work:int -> bool
+(** [poll d ~work], with [work] the loop's cumulative work count
+    (non-decreasing from 0), is [true] once the deadline has passed,
+    under the poll policy above.  Constant [false] without a
+    deadline. *)
+
+val poll_now : deadline -> bool
+(** A forced poll: reads the clock now, whatever the work count, and
+    is [true] once the deadline has passed.  For a loop about to start
+    work that the quantum would not bound (the message loop's
+    drained-channel re-check before a probe wave).  Constant [false]
+    without a deadline. *)
 
 val limit_to_string : limit -> string
 val outcome_to_string : outcome -> string

@@ -142,11 +142,13 @@ let cap_selection ~budget selected =
   end
 
 (* The three integer/clock limits of one run, read once from its
-   budget: 10,000,000 steps when it sets none, moves unlimited. *)
+   budget: 10,000,000 steps when it sets none, moves unlimited.  The
+   deadline is polled before every step with the moves so far as its
+   work count (see {!Budget.poll}). *)
 let limits ?(budget = Budget.unlimited) ?now () =
   ( Option.value budget.Budget.steps ~default:10_000_000,
     Option.value budget.Budget.moves ~default:max_int,
-    Budget.deadline_check ?now budget )
+    Budget.deadline ?now budget )
 
 (* Shared per-run accounting: per-node and per-rule move counters
    ([note p label] counts one move) and the final stats record.  A
@@ -295,7 +297,8 @@ let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
       (config, steps, moves, Budget.Tripped Budget.Moves)
     else if steps >= max_steps then
       (config, steps, moves, Budget.Tripped Budget.Steps)
-    else if deadline () then (config, steps, moves, Budget.Tripped Budget.Deadline)
+    else if Budget.poll deadline ~work:moves then
+      (config, steps, moves, Budget.Tripped Budget.Deadline)
     else begin
       let selected =
         daemon.Daemon.select ~step:steps ~enabled:(Sched.enabled_set sched)
@@ -326,7 +329,8 @@ let run_naive ?budget ?now ?observer ?sinks algo daemon config =
       (config, steps, moves, Budget.Tripped Budget.Moves)
     else if steps >= max_steps then
       (config, steps, moves, Budget.Tripped Budget.Steps)
-    else if deadline () then (config, steps, moves, Budget.Tripped Budget.Deadline)
+    else if Budget.poll deadline ~work:moves then
+      (config, steps, moves, Budget.Tripped Budget.Deadline)
     else begin
       let selected =
         daemon.Daemon.select ~step:steps ~enabled:(Nodeset.of_list enabled)

@@ -120,10 +120,12 @@ val run :
     Budget: [budget] (default {!Ss_report.Budget.unlimited}) is the
     run's only cap, read once when the run starts.  When it sets no
     [steps], the run stops after [10_000_000] steps; [moves] is
-    unlimited unless set.  [budget.deadline_s] is checked between
-    steps — against [now] when given (e.g. {!Ss_chaos.Clock.now_fn}
-    for deterministic deadlines), the monotonic machine clock
-    otherwise.
+    unlimited unless set.  [budget.deadline_s] is polled before every
+    step with the moves so far as the work count
+    ({!Ss_report.Budget.poll}) — against [now] on every poll when
+    given (e.g. {!Ss_chaos.Clock.now_fn} for deterministic deadlines),
+    the monotonic machine clock once per {!Ss_report.Budget.quantum}
+    moves otherwise.
 
     [chaos] injects scheduled mid-run corruption: before the step at
     each due index (and before the termination check, so a fault on a

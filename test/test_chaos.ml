@@ -193,9 +193,11 @@ let test_virtual_deadline () =
   (* A deadline budget measured on an injected clock trips exactly when
      virtual time passes, never because wall time did. *)
   let clk = Clock.create () in
-  let expired =
-    Budget.deadline_check ~now:(Clock.now_fn clk) (Budget.v ~deadline_s:1.0 ())
+  let d =
+    Budget.deadline ~now:(Clock.now_fn clk) (Budget.v ~deadline_s:1.0 ())
   in
+  (* An injected clock is read on every poll, whatever the work. *)
+  let expired () = Budget.poll d ~work:0 in
   check "fresh virtual deadline not expired" false (expired ());
   Clock.advance clk 0.99;
   check "still inside the budget" false (expired ());

@@ -13,6 +13,7 @@ module Engine = Ss_sim.Engine
 module Core = Ss_core
 module M = Ss_msgnet.Msgnet
 module Leader = Ss_algos.Leader_election
+module Clock = Ss_chaos.Clock
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -128,10 +129,12 @@ let test_budget_outcome_strings () =
     ]
 
 let test_deadline_check () =
-  let never = Budget.deadline_check Budget.unlimited in
-  check "no deadline never fires" false (never ());
-  let instant = Budget.deadline_check (Budget.v ~deadline_s:(-1.) ()) in
-  check "expired deadline fires" true (instant ())
+  let never = Budget.deadline Budget.unlimited in
+  check "no deadline never fires" false (Budget.poll never ~work:0);
+  check "no deadline never fires when forced" false (Budget.poll_now never);
+  let instant = Budget.deadline (Budget.v ~deadline_s:(-1.) ()) in
+  check "expired deadline fires on the first poll" true
+    (Budget.poll instant ~work:0)
 
 let test_deadline_monotonic () =
   (* now_s reads the monotonic clock: it never runs backwards, no
@@ -143,14 +146,20 @@ let test_deadline_monotonic () =
     prev := t
   done;
   (* A real allowance measured against that clock: unexpired on
-     creation, expired once the clock has visibly advanced past it. *)
-  let trip = Budget.deadline_check (Budget.v ~deadline_s:0.01 ()) in
-  check "fresh 10ms deadline unexpired" false (trip ());
+     creation, expired once the clock has visibly advanced past it.
+     A poll within the quantum of the last read does not read the
+     clock, so the expiry is observed by a forced poll. *)
+  let trip = Budget.deadline (Budget.v ~deadline_s:0.01 ()) in
+  check "fresh 10ms deadline unexpired" false (Budget.poll trip ~work:0);
   let t0 = Budget.now_s () in
   while Budget.now_s () -. t0 < 0.012 do
     ignore (Sys.opaque_identity 0)
   done;
-  check "deadline fires after allowance elapses" true (trip ())
+  check "a poll inside the quantum does not read the clock" false
+    (Budget.poll trip ~work:(Budget.quantum - 1));
+  check "deadline fires after allowance elapses" true (Budget.poll_now trip);
+  check "a poll a quantum on reads the clock" true
+    (Budget.poll trip ~work:Budget.quantum)
 
 (* ------------------------------------------------------------------ *)
 (* Text table vs JSON table: same content                               *)
@@ -264,13 +273,13 @@ let qcheck_table_equivalence =
 (* Budgets never overshoot, on all three loops                          *)
 (* ------------------------------------------------------------------ *)
 
-let leader_workload seed =
-  let g = G.Builders.cycle 12 in
+let leader_workload ?(n = 12) ?(max_height = 8) seed =
+  let g = G.Builders.cycle n in
   let rng = Rng.create seed in
   let inputs = Leader.random_ids rng g in
   let params = Core.Registry.Trans.params Leader.algo in
   let start =
-    Core.Registry.Trans.corrupt rng ~max_height:8 params
+    Core.Registry.Trans.corrupt rng ~max_height params
       (Core.Registry.Trans.clean_config params g ~inputs)
   in
   (params, Core.Registry.Trans.algorithm params, start)
@@ -331,6 +340,171 @@ let test_sync_runner_budget () =
       ignore
         (Ss_sync.Sync_runner.run ~budget:(Budget.v ~steps:1 ()) Leader.algo g
            ~inputs))
+
+(* ------------------------------------------------------------------ *)
+(* Deadline polls on the three loops                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each loop is pinned three ways: a virtual clock trips at the same
+   index as a clock read before every step, round or event; an expired
+   real deadline is noticed within {!Budget.quantum} units of work;
+   and a run without a deadline never reads its clock. *)
+
+let tripped outcome = outcome = Budget.Tripped Budget.Deadline
+
+(* A clock that counts its reads and advances one second per read. *)
+let counting_clock () =
+  let reads = ref 0 in
+  ( reads,
+    fun () ->
+      incr reads;
+      float_of_int !reads )
+
+(* Burn [s] seconds of the monotonic clock. *)
+let stall s =
+  let t0 = Budget.now_s () in
+  while Budget.now_s () -. t0 < s do
+    ignore (Sys.opaque_identity 0)
+  done
+
+let test_engine_deadline () =
+  let daemon () = Sim.Daemon.central_random (Rng.create 4) in
+  let _, algo, start = leader_workload 3 in
+  (* One virtual second per bus event: the start and every step. *)
+  List.iter
+    (fun (deadline_s, steps) ->
+      let clk = Clock.create ~dt:1.0 () in
+      let tick ~step:_ ~rounds:_ ~moved:_ _ = Clock.tick clk in
+      let s =
+        Engine.run ~budget:(Budget.v ~deadline_s ()) ~now:(Clock.now_fn clk)
+          ~sinks:[ tick ] algo (daemon ()) start
+      in
+      check "virtual deadline trips" true (tripped s.Engine.outcome);
+      check_int "virtual deadline step" steps s.Engine.steps)
+    [ (10., 9); (37., 36) ];
+  let expired =
+    Engine.run ~budget:(Budget.v ~deadline_s:(-1.) ()) algo (daemon ()) start
+  in
+  check "expired deadline trips" true (tripped expired.Engine.outcome);
+  check_int "on the first poll" 0 expired.Engine.steps;
+  (* 8393 moves unbounded; the deadline passes during the first step. *)
+  let _, algo, start = leader_workload ~n:128 ~max_height:128 3 in
+  let slow ~step ~rounds:_ ~moved:_ _ = if step = 1 then stall 0.02 in
+  let s =
+    Engine.run ~budget:(Budget.v ~deadline_s:0.01 ()) ~sinks:[ slow ] algo
+      (daemon ()) start
+  in
+  check "mid-run deadline trips" true (tripped s.Engine.outcome);
+  check "within one quantum of moves" true (s.Engine.moves <= Budget.quantum);
+  let reads, now = counting_clock () in
+  let s = Engine.run ~now algo (daemon ()) start in
+  check "no deadline completes" true (s.Engine.outcome = Budget.Completed);
+  check_int "no deadline reads no clock" 0 !reads
+
+let test_msgnet_deadline () =
+  let params, _, start = leader_workload 3 in
+  (* One virtual second per sink event.  220 deliveries and one proof
+     wave unbounded; the last deadline trips after that wave. *)
+  List.iter
+    (fun (deadline_s, deliveries) ->
+      let clk = Clock.create ~dt:1.0 () in
+      let _, s =
+        M.run ~budget:(Budget.v ~deadline_s ()) ~now:(Clock.now_fn clk)
+          ~sinks:[ (fun _ -> Clock.tick clk) ]
+          ~rng:(Rng.create 5) params start
+      in
+      check "virtual deadline trips" true (tripped s.M.outcome);
+      check_int "virtual deadline delivery" deliveries s.M.deliveries)
+    [ (10., 2); (37., 13); (300., 145); (400., 196) ];
+  (* A clock that advances on its own reads counts every poll, the
+     forced drained-channel re-check too: the 199th read is that
+     re-check, which stops the run before its first probe wave. *)
+  List.iter
+    (fun (deadline_s, waves) ->
+      let _, now = counting_clock () in
+      let _, s =
+        M.run ~budget:(Budget.v ~deadline_s ()) ~now ~rng:(Rng.create 5)
+          params start
+      in
+      check "counted deadline trips" true (tripped s.M.outcome);
+      check_int "at the drained re-check" 196 s.M.deliveries;
+      check_int "probe waves" waves s.M.proof_waves)
+    [ (199., 0); (200., 1) ];
+  let _, expired =
+    M.run ~budget:(Budget.v ~deadline_s:(-1.) ()) ~rng:(Rng.create 5) params
+      start
+  in
+  check "expired deadline trips" true (tripped expired.M.outcome);
+  check_int "on the first poll" 0 expired.M.deliveries;
+  (* 6744 deliveries unbounded; the deadline passes at the first. *)
+  let params, _, start = leader_workload ~n:64 ~max_height:64 3 in
+  let first = ref true in
+  let slow = function
+    | M.Delivered _ when !first ->
+        first := false;
+        stall 0.02
+    | _ -> ()
+  in
+  let _, s =
+    M.run ~budget:(Budget.v ~deadline_s:0.01 ()) ~sinks:[ slow ]
+      ~rng:(Rng.create 5) params start
+  in
+  check "mid-run deadline trips" true (tripped s.M.outcome);
+  check "within one quantum of events" true (s.M.deliveries <= Budget.quantum);
+  let reads, now = counting_clock () in
+  let _, s = M.run ~now ~rng:(Rng.create 5) params start in
+  check "no deadline completes" true s.M.quiescent;
+  check_int "no deadline reads no clock" 0 !reads
+
+let test_sync_runner_deadline () =
+  let g = G.Builders.path 24 in
+  let inputs = Leader.random_ids (Rng.create 5) g in
+  let raises_at round f =
+    Alcotest.check_raises "deadline raises"
+      (Ss_sync.Sync_runner.Did_not_terminate
+         (Printf.sprintf
+            "%s did not reach a fixpoint within the wall-clock deadline (%d \
+             rounds)"
+            Leader.algo.Ss_sync.Sync_algo.sync_name round))
+      (fun () -> ignore (f ()))
+  in
+  (* The start reads 1 and round r's poll reads r + 2, so a 3 s
+     virtual deadline trips before round 2. *)
+  let _, now = counting_clock () in
+  raises_at 2 (fun () ->
+      Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:3. ()) ~now
+        Leader.algo g ~inputs);
+  raises_at 0 (fun () ->
+      Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:(-1.) ())
+        Leader.algo g ~inputs);
+  (* 580 rounds unbounded on a 1000-node path; the deadline passes
+     during the first evaluation of round 1. *)
+  let path = G.Builders.path 1000 in
+  let path_inputs = Leader.random_ids (Rng.create 5) path in
+  let calls = ref 0 in
+  let slow =
+    {
+      Leader.algo with
+      Ss_sync.Sync_algo.step =
+        (fun i s nbrs ->
+          incr calls;
+          if !calls = 1001 then stall 0.02;
+          Leader.algo.Ss_sync.Sync_algo.step i s nbrs);
+    }
+  in
+  check "mid-run deadline trips" true
+    (match
+       Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:0.01 ()) slow path
+         ~inputs:path_inputs
+     with
+    | exception Ss_sync.Sync_runner.Did_not_terminate _ -> true
+    | _ -> false);
+  check "within one quantum of evaluations and one round" true
+    (!calls <= Budget.quantum + 1000);
+  let reads, now = counting_clock () in
+  let h = Ss_sync.Sync_runner.run ~now Leader.algo g ~inputs in
+  check "no deadline reaches the fixpoint" true (h.Ss_sync.Sync_runner.t > 2);
+  check_int "no deadline reads no clock" 0 !reads
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                                *)
@@ -524,6 +698,10 @@ let () =
             test_engine_outcome_labels;
           Alcotest.test_case "sync runner budget" `Quick
             test_sync_runner_budget;
+          Alcotest.test_case "engine deadline" `Quick test_engine_deadline;
+          Alcotest.test_case "msgnet deadline" `Quick test_msgnet_deadline;
+          Alcotest.test_case "sync runner deadline" `Quick
+            test_sync_runner_deadline;
         ] );
       ( "sinks",
         [
