@@ -40,7 +40,6 @@ let now_s =
 let quantum = 4096
 
 type deadline = {
-  armed : bool;  (* false without a deadline: no poll ever reads *)
   read : unit -> float;
   t0 : float;
   allowance : float;
@@ -51,11 +50,11 @@ type deadline = {
 let deadline ?now t =
   match t.deadline_s with
   | None ->
+      (* Never due and never expired, so no poll reads a clock. *)
       {
-        armed = false;
-        read = now_s;
+        read = (fun () -> 0.);
         t0 = 0.;
-        allowance = 0.;
+        allowance = infinity;
         every = 0;
         due = max_int;
       }
@@ -63,9 +62,9 @@ let deadline ?now t =
       let read, every =
         match now with Some f -> (f, 0) | None -> (now_s, quantum)
       in
-      { armed = true; read; t0 = read (); allowance; every; due = 0 }
+      { read; t0 = read (); allowance; every; due = 0 }
 
-let poll_now d = d.armed && d.read () -. d.t0 >= d.allowance
+let poll_now d = d.read () -. d.t0 >= d.allowance
 
 let read_at d work =
   d.due <- work + d.every;

@@ -58,9 +58,10 @@ val now_s : unit -> float
 (** {2 Deadline polls}
 
     A run loop polls its deadline before each unit of its iteration
-    (an engine step, a synchronous round, a message event), passing
-    its cumulative work so far: the movers of every engine step, the
-    nodes evaluated in every synchronous round, 1 per message event.
+    (an engine step, a message event), passing its cumulative work so
+    far: the movers of every engine step, 1 per message event.  A loop
+    whose every iteration outweighs a clock read (a synchronous round,
+    which copies its whole row) forces a poll instead ({!poll_now}).
 
     The default monotonic clock ({!now_s}) is read on the first poll,
     on every {!poll_now}, and otherwise only once {!quantum} units of
@@ -72,7 +73,7 @@ val now_s : unit -> float
 
     An injected clock ([?now]) is read on every poll, so a deadline
     measured on a virtual clock ([Ss_chaos.Clock.now_fn]) trips at
-    the same step, round or event index as a per-poll check, and a
+    the same step or event index as a per-poll check, and a
     tracer passed as [?now] still sees every poll.  Without a
     deadline no clock is ever read. *)
 
@@ -99,8 +100,9 @@ val poll_now : deadline -> bool
 (** A forced poll: reads the clock now, whatever the work count, and
     is [true] once the deadline has passed.  For a loop about to start
     work that the quantum would not bound (the message loop's
-    drained-channel re-check before a probe wave).  Constant [false]
-    without a deadline. *)
+    drained-channel re-check before a probe wave) and for a loop whose
+    iterations each outweigh the read ([Sync_runner]'s rounds).
+    Constant [false], and free of clock reads, without a deadline. *)
 
 val limit_to_string : limit -> string
 val outcome_to_string : outcome -> string

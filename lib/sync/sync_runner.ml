@@ -20,13 +20,13 @@ exception Did_not_terminate of string
    reads its neighbours from one buffer per degree ([step] must not
    retain it, see {!Sync_algo.t}), so a round allocates only its
    row. *)
-let run ?(budget = Budget.unlimited) ?now ?stop_after algo g ~inputs =
+let run ?(budget = Budget.unlimited) ?stop_after algo g ~inputs =
   let n = Graph.n g in
   let stopped round =
     match stop_after with Some s -> round >= s | None -> false
   in
   let max_rounds = Option.value budget.Budget.steps ~default:((4 * n) + 64) in
-  let deadline = Budget.deadline ?now budget in
+  let deadline = Budget.deadline budget in
   let give_up what round =
     raise
       (Did_not_terminate
@@ -49,16 +49,14 @@ let run ?(budget = Budget.unlimited) ?now ?stop_after algo g ~inputs =
       incr ndirty
     end
   in
-  (* [evaluated]: the nodes recomputed so far, the deadline's work
-     count. *)
-  let rec go rows current round evaluated =
+  (* Every round copies its n-entry row, which outweighs a clock read,
+     so the deadline is polled by force once per round. *)
+  let rec go rows current round =
     if stopped round then (List.rev rows, round)
     else begin
       if round > max_rounds then
         give_up (Printf.sprintf "the %d-round budget" max_rounds) round;
-      if Budget.poll deadline ~work:evaluated then
-        give_up "the wall-clock deadline" round;
-      let evaluated = evaluated + !ndirty in
+      if Budget.poll_now deadline then give_up "the wall-clock deadline" round;
       let next = Array.copy current in
       nchanged := 0;
       for k = 0 to !ndirty - 1 do
@@ -85,11 +83,11 @@ let run ?(budget = Budget.unlimited) ?now ?stop_after algo g ~inputs =
             touch (round + 1) (Graph.nbr g p i)
           done
         done;
-        go (next :: rows) next (round + 1) evaluated
+        go (next :: rows) next (round + 1)
       end
     end
   in
-  let rows, t = go [ row0 ] row0 0 0 in
+  let rows, t = go [ row0 ] row0 0 in
   { graph = g; inputs; states_by_round = Array.of_list rows; t }
 
 let state_at h ~round ~node =

@@ -21,7 +21,6 @@ exception Did_not_terminate of string
 
 val run :
   ?budget:Ss_report.Budget.t ->
-  ?now:(unit -> float) ->
   ?stop_after:int ->
   ('s, 'i) Sync_algo.t ->
   Ss_graph.Graph.t ->
@@ -31,9 +30,9 @@ val run :
     by [budget] alone: [budget.steps] counts synchronous rounds here,
     and when it is unset the cap is [4 * n + 64] rounds, ample for all
     the algorithms here, whose [T] is at most [n].
-    [budget.deadline_s] is polled before every round, with the nodes
-    evaluated so far as the work count ({!Ss_report.Budget.poll});
-    [now] injects its clock.  The other fields do not apply.
+    [budget.deadline_s] is checked before every round by a forced
+    poll ({!Ss_report.Budget.poll_now}); the other fields do not
+    apply.
 
     [stop_after] truncates the recorded history: the run stops
     cleanly (no exception) once that many rounds were executed, even

@@ -128,10 +128,22 @@ let test_budget_outcome_strings () =
       (Budget.Tripped Budget.Deadline, "deadline");
     ]
 
+(* A clock that counts its reads and advances one second per read. *)
+let counting_clock () =
+  let reads = ref 0 in
+  ( reads,
+    fun () ->
+      incr reads;
+      float_of_int !reads )
+
 let test_deadline_check () =
-  let never = Budget.deadline Budget.unlimited in
+  let reads, now = counting_clock () in
+  let never = Budget.deadline ~now Budget.unlimited in
   check "no deadline never fires" false (Budget.poll never ~work:0);
+  check "no deadline never fires a quantum on" false
+    (Budget.poll never ~work:Budget.quantum);
   check "no deadline never fires when forced" false (Budget.poll_now never);
+  check_int "no deadline reads no clock" 0 !reads;
   let instant = Budget.deadline (Budget.v ~deadline_s:(-1.) ()) in
   check "expired deadline fires on the first poll" true
     (Budget.poll instant ~work:0)
@@ -345,20 +357,14 @@ let test_sync_runner_budget () =
 (* Deadline polls on the three loops                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Each loop is pinned three ways: a virtual clock trips at the same
-   index as a clock read before every step, round or event; an expired
-   real deadline is noticed within {!Budget.quantum} units of work;
-   and a run without a deadline never reads its clock. *)
+(* The engine and msgnet are pinned three ways: a virtual clock trips
+   at the same index as a clock read before every step or event; an
+   expired real deadline is noticed within {!Budget.quantum} units of
+   work; and a run without a deadline never reads its clock.  The
+   synchronous runner forces a poll every round, so a deadline that
+   passes during a round trips before the next one. *)
 
 let tripped outcome = outcome = Budget.Tripped Budget.Deadline
-
-(* A clock that counts its reads and advances one second per read. *)
-let counting_clock () =
-  let reads = ref 0 in
-  ( reads,
-    fun () ->
-      incr reads;
-      float_of_int !reads )
 
 (* Burn [s] seconds of the monotonic clock. *)
 let stall s =
@@ -457,28 +463,22 @@ let test_msgnet_deadline () =
   check_int "no deadline reads no clock" 0 !reads
 
 let test_sync_runner_deadline () =
+  let message round =
+    Printf.sprintf
+      "%s did not reach a fixpoint within the wall-clock deadline (%d rounds)"
+      Leader.algo.Ss_sync.Sync_algo.sync_name round
+  in
   let g = G.Builders.path 24 in
   let inputs = Leader.random_ids (Rng.create 5) g in
-  let raises_at round f =
-    Alcotest.check_raises "deadline raises"
-      (Ss_sync.Sync_runner.Did_not_terminate
-         (Printf.sprintf
-            "%s did not reach a fixpoint within the wall-clock deadline (%d \
-             rounds)"
-            Leader.algo.Ss_sync.Sync_algo.sync_name round))
-      (fun () -> ignore (f ()))
-  in
-  (* The start reads 1 and round r's poll reads r + 2, so a 3 s
-     virtual deadline trips before round 2. *)
-  let _, now = counting_clock () in
-  raises_at 2 (fun () ->
-      Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:3. ()) ~now
-        Leader.algo g ~inputs);
-  raises_at 0 (fun () ->
-      Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:(-1.) ())
-        Leader.algo g ~inputs);
+  Alcotest.check_raises "expired deadline raises before round 0"
+    (Ss_sync.Sync_runner.Did_not_terminate (message 0)) (fun () ->
+      ignore
+        (Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:(-1.) ())
+           Leader.algo g ~inputs));
   (* 580 rounds unbounded on a 1000-node path; the deadline passes
-     during the first evaluation of round 1. *)
+     during the first evaluation of round 1, so the poll before round 2
+     trips (before round 1 on a box too slow to finish round 0 in
+     10 ms). *)
   let path = G.Builders.path 1000 in
   let path_inputs = Leader.random_ids (Rng.create 5) path in
   let calls = ref 0 in
@@ -492,19 +492,14 @@ let test_sync_runner_deadline () =
           Leader.algo.Ss_sync.Sync_algo.step i s nbrs);
     }
   in
-  check "mid-run deadline trips" true
-    (match
-       Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:0.01 ()) slow path
-         ~inputs:path_inputs
-     with
-    | exception Ss_sync.Sync_runner.Did_not_terminate _ -> true
-    | _ -> false);
-  check "within one quantum of evaluations and one round" true
-    (!calls <= Budget.quantum + 1000);
-  let reads, now = counting_clock () in
-  let h = Ss_sync.Sync_runner.run ~now Leader.algo g ~inputs in
-  check "no deadline reaches the fixpoint" true (h.Ss_sync.Sync_runner.t > 2);
-  check_int "no deadline reads no clock" 0 !reads
+  match
+    Ss_sync.Sync_runner.run ~budget:(Budget.v ~deadline_s:0.01 ()) slow path
+      ~inputs:path_inputs
+  with
+  | exception Ss_sync.Sync_runner.Did_not_terminate m ->
+      check "mid-run deadline trips at the next round" true
+        (m = message 2 || m = message 1)
+  | _ -> Alcotest.fail "mid-run deadline did not trip"
 
 (* ------------------------------------------------------------------ *)
 (* Sinks                                                                *)
