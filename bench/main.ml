@@ -616,9 +616,9 @@ let bigrun () =
 (* --profile: a SIGPROF sampler for the big-n smokes, with no profiler
    dependency.  Every millisecond of process CPU time (the kernel
    rounds the period up to its tick, 4 ms at HZ=250) the handler
-   records the OCaml call stack; the report ranks source lines by self
-   samples (innermost frame) and inclusive samples (any frame, counted
-   once per sample).  Caveat: OCaml runs a signal handler at its next
+   records the OCaml call stack; the report lists every sampled source
+   line, ranked by self samples (innermost frame) and by inclusive
+   samples (any frame, counted once per sample).  Caveat: OCaml runs a signal handler at its next
    poll point (an allocation, a function prologue, a loop back-edge),
    so a sample is charged to the line that polls next after the
    interrupt — a cache stall in a non-allocating stretch shows up on
@@ -662,15 +662,16 @@ let profile f =
       | _ -> ())
     !samples;
   let total = List.length !samples in
+  (* Every line with a sample, most sampled first, so that a small
+     share can still be read. *)
   let print title t =
-    Printf.printf "profile: top %s lines of %d samples\n" title total;
+    Printf.printf "profile: %s lines of %d samples\n" title total;
     Hashtbl.fold (fun k v acc -> (v, k) :: acc) t []
     |> List.sort (fun a b -> compare b a)
-    |> List.iteri (fun i (v, k) ->
-           if i < 25 then
-             Printf.printf "%6d %5.1f%%  %s\n" v
-               (100. *. float_of_int v /. float_of_int (max 1 total))
-               k)
+    |> List.iter (fun (v, k) ->
+           Printf.printf "%6d %5.1f%%  %s\n" v
+             (100. *. float_of_int v /. float_of_int (max 1 total))
+             k)
   in
   print "self" self;
   print "inclusive" incl

@@ -165,7 +165,7 @@ let layout_arg =
     "State layout: $(b,auto) (packed arena when the algorithm has a codec \
      and the bound is finite, else boxed), $(b,packed) (require the arena \
      layout; fails without a codec, with an infinite bound or under \
-     another transformer than $(b,trans)), or \
+     $(b,rollback)), or \
      $(b,boxed) (the historical copy-on-write buffers)."
   in
   Arg.(
@@ -221,25 +221,29 @@ let jobs_arg =
 let section ~json title table =
   Ss_expt.Sections.print Format.std_formatter ~json title table
 
-(* The metric/value rows every transformer reports, with the
-   transformer's own [extra] rows after the step count. *)
-let run_rows ~transformer ~terminated ~outcome ~moves ~rounds ~steps ~extra
-    ~space_bits ~moves_per_rule ~legitimate ~spec =
+(* The metric/value rows of one measured run, for every transformer;
+   the recovery rows appear when the transformer tracks recovery. *)
+let run_rows entry (r : _ Core.Registry.summary) ~energy_bits ~spec =
   let s k v = (k, Table.S v) and i k v = (k, Table.I v) in
   [
-    s "transformer" transformer;
-    s "terminated" (string_of_bool terminated);
-    s "outcome" (Ss_report.Budget.outcome_to_string outcome);
-    i "moves" moves;
-    i "rounds" rounds;
-    i "steps" steps;
+    s "transformer" (Core.Registry.name entry);
+    s "terminated" (string_of_bool r.terminated);
+    s "outcome" (Ss_report.Budget.outcome_to_string r.outcome);
+    i "moves" r.moves;
+    i "rounds" r.rounds;
+    i "steps" r.steps;
   ]
-  @ extra
-  @ [ i "space-bits" space_bits ]
-  @ List.map (fun (rule, n) -> i (rule ^ " moves") n) moves_per_rule
+  @ (if Core.Registry.tracks_recovery entry then
+       [
+         i "recovery-moves" r.recovery_moves;
+         i "recovery-rounds" r.recovery_rounds;
+       ]
+     else [])
+  @ [ i "energy-bits" energy_bits; i "space-bits" r.space_bits ]
+  @ List.map (fun (rule, n) -> i (rule ^ " moves") n) r.moves_per_rule
   @ [
-      s "legitimate" (string_of_bool legitimate);
-      s "specification" (string_of_bool spec);
+      s "legitimate" (string_of_bool r.legitimate);
+      s "specification" (string_of_bool (spec r.outputs));
     ]
 
 (* Option values that each parse but that the chosen algorithm or
@@ -273,19 +277,19 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
       let entry = Catalog.find_transformer transformer in
       (* Refused before the ground truth is built. *)
       let unfit =
-        match (transformer, layout, codec, bound) with
+        match (layout, codec, bound) with
         | _ when mode = P.Greedy && bound = P.Infinite ->
             Error (usage_error "-b" "-m greedy requires a finite bound B")
-        | "trans", `Packed, None, _ ->
+        | `Packed, _, _ when not (Core.Registry.packs entry) ->
+            Error
+              (usage_error "--layout"
+                 ("transformer " ^ transformer ^ " has no packed layout"))
+        | `Packed, None, _ ->
             Error
               (usage_error "--layout"
                  ("no packed codec for algorithm " ^ algo_name))
-        | "trans", `Packed, Some _, P.Infinite ->
+        | `Packed, Some _, P.Infinite ->
             Error (usage_error "-b" "--layout packed requires a finite bound B")
-        | "trans", _, _, _ -> Ok ()
-        | _, `Packed, _, _ ->
-            Error
-              (usage_error "--layout" "--layout packed runs only under -T trans")
         | _ ->
             Result.map_error (usage_error "-b")
               (Core.Registry.supports entry
@@ -298,67 +302,23 @@ let run_algo ~json ~transformer ~algo_name ~topology ~daemon ~seed ~mode ~bound
             Catalog.instance { Catalog.mode; bound = Catalog.Fixed bound } inst
               graph
           in
-          let rows =
-            if transformer <> "trans" then begin
-              (* The rollback and adaptive transformers have no
-                 Stabilization-style recovery phases; the registry's
-                 measure covers them uniformly. *)
-              let budget =
-                Option.map
-                  (fun s ->
-                    Ss_report.Budget.v ~steps:2_000_000 ~deadline_s:s ())
-                  deadline
-              in
-              let (r : _ Core.Registry.summary), energy_bits =
-                Core.Registry.measure entry ?budget ~p ~hist
-                  ~rng:(Rng.split rng) ~daemon
-                  ~max_height:(min (P.bound_to_int bound) 1_000_000)
-                  sc.params graph ~inputs:sc.inputs
-              in
-              run_rows ~transformer:(Core.Registry.name entry)
-                ~terminated:r.terminated ~outcome:r.outcome ~moves:r.moves
-                ~rounds:r.rounds ~steps:r.steps
-                ~extra:[ ("energy-bits", Table.I energy_bits) ]
-                ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
-                ~legitimate:r.legitimate ~spec:(spec r.outputs)
-            end
-            else
-              let codec =
-                match (layout, bound) with
-                | `Boxed, _ | `Auto, P.Infinite -> None
-                | _ -> codec
-              in
-              (* The corruption ceiling tracks the synchronous execution
-                 time; under a finite bound the instance's ground truth
-                 is cut at B rounds, so the million-node path never
-                 materializes the full fixpoint history. *)
-              let max_height =
-                min (P.bound_to_int bound) (hist.Ss_sync.Sync_runner.t + 6)
-              in
-              let start =
-                Stabilization.corrupted_start (Rng.split rng) ~p ?codec
-                  ~max_height sc
-              in
-              let budget =
-                Option.map
-                  (fun s -> Ss_report.Budget.v ~deadline_s:s ())
-                  deadline
-              in
-              let (r : _ Stabilization.report) =
-                Stabilization.run ?budget ~sharded:(jobs > 1) ~hist sc ~daemon
-                  ~start
-              in
-              run_rows ~transformer ~terminated:r.terminated
-                ~outcome:r.outcome ~moves:r.moves ~rounds:r.rounds
-                ~steps:r.steps
-                ~extra:
-                  [
-                    ("recovery-moves", Table.I r.recovery_moves);
-                    ("recovery-rounds", Table.I r.recovery_rounds);
-                  ]
-                ~space_bits:r.space_bits ~moves_per_rule:r.moves_per_rule
-                ~legitimate:r.legitimate ~spec:(spec r.outputs)
+          let codec = if layout = `Boxed then None else codec in
+          (* The corruption ceiling tracks the synchronous execution
+             time; under a finite bound the instance's ground truth is
+             cut at B rounds, so the million-node path never
+             materializes the full fixpoint history. *)
+          let max_height =
+            min (P.bound_to_int bound) (hist.Ss_sync.Sync_runner.t + 6)
           in
+          let budget =
+            Option.map (fun s -> Ss_report.Budget.v ~deadline_s:s ()) deadline
+          in
+          let r, energy_bits =
+            Core.Registry.measure entry ?budget ~p ~hist ?codec
+              ~sharded:(jobs > 1) ~rng:(Rng.split rng) ~daemon ~max_height
+              sc.params graph ~inputs:sc.inputs
+          in
+          let rows = run_rows entry r ~energy_bits ~spec in
           let table = Table.create [ "metric"; "value" ] in
           List.iter (fun (k, v) -> Table.add table [ Table.S k; v ]) rows;
           section ~json sync.Ss_sync.Sync_algo.sync_name table;

@@ -125,6 +125,7 @@ module Hooks = struct
   let algorithm = algorithm
   let reference_algorithm = algorithm_uncached
   let clean_config = clean_config
+  let packed_start = Some packed_config
   let corrupt_state = T.corrupt_state
   let outputs = T.outputs
   let space_bits = Checker.space_bits
@@ -152,6 +153,11 @@ module Hooks = struct
     else if not (Checker.simulates_history p hist config) then
       Error "terminal lists do not match the synchronous history"
     else Ok ()
+
+  (* Recovery is not tracked: §4's "roots are never created" is a
+     lemma about §3's rules, and none is known for RS/RX/CO, so no
+     root-free configuration is known to be final. *)
+  let has_root = None
 end
 
 module Entry = struct

@@ -91,22 +91,19 @@ val algo_err_cached : ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> bool
     O(Δ·deg) when only Δ cells were appended or became checkable since
     the last evaluation of this node. *)
 
-val algo_hat_cached :
-  ('s, 'i) cache -> ('s, 'i) params -> ('s, 'i) view -> int -> 's
-(** Same result as {!algo_hat}, with the dependency array taken from
-    the cache's per-degree scratch instead of allocated: the
-    production [RU] guard and action use it (the simulated [step] must
-    not retain its neighbour array, see {!Ss_sync.Sync_algo.t}). *)
-
 val per_domain_cached :
   unit ->
   (('s, 'i) params -> ('s, 'i) view -> bool)
   * (('s, 'i) params -> ('s, 'i) view -> int -> 's)
-(** [per_domain_cached ()] is ({!algo_err_cached}, {!algo_hat_cached})
-    over a fresh family of caches, one per domain that calls them
+(** [per_domain_cached ()] is {!algo_err_cached} and a cached
+    {!algo_hat} over a fresh family of caches, one per domain that calls them
     ({!Ss_prelude.Per_domain}, so sharded guard sweeps on the [Ss_par]
-    pool never share one).  The family is garbage once both closures
-    are: each transformer algorithm value holds its own. *)
+    pool never share one).  The cached [algo_hat] gives {!algo_hat}'s
+    result with the dependency array taken from the cache's per-degree
+    scratch instead of allocated: the production [RU] guard and action
+    use it (the simulated [step] must not retain its neighbour array,
+    see {!Ss_sync.Sync_algo.t}).  The family is garbage once both
+    closures are: each transformer algorithm value holds its own. *)
 
 val cache_hits : unit -> int
 (** Process-wide count of {!algo_err_cached} evaluations answered from
@@ -150,5 +147,5 @@ val updatable_with :
   bool
 (** {!updatable} with the lazy test's [algô] computed by [algo_hat]:
     [updatable = updatable_with ~algo_hat].  The production [RU] guard
-    passes a closure over {!algo_hat_cached}, which only a lazy test
-    that reaches [algô] calls. *)
+    passes the cached [algo_hat] of {!per_domain_cached}, which only a
+    lazy test that reaches [algô] calls. *)

@@ -23,6 +23,14 @@ module type TRANSFORMER = sig
     inputs:(int -> 'i) ->
     ('s state, 'i) Config.t
 
+  val packed_start :
+    (('s, 'i) P.params ->
+    codec:'s Cellpack.codec ->
+    Graph.t ->
+    inputs:(int -> 'i) ->
+    ('s state, 'i) Config.t)
+    option
+
   val corrupt_state :
     Rng.t -> max_height:int -> ('s, 'i) P.params -> 'i -> 's state -> 's state
 
@@ -35,6 +43,8 @@ module type TRANSFORMER = sig
     ('s, 'i) Sync_runner.history ->
     ('s state, 'i) Config.t ->
     (unit, string) result
+
+  val has_root : (('s, 'i) P.params -> ('s state, 'i) Config.t -> bool) option
 end
 
 type entry = (module TRANSFORMER)
@@ -45,6 +55,8 @@ let table : (string * entry) list ref = ref []
 let name (module T : TRANSFORMER) = T.name
 let doc (module T : TRANSFORMER) = T.doc
 let supports (module T : TRANSFORMER) params = T.supports params
+let packs (module T : TRANSFORMER) = Option.is_some T.packed_start
+let tracks_recovery (module T : TRANSFORMER) = Option.is_some T.has_root
 
 let register entry =
   let n = name entry in
@@ -73,6 +85,8 @@ type 's summary = {
   rounds : int;
   terminated : bool;
   outcome : Ss_report.Budget.outcome;
+  recovery_moves : int;
+  recovery_rounds : int;
   legitimate : bool;
   space_bits : int;
   moves_per_rule : (string * int) list;
@@ -103,9 +117,17 @@ module type RUN = sig
     ('s state, 'i) Config.t ->
     ('s state, 'i) Engine.stats
 
+  val start_config :
+    ?codec:'s Cellpack.codec ->
+    ('s, 'i) P.params ->
+    Graph.t ->
+    inputs:(int -> 'i) ->
+    ('s state, 'i) Config.t
+
   val measure :
     ?budget:Ss_report.Budget.t ->
     ?sharded:bool ->
+    ?track_recovery:bool ->
     ?sinks:('s state, 'i) Engine.observer list ->
     ?hist:('s, 'i) Sync_runner.history ->
     ('s, 'i) P.params ->
@@ -113,6 +135,11 @@ module type RUN = sig
     start:('s state, 'i) Config.t ->
     's summary
 end
+
+(* Above this population the per-step root scan of recovery tracking
+   (O(n·deg) per step) dominates the run itself; big-n runs track
+   totals only unless the caller insists. *)
+let track_recovery_threshold = 65_536
 
 module Make (T : TRANSFORMER) = struct
   let run ?budget ?now ?chaos ?(self_check = false) ?(sharded = false)
@@ -139,8 +166,35 @@ module Make (T : TRANSFORMER) = struct
     Engine.run_naive ?budget ?now ?sinks (T.reference_algorithm p) daemon
       config
 
-  let measure ?budget ?sharded ?sinks ?hist p ~daemon ~start =
-    let stats = run ?budget ?sharded ?sinks p daemon start in
+  let start_config ?codec p g ~inputs =
+    match (codec, p.P.bound, T.packed_start) with
+    | Some codec, P.Finite _, Some packed -> packed p ~codec g ~inputs
+    | _ -> T.clean_config p g ~inputs
+
+  let measure ?budget ?sharded ?track_recovery ?(sinks = []) ?hist p ~daemon
+      ~start =
+    (* Recovery ends at the first root-free configuration, for good:
+       the hook's transformer never creates a root (§4).  No sink when
+       tracking is off, so an untracked run is the bare engine loop. *)
+    let recovery_moves = ref (-1) and recovery_rounds = ref (-1) in
+    let sinks =
+      match T.has_root with
+      | Some has_root
+        when Option.value track_recovery
+               ~default:(Config.n start < track_recovery_threshold) ->
+          let moves = ref 0 in
+          sinks
+          @ [
+              (fun ~step:_ ~rounds ~moved config ->
+                moves := !moves + List.length moved;
+                if !recovery_moves < 0 && not (has_root p config) then begin
+                  recovery_moves := !moves;
+                  recovery_rounds := rounds
+                end);
+            ]
+      | _ -> sinks
+    in
+    let stats = run ?budget ?sharded ~sinks p daemon start in
     (* Under a finite bound only rounds 0..B of the ground truth are
        ever consulted (heights never exceed B), so the history can be
        cut there — O(B·n) memory instead of O(T·n) at n = 10^6. *)
@@ -161,6 +215,8 @@ module Make (T : TRANSFORMER) = struct
       rounds = stats.Engine.rounds;
       terminated = stats.Engine.terminated;
       outcome = stats.Engine.outcome;
+      recovery_moves = !recovery_moves;
+      recovery_rounds = !recovery_rounds;
       legitimate =
         stats.Engine.terminated && T.legitimate_terminal p hist final = Ok ();
       space_bits = T.space_bits p final;
@@ -197,6 +253,8 @@ module Trans_hooks = struct
     else label_bits
 
   let legitimate_terminal = Checker.legitimate_terminal
+  let packed_start = Some packed_config
+  let has_root = Some Checker.has_root
 end
 
 module Trans = struct
@@ -204,16 +262,14 @@ module Trans = struct
   include Make (Trans_hooks)
 end
 
-let trans : entry = (module Trans)
-let () = register trans
+let () = register (module Trans)
 
 (* ------------------------------------------------------------------ *)
 (* First-class measured runs                                            *)
 (* ------------------------------------------------------------------ *)
 
-let measure (type s i) (entry : entry)
-    ?(budget = Ss_report.Budget.v ~steps:2_000_000 ()) ?p ?hist ~rng ~daemon
-    ~max_height (params : (s, i) P.params) graph ~inputs =
+let measure (type s i) (entry : entry) ?budget ?p ?hist ?codec ?sharded ~rng
+    ~daemon ~max_height (params : (s, i) P.params) graph ~inputs =
   let module T = (val entry) in
   let module R = Make (T) in
   (match T.supports params with
@@ -222,7 +278,7 @@ let measure (type s i) (entry : entry)
   let start =
     Ss_sim.Fault.corrupt rng ?p
       (fun rng input st -> T.corrupt_state rng ~max_height params input st)
-      (T.clean_config params graph ~inputs)
+      (R.start_config ?codec params graph ~inputs)
   in
   let energy = ref 0 in
   let energy_sink ~step:_ ~rounds:_ ~moved after =
@@ -235,6 +291,7 @@ let measure (type s i) (entry : entry)
       moved
   in
   let summary =
-    R.measure ~budget ~sinks:[ energy_sink ] ?hist params ~daemon ~start
+    R.measure ?budget ?sharded ~sinks:[ energy_sink ] ?hist params ~daemon
+      ~start
   in
   (summary, !energy)

@@ -55,6 +55,16 @@ module type TRANSFORMER = sig
     ('s state, 'i) Ss_sim.Config.t
   (** The controlled initial configuration. *)
 
+  val packed_start :
+    (('s, 'i) Predicates.params ->
+    codec:'s Cellpack.codec ->
+    Ss_graph.Graph.t ->
+    inputs:(int -> 'i) ->
+    ('s state, 'i) Ss_sim.Config.t)
+    option
+  (** Start hook: {!clean_config} in one packed {!Cellpack} arena
+      (DESIGN.md §12), under a finite bound; [None] without one. *)
+
   val corrupt_state :
     Ss_prelude.Rng.t ->
     max_height:int ->
@@ -86,6 +96,13 @@ module type TRANSFORMER = sig
     (unit, string) result
   (** Terminal-configuration legitimacy against the synchronous ground
       truth (terminality included). *)
+
+  val has_root :
+    (('s, 'i) Predicates.params -> ('s state, 'i) Ss_sim.Config.t -> bool)
+    option
+  (** Root hook for recovery tracking: whether some root remains.
+      Only a transformer that never creates a root (§3, paper §4) has
+      one, so its first root-free configuration is final. *)
 end
 
 type entry = (module TRANSFORMER)
@@ -110,6 +127,12 @@ val doc : entry -> string
 
 val supports : entry -> ('s, 'i) Predicates.params -> (unit, string) result
 
+val packs : entry -> bool
+(** It has a {!TRANSFORMER.packed_start}. *)
+
+val tracks_recovery : entry -> bool
+(** It has a {!TRANSFORMER.has_root}. *)
+
 (* ------------------------------------------------------------------ *)
 (* Generic runs                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -121,6 +144,10 @@ type 's summary = {
   terminated : bool;
   outcome : Ss_report.Budget.outcome;
       (** [Completed], or which budget limit stopped the run. *)
+  recovery_moves : int;
+      (** Moves up to the first root-free configuration; [-1] when
+          not tracked or when the run stopped before it. *)
+  recovery_rounds : int;  (** Rounds likewise. *)
   legitimate : bool;
       (** Terminated, and {!TRANSFORMER.legitimate_terminal} accepts
           the terminal configuration. *)
@@ -133,7 +160,17 @@ type 's summary = {
 
 (** The run layer every transformer shares (DESIGN.md §14).  Observers
     — energy meters, recovery tracking, traces — ride on [sinks]; the
-    run itself takes no other hook. *)
+    run itself takes no other hook.
+
+    One policy each, for every transformer:
+    - {e budget}: the caller's [budget], else the engine's own default
+      ({!Ss_sim.Engine.run}); no layer here adds a cap of its own;
+    - {e layout}: a [codec] under a finite bound selects the entry's
+      {!TRANSFORMER.packed_start}, anything else the boxed
+      {!TRANSFORMER.clean_config};
+    - {e recovery}: tracked through {!TRANSFORMER.has_root} when the
+      entry has one, by default below 65536 nodes (the per-step root
+      scan is O(n·deg)). *)
 module type RUN = sig
   type 's state
 
@@ -169,20 +206,31 @@ module type RUN = sig
       over {!TRANSFORMER.reference_algorithm} — the differential
       twin of {!run}. *)
 
+  val start_config :
+    ?codec:'s Cellpack.codec ->
+    ('s, 'i) Predicates.params ->
+    Ss_graph.Graph.t ->
+    inputs:(int -> 'i) ->
+    ('s state, 'i) Ss_sim.Config.t
+  (** The initial configuration, laid out by the policy above. *)
+
   val measure :
     ?budget:Ss_report.Budget.t ->
     ?sharded:bool ->
+    ?track_recovery:bool ->
     ?sinks:('s state, 'i) Ss_sim.Engine.observer list ->
     ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
     ('s, 'i) Predicates.params ->
     daemon:Ss_sim.Daemon.t ->
     start:('s state, 'i) Ss_sim.Config.t ->
     's summary
-  (** One measured run: {!run} from [start] with [sinks] attached,
-      then the terminal configuration checked against the synchronous
-      ground truth [hist] — computed after the run from [start]'s graph
-      and inputs when not supplied, and cut at [B] rounds under a
-      finite bound (terminal heights never exceed [B]). *)
+  (** One measured run: {!run} from [start] with [sinks] (and the
+      recovery sink, when tracked; [track_recovery] overrides the
+      policy), then the terminal configuration checked against the
+      synchronous ground truth [hist] — computed after the run from
+      [start]'s graph and inputs when not supplied, and cut at [B]
+      rounds under a finite bound (terminal heights never exceed
+      [B]). *)
 end
 
 module Make (T : TRANSFORMER) : RUN with type 's state := 's T.state
@@ -198,7 +246,8 @@ module Make (T : TRANSFORMER) : RUN with type 's state := 's T.state
     ["trans"]; [supports] always accepts (the §3 system takes any
     mode/bound combination {!Transformer.params} admits);
     [reference_algorithm] is {!Transformer.algorithm_uncached};
-    [space_bits] and [legitimate_terminal] are {!Checker}'s; [move_bits]
+    [packed_start] is {!Transformer.packed_config}; [space_bits],
+    [legitimate_terminal] and [has_root] are {!Checker}'s; [move_bits]
     is §6's delta encoding — 2 label bits, plus the new cell for [RU] or
     the new height for [RP] ([log₂(B+1)] bits, 32 under an infinite
     bound).  Call sites alias this module instead of {!Transformer}:
@@ -210,8 +259,6 @@ module Trans : sig
   include RUN with type 's state := 's state
 end
 
-val trans : entry
-(** {!Trans}, pre-registered by this module. *)
 
 (* ------------------------------------------------------------------ *)
 (* First-class measured runs                                            *)
@@ -222,6 +269,8 @@ val measure :
   ?budget:Ss_report.Budget.t ->
   ?p:float ->
   ?hist:('s, 'i) Ss_sync.Sync_runner.history ->
+  ?codec:'s Cellpack.codec ->
+  ?sharded:bool ->
   rng:Ss_prelude.Rng.t ->
   daemon:Ss_sim.Daemon.t ->
   max_height:int ->
@@ -230,15 +279,13 @@ val measure :
   inputs:(int -> 'i) ->
   's summary * int
 (** One measured run of any registered transformer, entirely behind
-    the interface: build the clean configuration, hit each node with
-    probability [p] (default 1) through {!Ss_sim.Fault.corrupt} and
-    the entry's [corrupt_state], then {!RUN.measure} it ([hist]
-    passes through) with a move-bits energy sink.  Returns the run's
-    summary and its energy: [Σ deg(p) · move_bits] over the
-    execution's moves, the transformer-comparison energy column.
-    [budget] defaults to [Budget.v ~steps:2_000_000 ()]; a given
-    budget replaces it whole, so a caller that adds a deadline sets
-    the step cap too.
+    the interface: build the start with {!RUN.start_config} ([codec]
+    passes through), hit each node with probability [p] (default 1)
+    through {!Ss_sim.Fault.corrupt} and the entry's [corrupt_state],
+    then {!RUN.measure} it ([budget], [sharded] and [hist] pass
+    through) with a move-bits energy sink.  Returns the run's summary
+    and its energy: [Σ deg(p) · move_bits] over the execution's moves,
+    the transformer-comparison energy column.
     @raise Invalid_argument when the transformer does not support the
     parameters ({!supports}) or on a corruption probability outside
     [[0, 1]]. *)

@@ -205,5 +205,3 @@ val snapshot : 's t -> status * 's * 's array
 val pp :
   (Format.formatter -> 's -> unit) -> Format.formatter -> 's t -> unit
 (** Renders status, height and list contents. *)
-
-val pp_status : Format.formatter -> status -> unit

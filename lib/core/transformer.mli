@@ -79,7 +79,7 @@ val algorithm :
     guard re-verifies only the cells that changed since the node's
     previous evaluation (O(Δ·deg) instead of O(h·deg)); [RU]'s guard
     and action compute [algô] into the cache's per-degree scratch
-    ({!Predicates.algo_hat_cached}).  The cache never changes
+    ({!Predicates.per_domain_cached}).  The cache never changes
     results — see {!Predicates.algo_err_cached} — and
     [Registry.Trans.run ~self_check:true] cross-validates it on every
     step. *)

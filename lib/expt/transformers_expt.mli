@@ -20,13 +20,6 @@
 
 val headers : string list
 
-val default_algos : string list
-(** [leader; bfs; cv; mis; matching; coloring]. *)
-
-val default_graphs :
-  Ss_prelude.Rng.t -> (string * Ss_graph.Graph.t) list
-(** [ring:24], [torus:4x6], [random4:16]. *)
-
 val rows :
   ?transformers:Ss_core.Registry.entry list ->
   ?algos:string list ->
@@ -35,5 +28,6 @@ val rows :
   Ss_prelude.Rng.t ->
   Ss_prelude.Table.t
 (** [rows ~seeds rng] runs the grid on the shared {!Ss_par.Par} pool.
-    Defaults: all registered transformers, {!default_algos},
-    {!default_graphs}. *)
+    Defaults: all registered transformers; the algorithms [leader],
+    [bfs], [cv], [mis], [matching] and [coloring]; the graphs
+    [ring:24], [torus:4x6] and [random4:16]. *)

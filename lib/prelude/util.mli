@@ -38,10 +38,6 @@ val fold_max : int -> int array -> int
 val range : int -> int list
 (** [range n] is [[0; 1; ...; n-1]]. *)
 
-val array_for_all2 : ('a -> 'b -> bool) -> 'a array -> 'b array -> bool
-(** Pointwise conjunction over two arrays of equal length; [false] when
-    lengths differ. *)
-
 val array_equal : ('a -> 'a -> bool) -> 'a array -> 'a array -> bool
 (** Structural array equality with a custom element equality. *)
 

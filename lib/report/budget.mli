@@ -104,7 +104,6 @@ val poll_now : deadline -> bool
     iterations each outweigh the read ([Sync_runner]'s rounds).
     Constant [false], and free of clock reads, without a deadline. *)
 
-val limit_to_string : limit -> string
 val outcome_to_string : outcome -> string
 (** ["completed"], ["steps"], ["moves"], ["deliveries"], ["deadline"] —
     the [outcome] row of [fasst run]. *)

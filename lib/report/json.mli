@@ -24,9 +24,6 @@ val to_string : t -> string
     render with the shortest decimal form that round-trips; integral
     floats keep a trailing [.] digit so they re-parse as [Float]. *)
 
-val to_buffer : Buffer.t -> t -> unit
-(** Same rendering, appended to a buffer. *)
-
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document (leading/trailing whitespace
     allowed).  Numbers without [.], [e] or [E] become [Int]; all

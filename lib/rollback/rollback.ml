@@ -109,6 +109,9 @@ module Entry = struct
   let clean_config p g ~inputs =
     clean_config p.P.sync ~bound:(bound_of p) g ~inputs
 
+  (* Fixed-length lists of any state: no packed arena layout. *)
+  let packed_start = None
+
   (* The fault model: scramble each cell with probability 1/2 (lengths
      are fixed, [init] is read-only), always redrawing one more cell so
      a hit node is actually hit. *)
@@ -150,6 +153,10 @@ module Entry = struct
     else if not (simulates_history p.P.sync hist config) then
       Error "terminal lists do not match the synchronous history"
     else Ok ()
+
+  (* No recovery phase: FIX has no roots, so nothing marks a
+     configuration from which the run is known to be recovered. *)
+  let has_root = None
 end
 
 let transformer : Ss_core.Registry.entry = (module Entry)

@@ -52,5 +52,3 @@ val scripted : ?fallback:t -> int list list -> t
     validates that every scripted node is enabled when activated and
     raises {!Engine.Invalid_selection} otherwise. *)
 
-val of_fun : string -> (step:int -> enabled:Nodeset.t -> int list) -> t
-(** Build a custom daemon. *)

@@ -56,9 +56,6 @@ type ('s, 'i) observer =
     consumers (trace recording, CSV export, divergence checking)
     cannot perturb the execution they measure. *)
 
-val tee : ('s, 'i) observer list -> ('s, 'i) observer
-(** Fan one event stream out to several sinks, in list order. *)
-
 val divergence_sink :
   checked:string * (('s, 'i) Config.t -> int list) ->
   reference:string * (('s, 'i) Config.t -> int list) ->
@@ -142,8 +139,8 @@ val run :
     step: the step that would exceed it is simply not taken.
 
     Observability: [observer] and every element of [sinks] are placed
-    on one bus ({!tee}) — [observer] first, then [sinks] in order —
-    and all receive every event.  Use [sinks]: [observer] remains only
+    on one bus — [observer] first, then [sinks] in order — and all
+    receive every event.  Use [sinks]: [observer] remains only
     because the recovery benchmark ([bench/suite]) passes it.
 
     The engine is {e incremental}: it maintains the enabled set with

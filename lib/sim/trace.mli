@@ -4,7 +4,7 @@
     is the basis of the replay tests, of the "roots are never created"
     property checks, and of the §6 energy accounting.  All recorders
     here respect the sink purity contract (DESIGN.md §9) and compose
-    on the engine's sink bus ({!Engine.tee} / [?sinks]). *)
+    on the engine's sink bus ({!Engine.run}'s [?sinks]). *)
 
 type event = {
   ev_step : int;  (** Step index (1-based; step 0 is the initial config). *)

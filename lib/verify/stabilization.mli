@@ -15,27 +15,20 @@ type ('s, 'i) scenario = {
   inputs : int -> 'i;
 }
 
-type 's report = {
+type 's report = 's Ss_core.Registry.summary = {
   moves : int;
   steps : int;
   rounds : int;
   terminated : bool;
   outcome : Ss_report.Budget.outcome;
-      (** [Completed], or which budget limit stopped the run. *)
   recovery_moves : int;
-      (** Moves executed up to the first root-free configuration
-          ([0] when the start already has no root; [-1] when recovery
-          tracking is disabled, or when the run stopped before its
-          first root-free configuration). *)
-  recovery_rounds : int;  (** Rounds likewise. *)
-  space_bits : int;  (** Maximum per-node footprint over the execution's
-          final configuration. *)
-  moves_per_rule : (string * int) list;
+  recovery_rounds : int;
   legitimate : bool;
-      (** Terminal, root-free, equal heights, lists matching the
-          synchronous history. *)
-  outputs : 's array;  (** Final simulated outputs [L(h)]. *)
+  space_bits : int;
+  moves_per_rule : (string * int) list;
+  outputs : 's array;
 }
+(** {!Ss_core.Registry.summary}, re-exported. *)
 
 val history :
   ?rounds:int -> ('s, 'i) scenario -> ('s, 'i) Ss_sync.Sync_runner.history
@@ -48,10 +41,10 @@ val clean_start :
   ?codec:'s Ss_core.Cellpack.codec ->
   ('s, 'i) scenario ->
   ('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t
-(** The controlled initial configuration.  With [codec] and a finite
-    bound, the states live in one packed {!Ss_core.Cellpack} arena
-    ({!Ss_core.Transformer.packed_config} — the million-node layout);
-    otherwise boxed. *)
+(** The controlled initial configuration:
+    [Registry.Trans.start_config] — with [codec] and a finite bound,
+    the states live in one packed {!Ss_core.Cellpack} arena (the
+    million-node layout); otherwise boxed. *)
 
 val corrupted_start :
   Ss_prelude.Rng.t ->
@@ -72,17 +65,10 @@ val run :
   daemon:Ss_sim.Daemon.t ->
   start:('s Ss_core.Trans_state.t, 'i) Ss_sim.Config.t ->
   's report
-(** Execute and measure: {!Ss_core.Registry.RUN.measure} on
-    [Registry.Trans] with a recovery sink attached.  [track_recovery]
-    checks for remaining roots after every step; its default is [true]
-    below 65536 nodes and [false] above (the per-step O(n·deg) root
-    scan would dominate a big run), and an untracked run attaches no
-    sink at all.  [budget] (the engine's default cap when omitted) and
-    [sharded] pass through to the run.
-    The legitimacy check reads [hist], the scenario's {!history}, when
-    given; otherwise it builds one after the run, cut at [B] rounds
-    under a finite bound [B] — exactly what terminal lists
-    (heights ≤ B) can reference — so either gives the same report. *)
+(** Execute and measure: [Registry.Trans.measure] on the scenario's
+    parameters, every option passed through — recovery tracked by
+    {!Ss_core.Checker.has_root}, by default below 65536 nodes.  [hist],
+    the scenario's {!history}, spares the run building one. *)
 
 val daemon_portfolio :
   Ss_prelude.Rng.t -> (string * Ss_sim.Daemon.t) list

@@ -63,7 +63,7 @@ expect_usage_error -b run --layout packed
 expect_usage_error --layout run -a sp --layout packed -b 4
 expect_usage_error -b run -m greedy -t ring:8
 expect_usage_error -b run -T rollback -m greedy
-expect_usage_error --layout run -T adaptive -a mis -t random4:16 -b 8 -m greedy --layout packed
+expect_usage_error --layout run -T rollback --layout packed -b 4
 expect_usage_error -t run -t gk:1 -a cv
 expect_usage_error --scenario sim --scenario bogus
 expect_usage_error -a sim -a bogus
